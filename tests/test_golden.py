@@ -1,0 +1,183 @@
+"""Pinned sha256 of every artifact of fixed CLI runs on small synthetic markets.
+
+The determinism test in test_acceptance compares two runs of the same code;
+these hashes compare the code against the bytes it produced when they were
+captured, so a refactor that changes any output byte fails here. A change
+that alters bytes on purpose updates GOLDEN and says why in CHANGES.md; the
+assertion message prints the hashes the current code produces.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from conftest import synthetic_market_bytes
+
+from stocksignals import cli
+
+SIX_FEATURES = (
+    "PX_OFFICIAL_CLOSE",
+    "PX_VOLUME",
+    "PE_RATIO",
+    "buy_percent",
+    "std_5day",
+    "std_10day",
+)
+
+CONFIG = {
+    "data": "market.csv",
+    "out": "config",
+    "seed": 7,
+    "label": {"horizons": [1, 3, 5], "up_threshold": 1.005, "down_threshold": 0.995},
+    "split": {"train_fraction": 0.6},
+    "classifier": {"kind": "decision_tree", "max_depth": 5, "min_samples_split": 4},
+    "rank": {
+        "n_components": 4,
+        "weights": [4, 3, 2, 1],
+        "contribution_threshold": 0.15,
+        "top_k": 5,
+    },
+    "backtest": {
+        "fee_per_transaction": 0.02,
+        "take_profit_fraction": 0.015,
+        "stop_loss_fraction": 0.02,
+        "signal_horizon": 5,
+        "liquidate_at_end": False,
+    },
+}
+
+# run name -> argv; the output directory is named after the run, and runs
+# execute in this order (backtest-model-file reuses pipeline-forest's model)
+RUNS = {
+    "pipeline-forest": ["pipeline", "--seed", "42"],
+    "evaluate-knn": ["evaluate", "--model", "knn", "--seed", "3"],
+    "evaluate-gaussian-nb": ["evaluate", "--model", "gaussian-nb", "--seed", "3"],
+    "evaluate-tree-entropy": [
+        "evaluate", "--model", "decision-tree", "--criterion", "entropy", "--seed", "5",
+    ],
+    "evaluate-by-sector": ["evaluate", "--by-sector", "--trees", "3", "--seed", "8"],
+    "pipeline-features": ["pipeline", "--features", "six.txt", "--trees", "4", "--seed", "9"],
+    "backtest-model-file": [
+        "backtest", "--model-file", "pipeline-forest/model.json", "--seed", "42",
+    ],
+    "config": ["pipeline", "--config", "config.json"],
+}
+
+GOLDEN = {
+    "pipeline-forest": {
+        "backtest_TK00.json": "ad34e3c7e75c0192fb5ca0903f11370a07d742eec55782254dd09b2d4fba44c8",
+        "backtest_TK01.json": "d70d42ed634182f77309321951fa5ee04c828bf5be497dd256fd7d68991dad2c",
+        "backtest_TK02.json": "c7080fd76227845a5beec30faeac70cd5ca860b25e81f2d39a0cd280e60615c0",
+        "backtest_TK03.json": "ef15d2f3f2301f7a127c824222aa2786bf2a14849cb139b0605bf7d1dc33d2b6",
+        "dataset.csv": "c9789eade27cc3aee3de3418761b904678434fb68164b97e4864b8a42f622247",
+        "metrics.csv": "5480e6c5ff3e4792507c19e44a6f859e436c9d3cafb9d76238162e58b227a252",
+        "metrics.json": "f8a561dc7066195fa5959bd5e15e4f1ebf01f2a8f10402ba1fe5126adbe414ef",
+        "model.json": "463732d55feb60bb5b1baab22758fa52e75b2ead9855110f64f12f4299477652",
+        "ranking.csv": "033cf2620dd8317e3a36545863f464881b09bf91e352fd78437ed75790b88f0d",
+        "run.json": "f30a63690c437c40adf289c89d42ee273ae0040b1ce1f2051e00b4b5c2b86d1c",
+        "trades_TK00.csv": "35366081060c4f8caaee159ab7368633d4e298c7802c033aa3c6c299837c4fa1",
+        "trades_TK01.csv": "4b744cf1b9ad3bb0de315e4e04569f5314350428f7c08b4cda8f8cb65810f365",
+        "trades_TK02.csv": "6ef7314a8a1e1f8cda0477b8d53cd6e2f6a2ec7e865db130c428bd52e6d040ae",
+        "trades_TK03.csv": "bc1b20c0f4fee2e7c89a787062e312b1097ea9b8c359692e05b6f16b9feb5a3e",
+        "variance.csv": "bdccd923c20c989a983c080b6e1eafadd1470ae4b7acc26475f9d78c887b6cc1",
+    },
+    "evaluate-knn": {
+        "metrics.csv": "326d1d23f41784760cacaf607fc8a81ea05440ac30c51345ab68ba01eae998cf",
+        "metrics.json": "570061d3e51edee0f4c669559ef0cc634a290b5b9b94faaccd77ad01e4740e51",
+        "run.json": "2d458a00107ecd5fee0bdf995062dc26b656d7ec41077d934ccb87f6c068e3fb",
+    },
+    "evaluate-gaussian-nb": {
+        "metrics.csv": "06d5c767e9559411460446d310d85a58910c4ef246d5af7daa96a02e891e0e50",
+        "metrics.json": "84ccd341d18704da21870caa2676eaa35a139bdc26336956b593de2c6b4082ca",
+        "run.json": "e1d519c6ee561360e68d90a62cf9f498880b6375d1ae7588d226fb167fb3e22b",
+    },
+    "evaluate-tree-entropy": {
+        "metrics.csv": "ead346b9c3c645f1335e81f33c60fa387adc0cad388799923fec1107f8b4d581",
+        "metrics.json": "1c64cfa533e272e0eda179959de469649f136d02737a837b243a2b5c83b815b0",
+        "run.json": "9e5a8769e9ae1ad88600c675e099756351a93697e9a971f080a06f7ed7486ec0",
+    },
+    "evaluate-by-sector": {
+        "metrics.csv": "b1305740acb7b75ab56c4a66db2656aa7c6670aaf13b8f4fd13afa0346d1bd10",
+        "metrics.json": "500ab4038fe591af92ca6d65d33f9a1a0ea4affdeb3010a1300e98efc461caac",
+        "run.json": "0f7828fd4260de8301e9b88d90c432de3c9432fed0c85bde60e263490709cd68",
+    },
+    "pipeline-features": {
+        "backtest_TK00.json": "819b8dfea256ee7f5dba0885797dd8bc95dd01ee4893333c4d988491af6368bd",
+        "backtest_TK01.json": "7124d3c95aff69cd0134170c05e4144c3f1c652f41d402f19680a32f2a3e0336",
+        "backtest_TK02.json": "ea1b1f4519205b0945fe426de5e0fbc480e3e6d899ded6a94b40b0955dbd0575",
+        "backtest_TK03.json": "70298570aaf4cd95bead3800f8044c0f893f844e0fd2bf42bdc01f78ac4e19f7",
+        "dataset.csv": "c9789eade27cc3aee3de3418761b904678434fb68164b97e4864b8a42f622247",
+        "metrics.csv": "090780cd209de071e73219fa560933986543bd0c833f51048adf65906d32fb81",
+        "metrics.json": "93028f8579d1e79001fdccd19a4fb94ad84a870c08a6717b70e0de7c23d2734b",
+        "model.json": "54d2789916ff659d7f37b88660346e7d772c1cff1ee9fbfbf1447fec9c2e9a43",
+        "ranking.csv": "77ea84bc52c01caddc41cf77a401daebea4af74e267654f0cc21da119b51279d",
+        "run.json": "fe33a503140fab71dc6f02f924ffad94328e085a08dbd350895cab2f9735e4ce",
+        "trades_TK00.csv": "7e11f19ca338cfde1aea9101e46fc081e02bf9df658393fced6fd48e8449092a",
+        "trades_TK01.csv": "08f286310e0e06f71bbc8d75a4cb9ee126824df2c049d014928f3a18e76b07d6",
+        "trades_TK02.csv": "ec156a44ed210a3bbb86f0399187ea1b6a72a413301c1a0532a1387fa96355cc",
+        "trades_TK03.csv": "7e617e035e0baf20321b37751469d0c99bcfcfbc44aca18925889fcc0106920a",
+        "variance.csv": "6237f632657db15c15df9e00e5a0eb5892d1fb4c8a1d1ae06a14f74447baeb7c",
+    },
+    "backtest-model-file": {
+        "backtest_TK00.json": "ad34e3c7e75c0192fb5ca0903f11370a07d742eec55782254dd09b2d4fba44c8",
+        "backtest_TK01.json": "d70d42ed634182f77309321951fa5ee04c828bf5be497dd256fd7d68991dad2c",
+        "backtest_TK02.json": "c7080fd76227845a5beec30faeac70cd5ca860b25e81f2d39a0cd280e60615c0",
+        "backtest_TK03.json": "ef15d2f3f2301f7a127c824222aa2786bf2a14849cb139b0605bf7d1dc33d2b6",
+        "model.json": "463732d55feb60bb5b1baab22758fa52e75b2ead9855110f64f12f4299477652",
+        "run.json": "eeb5d70bfa2cc5b1b15869f49552bf6e1b2b16451951f14243d06b92053d223b",
+        "trades_TK00.csv": "35366081060c4f8caaee159ab7368633d4e298c7802c033aa3c6c299837c4fa1",
+        "trades_TK01.csv": "4b744cf1b9ad3bb0de315e4e04569f5314350428f7c08b4cda8f8cb65810f365",
+        "trades_TK02.csv": "6ef7314a8a1e1f8cda0477b8d53cd6e2f6a2ec7e865db130c428bd52e6d040ae",
+        "trades_TK03.csv": "bc1b20c0f4fee2e7c89a787062e312b1097ea9b8c359692e05b6f16b9feb5a3e",
+    },
+    "config": {
+        "backtest_TK00.json": "23e600af3c1bce05e04e5c79ceb134c6cd0c13ec7457496a8050756e0b67329a",
+        "backtest_TK01.json": "b0e8b13eb111fbf96a37ca1292e84ac44e6b03fde614bc05239bbcaeb4581360",
+        "backtest_TK02.json": "89e1ab9589072cb480243edd3ce3f5c684df7b7bf926f31db5c43b0b9f916d67",
+        "backtest_TK03.json": "3120ec26bd0d31f34a7d52d7378b26bd12c1833aad320ef70c93c4e4628b0edb",
+        "dataset.csv": "37b252618d09b37663b76855842f75f18bd06d994c7f1ed84abfb10a966d8211",
+        "metrics.csv": "ff6bb1383bf5c6be2fe9d86f25748f43a74685987241950179d062fdfab0ecc9",
+        "metrics.json": "9bc76751318501c771a7e21838bd97346b91b47018c98331bcc9150ba4f6ed33",
+        "model.json": "aa710c857ea017fe7c5c12a4f62f2995efe3b525166395dd3e10f98f066d97df",
+        "ranking.csv": "8918670c55fd8d6f35cdce84f40c270fb582afb0838bc8378b360d4bab76a13a",
+        "run.json": "ea9af052b9afbe9df7a991b63d3e3d4e1c38f2a5f55264675e34c9ba29289e8f",
+        "trades_TK00.csv": "2c8a07cfe8d133077c370f22cb390b665908e5f247d263b312035a4d7dae2e2b",
+        "trades_TK01.csv": "123adf09a507aff604573d8ef4548763625efafebdf9cf4107a31ce7a3c2f5b5",
+        "trades_TK02.csv": "6cd8ffd2ff88ed7410c850ef77dfe800126ce1a398227aaa555b38fc3b44a29e",
+        "trades_TK03.csv": "9e75abae578b395937f5f5b95bd0c140a278a5cf981b9fc10c0ad304aeaf8fa1",
+        "variance.csv": "27aefc78bf221dd5dce63a9c63506c9bc199010561f65c792c0ec8c9e6c4a400",
+    },
+}
+
+
+def _digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    """Run every CLI call once, from inside a scratch directory, and hash the outputs."""
+    root = tmp_path_factory.mktemp("golden")
+    (root / "market.csv").write_bytes(synthetic_market_bytes(n_tickers=4, n_days=60, seed=5))
+    (root / "six.txt").write_text("\n".join(SIX_FEATURES) + "\n", encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    previous = os.getcwd()
+    os.chdir(root)  # relative paths keep run.json free of the scratch location
+    try:
+        results = {}
+        for name, argv in RUNS.items():
+            extra = [] if "--config" in argv else ["--data", "market.csv", "--out", name]
+            assert cli.main(argv + extra) == 0, name
+            results[name] = _digests(root / CONFIG["out"] if name == "config" else root / name)
+        return results
+    finally:
+        os.chdir(previous)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_golden_artifacts(produced, name):
+    assert produced[name] == GOLDEN[name], json.dumps(produced[name], indent=1)
