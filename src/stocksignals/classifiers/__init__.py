@@ -11,6 +11,7 @@ from stocksignals.classifiers.base import (
     ModelBundle,
     bundle_json,
     fit_bundle,
+    fit_bundles,
     fit_classifier,
     load_bundle,
     model_from_params,
@@ -33,9 +34,7 @@ from stocksignals.classifiers.tree import (
     Leaf,
     Split,
     best_split,
-    entropy_impurity,
     fit_decision_tree,
-    gini_impurity,
     predict_tree,
 )
 
@@ -53,13 +52,12 @@ __all__ = [
     "best_split",
     "bundle_json",
     "class_log_scores",
-    "entropy_impurity",
     "fit_bundle",
+    "fit_bundles",
     "fit_classifier",
     "fit_decision_tree",
     "fit_gaussian_nb",
     "fit_random_forest",
-    "gini_impurity",
     "knn_predict",
     "load_bundle",
     "model_from_params",

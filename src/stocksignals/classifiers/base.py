@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -29,15 +29,7 @@ from stocksignals.classifiers.tree import (
 )
 from stocksignals.errors import EmptyTraining, UsageError
 from stocksignals.labels import Label
-from stocksignals.transform import (
-    FEATURE_COLUMNS,
-    DEFAULT_HORIZONS,
-    FeatureRow,
-    Scaler,
-    feature_matrix,
-    fit_scaler,
-    standardize_apply,
-)
+from stocksignals.transform import Dataset, Scaler, TrainTestSplit, standardize_apply
 
 KINDS = ("decision_tree", "random_forest", "knn", "gaussian_nb")
 CRITERIA = ("gini", "entropy")
@@ -105,7 +97,8 @@ def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
 
 
 def predict_batch(model: FittedModel, X) -> list[Label]:
-    return [predict_one(model, row) for row in X]
+    """Predict each row of a matrix (rows go to the models as Python floats)."""
+    return [predict_one(model, row) for row in np.asarray(X, dtype=float).tolist()]
 
 
 # --- parameter (de)serialization -------------------------------------------
@@ -224,20 +217,14 @@ class ModelBundle:
     scaler: Scaler
     model: FittedModel
 
-    def predict_vector(self, features: Sequence[float]) -> Label:
-        """Predict from one raw feature vector in this bundle's feature space."""
-        scaled = standardize_apply(self.scaler, [features])[0]
-        return predict_one(self.model, scaled)
+    def predict(self, data: Dataset) -> list[Label]:
+        """Predict every row of a dataset that holds at least this bundle's columns.
 
-    def predict_canonical(
-        self,
-        features: Sequence[float],
-        canonical_names: Sequence[str] = FEATURE_COLUMNS,
-    ) -> Label:
-        """Predict from a full canonical vector, projecting to this bundle's columns."""
-        index = {name: i for i, name in enumerate(canonical_names)}
-        projected = [features[index[name]] for name in self.feature_names]
-        return self.predict_vector(projected)
+        The rows are projected and scaled once as a matrix, then predicted
+        one by one.
+        """
+        X = standardize_apply(self.scaler, data.select(self.feature_names).X)
+        return predict_batch(self.model, X)
 
     def to_dict(self) -> dict:
         return {
@@ -277,37 +264,30 @@ def load_bundle(path: Path | str) -> ModelBundle:
     return ModelBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def fit_bundle(
-    spec: ClassifierSpec,
-    train_rows: Sequence[FeatureRow],
-    horizon: int,
-    horizons: Sequence[int] = DEFAULT_HORIZONS,
-    feature_names: Sequence[str] = FEATURE_COLUMNS,
-) -> ModelBundle:
-    """Fit one classifier for one horizon on rows labeled at that horizon.
+def fit_bundles(
+    spec: ClassifierSpec, split: TrainTestSplit, horizons: Sequence[int]
+) -> Iterator[ModelBundle]:
+    """Fit one classifier per horizon on the training rows labeled at it.
 
-    The scaler is fitted on every training row (labeled or not at this
-    horizon) so all horizons share one feature scaling.
+    The training matrix is scaled once with the split's scaler, which was
+    fitted on every training row (labeled or not), so all horizons share
+    one feature scaling.
     """
-    try:
-        slot = list(horizons).index(horizon)
-    except ValueError:
-        raise UsageError(f"horizon {horizon} not in {list(horizons)}") from None
-    labeled = [row for row in train_rows if row.labels[slot] is not None]
-    if not labeled:
-        raise EmptyTraining(f"no training rows labeled at horizon {horizon}")
-    scaler = fit_scaler(train_rows)
-    X = standardize_apply(scaler, feature_matrix(labeled))
-    y = [row.labels[slot] for row in labeled]
-    model = fit_classifier(spec, X, y)
-    return ModelBundle(
-        spec=spec,
-        horizon=horizon,
-        feature_names=tuple(feature_names),
-        scaler=scaler,
-        model=model,
-    )
+    train = split.train
+    X = standardize_apply(split.scaler, train.X)
+    for horizon in horizons:
+        y = train.labels(horizon)
+        labeled = y >= 0
+        if not labeled.any():
+            raise EmptyTraining(f"no training rows labeled at horizon {horizon}")
+        yield ModelBundle(
+            spec=spec,
+            horizon=horizon,
+            feature_names=train.feature_names,
+            scaler=split.scaler,
+            model=fit_classifier(spec, X[labeled], y[labeled]),
+        )
 
 
-def with_seed(spec: ClassifierSpec, seed: int) -> ClassifierSpec:
-    return replace(spec, seed=seed)
+def fit_bundle(spec: ClassifierSpec, split: TrainTestSplit, horizon: int) -> ModelBundle:
+    return next(fit_bundles(spec, split, (horizon,)))

@@ -80,7 +80,3 @@ def predict_forest(forest: ForestModel, x: Sequence[float]) -> Label:
     for tree in forest.trees:
         votes[int(predict_tree(tree, x))] += 1
     return majority_label(votes)
-
-
-def predict_forest_batch(forest: ForestModel, X) -> list[Label]:
-    return [predict_forest(forest, row) for row in X]

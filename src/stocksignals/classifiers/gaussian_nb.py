@@ -38,7 +38,7 @@ def fit_gaussian_nb(X, y) -> GaussianNbModel:
     that are constant within a class.
     """
     X_arr = np.asarray(X, dtype=float)
-    y_arr = np.asarray([int(label) for label in y], dtype=np.int64)
+    y_arr = np.asarray(y, dtype=np.int64)
     if len(X_arr) == 0:
         raise EmptyTraining("no training rows")
     if len(X_arr) != len(y_arr):

@@ -54,7 +54,7 @@ class KnnModel:
 
 def fit_knn(X, y, k: int) -> KnnModel:
     X_arr = np.asarray(X, dtype=float)
-    y_arr = np.asarray([int(label) for label in y], dtype=np.int64)
+    y_arr = np.asarray(y, dtype=np.int64)
     if len(X_arr) == 0:
         raise EmptyTraining("no training rows")
     if len(X_arr) != len(y_arr):

@@ -14,38 +14,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from stocksignals.errors import DataError, DimensionMismatch, EmptyNode, EmptyTraining
+from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
 from stocksignals.labels import Label, majority_label
 
 if TYPE_CHECKING:
     from stocksignals.classifiers.base import ClassifierSpec
 
 N_CLASSES = 3
-
-
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """1 - sum(p_c^2) over the class proportions."""
-    total = sum(class_counts)
-    if total == 0:
-        raise EmptyNode("impurity of an empty node is undefined")
-    acc = 0.0
-    for count in class_counts:
-        p = count / total
-        acc += p * p
-    return 1.0 - acc
-
-
-def entropy_impurity(class_counts: Sequence[int]) -> float:
-    """-sum(p_c * log2 p_c), with 0 * log 0 taken as 0."""
-    total = sum(class_counts)
-    if total == 0:
-        raise EmptyNode("impurity of an empty node is undefined")
-    acc = 0.0
-    for count in class_counts:
-        if count:
-            p = count / total
-            acc -= p * np.log2(p)
-    return float(acc)
 
 
 def _impurity_rows(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
@@ -178,11 +153,11 @@ def grow_tree(X: np.ndarray, y: np.ndarray, spec: "ClassifierSpec", pick_candida
 
 
 def as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and coerce a training pair to float/int arrays."""
+    """Validate a training pair as float features and int64 labels."""
     X_arr = np.asarray(X, dtype=float)
     if X_arr.ndim != 2:
         raise DimensionMismatch("feature matrix must be 2-D")
-    y_arr = np.asarray([int(label) for label in y], dtype=np.int64)
+    y_arr = np.asarray(y, dtype=np.int64)
     if len(X_arr) != len(y_arr):
         raise DimensionMismatch(
             f"{len(X_arr)} feature rows vs {len(y_arr)} labels"
@@ -211,10 +186,6 @@ def predict_tree(tree: DecisionTree, x: Sequence[float]) -> Label:
     while isinstance(node, Internal):
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.label
-
-
-def predict_tree_batch(tree: DecisionTree, X) -> list[Label]:
-    return [predict_tree(tree, row) for row in X]
 
 
 def tree_depth(node: TreeNode) -> int:

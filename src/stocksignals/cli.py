@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from stocksignals import ingest, reports
 from stocksignals.backtest import BacktestConfig, run_backtest
 from stocksignals.classifiers import (
@@ -32,18 +34,18 @@ from stocksignals.errors import (
     UsageError,
 )
 from stocksignals.evaluation import EvaluationReport, evaluate_per_horizon
-from stocksignals.pca import PcaRanking, RankConfig, rank_features
+from stocksignals.pca import DEFAULT_WEIGHTS, PcaRanking, RankConfig, rank_features
 from stocksignals.transform import (
     CLOSE_INDEX,
+    DEFAULT_HORIZONS,
     FEATURE_COLUMNS,
-    FeatureRow,
+    Dataset,
     LabelConfig,
     SplitConfig,
-    group_by_sector,
+    TrainTestSplit,
     assemble_features,
-    feature_matrix,
-    project_rows,
     shuffle_split,
+    split_dataset,
     write_dataset_csv,
 )
 
@@ -58,20 +60,47 @@ _KIND_BY_FLAG = {
     "gaussian-nb": "gaussian_nb",
 }
 
-_CONFIG_KEYS = {
-    "data",
-    "out",
-    "seed",
-    "sector",
-    "features",
-    "by_sector",
-    "model_file",
-    "label",
-    "split",
-    "classifier",
-    "rank",
-    "backtest",
+# One row per configurable value: (argparse dest, or None when no flag sets
+# it; config section, or None for a top-level key; config key; default).
+# Per value, a flag beats the config file, which beats the default.
+_SETTINGS = (
+    ("data", None, "data", None),
+    ("out", None, "out", None),  # then $STOCKSIGNALS_OUTPUT_DIR, then "."
+    ("seed", None, "seed", 0),
+    ("sector", None, "sector", None),
+    ("features", None, "features", None),
+    ("by_sector", None, "by_sector", False),
+    ("model_file", None, "model_file", None),
+    (None, "label", "horizons", DEFAULT_HORIZONS),
+    ("up_threshold", "label", "up_threshold", 1.01),
+    ("down_threshold", "label", "down_threshold", 0.99),
+    ("train_fraction", "split", "train_fraction", 0.7),
+    ("seed", "split", "seed", None),  # then the top-level seed
+    ("model", "classifier", "kind", "random_forest"),
+    ("criterion", "classifier", "criterion", "gini"),
+    ("trees", "classifier", "n_trees", 10),
+    ("k", "classifier", "k", 5),
+    ("max_depth", "classifier", "max_depth", None),
+    ("min_samples_split", "classifier", "min_samples_split", 2),
+    ("seed", "classifier", "seed", None),  # then the top-level seed
+    (None, "classifier", "mtry", None),
+    (None, "classifier", "bootstrap", True),
+    (None, "rank", "n_components", 6),
+    (None, "rank", "contribution_threshold", 0.1),
+    (None, "rank", "weights", DEFAULT_WEIGHTS),
+    ("select_top", "rank", "top_k", 6),
+    ("fee", "backtest", "fee_per_transaction", 0.01),
+    ("take_profit", "backtest", "take_profit_fraction", 0.01),
+    ("stop_loss", "backtest", "stop_loss_fraction", 0.01),
+    ("signal_horizon", "backtest", "signal_horizon", 10),
+    ("no_liquidate", "backtest", "liquidate_at_end", True),
+)
+
+_SECTION_KEYS = {
+    section: {key for _, s, key, _ in _SETTINGS if s == section}
+    for section in dict.fromkeys(s for _, s, _, _ in _SETTINGS if s is not None)
 }
+_CONFIG_KEYS = {key for _, section, key, _ in _SETTINGS if section is None} | set(_SECTION_KEYS)
 
 
 @dataclass
@@ -180,6 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _section(config: Mapping, name: str) -> Mapping:
+    section = config.get(name) or {}
+    if not isinstance(section, Mapping):
+        raise UsageError(f"config section {name!r} must be an object")
+    return section
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -196,22 +232,29 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
+    for name, keys in _SECTION_KEYS.items():
+        unknown = set(_section(data, name)) - keys
+        if unknown:
+            raise UsageError(f"unknown config key {name + '.' + sorted(unknown)[0]!r}")
     return data
 
 
-def _resolve(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def _section(config: Mapping, name: str) -> Mapping:
-    section = config.get(name) or {}
-    if not isinstance(section, Mapping):
-        raise UsageError(f"config section {name!r} must be an object")
-    return section
+def _resolve_settings(args: argparse.Namespace, config: Mapping) -> dict:
+    """Resolved value of every _SETTINGS row, keyed by section, then key."""
+    flags = dict(vars(args))
+    flags["model"] = _KIND_BY_FLAG.get(flags.get("model"))
+    # --no-liquidate is store_true with default None; given, it turns liquidation off
+    flags["no_liquidate"] = False if flags.get("no_liquidate") else None
+    values: dict = {}
+    for dest, section, key, default in _SETTINGS:
+        source = config if section is None else _section(config, section)
+        value = flags.get(dest) if dest else None
+        if value is None:
+            value = source.get(key)
+        if value is None:
+            value = default
+        values.setdefault(section, {})[key] = tuple(value) if isinstance(value, list) else value
+    return values
 
 
 def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
@@ -221,97 +264,25 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
     documented default.
     """
     args = build_parser().parse_args(argv)
-    config = _load_config_file(args.config)
-
-    data = _resolve(args.data, config.get("data"), None)
-    if data is None:
+    values = _resolve_settings(args, _load_config_file(args.config))
+    top = values.pop(None)
+    if top["data"] is None:
         raise UsageError("missing required --data (or config key 'data')")
-    out = _resolve(
-        args.out, config.get("out"), os.environ.get(OUTPUT_DIR_ENV) or "."
-    )
-
-    label_cfg = _section(config, "label")
-    label = LabelConfig(
-        horizons=tuple(label_cfg.get("horizons", LabelConfig().horizons)),
-        up_threshold=_resolve(
-            getattr(args, "up_threshold", None),
-            label_cfg.get("up_threshold"),
-            LabelConfig().up_threshold,
-        ),
-        down_threshold=_resolve(
-            getattr(args, "down_threshold", None),
-            label_cfg.get("down_threshold"),
-            LabelConfig().down_threshold,
-        ),
-    )
-
-    seed = _resolve(args.seed, config.get("seed"), 0)
-    split_cfg = _section(config, "split")
-    split = SplitConfig(
-        train_fraction=_resolve(
-            args.train_fraction, split_cfg.get("train_fraction"), 0.7
-        ),
-        seed=args.seed if args.seed is not None else split_cfg.get("seed", seed),
-    )
-
-    clf_cfg = _section(config, "classifier")
-    kind_flag = getattr(args, "model", None)
-    classifier = ClassifierSpec(
-        kind=_resolve(
-            _KIND_BY_FLAG.get(kind_flag) if kind_flag else None,
-            clf_cfg.get("kind"),
-            "random_forest",
-        ),
-        criterion=_resolve(getattr(args, "criterion", None), clf_cfg.get("criterion"), "gini"),
-        n_trees=_resolve(getattr(args, "trees", None), clf_cfg.get("n_trees"), 10),
-        k=_resolve(getattr(args, "k", None), clf_cfg.get("k"), 5),
-        max_depth=_resolve(getattr(args, "max_depth", None), clf_cfg.get("max_depth"), None),
-        min_samples_split=_resolve(
-            getattr(args, "min_samples_split", None), clf_cfg.get("min_samples_split"), 2
-        ),
-        seed=args.seed if args.seed is not None else clf_cfg.get("seed", seed),
-        mtry=clf_cfg.get("mtry"),
-        bootstrap=clf_cfg.get("bootstrap", True),
-    )
-
-    rank_cfg = _section(config, "rank")
-    rank = RankConfig(
-        n_components=rank_cfg.get("n_components", 6),
-        contribution_threshold=rank_cfg.get("contribution_threshold", 0.1),
-        weights=tuple(rank_cfg.get("weights", RankConfig().weights)),
-        top_k=_resolve(getattr(args, "select_top", None), rank_cfg.get("top_k"), 6),
-    )
-
-    bt_cfg = _section(config, "backtest")
-    no_liquidate = getattr(args, "no_liquidate", None)
-    backtest = BacktestConfig(
-        fee_per_transaction=_resolve(
-            getattr(args, "fee", None), bt_cfg.get("fee_per_transaction"), 0.01
-        ),
-        take_profit_fraction=_resolve(
-            getattr(args, "take_profit", None), bt_cfg.get("take_profit_fraction"), 0.01
-        ),
-        stop_loss_fraction=_resolve(
-            getattr(args, "stop_loss", None), bt_cfg.get("stop_loss_fraction"), 0.01
-        ),
-        signal_horizon=_resolve(
-            getattr(args, "signal_horizon", None), bt_cfg.get("signal_horizon"), 10
-        ),
-        liquidate_at_end=_resolve(
-            False if no_liquidate else None, bt_cfg.get("liquidate_at_end"), True
-        ),
-    )
+    for section in ("split", "classifier"):
+        if values[section]["seed"] is None:
+            values[section]["seed"] = top["seed"]
+    label = LabelConfig(**values["label"])
+    split = SplitConfig(**values["split"])
+    classifier = ClassifierSpec(**values["classifier"])
+    rank = RankConfig(**values["rank"])
+    backtest = BacktestConfig(**values["backtest"])
     if backtest.signal_horizon not in label.horizons:
         raise UsageError(
             f"signal horizon {backtest.signal_horizon} is not a labeled horizon"
         )
-
-    features = _resolve(args.features, config.get("features"), None)
-    model_file = _resolve(
-        getattr(args, "model_file", None), config.get("model_file"), None
-    )
+    out = top["out"] if top["out"] is not None else os.environ.get(OUTPUT_DIR_ENV) or "."
     run = RunConfig(
-        data=Path(data),
+        data=Path(top["data"]),
         out=Path(out),
         label=label,
         split=split,
@@ -319,12 +290,10 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
         rank=rank,
         backtest=backtest,
         seed=split.seed,
-        sector=_resolve(args.sector, config.get("sector"), None),
-        features_file=Path(features) if features else None,
-        by_sector=bool(
-            _resolve(getattr(args, "by_sector", None), config.get("by_sector"), False)
-        ),
-        model_file=Path(model_file) if model_file else None,
+        sector=top["sector"],
+        features_file=Path(top["features"]) if top["features"] else None,
+        by_sector=bool(top["by_sector"]),
+        model_file=Path(top["model_file"]) if top["model_file"] else None,
     )
     return args.command, run
 
@@ -333,10 +302,11 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
 
 @dataclass
 class _State:
-    rows: list[FeatureRow]
+    data: Dataset  # every assembled row, tickers in sorted order
     sectors: dict[str, str]
-    rows_by_ticker: dict[str, list[FeatureRow]]
+    ticker_rows: dict[str, range]  # each ticker's rows in data
     subset: tuple[str, ...] | None
+    pooled: TrainTestSplit | None = None
 
 
 def _load_feature_subset(path: Path) -> tuple[str, ...]:
@@ -370,77 +340,74 @@ def _load_state(cfg: RunConfig) -> _State:
             clean.rec_count_violations,
         )
     series_by_ticker = ingest.partition_by_ticker(clean)
-    rows: list[FeatureRow] = []
-    rows_by_ticker: dict[str, list[FeatureRow]] = {}
+    parts: list[Dataset] = []
+    ticker_rows: dict[str, range] = {}
     sectors: dict[str, str] = {}
+    n_rows = 0
     for ticker, series in series_by_ticker.items():
         if cfg.sector is not None and series.sector != cfg.sector:
             continue
         assembled = assemble_features(series, cfg.label)
-        if not assembled:
+        if not len(assembled):
             logger.warning("ticker %s has no usable rows after assembly", ticker)
             continue
         sectors[ticker] = series.sector
-        rows_by_ticker[ticker] = assembled
-        rows.extend(assembled)
-    if not rows:
+        ticker_rows[ticker] = range(n_rows, n_rows + len(assembled))
+        n_rows += len(assembled)
+        parts.append(assembled)
+    if not parts:
         raise DataError(
             "no feature rows assembled"
             + (f" for sector {cfg.sector!r}" if cfg.sector else "")
         )
     subset = _load_feature_subset(cfg.features_file) if cfg.features_file else None
     return _State(
-        rows=rows, sectors=sectors, rows_by_ticker=rows_by_ticker, subset=subset
+        data=Dataset.concat(parts), sectors=sectors, ticker_rows=ticker_rows, subset=subset
     )
 
 
-def _split_rows(
-    rows: Sequence[FeatureRow], cfg: RunConfig
-) -> tuple[list[FeatureRow], list[FeatureRow]]:
-    train_idx, test_idx = shuffle_split(rows, cfg.split)
-    return [rows[i] for i in train_idx], [rows[i] for i in test_idx]
+def _split(cfg: RunConfig, data: Dataset) -> TrainTestSplit:
+    train_rows, test_rows = shuffle_split(data, cfg.split)
+    return split_dataset(data, train_rows, test_rows)
 
 
-def _model_rows(state: _State, rows: Sequence[FeatureRow]) -> tuple[list[FeatureRow], tuple[str, ...]]:
-    """Rows and feature names in model space (projected when a subset is set)."""
-    if state.subset is None:
-        return list(rows), FEATURE_COLUMNS
-    return project_rows(rows, FEATURE_COLUMNS, state.subset), state.subset
+def _pooled_split(cfg: RunConfig, state: _State) -> TrainTestSplit:
+    """The split of all rows, made once per run and shared by every stage."""
+    if state.pooled is None:
+        state.pooled = _split(cfg, state.data)
+    return state.pooled
+
+
+def _model_space(state: _State, split: TrainTestSplit) -> TrainTestSplit:
+    """The split restricted to the --features subset, when one is set."""
+    return split if state.subset is None else split.select(state.subset)
 
 
 # --- stages --------------------------------------------------------------------
 
 def _stage_transform(cfg: RunConfig, state: _State) -> None:
     buffer = io.StringIO()
-    write_dataset_csv(state.rows, buffer, cfg.label.horizons)
+    write_dataset_csv(state.data, buffer)
     path = cfg.out / "dataset.csv"
     reports.atomic_write_text(path, buffer.getvalue())
     print(
-        f"transform: {len(state.rows)} rows across "
-        f"{len(state.rows_by_ticker)} tickers -> {path}"
+        f"transform: {len(state.data)} rows across "
+        f"{len(state.ticker_rows)} tickers -> {path}"
     )
 
 
 def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
     blocks: list[EvaluationReport] = []
     if cfg.by_sector:
-        groups = group_by_sector(state.rows, state.sectors)
-        for sector in sorted(groups):
-            rows, names = _model_rows(state, groups[sector])
-            train, test = _split_rows(rows, cfg)
+        for sector in sorted(set(state.sectors.values())):
+            tickers = [t for t, s in state.sectors.items() if s == sector]
+            split = _split(cfg, state.data.take(np.isin(state.data.tickers, tickers)))
             blocks.append(
-                evaluate_per_horizon(
-                    cfg.classifier, train, test, cfg.label.horizons, names, sector
-                )
+                evaluate_per_horizon(cfg.classifier, _model_space(state, split), sector)
             )
     else:
-        rows, names = _model_rows(state, state.rows)
-        train, test = _split_rows(rows, cfg)
-        blocks.append(
-            evaluate_per_horizon(
-                cfg.classifier, train, test, cfg.label.horizons, names
-            )
-        )
+        split = _model_space(state, _pooled_split(cfg, state))
+        blocks.append(evaluate_per_horizon(cfg.classifier, split))
     reports.atomic_write_text(
         cfg.out / "metrics.csv", reports.metrics_csv_text(blocks)
     )
@@ -456,8 +423,8 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
 
 
 def _stage_rank(cfg: RunConfig, state: _State) -> PcaRanking:
-    train, _ = _split_rows(state.rows, cfg)
-    ranking = rank_features(feature_matrix(train), FEATURE_COLUMNS, cfg.rank)
+    train = _pooled_split(cfg, state).train
+    ranking = rank_features(train.X, train.feature_names, cfg.rank)
     reports.atomic_write_text(
         cfg.out / "ranking.csv", reports.ranking_csv_text(ranking)
     )
@@ -481,31 +448,34 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
                 cfg.backtest.signal_horizon,
             )
     else:
-        rows, names = _model_rows(state, state.rows)
-        train, _ = _split_rows(rows, cfg)
-        bundle = fit_bundle(
-            cfg.classifier,
-            train,
-            cfg.backtest.signal_horizon,
-            cfg.label.horizons,
-            names,
-        )
+        split = _model_space(state, _pooled_split(cfg, state))
+        bundle = fit_bundle(cfg.classifier, split, cfg.backtest.signal_horizon)
     reports.atomic_write_text(cfg.out / "model.json", bundle_json(bundle))
 
-    total_profit = 0.0
-    tested = 0
-    for ticker in sorted(state.rows_by_ticker):
-        t_rows = state.rows_by_ticker[ticker]
-        cut = int(len(t_rows) * cfg.split.train_fraction)
-        window = t_rows[cut:]
-        if not window:
+    # each ticker replays its last (1 - train_fraction) share of rows; all
+    # windows are predicted as one matrix
+    windows: dict[str, range] = {}
+    for ticker in sorted(state.ticker_rows):
+        rows = state.ticker_rows[ticker]
+        window = rows[int(len(rows) * cfg.split.train_fraction):]
+        if window:
+            windows[ticker] = window
+        else:
             logger.warning("ticker %s has no test window; skipped", ticker)
-            continue
-        closes = [(row.date, row.features[CLOSE_INDEX]) for row in window]
-        signals = [
-            (row.date, bundle.predict_canonical(row.features)) for row in window
-        ]
-        report = run_backtest(closes, signals, cfg.backtest)
+    if not windows:
+        raise DataError("no ticker had a test window to backtest")
+    bars = state.data.take(np.concatenate([np.arange(w.start, w.stop) for w in windows.values()]))
+    dates = bars.dates.tolist()
+    closes = bars.X[:, CLOSE_INDEX].tolist()
+    signals = bundle.predict(bars)
+    total_profit = 0.0
+    start = 0
+    for ticker, window in windows.items():
+        bar = slice(start, start + len(window))
+        start = bar.stop
+        report = run_backtest(
+            list(zip(dates[bar], closes[bar])), list(zip(dates[bar], signals[bar])), cfg.backtest
+        )
         name = reports.safe_name(ticker)
         reports.atomic_write_text(
             cfg.out / f"trades_{name}.csv", reports.trades_csv_text(report.trades)
@@ -515,11 +485,8 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
             reports.backtest_json_text(ticker, report, cfg.seed, bundle.horizon),
         )
         total_profit += float(report.total_profit)
-        tested += 1
-    if tested == 0:
-        raise DataError("no ticker had a test window to backtest")
     print(
-        f"backtest: {tested} tickers, day-{bundle.horizon} signals, "
+        f"backtest: {len(windows)} tickers, day-{bundle.horizon} signals, "
         f"total pnl ${total_profit:.4f} -> {cfg.out / 'backtest_*.json'}"
     )
 

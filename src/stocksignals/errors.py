@@ -65,10 +65,6 @@ class EmptyDataset(DataError):
     """An operation received no rows."""
 
 
-class UnknownTicker(DataError):
-    """A row's ticker has no sector mapping."""
-
-
 class TooFewRows(DataError):
     """Not enough rows to fit (need at least two)."""
 
@@ -78,10 +74,6 @@ class DimensionMismatch(DataError):
 
 
 # --- classifiers ----------------------------------------------------------
-
-class EmptyNode(DataError):
-    """Impurity of a node with zero samples is undefined."""
-
 
 class EmptyTraining(DataError):
     """A classifier was fitted with no training rows."""

@@ -12,20 +12,14 @@ import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from stocksignals.classifiers import ClassifierSpec, fit_bundle, predict_batch
+from stocksignals.classifiers import ClassifierSpec, fit_bundles, predict_batch
 from stocksignals.errors import (
     EmptyDataset,
     LengthMismatch,
     NoEvaluableHorizon,
 )
 from stocksignals.labels import Label
-from stocksignals.transform import (
-    DEFAULT_HORIZONS,
-    FEATURE_COLUMNS,
-    FeatureRow,
-    feature_matrix,
-    standardize_apply,
-)
+from stocksignals.transform import TrainTestSplit, standardize_apply
 
 logger = logging.getLogger(__name__)
 
@@ -147,62 +141,44 @@ class EvaluationReport:
         raise KeyError(horizon)
 
 
-def evaluate_horizon(
-    spec: ClassifierSpec,
-    train_rows: Sequence[FeatureRow],
-    test_rows: Sequence[FeatureRow],
-    horizon: int,
-    horizons: Sequence[int] = DEFAULT_HORIZONS,
-    feature_names: Sequence[str] = FEATURE_COLUMNS,
-) -> HorizonReport | None:
-    """Fit on labeled train rows, score labeled test rows; None if either side is empty."""
-    slot = list(horizons).index(horizon)
-    labeled_test = [row for row in test_rows if row.labels[slot] is not None]
-    labeled_train = [row for row in train_rows if row.labels[slot] is not None]
-    if not labeled_train or not labeled_test:
-        return None
-    bundle = fit_bundle(spec, train_rows, horizon, horizons, feature_names)
-    X_test = standardize_apply(bundle.scaler, feature_matrix(labeled_test))
-    y_pred = predict_batch(bundle.model, X_test)
-    y_true = [row.labels[slot] for row in labeled_test]
-    cm = confusion_matrix(y_true, y_pred)
-    return HorizonReport(
-        horizon=horizon,
-        sell=class_metrics(cm, Label.SELL),
-        hold=class_metrics(cm, Label.HOLD),
-        buy=class_metrics(cm, Label.BUY),
-        micro_f1=micro_f1(cm),
-        confusion=cm,
-        n_test=len(labeled_test),
-    )
-
-
 def evaluate_per_horizon(
-    spec: ClassifierSpec,
-    train_rows: Sequence[FeatureRow],
-    test_rows: Sequence[FeatureRow],
-    horizons: Sequence[int] = DEFAULT_HORIZONS,
-    feature_names: Sequence[str] = FEATURE_COLUMNS,
-    sector: str | None = None,
+    spec: ClassifierSpec, split: TrainTestSplit, sector: str | None = None
 ) -> EvaluationReport:
     """One independently fitted classifier per horizon, day-1 through day-n.
 
-    Horizons with no labeled row on either side of the split are omitted
-    with a warning; if none is evaluable the whole call fails.
+    Each is fitted on the labeled training rows and scored on the labeled
+    test rows; every horizon shares the split's scaler. Horizons with no
+    labeled row on either side of the split are omitted with a warning; if
+    none is evaluable the whole call fails.
     """
-    reports: list[HorizonReport] = []
+    train, test = split.train, split.test
+    evaluable: list[int] = []
     omitted: list[int] = []
-    for horizon in horizons:
-        report = evaluate_horizon(
-            spec, train_rows, test_rows, horizon, horizons, feature_names
-        )
-        if report is None:
+    for horizon in train.horizons:
+        if (train.labels(horizon) >= 0).any() and (test.labels(horizon) >= 0).any():
+            evaluable.append(horizon)
+        else:
             logger.warning("horizon %d has no labeled train/test rows; omitted", horizon)
             omitted.append(horizon)
-        else:
-            reports.append(report)
-    if not reports:
+    if not evaluable:
         raise NoEvaluableHorizon("no horizon had labeled train and test rows")
+    X_test = standardize_apply(split.scaler, test.X)
+    reports: list[HorizonReport] = []
+    for bundle in fit_bundles(spec, split, evaluable):
+        y_true = test.labels(bundle.horizon)
+        labeled = y_true >= 0
+        cm = confusion_matrix(y_true[labeled].tolist(), predict_batch(bundle.model, X_test[labeled]))
+        reports.append(
+            HorizonReport(
+                horizon=bundle.horizon,
+                sell=class_metrics(cm, Label.SELL),
+                hold=class_metrics(cm, Label.HOLD),
+                buy=class_metrics(cm, Label.BUY),
+                micro_f1=micro_f1(cm),
+                confusion=cm,
+                n_test=cm.total,
+            )
+        )
     return EvaluationReport(
         spec=spec,
         seed=spec.seed,

@@ -17,8 +17,8 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, fields
-from typing import IO, Iterable, Union
+from dataclasses import dataclass
+from typing import IO, Union
 
 from stocksignals.errors import (
     AllRowsDropped,
@@ -130,10 +130,6 @@ class RawTable:
 
     rows: list[DailyRecord]
     parse_warnings: dict[str, int]
-
-    @property
-    def width(self) -> int:
-        return len(CSV_COLUMNS)
 
 
 @dataclass
@@ -307,34 +303,3 @@ def partition_by_ticker(table: CleanTable) -> dict[str, TickerSeries]:
         )
         for ticker, rows in sorted(grouped.items())
     }
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_market_csv(rows: Iterable[DailyRecord], stream: IO[str]) -> None:
-    """Serialize records back to the input schema.
-
-    Floats use repr() so a write/parse round trip reproduces every value
-    exactly.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.date.isoformat() if row.date is not None else "",
-                row.ticker or "",
-                row.sector,
-            ]
-            + [_format_cell(row.raw_value(col)) for col in RAW_COLUMNS]
-        )
-
-
-def record_fields() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(DailyRecord))

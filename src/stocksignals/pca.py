@@ -261,16 +261,14 @@ def rank_features(
         raise UsageError(
             f"{X_arr.shape[1]} columns but {len(names)} feature names"
         )
-    scaler = standardize_fit(X_arr.tolist())
-    usable = [i for i, s in enumerate(scaler.stds) if s > 0.0]
+    scaler = standardize_fit(X_arr)
+    usable = np.flatnonzero(scaler.stds > 0.0).tolist()
     if not usable:
         raise ZeroTotalVariance("every feature is constant")
     if len(usable) < len(names):
         constant = [names[i] for i in range(len(names)) if i not in usable]
         logger.warning("excluding constant features from PCA: %s", constant)
-    standardized = np.asarray(
-        standardize_apply(scaler, X_arr.tolist()), dtype=float
-    )[:, usable]
+    standardized = standardize_apply(scaler, X_arr)[:, usable]
     covariance = covariance_matrix(standardized)
     eigen = jacobi_eigen(covariance)
     ratios, cumulative = explained_variance(eigen.eigenvalues)

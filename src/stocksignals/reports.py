@@ -83,24 +83,6 @@ def metrics_csv_text(blocks: Sequence[EvaluationReport]) -> str:
     return out.getvalue()
 
 
-def read_metrics_csv(stream: IO[str]) -> list[dict]:
-    rows = []
-    for record in csv.DictReader(stream):
-        rows.append(
-            {
-                "sector": record["sector"],
-                "model": record["model"],
-                "horizon": int(record["horizon"]),
-                "buy_precision": float(record["buy_precision"]),
-                "sell_recall": float(record["sell_recall"]),
-                "hold_f1": float(record["hold_f1"]),
-                "micro_f1": float(record["micro_f1"]),
-                "n_test": int(record["n_test"]),
-            }
-        )
-    return rows
-
-
 def _class_metrics_dict(metrics) -> dict:
     return {
         "precision": metrics.precision,

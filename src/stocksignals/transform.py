@@ -1,4 +1,4 @@
-"""Feature assembly: derived indicators, horizon labels, split, scaling.
+"""Feature assembly into a columnar Dataset: indicators, labels, split, scaling.
 
 The canonical feature vector has 28 entries: the 23 raw columns from
 ingest.RAW_COLUMNS followed by buy_percent, hold_percent, sell_percent,
@@ -8,10 +8,11 @@ std_5day, std_10day, in that order for every row.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Mapping, Sequence, Sized
+
+import numpy as np
 
 from stocksignals import ingest
 from stocksignals.errors import (
@@ -20,7 +21,6 @@ from stocksignals.errors import (
     EmptySeries,
     InvalidFraction,
     TooFewRows,
-    UnknownTicker,
     UsageError,
     WindowTooSmall,
 )
@@ -39,6 +39,8 @@ FEATURE_COLUMNS: tuple[str, ...] = ingest.RAW_COLUMNS + DERIVED_COLUMNS
 DEFAULT_HORIZONS: tuple[int, ...] = tuple(range(1, 11))
 
 CLOSE_INDEX = FEATURE_COLUMNS.index("PX_OFFICIAL_CLOSE")
+# rows converted to Python values at a time when writing dataset.csv
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -74,33 +76,108 @@ class SplitConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scaler:
     """Per-feature mean and sample standard deviation from training rows."""
 
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
+    means: np.ndarray
+    stds: np.ndarray
 
     @property
     def dimension(self) -> int:
         return len(self.means)
 
     def to_dict(self) -> dict:
-        return {"means": list(self.means), "stds": list(self.stds)}
+        return {"means": self.means.tolist(), "stds": self.stds.tolist()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scaler":
-        return cls(means=tuple(data["means"]), stds=tuple(data["stds"]))
+        return cls(
+            means=np.asarray(data["means"], dtype=float),
+            stds=np.asarray(data["stds"], dtype=float),
+        )
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One labeled observation: 28 features plus one label slot per horizon."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Assembled rows as columns, grouped by ticker and ascending by date.
 
-    ticker: str
-    date: dt.date
-    features: tuple[float, ...]
-    labels: tuple[Label | None, ...]
+    X holds one float64 row of `feature_names` per ticker-day (C-order); Y
+    holds one label per horizon as int8 Label values, -1 where the horizon
+    runs past the ticker's series. Selecting rows or columns is indexing.
+    """
+
+    tickers: np.ndarray
+    dates: np.ndarray  # datetime64[D]
+    X: np.ndarray
+    Y: np.ndarray
+    feature_names: tuple[str, ...] = FEATURE_COLUMNS
+    horizons: tuple[int, ...] = DEFAULT_HORIZONS
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    @classmethod
+    def concat(cls, parts: Sequence["Dataset"]) -> "Dataset":
+        """Rows of every part in order; the parts share columns and horizons."""
+        return cls(
+            tickers=np.concatenate([p.tickers for p in parts]),
+            dates=np.concatenate([p.dates for p in parts]),
+            X=np.concatenate([p.X for p in parts]),
+            Y=np.concatenate([p.Y for p in parts]),
+            feature_names=parts[0].feature_names,
+            horizons=parts[0].horizons,
+        )
+
+    def take(self, rows) -> "Dataset":
+        """The rows picked by an index array, boolean mask or slice, in that order."""
+        return replace(
+            self,
+            tickers=self.tickers[rows],
+            dates=self.dates[rows],
+            X=self.X[rows],
+            Y=self.Y[rows],
+        )
+
+    def select(self, names: Sequence[str]) -> "Dataset":
+        """The named feature columns, in the given order."""
+        return replace(self, X=self.X[:, self.columns(names)], feature_names=tuple(names))
+
+    def columns(self, names: Sequence[str]) -> list[int]:
+        """Positions of the named features in X."""
+        index = {name: i for i, name in enumerate(self.feature_names)}
+        try:
+            return [index[name] for name in names]
+        except KeyError as exc:
+            raise UsageError(f"unknown feature {exc.args[0]!r}") from None
+
+    def labels(self, horizon: int) -> np.ndarray:
+        """Label column of one horizon (-1 = unlabeled)."""
+        try:
+            return self.Y[:, self.horizons.index(horizon)]
+        except ValueError:
+            raise UsageError(f"horizon {horizon} not in {list(self.horizons)}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class TrainTestSplit:
+    """Both sides of one split plus the scaler fitted on the training side.
+
+    Every horizon's classifier and the backtest share this one scaler.
+    """
+
+    train: Dataset
+    test: Dataset
+    scaler: Scaler
+
+    def select(self, names: Sequence[str]) -> "TrainTestSplit":
+        """The same split restricted to the named feature columns."""
+        keep = self.train.columns(names)
+        return TrainTestSplit(
+            train=self.train.select(names),
+            test=self.test.select(names),
+            scaler=Scaler(means=self.scaler.means[keep], stds=self.scaler.stds[keep]),
+        )
 
 
 def derive_rec_percentages(
@@ -148,45 +225,30 @@ def rolling_std(closes: Sequence[float], window: int) -> list[float | None]:
     return out
 
 
-def label_closes(
-    closes: Sequence[float], cfg: LabelConfig = LabelConfig()
-) -> list[tuple[Label | None, ...]]:
-    """Per-day label vector over the configured horizons.
+def label_closes(closes: Sequence[float], cfg: LabelConfig = LabelConfig()) -> np.ndarray:
+    """Per-day labels over the configured horizons, as an int8 days x horizons matrix.
 
     Day i, horizon n: Buy when close[i+n] >= up_threshold * close[i], Sell
-    when close[i+n] <= down_threshold * close[i], Hold in between, None when
+    when close[i+n] <= down_threshold * close[i], Hold in between, -1 when
     day i+n runs past the series. Horizons count trading rows, not calendar
     days. Both thresholds are inclusive.
     """
+    closes = np.asarray(closes, dtype=float)
     n = len(closes)
-    out = []
-    for i in range(n):
-        base = closes[i]
-        row: list[Label | None] = []
-        for horizon in cfg.horizons:
-            j = i + horizon
-            if j >= n:
-                row.append(None)
-            elif closes[j] >= cfg.up_threshold * base:
-                row.append(Label.BUY)
-            elif closes[j] <= cfg.down_threshold * base:
-                row.append(Label.SELL)
-            else:
-                row.append(Label.HOLD)
-        out.append(tuple(row))
+    out = np.full((n, len(cfg.horizons)), -1, dtype=np.int8)
+    for slot, horizon in enumerate(cfg.horizons):
+        if horizon >= n:
+            continue
+        base, future = closes[:-horizon], closes[horizon:]
+        out[: n - horizon, slot] = np.where(
+            future >= cfg.up_threshold * base,
+            Label.BUY,
+            np.where(future <= cfg.down_threshold * base, Label.SELL, Label.HOLD),
+        )
     return out
 
 
-def label_horizons(
-    series: TickerSeries, cfg: LabelConfig = LabelConfig()
-) -> list[tuple[Label | None, ...]]:
-    """label_closes applied to a ticker series (records already date-ordered)."""
-    return label_closes([r.close for r in series.records], cfg)
-
-
-def assemble_features(
-    series: TickerSeries, cfg: LabelConfig = LabelConfig()
-) -> list[FeatureRow]:
+def assemble_features(series: TickerSeries, cfg: LabelConfig = LabelConfig()) -> Dataset:
     """Combine raw columns, derived indicators, and horizon labels per day.
 
     Days with any missing derived value, or with no computable label at all,
@@ -194,33 +256,33 @@ def assemble_features(
     """
     if not series.records:
         raise EmptySeries(series.ticker)
-    closes = [r.close for r in series.records]
+    records = series.records
+    closes = [r.close for r in records]
     std5 = rolling_std(closes, 5)
     std10 = rolling_std(closes, 10)
-    day_labels = label_closes(closes, cfg)
-    rows: list[FeatureRow] = []
-    for i, record in enumerate(series.records):
+    labels = label_closes(closes, cfg)
+    labeled = (labels >= 0).any(axis=1).tolist()
+    kept: list[int] = []
+    rows: list[list[float]] = []
+    for i, record in enumerate(records):
         percentages = derive_rec_percentages(record)
-        if percentages is None or std5[i] is None or std10[i] is None:
+        if percentages is None or std5[i] is None or std10[i] is None or not labeled[i]:
             continue
-        labels = day_labels[i]
-        if all(label is None for label in labels):
-            continue
-        features = tuple(
-            float(record.raw_value(col)) for col in ingest.RAW_COLUMNS
-        ) + (percentages[0], percentages[1], percentages[2], std5[i], std10[i])
+        kept.append(i)
         rows.append(
-            FeatureRow(
-                ticker=series.ticker, date=record.date,
-                features=features, labels=labels,
-            )
+            [record.raw_value(col) for col in ingest.RAW_COLUMNS]
+            + [*percentages, std5[i], std10[i]]
         )
-    return rows
+    return Dataset(
+        tickers=np.full(len(kept), series.ticker),
+        dates=np.array([records[i].date for i in kept], dtype="datetime64[D]"),
+        X=np.array(rows, dtype=float).reshape(len(kept), len(FEATURE_COLUMNS)),
+        Y=labels[np.array(kept, dtype=np.intp)],
+        horizons=cfg.horizons,
+    )
 
 
-def shuffle_split(
-    rows: Sequence[FeatureRow], cfg: SplitConfig
-) -> tuple[list[int], list[int]]:
+def shuffle_split(rows: Sized, cfg: SplitConfig) -> tuple[list[int], list[int]]:
     """Seeded Fisher-Yates permutation split into train/test index lists.
 
     The first floor(n * train_fraction) permuted indices form the training
@@ -237,143 +299,64 @@ def shuffle_split(
     return order[:cut], order[cut:]
 
 
-def group_by_sector(
-    rows: Iterable[FeatureRow], sectors: Mapping[str, str]
-) -> dict[str, list[FeatureRow]]:
-    """Partition rows by their ticker's sector, preserving row order."""
-    grouped: dict[str, list[FeatureRow]] = {}
-    for row in rows:
-        if row.ticker not in sectors:
-            raise UnknownTicker(row.ticker)
-        grouped.setdefault(sectors[row.ticker], []).append(row)
-    return grouped
+def split_dataset(data: Dataset, train_rows, test_rows) -> TrainTestSplit:
+    """Both sides of a split, with the scaler fitted once on the training side."""
+    train = data.take(train_rows)
+    return TrainTestSplit(train=train, test=data.take(test_rows), scaler=standardize_fit(train.X))
 
 
-def feature_matrix(rows: Iterable[FeatureRow]) -> list[tuple[float, ...]]:
-    return [row.features for row in rows]
-
-
-def standardize_fit(vectors: Sequence[Sequence[float]]) -> Scaler:
+def standardize_fit(X) -> Scaler:
     """Fit per-feature mean and sample (n-1) standard deviation.
 
-    Constant features record std 0; standardize_apply maps them to 0.
+    Each column is summed in row order (a cumulative sum: numpy's own sum
+    goes pairwise over a single contiguous column), so the result does not
+    depend on the matrix width or memory order. Constant features keep
+    their value as the mean and record std 0; standardize_apply maps them
+    to 0.
     """
-    n = len(vectors)
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     if n < 2:
         raise TooFewRows(f"need at least 2 rows to fit a scaler, got {n}")
-    width = len(vectors[0])
-    means = []
-    stds = []
-    for j in range(width):
-        column = [vec[j] for vec in vectors]
-        lo, hi = min(column), max(column)
-        if lo == hi:
-            means.append(lo)
-            stds.append(0.0)
-            continue
-        mean = sum(column) / n
-        var = sum((x - mean) ** 2 for x in column) / (n - 1)
-        means.append(mean)
-        stds.append(math.sqrt(var))
-    return Scaler(means=tuple(means), stds=tuple(stds))
+    if X.ndim != 2:
+        raise DimensionMismatch("scaler input must be a 2-D matrix")
+    means = np.cumsum(X, axis=0)[-1] / n
+    deviations = X - means
+    stds = np.sqrt(np.cumsum(deviations * deviations, axis=0)[-1] / (n - 1))
+    constant = (X == X[0]).all(axis=0)
+    return Scaler(means=np.where(constant, X[0], means), stds=np.where(constant, 0.0, stds))
 
 
-def standardize_apply(
-    scaler: Scaler, vectors: Sequence[Sequence[float]]
-) -> list[tuple[float, ...]]:
+def standardize_apply(scaler: Scaler, X) -> np.ndarray:
     """Map each value to (x - mean) / std; zero-std features map to 0."""
-    out = []
-    for vec in vectors:
-        if len(vec) != scaler.dimension:
-            raise DimensionMismatch(
-                f"row has {len(vec)} features, scaler expects {scaler.dimension}"
-            )
-        out.append(
-            tuple(
-                (x - m) / s if s else 0.0
-                for x, m, s in zip(vec, scaler.means, scaler.stds)
-            )
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != scaler.dimension:
+        raise DimensionMismatch(
+            f"rows have shape {X.shape}, scaler expects {scaler.dimension} features"
         )
+    out = np.zeros_like(X)
+    np.divide(X - scaler.means, scaler.stds, out=out, where=scaler.stds != 0.0)
     return out
 
 
-def fit_scaler(rows: Sequence[FeatureRow]) -> Scaler:
-    return standardize_fit(feature_matrix(rows))
+def write_dataset_csv(data: Dataset, stream: IO[str]) -> None:
+    """Persist assembled rows; labels as 0/1/2, empty cell = missing.
 
-
-def project_rows(
-    rows: Iterable[FeatureRow],
-    feature_names: Sequence[str],
-    selected: Sequence[str],
-) -> list[FeatureRow]:
-    """Restrict each row to the selected feature columns (pure projection)."""
-    index = {name: i for i, name in enumerate(feature_names)}
-    try:
-        keep = [index[name] for name in selected]
-    except KeyError as exc:
-        raise UsageError(f"unknown feature {exc.args[0]!r}") from None
-    return [
-        FeatureRow(
-            ticker=row.ticker,
-            date=row.date,
-            features=tuple(row.features[i] for i in keep),
-            labels=row.labels,
-        )
-        for row in rows
-    ]
-
-
-# --- dataset CSV ------------------------------------------------------------
-
-def dataset_columns(horizons: Sequence[int] = DEFAULT_HORIZONS) -> list[str]:
-    return (
-        ["ticker", "date"]
-        + list(FEATURE_COLUMNS)
-        + [f"label_day{h}" for h in horizons]
-    )
-
-
-def write_dataset_csv(
-    rows: Iterable[FeatureRow],
-    stream: IO[str],
-    horizons: Sequence[int] = DEFAULT_HORIZONS,
-) -> None:
-    """Persist assembled rows; labels as 0/1/2, empty cell = missing."""
+    Rows are converted chunk by chunk, so the Python floats of the whole
+    matrix never exist at once.
+    """
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(dataset_columns(horizons))
-    for row in rows:
-        writer.writerow(
-            [row.ticker, row.date.isoformat()]
-            + [repr(x) for x in row.features]
-            + ["" if lab is None else int(lab) for lab in row.labels]
-        )
-
-
-def read_dataset_csv(stream: IO[str]) -> tuple[list[FeatureRow], tuple[int, ...]]:
-    """Load a dataset CSV back into rows plus the horizon list it encodes."""
-    reader = csv.reader(stream)
-    header = next(reader)
-    expected_prefix = ["ticker", "date"] + list(FEATURE_COLUMNS)
-    if header[: len(expected_prefix)] != expected_prefix:
-        raise DimensionMismatch("dataset header does not match canonical columns")
-    horizons = tuple(
-        int(name.removeprefix("label_day")) for name in header[len(expected_prefix):]
+    writer.writerow(
+        ["ticker", "date", *data.feature_names, *(f"label_day{h}" for h in data.horizons)]
     )
-    rows = []
-    width = len(FEATURE_COLUMNS)
-    for record in reader:
-        if not record:
-            continue
-        features = tuple(float(x) for x in record[2 : 2 + width])
-        labels = tuple(
-            Label(int(cell)) if cell else None for cell in record[2 + width :]
-        )
-        rows.append(
-            FeatureRow(
-                ticker=record[0],
-                date=dt.date.fromisoformat(record[1]),
-                features=features,
-                labels=labels,
+    for start in range(0, len(data), _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        for ticker, date, features, labels in zip(
+            data.tickers[rows].tolist(),
+            data.dates[rows].astype(str).tolist(),
+            data.X[rows].tolist(),
+            data.Y[rows].tolist(),
+        ):
+            writer.writerow(
+                [ticker, date, *map(repr, features), *("" if lab < 0 else lab for lab in labels)]
             )
-        )
-    return rows, horizons

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 import sys
@@ -11,8 +12,13 @@ if str(SRC) not in sys.path:
 
 from stocksignals import ingest  # noqa: E402
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, DailyRecord, TickerSeries  # noqa: E402
-from stocksignals.labels import Label  # noqa: E402
-from stocksignals.transform import FEATURE_COLUMNS, FeatureRow  # noqa: E402
+from stocksignals.errors import DimensionMismatch  # noqa: E402
+from stocksignals.transform import (  # noqa: E402
+    FEATURE_COLUMNS,
+    Dataset,
+    LabelConfig,
+    label_closes,
+)
 
 BASE_DATE = dt.date(2018, 1, 2)
 
@@ -182,30 +188,84 @@ def parse_synthetic(n_tickers=3, n_days=80, seed=0):
     return ingest.validate_and_clean(table)
 
 
-def make_feature_row(
-    features,
-    labels,
-    ticker: str = "AAA",
-    date: dt.date = BASE_DATE,
-) -> FeatureRow:
-    labels = tuple(
-        Label(lab) if lab is not None and not isinstance(lab, Label) else lab
-        for lab in labels
-    )
-    return FeatureRow(
-        ticker=ticker, date=date, features=tuple(float(x) for x in features),
-        labels=labels,
+def make_dataset(X, Y, tickers="AAA") -> Dataset:
+    """A Dataset of canonical-prefix feature columns and 10 horizons (-1 = unlabeled).
+
+    Rows get consecutive trading dates; `tickers` is one name for every row
+    or one name per row.
+    """
+    X = np.asarray(X, dtype=float)
+    n = len(X)
+    return Dataset(
+        tickers=np.array([tickers] * n if isinstance(tickers, str) else tickers),
+        dates=np.busday_offset(np.datetime64(BASE_DATE), np.arange(n)),  # trading_date(i)
+        X=X,
+        Y=np.asarray(Y, dtype=np.int8),
+        feature_names=FEATURE_COLUMNS[: X.shape[1]],
     )
 
 
-def random_feature_rows(n: int, seed: int = 0, width: int = len(FEATURE_COLUMNS)):
-    """Rows with random features and a random full 10-slot label vector."""
+def random_dataset(n: int, seed: int = 0) -> Dataset:
+    """Rows with 28 random features and a random full 10-slot label vector."""
     rng = np.random.default_rng(seed)
+    X = np.empty((n, len(FEATURE_COLUMNS)))
+    Y = np.empty((n, 10), dtype=np.int8)
+    for i in range(n):  # per row: features, then labels
+        X[i] = rng.normal(0.0, 1.0, size=len(FEATURE_COLUMNS))
+        Y[i] = rng.integers(0, 3, size=10)
+    return make_dataset(X, Y)
+
+
+def label_horizons(series: TickerSeries, cfg: LabelConfig = LabelConfig()):
+    """label_closes applied to a ticker series (records already date-ordered)."""
+    return label_closes([r.close for r in series.records], cfg)
+
+
+# --- CSV round trips of the program's formats ---------------------------------
+
+def write_market_csv(rows, stream) -> None:
+    """Serialize records back to the input schema (repr floats, so a round trip is exact)."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow(record_csv_cells(row))
+
+
+def read_dataset_csv(stream) -> Dataset:
+    """Load a dataset CSV back into a Dataset with the horizons it encodes."""
+    reader = csv.reader(stream)
+    header = next(reader)
+    prefix = ["ticker", "date"] + list(FEATURE_COLUMNS)
+    if header[: len(prefix)] != prefix:
+        raise DimensionMismatch("dataset header does not match canonical columns")
+    horizons = tuple(int(name.removeprefix("label_day")) for name in header[len(prefix):])
+    records = [record for record in reader if record]
+    width = len(FEATURE_COLUMNS)
+    return Dataset(
+        tickers=np.array([r[0] for r in records]),
+        dates=np.array([r[1] for r in records], dtype="datetime64[D]"),
+        X=np.array([[float(x) for x in r[2 : 2 + width]] for r in records]).reshape(-1, width),
+        Y=np.array(
+            [[int(cell) if cell else -1 for cell in r[2 + width :]] for r in records],
+            dtype=np.int8,
+        ).reshape(-1, len(horizons)),
+        horizons=horizons,
+    )
+
+
+def read_metrics_csv(stream) -> list[dict]:
     rows = []
-    for i in range(n):
-        features = rng.normal(0.0, 1.0, size=width)
-        labels = tuple(Label(int(v)) for v in rng.integers(0, 3, size=10))
+    for record in csv.DictReader(stream):
         rows.append(
-            make_feature_row(features, labels, ticker="AAA", date=trading_date(i))
+            {
+                "sector": record["sector"],
+                "model": record["model"],
+                "horizon": int(record["horizon"]),
+                "buy_precision": float(record["buy_precision"]),
+                "sell_recall": float(record["sell_recall"]),
+                "hold_f1": float(record["hold_f1"]),
+                "micro_f1": float(record["micro_f1"]),
+                "n_test": int(record["n_test"]),
+            }
         )
     return rows

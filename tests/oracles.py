@@ -33,20 +33,33 @@ def brute_force_labels(closes, horizons, up=1.01, down=0.99):
 
 # --- split search --------------------------------------------------------------
 
-def _impurity(counts, criterion):
-    total = sum(counts)
-    if criterion == "gini":
-        acc = 0.0
-        for c in counts:
-            p = c / total
-            acc += p * p
-        return 1.0 - acc
+def gini_impurity(class_counts):
+    """1 - sum(p_c^2) over the class proportions."""
+    total = sum(class_counts)
+    if total == 0:
+        raise ValueError("impurity of an empty node is undefined")
     acc = 0.0
-    for c in counts:
-        if c:
-            p = c / total
+    for count in class_counts:
+        p = count / total
+        acc += p * p
+    return 1.0 - acc
+
+
+def entropy_impurity(class_counts):
+    """-sum(p_c * log2 p_c), with 0 * log 0 taken as 0."""
+    total = sum(class_counts)
+    if total == 0:
+        raise ValueError("impurity of an empty node is undefined")
+    acc = 0.0
+    for count in class_counts:
+        if count:
+            p = count / total
             acc -= p * math.log2(p)
     return acc
+
+
+def _impurity(counts, criterion):
+    return gini_impurity(counts) if criterion == "gini" else entropy_impurity(counts)
 
 
 def brute_force_best_split(X, y, criterion):
@@ -79,6 +92,45 @@ def brute_force_best_split(X, y, criterion):
             if gain > 0.0 and (best is None or gain > best[2]):
                 best = (f, threshold, gain)
     return best
+
+
+# --- standardization ---------------------------------------------------------------
+
+def reference_scaler(rows):
+    """Per-column (means, stds) with the mean and the n-1 variance summed in row order.
+
+    A constant column keeps its value as the mean and gets std 0. The sums
+    are explicit loops: builtin sum() compensates rounding from Python 3.12
+    on, which would make the reference depend on the interpreter.
+    """
+    n = len(rows)
+    means, stds = [], []
+    for j in range(len(rows[0])):
+        column = [row[j] for row in rows]
+        lo, hi = min(column), max(column)
+        if lo == hi:
+            means.append(lo)
+            stds.append(0.0)
+            continue
+        acc = 0.0
+        for x in column:
+            acc += x
+        mean = acc / n
+        acc = 0.0
+        for x in column:
+            d = x - mean
+            acc += d * d
+        means.append(mean)
+        stds.append(math.sqrt(acc / (n - 1)))
+    return means, stds
+
+
+def reference_standardize(means, stds, rows):
+    """(x - mean) / std per cell; a zero-std column maps to 0."""
+    return [
+        [(x - m) / s if s else 0.0 for x, m, s in zip(row, means, stds)]
+        for row in rows
+    ]
 
 
 # --- gaussian density ------------------------------------------------------------

@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import make_feature_row, synthetic_market_bytes, trading_date
+from conftest import make_dataset, synthetic_market_bytes
 from oracles import brute_force_best_split, brute_force_labels, simulate_backtest
 
 from stocksignals import cli
@@ -33,10 +33,9 @@ from stocksignals.transform import (
     FEATURE_COLUMNS,
     LabelConfig,
     SplitConfig,
-    feature_matrix,
     label_closes,
-    project_rows,
     shuffle_split,
+    split_dataset,
 )
 from stocksignals.pca import rank_features
 
@@ -55,11 +54,11 @@ def test_criterion_01_labeling_matches_brute_force_oracle():
         n = int(rng.integers(12, 61))
         walk = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.012, size=n)))
         closes = [float(x) for x in walk]
-        mine = label_closes(closes, cfg)
+        mine = label_closes(closes, cfg).tolist()
         oracle = brute_force_labels(closes, horizons)
         for got, want in zip(mine, oracle):
             for g, w in zip(got, want):
-                if (g is None) != (w is None) or (g is not None and int(g) != w):
+                if g != (-1 if w is None else w):
                     mismatches += 1
     elapsed = time.perf_counter() - started
     assert mismatches == 0
@@ -228,41 +227,33 @@ def _learnable_rows(n=5000, seed=909):
     labels = np.where(score > 1.0, 2, np.where(score < -1.0, 0, 1))
     noise = rng.random(n) < 0.10
     labels[noise] = rng.integers(0, 3, size=int(noise.sum()))
-    rows = []
-    for i in range(n):
-        slots = [None] * 10
-        slots[9] = Label(int(labels[i]))
-        rows.append(
-            make_feature_row(X[i], slots, ticker="SYN", date=trading_date(i % 2500))
-        )
-    return rows
+    Y = np.full((n, 10), -1, dtype=np.int8)
+    Y[:, 9] = labels
+    return make_dataset(X, Y, tickers="SYN")
 
 
 def test_criterion_09_synthetic_learnability_and_top6_retention():
     started = time.perf_counter()
-    rows = _learnable_rows()
-    train_idx, test_idx = shuffle_split(rows, SplitConfig(train_fraction=0.7, seed=17))
-    train = [rows[i] for i in train_idx]
-    test = [rows[i] for i in test_idx]
+    data = _learnable_rows()
+    train_idx, test_idx = shuffle_split(data, SplitConfig(train_fraction=0.7, seed=17))
+    split = split_dataset(data, train_idx, test_idx)
     spec = ClassifierSpec(kind="random_forest", seed=17)
 
-    report = evaluate_per_horizon(spec, train, test)
+    report = evaluate_per_horizon(spec, split)
     day10 = report.by_horizon(10)
-    truths = [row.labels[9] for row in test]
+    truths = split.test.labels(10).tolist()
     baseline = max(truths.count(c) for c in (Label.SELL, Label.HOLD, Label.BUY)) / len(truths)
     assert day10.micro_f1 >= baseline + 0.10, (
         f"micro_f1 {day10.micro_f1:.4f} vs baseline {baseline:.4f}"
     )
 
-    ranking = rank_features(feature_matrix(train), FEATURE_COLUMNS, RankConfig(top_k=6))
+    ranking = rank_features(split.train.X, FEATURE_COLUMNS, RankConfig(top_k=6))
     selected = ranking.selected
     informative = set(A_BLOCK) | set(B_BLOCK)
     selected_idx = {FEATURE_COLUMNS.index(name) for name in selected}
     assert selected_idx <= informative, f"selection leaked noise columns: {selected}"
 
-    small_train = project_rows(train, FEATURE_COLUMNS, selected)
-    small_test = project_rows(test, FEATURE_COLUMNS, selected)
-    small_report = evaluate_per_horizon(spec, small_train, small_test, feature_names=selected)
+    small_report = evaluate_per_horizon(spec, split.select(selected))
     small_day10 = small_report.by_horizon(10)
     assert day10.micro_f1 - small_day10.micro_f1 <= 0.05, (
         f"top-6 lost {day10.micro_f1 - small_day10.micro_f1:.4f}"

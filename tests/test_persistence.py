@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_feature_rows
+from conftest import random_dataset
 
 from stocksignals.classifiers import (
     ClassifierSpec,
@@ -17,7 +17,7 @@ from stocksignals.classifiers import (
     save_bundle,
 )
 from stocksignals.errors import EmptyTraining, UsageError
-from stocksignals.transform import FEATURE_COLUMNS
+from stocksignals.transform import FEATURE_COLUMNS, split_dataset, standardize_apply
 
 
 @pytest.mark.parametrize(
@@ -41,48 +41,47 @@ def test_model_params_round_trip_predicts_identically(spec):
     assert predict_batch(clone, probes) == predict_batch(model, probes)
 
 
+def _train_split(data):
+    """Every row trains; the test side is empty."""
+    return split_dataset(data, slice(None), slice(0, 0))
+
+
 def test_bundle_save_load_bit_identical(tmp_path):
-    rows = random_feature_rows(40, seed=2)
     spec = ClassifierSpec(kind="random_forest", n_trees=4, seed=9)
-    bundle = fit_bundle(spec, rows, horizon=10)
+    bundle = fit_bundle(spec, _train_split(random_dataset(40, seed=2)), horizon=10)
     path = tmp_path / "model.json"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
     assert loaded.spec == bundle.spec
     assert loaded.horizon == 10
     assert loaded.feature_names == FEATURE_COLUMNS
-    assert loaded.scaler == bundle.scaler
-    probes = [r.features for r in random_feature_rows(20, seed=5)]
-    assert [bundle.predict_vector(p) for p in probes] == [
-        loaded.predict_vector(p) for p in probes
-    ]
+    assert loaded.scaler.to_dict() == bundle.scaler.to_dict()
+    probes = random_dataset(20, seed=5)
+    assert bundle.predict(probes) == loaded.predict(probes)
     # re-serialization of the loaded bundle is byte-identical
     assert bundle_json(loaded) == path.read_text(encoding="utf-8")
 
 
-def test_bundle_predict_canonical_projects_by_name():
-    rows = random_feature_rows(30, seed=4)
+def test_bundle_predict_projects_by_name():
+    data = random_dataset(30, seed=4)
     subset = (FEATURE_COLUMNS[2], FEATURE_COLUMNS[20])
-    from stocksignals.transform import project_rows
-
-    projected = project_rows(rows, FEATURE_COLUMNS, subset)
     spec = ClassifierSpec(kind="decision_tree", seed=1)
-    bundle = fit_bundle(spec, projected, horizon=1, feature_names=subset)
-    for row in rows[:10]:
-        direct = bundle.predict_vector((row.features[2], row.features[20]))
-        assert bundle.predict_canonical(row.features) == direct
+    bundle = fit_bundle(spec, _train_split(data).select(subset), horizon=1)
+    assert bundle.feature_names == subset
+    direct = predict_batch(
+        bundle.model, standardize_apply(bundle.scaler, data.X[:10][:, [2, 20]])
+    )
+    assert bundle.predict(data.take(slice(0, 10))) == direct
 
 
 def test_fit_bundle_unknown_horizon_and_empty_training():
-    rows = random_feature_rows(10)
+    data = random_dataset(10)
     spec = ClassifierSpec(kind="decision_tree")
     with pytest.raises(UsageError):
-        fit_bundle(spec, rows, horizon=11)
-    unlabeled = [
-        row.__class__(row.ticker, row.date, row.features, (None,) * 10) for row in rows
-    ]
+        fit_bundle(spec, _train_split(data), horizon=11)
+    data.Y[:] = -1
     with pytest.raises(EmptyTraining):
-        fit_bundle(spec, unlabeled, horizon=3)
+        fit_bundle(spec, _train_split(data), horizon=3)
 
 
 def test_load_bundle_rejects_foreign_json(tmp_path):

@@ -3,7 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_feature_row, make_record, make_series, random_feature_rows
+from conftest import (
+    label_horizons,
+    make_dataset,
+    make_record,
+    make_series,
+    random_dataset,
+    read_dataset_csv,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_scaler, reference_standardize
 
 from stocksignals import transform
 from stocksignals.errors import (
@@ -12,24 +22,21 @@ from stocksignals.errors import (
     EmptySeries,
     InvalidFraction,
     TooFewRows,
-    UnknownTicker,
+    UsageError,
     WindowTooSmall,
 )
 from stocksignals.labels import Label
 from stocksignals.transform import (
     FEATURE_COLUMNS,
+    Dataset,
     LabelConfig,
     SplitConfig,
     assemble_features,
     derive_rec_percentages,
-    feature_matrix,
-    group_by_sector,
     label_closes,
-    label_horizons,
-    project_rows,
-    read_dataset_csv,
     rolling_std,
     shuffle_split,
+    split_dataset,
     standardize_apply,
     standardize_fit,
     write_dataset_csv,
@@ -107,7 +114,7 @@ def test_label_boundaries_from_move_table():
     assert labels[0][2] == Label.BUY  # close[3] == 101.0
     assert labels[0][4] == Label.SELL  # close[5] == 99.0
     assert labels[0][6] == Label.HOLD  # close[7] == 100.5
-    assert label_horizons(series)[-1] == (None,) * 10
+    assert (label_horizons(series)[-1] == -1).all()
 
 
 def test_label_monotone_in_future_close():
@@ -129,7 +136,7 @@ def test_label_scale_invariance_power_of_two():
     closes = list(rng.uniform(20.0, 300.0, size=30))
     base = label_closes(closes)
     for c in (0.25, 0.5, 2.0, 8.0, 1024.0):
-        assert label_closes([x * c for x in closes]) == base
+        assert np.array_equal(label_closes([x * c for x in closes]), base)
 
 
 def test_label_scale_invariance_generic_walks():
@@ -139,7 +146,7 @@ def test_label_scale_invariance_generic_walks():
         closes = [float(x) for x in walk]
         base = label_closes(closes)
         for c in (0.37, 3.1, 19.9):
-            assert label_closes([x * c for x in closes]) == base
+            assert np.array_equal(label_closes([x * c for x in closes]), base)
 
 
 # --- assemble ------------------------------------------------------------------
@@ -149,8 +156,8 @@ def test_assemble_drops_warmup_days():
     rows = assemble_features(series)
     # first 9 days lack std_10day; the final day has no future rows at all
     assert len(rows) == 5
-    assert rows[0].date == series.records[9].date
-    assert all(len(r.features) == 28 for r in rows)
+    assert rows.dates.tolist()[0] == series.records[9].date
+    assert rows.X.shape == (5, 28) and rows.Y.shape == (5, 10)
 
 
 def test_assemble_drops_zero_analyst_day():
@@ -168,7 +175,7 @@ def test_assemble_drops_zero_analyst_day():
     records[12] = bad
     series = transform.TickerSeries(series.ticker, series.sector, records)
     rows = assemble_features(series)
-    assert bad.date not in [r.date for r in rows]
+    assert bad.date not in rows.dates.tolist()
 
 
 def test_assemble_full_series_has_28_features():
@@ -178,10 +185,10 @@ def test_assemble_full_series_has_28_features():
     buy_i = FEATURE_COLUMNS.index("buy_percent")
     hold_i = FEATURE_COLUMNS.index("hold_percent")
     sell_i = FEATURE_COLUMNS.index("sell_percent")
-    for row in rows:
-        assert len(row.features) == len(FEATURE_COLUMNS) == 28
-        assert row.features[-2] >= 0.0 and row.features[-1] >= 0.0
-        percentages = (row.features[buy_i], row.features[hold_i], row.features[sell_i])
+    assert rows.X.shape[1] == len(FEATURE_COLUMNS) == 28
+    for features in rows.X.tolist():
+        assert features[-2] >= 0.0 and features[-1] >= 0.0
+        percentages = (features[buy_i], features[hold_i], features[sell_i])
         assert all(0.0 <= p <= 1.0 for p in percentages)
         # fixture counts sum to the analyst total, so the shares sum to 1
         assert abs(sum(percentages) - 1.0) < 1e-9
@@ -205,13 +212,13 @@ def test_assemble_row_count_never_exceeds_input():
 # --- split ---------------------------------------------------------------------
 
 def test_shuffle_split_sizes():
-    rows = random_feature_rows(10)
+    rows = random_dataset(10)
     train, test = shuffle_split(rows, SplitConfig(train_fraction=0.7, seed=1))
     assert len(train) == 7 and len(test) == 3
 
 
 def test_shuffle_split_deterministic():
-    rows = random_feature_rows(25)
+    rows = random_dataset(25)
     cfg = SplitConfig(train_fraction=0.7, seed=99)
     assert shuffle_split(rows, cfg) == shuffle_split(rows, cfg)
     other = shuffle_split(rows, SplitConfig(train_fraction=0.7, seed=100))
@@ -219,7 +226,7 @@ def test_shuffle_split_deterministic():
 
 
 def test_shuffle_split_partitions_indices():
-    rows = random_feature_rows(33)
+    rows = random_dataset(33)
     for seed in range(10):
         train, test = shuffle_split(rows, SplitConfig(seed=seed))
         assert sorted(train + test) == list(range(33))
@@ -227,7 +234,7 @@ def test_shuffle_split_partitions_indices():
 
 
 def test_shuffle_split_invalid_fraction():
-    rows = random_feature_rows(4)
+    rows = random_dataset(4)
     with pytest.raises(InvalidFraction):
         shuffle_split(rows, SplitConfig(train_fraction=1.0, seed=0))
 
@@ -237,37 +244,69 @@ def test_shuffle_split_empty():
         shuffle_split([], SplitConfig(seed=0))
 
 
-# --- sector grouping -------------------------------------------------------------
+# --- dataset selection -----------------------------------------------------------
+
+def _sector_rows(data: Dataset, sectors: dict[str, str]) -> dict[str, Dataset]:
+    """Rows per sector, selected the way `--by-sector` does: a ticker mask."""
+    return {
+        sector: data.take(np.isin(data.tickers, [t for t, s in sectors.items() if s == sector]))
+        for sector in sorted(set(sectors.values()))
+    }
+
 
 def test_group_by_sector():
-    rows = [
-        make_feature_row([0.0] * 28, [1] * 10, ticker="AAPL"),
-        make_feature_row([0.0] * 28, [1] * 10, ticker="XOM"),
-        make_feature_row([0.0] * 28, [1] * 10, ticker="AAPL"),
-    ]
-    groups = group_by_sector(rows, {"AAPL": "Tech", "XOM": "Energy"})
+    data = make_dataset(
+        np.arange(12.0).reshape(4, 3),
+        [[1] * 10] * 4,
+        tickers=["AAPL", "XOM", "AAPL", "MSFT"],
+    )
+    groups = _sector_rows(data, {"AAPL": "Tech", "XOM": "Energy", "MSFT": "Tech"})
     assert sorted(groups) == ["Energy", "Tech"]
-    assert len(groups["Tech"]) == 2 and len(groups["Energy"]) == 1
+    tech = groups["Tech"]
+    assert tech.tickers.tolist() == ["AAPL", "AAPL", "MSFT"]
+    assert tech.X[:, 0].tolist() == [0.0, 6.0, 9.0]
+    assert tech.dates.tolist() == [data.dates.tolist()[i] for i in (0, 2, 3)]
+    assert groups["Energy"].X.tolist() == [data.X[1].tolist()]
 
 
 def test_group_by_sector_single_sector_identity():
-    rows = random_feature_rows(5)
-    groups = group_by_sector(rows, {"AAA": "Tech"})
-    assert groups == {"Tech": rows}
+    data = random_dataset(5)
+    groups = _sector_rows(data, {"AAA": "Tech"})
+    assert list(groups) == ["Tech"]
+    assert groups["Tech"].X.tolist() == data.X.tolist()
+    assert groups["Tech"].Y.tolist() == data.Y.tolist()
+    assert groups["Tech"].dates.tolist() == data.dates.tolist()
 
 
-def test_group_by_sector_unknown_ticker():
-    rows = [make_feature_row([0.0] * 28, [1] * 10, ticker="ZZZ")]
-    with pytest.raises(UnknownTicker):
-        group_by_sector(rows, {"AAA": "Tech"})
+def test_concat_of_parts_restores_whole():
+    data = random_dataset(9, seed=1)
+    parts = [data.take(slice(0, 4)), data.take(slice(4, 4)), data.take(slice(4, 9))]
+    whole = Dataset.concat(parts)
+    assert whole.X.tolist() == data.X.tolist()
+    assert whole.Y.tolist() == data.Y.tolist()
+    assert whole.dates.tolist() == data.dates.tolist()
+
+
+def test_labels_unknown_horizon():
+    with pytest.raises(UsageError):
+        random_dataset(3).labels(11)
+
+
+def test_split_dataset_fits_scaler_on_train_only():
+    data = random_dataset(20, seed=4)
+    train_rows, test_rows = shuffle_split(data, SplitConfig(seed=3))
+    split = split_dataset(data, train_rows, test_rows)
+    assert split.train.X.tolist() == data.X[train_rows].tolist()
+    assert split.test.Y.tolist() == data.Y[test_rows].tolist()
+    assert split.scaler.to_dict() == standardize_fit(data.X[train_rows]).to_dict()
 
 
 # --- scaler ---------------------------------------------------------------------
 
 def test_standardize_fit_hand_values():
     scaler = standardize_fit([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    assert scaler.means == (2.0, 5.0)
-    assert scaler.stds == (1.0, 0.0)
+    assert scaler.means.tolist() == [2.0, 5.0]
+    assert scaler.stds.tolist() == [1.0, 0.0]
 
 
 def test_standardize_fit_single_row():
@@ -288,7 +327,7 @@ def test_standardize_apply_constant_maps_to_zero():
     X = [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]
     scaler = standardize_fit(X)
     Z = standardize_apply(scaler, X)
-    assert all(row[0] == 0.0 for row in Z)
+    assert Z[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_standardize_apply_dimension_mismatch():
@@ -297,22 +336,65 @@ def test_standardize_apply_dimension_mismatch():
         standardize_apply(scaler, [[1.0] * 27])
 
 
+def _bits(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@st.composite
+def scaler_inputs(draw):
+    """Matrices of 2+ rows whose columns are constant, or mix magnitudes from 1e-9 to 1e12."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=6))
+    value = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
+    columns = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            columns.append([draw(value)] * n)
+        else:
+            scale = draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+            columns.append([x * scale for x in draw(st.lists(value, min_size=n, max_size=n))])
+    return [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaler_inputs())
+@example([[1.0, 5.0], [2.0, 5.0]])
+@example([[0.1, -3.0], [0.1, 2e11]])
+@example([[1e-9, 7.0, 3e11], [2.5e-9, 7.0, -4e10], [1.0e-9, 7.0, 5.0]])
+def test_standardize_matches_reference_bit_for_bit(rows):
+    means, stds = reference_scaler(rows)
+    scaler = standardize_fit(rows)
+    assert _bits(scaler.means) == _bits(means)
+    assert _bits(scaler.stds) == _bits(stds)
+    assert _bits(standardize_apply(scaler, rows)) == _bits(reference_standardize(means, stds, rows))
+    # Fortran order and a single column must not change the summation order
+    assert _bits(standardize_fit(np.asfortranarray(rows)).means) == _bits(means)
+    assert _bits(standardize_fit(np.asarray(rows)[:, :1]).stds) == _bits(stds[:1])
+
+
 # --- projection and dataset CSV ---------------------------------------------------
 
-def test_project_rows_is_pure_column_selection():
-    rows = random_feature_rows(6)
+def test_select_is_pure_column_selection():
+    data = random_dataset(6)
     selected = [FEATURE_COLUMNS[3], FEATURE_COLUMNS[17]]
-    projected = project_rows(rows, FEATURE_COLUMNS, selected)
-    for original, small in zip(rows, projected):
-        assert small.features == (original.features[3], original.features[17])
-        assert small.labels == original.labels
+    projected = data.select(selected)
+    assert projected.feature_names == tuple(selected)
+    assert projected.X.tolist() == data.X[:, [3, 17]].tolist()
+    assert projected.Y.tolist() == data.Y.tolist()
+    with pytest.raises(UsageError):
+        data.select(["NOT_A_FEATURE"])
 
 
-def test_dataset_csv_round_trip():
+def test_dataset_csv_round_trip(monkeypatch):
+    # a small chunk size makes the 40-row write cross several chunk boundaries
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", 7)
     series = make_series(list(100.0 * np.exp(np.cumsum(np.random.default_rng(2).normal(0, 0.02, 40)))))
     rows = assemble_features(series)
     out = io.StringIO()
     write_dataset_csv(rows, out)
-    back, horizons = read_dataset_csv(io.StringIO(out.getvalue()))
-    assert horizons == tuple(range(1, 11))
-    assert back == rows
+    back = read_dataset_csv(io.StringIO(out.getvalue()))
+    assert back.horizons == tuple(range(1, 11))
+    assert back.tickers.tolist() == rows.tickers.tolist()
+    assert back.dates.tolist() == rows.dates.tolist()
+    assert _bits(back.X) == _bits(rows.X)
+    assert back.Y.tolist() == rows.Y.tolist()
