@@ -5,6 +5,18 @@ midpoints of consecutive distinct sorted values, and the chosen split
 maximizes the weighted impurity decrease; ties break toward the lower
 feature index, then the lower threshold. Growth stops on a pure node,
 max_depth, min_samples_split, or when no split has a positive decrease.
+
+`best_split` searches every candidate feature of a node with one set of
+array operations: the node's candidate columns form an (f, n) block that
+is stably sorted per feature, a cumulative one-hot sum gives the class
+counts left of every cut, and gains are computed for all (feature, cut)
+pairs at once, with cuts between equal values masked to -inf. One argmax
+over the feature-major gain matrix returns the first maximum, i.e. the
+lowest feature and within it the lowest threshold. Counts at a cut do not
+depend on the order of equal values, and every gain comes from the same
+elementwise operations and 3-wide row sums as a one-feature-at-a-time
+search (kept in the tests as the reference), so trees are bit-identical
+to it.
 """
 
 from __future__ import annotations
@@ -21,17 +33,18 @@ if TYPE_CHECKING:
     from stocksignals.classifiers.base import ClassifierSpec
 
 N_CLASSES = 3
+_ONE_HOT = np.eye(N_CLASSES)
 
 
-def _impurity_rows(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity per row of a (m, 3) count matrix with row totals `sizes`."""
-    p = counts / sizes[:, None]
+def _impurity(counts: np.ndarray, sizes, criterion: str) -> np.ndarray:
+    """Impurity along the last axis of class counts; `sizes` broadcasts to counts."""
+    p = counts / sizes
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=1)
+        return 1.0 - (p * p).sum(axis=-1)
     logp = np.zeros_like(p)
     mask = p > 0
     logp[mask] = np.log2(p[mask])
-    return -(p * logp).sum(axis=1)
+    return -(p * logp).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -46,38 +59,40 @@ def best_split(
     y: np.ndarray,
     criterion: str,
     candidate_features: Iterable[int],
+    rows: np.ndarray | None = None,
 ) -> Split | None:
-    """Best (feature, threshold) over the candidates, or None without gain."""
+    """Best (feature, threshold) over the candidates, or None without gain.
+
+    `rows` indexes the node's rows in X (every row when None); y holds
+    their labels. All candidates are searched at once on an (f, n) block.
+    """
+    features = np.array(sorted(candidate_features), dtype=np.intp)[:, None]
+    if rows is None:
+        rows = np.arange(len(y))
+    order = X.T[features, rows].argsort(axis=1, kind="stable")
+    ordered = X.T[features, rows[order]]
+    # is_cut[j, i]: a threshold fits between sorted positions i and i + 1
+    is_cut = ordered[:, 1:] > ordered[:, :-1]
+    if not is_cut.any():
+        return None
     n = len(y)
-    parent_counts = np.bincount(y, minlength=N_CLASSES).astype(float)
-    parent = float(_impurity_rows(parent_counts[None, :], np.array([float(n)]), criterion)[0])
-    best: Split | None = None
-    for feature in sorted(candidate_features):
-        values = X[:, feature]
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        boundaries = np.nonzero(ordered[1:] > ordered[:-1])[0] + 1
-        if boundaries.size == 0:
-            continue
-        onehot = np.zeros((n, N_CLASSES))
-        onehot[np.arange(n), y[order]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left = prefix[boundaries - 1]
-        right = parent_counts - left
-        n_left = boundaries.astype(float)
-        n_right = n - n_left
-        weighted = (
-            n_left * _impurity_rows(left, n_left, criterion)
-            + n_right * _impurity_rows(right, n_right, criterion)
-        ) / n
-        gains = parent - weighted
-        k = int(np.argmax(gains))  # first max -> lowest threshold
-        gain = float(gains[k])
-        if gain > 0.0 and (best is None or gain > best.gain):
-            cut = boundaries[k]
-            threshold = float((ordered[cut - 1] + ordered[cut]) / 2.0)
-            best = Split(feature=feature, threshold=threshold, gain=gain)
-    return best
+    # class counts of the first i + 1 sorted rows; the last column is the whole node
+    prefix = _ONE_HOT[y[order]].cumsum(axis=1)
+    sizes = np.arange(1.0, n + 1)
+    left = _impurity(prefix, sizes[:, None], criterion)
+    parent = left[0, -1]
+    n_left = sizes[:-1]
+    n_right = n - n_left
+    right = _impurity(prefix[:, -1:] - prefix[:, :-1], n_right[:, None], criterion)
+    gains = parent - (n_left * left[:, :-1] + n_right * right) / n
+    # first maximum in feature-major order: lowest feature, then lowest threshold
+    k = int(np.where(is_cut, gains, -np.inf).argmax())
+    j, cut = divmod(k, n - 1)
+    gain = float(gains[j, cut])
+    if gain <= 0.0:
+        return None
+    threshold = float((ordered[j, cut] + ordered[j, cut + 1]) / 2.0)
+    return Split(feature=int(features[j, 0]), threshold=threshold, gain=gain)
 
 
 @dataclass
@@ -106,10 +121,8 @@ class DecisionTree:
 
 
 def _leaf_from_counts(counts: np.ndarray) -> Leaf:
-    return Leaf(
-        counts=(int(counts[0]), int(counts[1]), int(counts[2])),
-        label=majority_label([int(c) for c in counts]),
-    )
+    values = counts.tolist()
+    return Leaf(counts=tuple(values), label=majority_label(values))
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, spec: "ClassifierSpec", pick_candidates) -> TreeNode:
@@ -128,13 +141,13 @@ def grow_tree(X: np.ndarray, y: np.ndarray, spec: "ClassifierSpec", pick_candida
         counts = np.bincount(y_node, minlength=N_CLASSES)
         node: TreeNode
         stop = (
-            int((counts > 0).sum()) <= 1
+            np.count_nonzero(counts) <= 1
             or len(idx) < spec.min_samples_split
             or (spec.max_depth is not None and depth >= spec.max_depth)
         )
         split = None
         if not stop:
-            split = best_split(X[idx], y_node, spec.criterion, pick_candidates())
+            split = best_split(X, y_node, spec.criterion, pick_candidates(), rows=idx)
         if split is None:
             node = _leaf_from_counts(counts)
         else:

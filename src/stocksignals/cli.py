@@ -423,8 +423,10 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
 
 
 def _stage_rank(cfg: RunConfig, state: _State) -> PcaRanking:
-    train = _pooled_split(cfg, state).train
-    ranking = rank_features(train.X, train.feature_names, cfg.rank)
+    split = _pooled_split(cfg, state)
+    ranking = rank_features(
+        split.train.X, split.scaler, split.train.feature_names, cfg.rank
+    )
     reports.atomic_write_text(
         cfg.out / "ranking.csv", reports.ranking_csv_text(ranking)
     )

@@ -24,7 +24,14 @@ from stocksignals.errors import (
     UsageError,
     ZeroTotalVariance,
 )
-from stocksignals.transform import FEATURE_COLUMNS, standardize_apply, standardize_fit
+# standardize_fit is not called here; bench/tracing.py patches it under this
+# module's name to count scaler fits
+from stocksignals.transform import (  # noqa: F401
+    FEATURE_COLUMNS,
+    Scaler,
+    standardize_apply,
+    standardize_fit,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -244,14 +251,16 @@ def select_top_features(
 
 def rank_features(
     X_train,
+    scaler: Scaler,
     feature_names: Sequence[str] = FEATURE_COLUMNS,
     cfg: RankConfig = RankConfig(),
 ) -> PcaRanking:
     """Full ranking pipeline on raw training features.
 
-    Standardizes with a scaler fitted on these rows only, excludes constant
-    features from the PCA input (they are reported unranked with score 0),
-    and ranks the rest by weighted occurrence over the top components.
+    Standardizes with `scaler`, the one fitted on these training rows (the
+    split's), excludes constant features from the PCA input (they are
+    reported unranked with score 0), and ranks the rest by weighted
+    occurrence over the top components.
     """
     X_arr = np.asarray(X_train, dtype=float)
     if X_arr.ndim != 2:
@@ -261,7 +270,6 @@ def rank_features(
         raise UsageError(
             f"{X_arr.shape[1]} columns but {len(names)} feature names"
         )
-    scaler = standardize_fit(X_arr)
     usable = np.flatnonzero(scaler.stds > 0.0).tolist()
     if not usable:
         raise ZeroTotalVariance("every feature is constant")

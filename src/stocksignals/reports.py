@@ -8,18 +8,16 @@ are written atomically via a temp file plus rename.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import io
 import json
 import os
 import tempfile
-from decimal import Decimal
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from stocksignals.backtest import BacktestReport, Trade
 from stocksignals.evaluation import EvaluationReport
-from stocksignals.pca import FeatureScore, PcaRanking
+from stocksignals.pca import PcaRanking
 
 METRICS_FIELDS = (
     "sector",
@@ -135,17 +133,6 @@ def ranking_csv_text(ranking: PcaRanking) -> str:
     return out.getvalue()
 
 
-def read_ranking_csv(stream: IO[str]) -> list[FeatureScore]:
-    return [
-        FeatureScore(
-            feature=record["feature"],
-            occurrences=int(record["occurrences"]),
-            weighted_occurrence=int(record["weighted_occurrence"]),
-        )
-        for record in csv.DictReader(stream)
-    ]
-
-
 def variance_csv_text(ranking: PcaRanking) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -155,17 +142,6 @@ def variance_csv_text(ranking: PcaRanking) -> str:
     ):
         writer.writerow([i, _fmt(ratio), _fmt(cum)])
     return out.getvalue()
-
-
-def read_variance_csv(stream: IO[str]) -> list[dict]:
-    return [
-        {
-            "component": int(record["component"]),
-            "ratio": float(record["ratio"]),
-            "cumulative": float(record["cumulative"]),
-        }
-        for record in csv.DictReader(stream)
-    ]
 
 
 # --- backtest ----------------------------------------------------------------
@@ -198,21 +174,6 @@ def trades_csv_text(trades: Iterable[Trade]) -> str:
             ]
         )
     return out.getvalue()
-
-
-def read_trades_csv(stream: IO[str]) -> list[Trade]:
-    return [
-        Trade(
-            open_date=dt.date.fromisoformat(record["open_date"]),
-            close_date=dt.date.fromisoformat(record["close_date"]),
-            side=record["side"],
-            entry_price=Decimal(record["entry_price"]),
-            exit_price=Decimal(record["exit_price"]),
-            exit_reason=record["exit_reason"],
-            pnl=Decimal(record["pnl"]),
-        )
-        for record in csv.DictReader(stream)
-    ]
 
 
 def backtest_json_text(

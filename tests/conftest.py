@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from stocksignals import ingest  # noqa: E402
+from stocksignals.backtest import Trade  # noqa: E402
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, DailyRecord, TickerSeries  # noqa: E402
 from stocksignals.errors import DimensionMismatch  # noqa: E402
+from stocksignals.pca import FeatureScore  # noqa: E402
 from stocksignals.transform import (  # noqa: E402
     FEATURE_COLUMNS,
     Dataset,
@@ -269,3 +272,40 @@ def read_metrics_csv(stream) -> list[dict]:
             }
         )
     return rows
+
+
+def read_ranking_csv(stream) -> list[FeatureScore]:
+    return [
+        FeatureScore(
+            feature=record["feature"],
+            occurrences=int(record["occurrences"]),
+            weighted_occurrence=int(record["weighted_occurrence"]),
+        )
+        for record in csv.DictReader(stream)
+    ]
+
+
+def read_variance_csv(stream) -> list[dict]:
+    return [
+        {
+            "component": int(record["component"]),
+            "ratio": float(record["ratio"]),
+            "cumulative": float(record["cumulative"]),
+        }
+        for record in csv.DictReader(stream)
+    ]
+
+
+def read_trades_csv(stream) -> list[Trade]:
+    return [
+        Trade(
+            open_date=dt.date.fromisoformat(record["open_date"]),
+            close_date=dt.date.fromisoformat(record["close_date"]),
+            side=record["side"],
+            entry_price=Decimal(record["entry_price"]),
+            exit_price=Decimal(record["exit_price"]),
+            exit_reason=record["exit_reason"],
+            pnl=Decimal(record["pnl"]),
+        )
+        for record in csv.DictReader(stream)
+    ]

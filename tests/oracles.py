@@ -8,6 +8,8 @@ package under test.
 import math
 from decimal import Decimal
 
+import numpy as np
+
 
 # --- labeling ----------------------------------------------------------------
 
@@ -91,6 +93,56 @@ def brute_force_best_split(X, y, criterion):
             gain = parent - weighted
             if gain > 0.0 and (best is None or gain > best[2]):
                 best = (f, threshold, gain)
+    return best
+
+
+def _reference_impurity_rows(counts, sizes, criterion):
+    p = counts / sizes[:, None]
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    logp = np.zeros_like(p)
+    mask = p > 0
+    logp[mask] = np.log2(p[mask])
+    return -(p * logp).sum(axis=1)
+
+
+def reference_best_split(X, y, criterion, candidate_features):
+    """One feature at a time: (feature, threshold, gain) or None.
+
+    The per-feature search the package used before it searched all
+    candidates of a node at once. Its floats come from the same elementwise
+    operations and 3-wide row sums, so gains must match bit for bit. Per
+    feature the first maximum (lowest threshold) wins; across features a
+    later one must beat the best gain strictly.
+    """
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=3).astype(float)
+    parent = float(_reference_impurity_rows(parent_counts[None, :], np.array([float(n)]), criterion)[0])
+    best = None
+    for feature in sorted(candidate_features):
+        values = X[:, feature]
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        boundaries = np.nonzero(ordered[1:] > ordered[:-1])[0] + 1
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, 3))
+        onehot[np.arange(n), y[order]] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        left = prefix[boundaries - 1]
+        right = parent_counts - left
+        n_left = boundaries.astype(float)
+        n_right = n - n_left
+        weighted = (
+            n_left * _reference_impurity_rows(left, n_left, criterion)
+            + n_right * _reference_impurity_rows(right, n_right, criterion)
+        ) / n
+        gains = parent - weighted
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain > 0.0 and (best is None or gain > best[2]):
+            cut = boundaries[k]
+            best = (feature, float((ordered[cut - 1] + ordered[cut]) / 2.0), gain)
     return best
 
 

@@ -247,7 +247,7 @@ def test_criterion_09_synthetic_learnability_and_top6_retention():
         f"micro_f1 {day10.micro_f1:.4f} vs baseline {baseline:.4f}"
     )
 
-    ranking = rank_features(split.train.X, FEATURE_COLUMNS, RankConfig(top_k=6))
+    ranking = rank_features(split.train.X, split.scaler, FEATURE_COLUMNS, RankConfig(top_k=6))
     selected = ranking.selected
     informative = set(A_BLOCK) | set(B_BLOCK)
     selected_idx = {FEATURE_COLUMNS.index(name) for name in selected}

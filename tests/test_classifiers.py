@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_best_split,
     entropy_impurity,
     gaussian_log_posterior,
     gini_impurity,
+    reference_best_split,
 )
 
 from stocksignals.classifiers import (
@@ -119,6 +122,50 @@ def test_best_split_matches_brute_force(criterion):
             assert mine is not None
             assert (mine.feature, mine.threshold) == (oracle[0], oracle[1])
             assert mine.gain == pytest.approx(oracle[2], abs=1e-12)
+
+
+@st.composite
+def split_inputs(draw):
+    """Small nodes on a 5-value grid (ties, duplicate rows, constant columns) and any candidates."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=6))
+    grid = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])
+    columns = [
+        [draw(grid)] * n if draw(st.booleans()) else draw(st.lists(grid, min_size=n, max_size=n))
+        for _ in range(d)
+    ]
+    X = np.array(columns, dtype=float).T.reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    candidates = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+    return X, y, candidates, draw(st.sampled_from(["gini", "entropy"]))
+
+
+def _fields(split):
+    return None if split is None else (split[0], split[1].hex(), split[2].hex())
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_inputs())
+@example((np.array([[1.0], [1.0]]), np.array([0, 2]), [0], "gini"))
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 2]), [1, 0], "entropy"))
+@example((np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]), np.array([0, 1, 2]), [], "gini"))
+def test_best_split_matches_reference_and_brute_force(inputs):
+    X, y, candidates, criterion = inputs
+    mine = best_split(X, y, criterion, candidates)
+    expected = reference_best_split(X, y, criterion, candidates)
+    assert _fields(None if mine is None else (mine.feature, mine.threshold, mine.gain)) == _fields(
+        expected
+    )
+    # the node's rows picked out of a larger matrix search the same as the node alone
+    n = len(y)
+    rows = np.arange(2 * n - 1, n - 1, -1)
+    assert best_split(np.vstack([X + 1.0, X[::-1]]), y, criterion, candidates, rows=rows) == mine
+    features = sorted(candidates)
+    oracle = brute_force_best_split(X[:, features].tolist(), y.tolist(), criterion) if features else None
+    if oracle is None:
+        assert mine is None
+    else:
+        assert (mine.feature, mine.threshold) == (features[oracle[0]], oracle[1])
 
 
 # --- decision tree ------------------------------------------------------------------

@@ -2,9 +2,16 @@ import io
 import json
 
 import pytest
-from conftest import read_dataset_csv, read_metrics_csv, synthetic_market_bytes
+from conftest import (
+    read_dataset_csv,
+    read_metrics_csv,
+    read_ranking_csv,
+    read_trades_csv,
+    read_variance_csv,
+    synthetic_market_bytes,
+)
 
-from stocksignals import cli, reports
+from stocksignals import cli
 from stocksignals.classifiers import load_bundle
 from stocksignals.errors import UsageError
 from stocksignals.transform import FEATURE_COLUMNS
@@ -191,12 +198,12 @@ def test_sector_filter(tmp_path, market_csv):
 def test_rank_artifacts_parse_back(tmp_path, market_csv):
     out = tmp_path / "out"
     assert run("rank", "--data", market_csv, "--out", out, "--select-top", "6") == 0
-    scores = reports.read_ranking_csv(io.StringIO((out / "ranking.csv").read_text()))
+    scores = read_ranking_csv(io.StringIO((out / "ranking.csv").read_text()))
     assert len(scores) == 28
     assert [s.feature for s in scores[:6]] == json.loads(
         (out / "run.json").read_text()
     )["selected_features"]
-    variance = reports.read_variance_csv(io.StringIO((out / "variance.csv").read_text()))
+    variance = read_variance_csv(io.StringIO((out / "variance.csv").read_text()))
     assert variance[0]["component"] == 1
     assert variance[-1]["cumulative"] == pytest.approx(1.0, abs=1e-9)
 
@@ -211,7 +218,7 @@ def test_backtest_writes_trades_and_model(tmp_path, market_csv):
         == 0
     )
     for ticker in ("TK00", "TK01", "TK02"):
-        trades = reports.read_trades_csv(
+        trades = read_trades_csv(
             io.StringIO((out / f"trades_{ticker}.csv").read_text())
         )
         payload = json.loads((out / f"backtest_{ticker}.json").read_text())

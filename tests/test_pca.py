@@ -237,7 +237,7 @@ def _block_dataset(n=400, seed=5):
 
 def test_rank_features_excludes_constant_and_selects_blocks():
     X, names = _block_dataset()
-    ranking = rank_features(X, names, RankConfig(top_k=6))
+    ranking = rank_features(X, standardize_fit(X), names, RankConfig(top_k=6))
     assert "f8" not in ranking.used_features
     constant_score = next(s for s in ranking.scores if s.feature == "f8")
     assert constant_score.weighted_occurrence == 0
@@ -252,8 +252,8 @@ def test_rank_features_excludes_constant_and_selects_blocks():
 
 def test_rank_features_deterministic():
     X, names = _block_dataset(seed=9)
-    a = rank_features(X, names)
-    b = rank_features(X, names)
+    a = rank_features(X, standardize_fit(X), names)
+    b = rank_features(X, standardize_fit(X), names)
     assert a == b
 
 
@@ -263,5 +263,6 @@ def test_rank_features_padding_flag():
     base = rng.normal(size=200)
     X = np.column_stack([base + 1e-6 * rng.normal(size=200) for _ in range(4)])
     names = ["a", "b", "c", "d"]
-    ranking = rank_features(X, names, RankConfig(n_components=4, weights=(4, 3, 2, 1), top_k=4))
+    cfg = RankConfig(n_components=4, weights=(4, 3, 2, 1), top_k=4)
+    ranking = rank_features(X, standardize_fit(X), names, cfg)
     assert len(ranking.selected) == 4
