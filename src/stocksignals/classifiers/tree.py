@@ -36,7 +36,7 @@ N_CLASSES = 3
 _ONE_HOT = np.eye(N_CLASSES)
 
 
-def _impurity(counts: np.ndarray, sizes, criterion: str) -> np.ndarray:
+def _impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity along the last axis of class counts; `sizes` broadcasts to counts."""
     p = counts / sizes
     if criterion == "gini":

@@ -134,14 +134,18 @@ def split_inputs(draw):
         [draw(grid)] * n if draw(st.booleans()) else draw(st.lists(grid, min_size=n, max_size=n))
         for _ in range(d)
     ]
-    X = np.array(columns, dtype=float).T.reshape(n, d)
+    X = np.array(columns, dtype=float).T
     y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
     candidates = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
     return X, y, candidates, draw(st.sampled_from(["gini", "entropy"]))
 
 
-def _fields(split):
-    return None if split is None else (split[0], split[1].hex(), split[2].hex())
+def _bits(split):
+    """(feature, threshold, gain) with the floats as hex, so == compares bits."""
+    if split is None:
+        return None
+    feature, threshold, gain = split
+    return feature, threshold.hex(), gain.hex()
 
 
 @settings(max_examples=400, deadline=None)
@@ -152,16 +156,16 @@ def _fields(split):
 def test_best_split_matches_reference_and_brute_force(inputs):
     X, y, candidates, criterion = inputs
     mine = best_split(X, y, criterion, candidates)
-    expected = reference_best_split(X, y, criterion, candidates)
-    assert _fields(None if mine is None else (mine.feature, mine.threshold, mine.gain)) == _fields(
-        expected
-    )
+    found = None if mine is None else (mine.feature, mine.threshold, mine.gain)
+    assert _bits(found) == _bits(reference_best_split(X, y, criterion, candidates))
     # the node's rows picked out of a larger matrix search the same as the node alone
     n = len(y)
     rows = np.arange(2 * n - 1, n - 1, -1)
     assert best_split(np.vstack([X + 1.0, X[::-1]]), y, criterion, candidates, rows=rows) == mine
     features = sorted(candidates)
-    oracle = brute_force_best_split(X[:, features].tolist(), y.tolist(), criterion) if features else None
+    oracle = None
+    if features:
+        oracle = brute_force_best_split(X[:, features].tolist(), y.tolist(), criterion)
     if oracle is None:
         assert mine is None
     else:
