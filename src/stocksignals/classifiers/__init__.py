@@ -20,14 +20,13 @@ from stocksignals.classifiers.base import (
     predict_one,
     save_bundle,
 )
-from stocksignals.classifiers.forest import ForestModel, fit_random_forest, predict_forest
+from stocksignals.classifiers.forest import ForestModel, fit_random_forest
 from stocksignals.classifiers.gaussian_nb import (
     GaussianNbModel,
     class_log_scores,
     fit_gaussian_nb,
-    predict_gaussian_nb,
 )
-from stocksignals.classifiers.knn import KnnModel, knn_predict
+from stocksignals.classifiers.knn import KnnModel
 from stocksignals.classifiers.tree import (
     DecisionTree,
     Internal,
@@ -35,7 +34,6 @@ from stocksignals.classifiers.tree import (
     Split,
     best_split,
     fit_decision_tree,
-    predict_tree,
 )
 
 __all__ = [
@@ -58,14 +56,10 @@ __all__ = [
     "fit_decision_tree",
     "fit_gaussian_nb",
     "fit_random_forest",
-    "knn_predict",
     "load_bundle",
     "model_from_params",
     "model_to_params",
     "predict_batch",
-    "predict_forest",
-    "predict_gaussian_nb",
     "predict_one",
-    "predict_tree",
     "save_bundle",
 ]

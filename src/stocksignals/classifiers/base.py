@@ -12,22 +12,23 @@ import numpy as np
 from stocksignals.classifiers.forest import (
     ForestModel,
     fit_random_forest,
-    predict_forest,
+    forest_labels,
 )
 from stocksignals.classifiers.gaussian_nb import (
     GaussianNbModel,
     fit_gaussian_nb,
-    predict_gaussian_nb,
+    gaussian_nb_labels,
 )
-from stocksignals.classifiers.knn import KnnModel, fit_knn
+from stocksignals.classifiers.knn import KnnModel, fit_knn, knn_labels
 from stocksignals.classifiers.tree import (
     DecisionTree,
     Internal,
     Leaf,
     fit_decision_tree,
-    predict_tree,
+    preorder,
+    tree_labels,
 )
-from stocksignals.errors import EmptyTraining, UsageError
+from stocksignals.errors import DimensionMismatch, EmptyTraining, UsageError
 from stocksignals.labels import Label
 from stocksignals.transform import Dataset, Scaler, TrainTestSplit, standardize_apply
 
@@ -36,6 +37,8 @@ CRITERIA = ("gini", "entropy")
 
 FORMAT_NAME = "stocksignals-model"
 FORMAT_VERSION = 1
+
+_LABELS = tuple(Label)
 
 
 @dataclass(frozen=True)
@@ -86,47 +89,46 @@ def fit_classifier(spec: ClassifierSpec, X, y) -> FittedModel:
     return fit_gaussian_nb(X, y)
 
 
-def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
-    if isinstance(model, DecisionTree):
-        return predict_tree(model, x)
-    if isinstance(model, ForestModel):
-        return predict_forest(model, x)
-    if isinstance(model, KnnModel):
-        return model.predict_one(x)
-    return predict_gaussian_nb(model, x)
-
-
 def predict_batch(model: FittedModel, X) -> list[Label]:
-    """Predict each row of a matrix (rows go to the models as Python floats)."""
-    return [predict_one(model, row) for row in np.asarray(X, dtype=float).tolist()]
+    """Predict every row of a matrix with one batch predictor per model kind."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise DimensionMismatch(
+            f"input of shape {X.shape}, model expects (m, {model.n_features})"
+        )
+    if isinstance(model, DecisionTree):
+        labels = tree_labels(model, X)
+    elif isinstance(model, ForestModel):
+        labels = forest_labels(model, X)
+    elif isinstance(model, KnnModel):
+        labels = knn_labels(model, X)
+    else:
+        labels = gaussian_nb_labels(model, X)
+    return [_LABELS[value] for value in labels.tolist()]
+
+
+def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
+    """Predict one row through the batch path."""
+    return predict_batch(model, [x])[0]
 
 
 # --- parameter (de)serialization -------------------------------------------
 
 def _encode_tree(tree: DecisionTree) -> dict:
     """Flat preorder node list; avoids recursion limits on deep trees."""
-    nodes: list[dict] = []
-    stack: list[tuple[object, int | None, str | None]] = [(tree.root, None, None)]
-    while stack:
-        node, parent_pos, side = stack.pop()
-        pos = len(nodes)
-        if isinstance(node, Leaf):
-            nodes.append({"counts": list(node.counts), "label": int(node.label)})
-        else:
-            nodes.append(
-                {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": -1,
-                    "right": -1,
-                }
-            )
-            stack.append((node.right, pos, "right"))
-            stack.append((node.left, pos, "left"))
-        if parent_pos is not None:
-            nodes[parent_pos][side] = pos
+    nodes, left, right = preorder(tree.root)
     return {
-        "nodes": nodes,
+        "nodes": [
+            {"counts": list(node.counts), "label": int(node.label)}
+            if isinstance(node, Leaf)
+            else {
+                "feature": node.feature,
+                "threshold": node.threshold,
+                "left": left[pos],
+                "right": right[pos],
+            }
+            for pos, node in enumerate(nodes)
+        ],
         "n_features": tree.n_features,
         "criterion": tree.criterion,
     }
@@ -220,8 +222,8 @@ class ModelBundle:
     def predict(self, data: Dataset) -> list[Label]:
         """Predict every row of a dataset that holds at least this bundle's columns.
 
-        The rows are projected and scaled once as a matrix, then predicted
-        one by one.
+        The rows are projected and scaled once as a matrix and predicted
+        together.
         """
         X = standardize_apply(self.scaler, data.select(self.feature_names).X)
         return predict_batch(self.model, X)

@@ -2,13 +2,15 @@
 
 Each tree's PRNG stream derives from (seed, tree index), so trees could be
 trained in parallel and still match serial training bit for bit.
+`forest_labels` walks the whole probe matrix down each tree and counts the
+trees' votes per probe; vote ties resolve to Hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,10 +18,9 @@ from stocksignals.classifiers.tree import (
     DecisionTree,
     as_training_arrays,
     grow_tree,
-    predict_tree,
+    tree_labels,
 )
-from stocksignals.errors import DimensionMismatch
-from stocksignals.labels import Label, majority_label
+from stocksignals.labels import majority_labels
 from stocksignals.rng import SplitMix64, spawn_seed
 
 if TYPE_CHECKING:
@@ -70,13 +71,10 @@ def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
     return ForestModel(trees=trees, tree_seeds=tree_seeds, n_features=d, mtry=mtry)
 
 
-def predict_forest(forest: ForestModel, x: Sequence[float]) -> Label:
-    """Majority vote across trees; ties resolve to Hold."""
-    if len(x) != forest.n_features:
-        raise DimensionMismatch(
-            f"input has {len(x)} features, forest expects {forest.n_features}"
-        )
-    votes = [0, 0, 0]
+def forest_labels(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Label value of each row of X: the majority of the trees' labels."""
+    votes = np.zeros((len(X), 3))
+    rows = np.arange(len(X))
     for tree in forest.trees:
-        votes[int(predict_tree(tree, x))] += 1
-    return majority_label(votes)
+        votes[rows, tree_labels(tree, X)] += 1
+    return majority_labels(votes)

@@ -1,14 +1,20 @@
-"""Gaussian naive Bayes with population variances and variance smoothing."""
+"""Gaussian naive Bayes with population variances and variance smoothing.
+
+`gaussian_nb_labels` scores a whole probe matrix at once: the log densities
+form an (m, c, d) block that is summed over its last axis, the same pairwise
+sum over one probe's (c, d) densities as a one-probe-at-a-time score, so
+the scores are bit-identical to it. Each probe takes the class of its single
+largest score; an exact tie, or a NaN score, resolves to Hold.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from stocksignals.errors import DimensionMismatch, EmptyTraining
+from stocksignals.classifiers.tree import as_training_arrays
 from stocksignals.labels import Label
 
 VAR_SMOOTHING = 1e-9
@@ -37,12 +43,7 @@ def fit_gaussian_nb(X, y) -> GaussianNbModel:
     overall (population) variance, keeping densities finite for features
     that are constant within a class.
     """
-    X_arr = np.asarray(X, dtype=float)
-    y_arr = np.asarray(y, dtype=np.int64)
-    if len(X_arr) == 0:
-        raise EmptyTraining("no training rows")
-    if len(X_arr) != len(y_arr):
-        raise DimensionMismatch(f"{len(X_arr)} feature rows vs {len(y_arr)} labels")
+    X_arr, y_arr = as_training_arrays(X, y)
     classes = tuple(sorted(int(c) for c in np.unique(y_arr)))
     n = len(y_arr)
     epsilon = VAR_SMOOTHING * float(X_arr.var(axis=0).max())
@@ -62,25 +63,18 @@ def fit_gaussian_nb(X, y) -> GaussianNbModel:
     )
 
 
-def class_log_scores(model: GaussianNbModel, x: Sequence[float]) -> np.ndarray:
-    """log prior + sum of log Gaussian densities, one entry per class."""
-    probe = np.asarray(x, dtype=float)
-    if probe.shape != (model.n_features,):
-        raise DimensionMismatch(
-            f"input has {probe.size} features, model expects {model.n_features}"
-        )
+def class_log_scores(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
+    """(m, c) log prior + sum of log Gaussian densities, one row per probe."""
     log_density = -0.5 * (
         np.log(2.0 * math.pi * model.variances)
-        + (probe - model.means) ** 2 / model.variances
+        + (X[:, None, :] - model.means) ** 2 / model.variances
     )
-    return np.log(model.priors) + log_density.sum(axis=1)
+    return np.log(model.priors) + log_density.sum(axis=-1)
 
 
-def predict_gaussian_nb(model: GaussianNbModel, x: Sequence[float]) -> Label:
-    """Argmax of the class log scores; exact ties resolve to Hold."""
-    scores = class_log_scores(model, x)
-    best = scores.max()
-    winners = np.nonzero(scores == best)[0]
-    if len(winners) != 1:
-        return Label.HOLD
-    return Label(model.classes[int(winners[0])])
+def gaussian_nb_labels(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
+    """Label value of each row of X: the argmax class, or Hold on an exact tie."""
+    scores = class_log_scores(model, X)
+    winners = scores == scores.max(axis=1, keepdims=True)
+    classes = np.asarray(model.classes)
+    return np.where(winners.sum(axis=1) == 1, classes[winners.argmax(axis=1)], Label.HOLD)

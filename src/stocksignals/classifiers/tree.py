@@ -17,12 +17,18 @@ depend on the order of equal values, and every gain comes from the same
 elementwise operations and 3-wide row sums as a one-feature-at-a-time
 search (kept in the tests as the reference), so trees are bit-identical
 to it.
+
+`tree_labels` predicts a whole probe matrix by walking all probes down the
+tree together, one level per step, over the tree's preorder arrays (the
+layout of the saved model): each probe still inside the tree moves to the
+left child when x[feature] <= threshold and to the right child otherwise,
+NaN included, exactly as one probe walked on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -190,15 +196,42 @@ def fit_decision_tree(X, y, spec: "ClassifierSpec") -> DecisionTree:
     return DecisionTree(root=root, n_features=d, criterion=spec.criterion)
 
 
-def predict_tree(tree: DecisionTree, x: Sequence[float]) -> Label:
-    if len(x) != tree.n_features:
-        raise DimensionMismatch(
-            f"input has {len(x)} features, tree expects {tree.n_features}"
-        )
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+def preorder(root: TreeNode) -> tuple[list[TreeNode], list[int], list[int]]:
+    """Nodes in preorder (left subtree first) with each node's left and right
+    child positions, -1 at leaves. An explicit stack avoids recursion limits."""
+    nodes: list[TreeNode] = []
+    left: list[int] = []
+    right: list[int] = []
+    stack: list[tuple[TreeNode, list[int] | None, int]] = [(root, None, -1)]
+    while stack:
+        node, parent_side, parent = stack.pop()
+        if parent_side is not None:
+            parent_side[parent] = len(nodes)
+        if isinstance(node, Internal):
+            stack.append((node.right, right, len(nodes)))
+            stack.append((node.left, left, len(nodes)))
+        nodes.append(node)
+        left.append(-1)
+        right.append(-1)
+    return nodes, left, right
+
+
+def tree_labels(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """Label value of each row of X: the label of the leaf it reaches."""
+    nodes, left_list, right_list = preorder(tree.root)
+    left, right = np.array(left_list), np.array(right_list)
+    internal = left >= 0
+    feature = np.array([getattr(node, "feature", 0) for node in nodes])
+    threshold = np.array([getattr(node, "threshold", 0.0) for node in nodes])
+    label = np.array([getattr(node, "label", 0) for node in nodes])
+    at = np.zeros(len(X), dtype=np.intp)
+    rows = np.flatnonzero(internal[at])
+    while rows.size:
+        node = at[rows]
+        child = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+        at[rows] = child
+        rows = rows[internal[child]]
+    return label[at]
 
 
 def tree_depth(node: TreeNode) -> int:

@@ -199,6 +199,61 @@ def gaussian_log_posterior(prior, means, variances, x):
     return acc
 
 
+# --- prediction, one row at a time -----------------------------------------------
+
+def _reference_majority(votes):
+    """Index of the single largest count; any tie is Hold (1)."""
+    best = max(votes)
+    winners = [i for i, count in enumerate(votes) if count == best]
+    return winners[0] if len(winners) == 1 else 1
+
+
+def reference_knn_predict(train_X, train_y, x, k):
+    """Vote of the k nearest training rows by squared Euclidean distance.
+
+    The package's former per-row kNN: a stable argsort of the distances, so
+    equal distances keep the lower training index and NaN distances come
+    after every number, lowest index first.
+    """
+    squared = ((np.asarray(train_X, dtype=float) - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    votes = [0, 0, 0]
+    for i in np.argsort(squared, kind="stable")[:k]:
+        votes[int(train_y[i])] += 1
+    return _reference_majority(votes)
+
+
+def reference_predict_tree(tree, x):
+    """Walk from the root: x[feature] <= threshold goes left."""
+    node = tree.root
+    while hasattr(node, "threshold"):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return int(node.label)
+
+
+def reference_predict_forest(forest, x):
+    """Majority of the trees' labels; ties are Hold."""
+    votes = [0, 0, 0]
+    for tree in forest.trees:
+        votes[reference_predict_tree(tree, x)] += 1
+    return _reference_majority(votes)
+
+
+def reference_class_log_scores(model, x):
+    """log prior + the (c, d) log densities summed per class, for one probe."""
+    log_density = -0.5 * (
+        np.log(2.0 * math.pi * model.variances)
+        + (np.asarray(x, dtype=float) - model.means) ** 2 / model.variances
+    )
+    return np.log(model.priors) + log_density.sum(axis=1)
+
+
+def reference_predict_gaussian_nb(model, x):
+    """Class of the single largest log score; an exact tie (or NaN) is Hold."""
+    scores = reference_class_log_scores(model, x)
+    winners = np.nonzero(scores == scores.max())[0]
+    return model.classes[int(winners[0])] if len(winners) == 1 else 1
+
+
 # --- backtest ---------------------------------------------------------------------
 
 def simulate_backtest(closes, signals, fee="0.01", tp="0.01", sl="0.01", liquidate=True):

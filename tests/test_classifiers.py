@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,25 +11,33 @@ from oracles import (
     gaussian_log_posterior,
     gini_impurity,
     reference_best_split,
+    reference_class_log_scores,
+    reference_knn_predict,
+    reference_predict_forest,
+    reference_predict_gaussian_nb,
+    reference_predict_tree,
 )
 
 from stocksignals.classifiers import (
+    KINDS,
     ClassifierSpec,
     ForestModel,
     Internal,
+    KnnModel,
     Leaf,
     best_split,
     class_log_scores,
+    fit_classifier,
     fit_decision_tree,
     fit_gaussian_nb,
     fit_random_forest,
-    knn_predict,
-    predict_forest,
-    predict_gaussian_nb,
-    predict_tree,
+    predict_batch,
+    predict_one,
 )
+from stocksignals.classifiers import knn
 from stocksignals.classifiers.tree import DecisionTree, tree_depth
 from stocksignals.errors import (
+    DataError,
     DimensionMismatch,
     EmptyTraining,
     KTooLarge,
@@ -39,8 +48,11 @@ from stocksignals.labels import Label
 TREE = ClassifierSpec(kind="decision_tree")
 
 
-def predict_tree_batch(tree, X):
-    return [predict_tree(tree, row) for row in X]
+def knn_model(X, y, k):
+    """A kNN model over the given rows, without fit_knn's k <= n check."""
+    return KnnModel(
+        train_X=np.asarray(X, dtype=float), train_y=np.asarray(y, dtype=np.int64), k=k
+    )
 
 
 # --- impurities ----------------------------------------------------------------
@@ -180,9 +192,9 @@ def test_tree_separable_is_depth_one_and_exact():
     tree = fit_decision_tree(X, y, TREE)
     assert isinstance(tree.root, Internal)
     assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
-    assert predict_tree_batch(tree, X) == y
-    assert predict_tree(tree, [1.0]) == Label.SELL
-    assert predict_tree(tree, [2.5]) == Label.SELL  # boundary routes left
+    assert predict_batch(tree, X) == y
+    assert predict_one(tree, [1.0]) == Label.SELL
+    assert predict_one(tree, [2.5]) == Label.SELL  # boundary routes left
 
 
 def test_tree_single_class_is_single_leaf():
@@ -207,7 +219,7 @@ def test_tree_training_errors():
         fit_decision_tree([[1.0], [2.0]], [0], TREE)
     tree = fit_decision_tree([[1.0, 2.0]] * 2, [0, 0], TREE)
     with pytest.raises(DimensionMismatch):
-        predict_tree(tree, [1.0])
+        predict_one(tree, [1.0])
 
 
 def test_tree_perfect_fit_on_consistent_data():
@@ -218,7 +230,7 @@ def test_tree_perfect_fit_on_consistent_data():
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 3, size=n)
         tree = fit_decision_tree(X, y, TREE)
-        assert [int(p) for p in predict_tree_batch(tree, X)] == list(y)
+        assert [int(p) for p in predict_batch(tree, X)] == list(y)
 
 
 def test_tree_min_samples_split_stops_growth():
@@ -248,11 +260,10 @@ def test_forest_deterministic_given_seed():
     a = fit_random_forest(X, y, spec)
     b = fit_random_forest(X, y, spec)
     probes = rng.normal(size=(25, 6))
-    assert [predict_forest(a, p) for p in probes] == [predict_forest(b, p) for p in probes]
+    assert predict_batch(a, probes) == predict_batch(b, probes)
     c = fit_random_forest(X, y, ClassifierSpec(kind="random_forest", seed=12))
-    assert any(
-        predict_forest(a, p) != predict_forest(c, p) for p in rng.normal(size=(200, 6))
-    )
+    probes = rng.normal(size=(200, 6))
+    assert predict_batch(a, probes) != predict_batch(c, probes)
 
 
 def test_forest_degenerate_equals_plain_tree():
@@ -263,7 +274,7 @@ def test_forest_degenerate_equals_plain_tree():
     forest = fit_random_forest(X, y, spec)
     tree = fit_decision_tree(X, y, ClassifierSpec(kind="decision_tree"))
     probes = rng.normal(size=(40, 4))
-    assert [predict_forest(forest, p) for p in probes] == [predict_tree(tree, p) for p in probes]
+    assert predict_batch(forest, probes) == predict_batch(tree, probes)
 
 
 def _leaf_tree(label: Label) -> DecisionTree:
@@ -273,14 +284,14 @@ def _leaf_tree(label: Label) -> DecisionTree:
 def test_forest_vote_majority_and_ties():
     buys = [_leaf_tree(Label.BUY)] * 6 + [_leaf_tree(Label.SELL)] * 4
     forest = ForestModel(trees=buys, tree_seeds=[0] * 10, n_features=1, mtry=1)
-    assert predict_forest(forest, [0.0]) == Label.BUY
+    assert predict_one(forest, [0.0]) == Label.BUY
     tied = ForestModel(
         trees=[_leaf_tree(Label.BUY)] * 5 + [_leaf_tree(Label.SELL)] * 5,
         tree_seeds=[0] * 10, n_features=1, mtry=1,
     )
-    assert predict_forest(tied, [0.0]) == Label.HOLD
+    assert predict_one(tied, [0.0]) == Label.HOLD
     sells = ForestModel(trees=[_leaf_tree(Label.SELL)] * 10, tree_seeds=[0] * 10, n_features=1, mtry=1)
-    assert predict_forest(sells, [0.0]) == Label.SELL
+    assert predict_one(sells, [0.0]) == Label.SELL
 
 
 # --- knn ---------------------------------------------------------------------------
@@ -288,27 +299,27 @@ def test_forest_vote_majority_and_ties():
 def test_knn_exact_point_k1():
     X = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
     y = [0, 1, 2]
-    assert knn_predict(X, y, [1.0, 1.0], 1) == Label.HOLD
+    assert predict_one(knn_model(X, y, 1), [1.0, 1.0]) == Label.HOLD
 
 
 def test_knn_majority():
     X = [[0.0], [0.1], [0.2], [9.0]]
     y = [2, 2, 0, 0]
-    assert knn_predict(X, y, [0.05], 3) == Label.BUY
+    assert predict_one(knn_model(X, y, 3), [0.05]) == Label.BUY
 
 
 def test_knn_k_too_large():
     with pytest.raises(KTooLarge):
-        knn_predict([[0.0]] * 4, [0] * 4, [0.0], 5)
+        predict_one(knn_model([[0.0]] * 4, [0] * 4, 5), [0.0])
     with pytest.raises(EmptyTraining):
-        knn_predict(np.empty((0, 1)), [], [0.0], 1)
+        predict_one(knn_model(np.empty((0, 1)), [], 1), [0.0])
 
 
 def test_knn_distance_tie_prefers_lower_index():
     X = [[1.0], [-1.0]]
     y = [2, 0]
-    assert knn_predict(X, y, [0.0], 1) == Label.BUY
-    assert knn_predict([[-1.0], [1.0]], [0, 2], [0.0], 1) == Label.SELL
+    assert predict_one(knn_model(X, y, 1), [0.0]) == Label.BUY
+    assert predict_one(knn_model([[-1.0], [1.0]], [0, 2], 1), [0.0]) == Label.SELL
 
 
 def test_knn_full_neighbourhood_is_global_majority():
@@ -321,7 +332,7 @@ def test_knn_full_neighbourhood_is_global_majority():
         expected = Label.HOLD
         if votes.count(max(votes)) == 1:
             expected = Label(int(np.argmax(votes)))
-        assert knn_predict(X, y, rng.normal(size=3), n) == expected
+        assert predict_one(knn_model(X, y, n), rng.normal(size=3)) == expected
 
 
 # --- gaussian nb ---------------------------------------------------------------------
@@ -348,9 +359,9 @@ def test_nb_zero_variance_smoothed_positive():
 
 def test_nb_equal_variance_picks_nearer_mean():
     model = fit_gaussian_nb([[-1.0], [1.0]], [0, 2])
-    assert predict_gaussian_nb(model, [0.9]) == Label.BUY
-    assert predict_gaussian_nb(model, [-0.9]) == Label.SELL
-    assert predict_gaussian_nb(model, [0.0]) == Label.HOLD  # exact tie
+    assert predict_one(model, [0.9]) == Label.BUY
+    assert predict_one(model, [-0.9]) == Label.SELL
+    assert predict_one(model, [0.0]) == Label.HOLD  # exact tie
 
 
 def test_nb_matches_brute_force_posteriors():
@@ -364,7 +375,7 @@ def test_nb_matches_brute_force_posteriors():
             continue
         model = fit_gaussian_nb(X, y)
         x = rng.normal(size=d)
-        scores = class_log_scores(model, x)
+        scores = class_log_scores(model, x[None, :])[0]
         oracle = [
             gaussian_log_posterior(
                 model.priors[i], model.means[i], model.variances[i], x
@@ -374,15 +385,145 @@ def test_nb_matches_brute_force_posteriors():
         assert scores == pytest.approx(oracle, rel=1e-12)
         best = int(np.argmax(oracle))
         if [round(v, 12) for v in oracle].count(round(oracle[best], 12)) == 1:
-            assert predict_gaussian_nb(model, x) == Label(model.classes[best])
+            assert predict_one(model, x) == Label(model.classes[best])
 
 
 def test_nb_argmax_shift_invariant():
     model = fit_gaussian_nb([[-1.0], [0.0], [1.0]], [0, 1, 2])
-    x = [0.4]
-    scores = class_log_scores(model, x)
+    scores = class_log_scores(model, np.array([[0.4]]))[0]
     for shift in (-100.0, 3.5, 1e6):
         assert int(np.argmax(scores + shift)) == int(np.argmax(scores))
+
+
+# --- batch prediction against the per-row references ---------------------------------
+
+GRID = [-1.5, 0.0, 0.25, 1.0, 3.0]
+# midpoints of neighbouring grid values, i.e. every threshold a tree can learn
+MIDPOINTS = [-0.75, 0.125, 0.625, 2.0]
+# +-1e200 squares to an inf distance; NaN gives NaN distances and scores
+SPECIAL = [1e200, -1e200, math.nan]
+
+
+@st.composite
+def prediction_inputs(draw):
+    """Training rows on a 5-value grid (duplicate rows, distance ties, constant
+    columns) and 0..12 probes on the grid or its midpoints, a quarter of them
+    with one special value."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=6))
+    grid = st.sampled_from(GRID)
+    columns = [
+        [draw(grid)] * n if draw(st.booleans()) else draw(st.lists(grid, min_size=n, max_size=n))
+        for _ in range(d)
+    ]
+    X = np.array(columns, dtype=float).T
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    probes = np.empty((draw(st.integers(min_value=0, max_value=12)), d))
+    for probe in probes:
+        probe[:] = draw(st.lists(st.sampled_from(GRID + MIDPOINTS), min_size=d, max_size=d))
+        if draw(st.integers(0, 3)) == 0:
+            probe[draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
+    return X, y, probes
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs(), st.data())
+def test_knn_batch_matches_reference(inputs, data):
+    X, y, probes = inputs
+    k = data.draw(st.integers(min_value=1, max_value=len(y)), label="k")
+    per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    model = fit_classifier(ClassifierSpec(kind="knn", k=k), X, y)
+    with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * X.size):
+        labels = predict_batch(model, probes)
+    assert labels == [reference_knn_predict(X, y, probe, k) for probe in probes]
+    per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes])
+    assert _bit_equal(knn.squared_distances(X, probes), per_row.reshape(len(probes), len(y)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 40), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
+    """Off-grid values, so every addition rounds and the summation order shows
+    in the bits; d up to 40 covers numpy's unrolled pairwise sum (d >= 8)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    probes = rng.normal(size=(m, d))
+    per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes]).reshape(m, n)
+    assert _bit_equal(knn.squared_distances(X, probes), per_row)
+    k = int(rng.integers(1, n + 1))
+    model = fit_classifier(ClassifierSpec(kind="knn", k=k), X, rng.integers(0, 3, size=n))
+    assert predict_batch(model, probes) == [
+        reference_knn_predict(X, model.train_y, probe, k) for probe in probes
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]), min_size=8, max_size=8),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_nearest_mask_is_stable_argsort_prefix(rows, k):
+    squared = np.array(rows)
+    expected = np.zeros(squared.shape, dtype=bool)
+    for i, row in enumerate(squared):
+        expected[i, np.argsort(row, kind="stable")[:k]] = True
+    assert np.array_equal(knn.nearest_mask(squared, k), expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs(), st.data())
+def test_tree_and_forest_batches_match_reference(inputs, data):
+    X, y, probes = inputs
+    criterion = data.draw(st.sampled_from(["gini", "entropy"]), label="criterion")
+    max_depth = data.draw(st.none() | st.integers(min_value=0, max_value=4), label="max_depth")
+    tree = fit_decision_tree(
+        X, y, ClassifierSpec(kind="decision_tree", criterion=criterion, max_depth=max_depth)
+    )
+    assert predict_batch(tree, probes) == [reference_predict_tree(tree, p) for p in probes]
+    spec = ClassifierSpec(
+        kind="random_forest",
+        n_trees=data.draw(st.integers(min_value=1, max_value=6), label="n_trees"),
+        seed=data.draw(st.integers(min_value=0, max_value=2**32), label="seed"),
+        mtry=data.draw(st.none() | st.integers(min_value=1, max_value=6), label="mtry"),
+        bootstrap=data.draw(st.booleans(), label="bootstrap"),
+    )
+    forest = fit_random_forest(X, y, spec)
+    assert predict_batch(forest, probes) == [reference_predict_forest(forest, p) for p in probes]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs())
+@example((np.array([[-1.0], [1.0]]), np.array([0, 2]), np.array([[0.0], [0.9]])))  # exact tie
+@example((np.array([[0.0, 1.0]]), np.array([2]), np.empty((0, 2))))
+def test_gaussian_nb_batch_matches_reference(inputs):
+    X, y, probes = inputs
+    model = fit_gaussian_nb(X, y)
+    labels = predict_batch(model, probes)
+    assert labels == [reference_predict_gaussian_nb(model, p) for p in probes]
+    per_row = np.array([reference_class_log_scores(model, p) for p in probes])
+    scores = class_log_scores(model, probes)
+    assert _bit_equal(scores, per_row.reshape(len(probes), len(model.classes)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_rejects_1d_or_non_finite_training_input(kind):
+    """Every kind validates its training pair alike; DataError exits 2."""
+    spec = ClassifierSpec(kind=kind, k=1)
+    with pytest.raises(DimensionMismatch):
+        fit_classifier(spec, [0.0, 1.0], [0, 2])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError):
+            fit_classifier(spec, [[0.0], [bad]], [0, 2])
 
 
 # --- spec validation ------------------------------------------------------------------
@@ -405,5 +546,5 @@ def test_deep_tree_does_not_hit_recursion_limits():
     y = [i % 2 * 2 for i in range(n)]
     tree = fit_decision_tree(X, y, TREE)
     assert tree_depth(tree.root) >= 10
-    assert predict_tree(tree, [2.0]) == Label.SELL
-    assert predict_tree(tree, [3.0]) == Label.BUY
+    assert predict_one(tree, [2.0]) == Label.SELL
+    assert predict_one(tree, [3.0]) == Label.BUY
