@@ -50,8 +50,13 @@ def fit_knn(X, y, k: int) -> KnnModel:
 
 
 def squared_distances(train_X: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """(c, n) squared Euclidean distances from each of c probes to the n training rows."""
-    return ((train_X - probes[:, None, :]) ** 2).sum(axis=-1)
+    """(c, n) squared Euclidean distances from each of c probes to the n training rows.
+
+    The differences are squared in place (np.square is what `** 2` computes),
+    so the block needs one (c, n, d) array rather than two.
+    """
+    diff = train_X - probes[:, None, :]
+    return np.square(diff, out=diff).sum(axis=-1)
 
 
 def nearest_mask(squared: np.ndarray, k: int) -> np.ndarray:
