@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -43,7 +44,7 @@ from stocksignals.errors import (
     KTooLarge,
     UsageError,
 )
-from stocksignals.labels import Label
+from stocksignals.labels import Label, majority_label, majority_labels
 
 TREE = ClassifierSpec(kind="decision_tree")
 
@@ -513,6 +514,11 @@ def test_gaussian_nb_batch_matches_reference(inputs):
     per_row = np.array([reference_class_log_scores(model, p) for p in probes])
     scores = class_log_scores(model, probes)
     assert _bit_equal(scores, per_row.reshape(len(probes), len(model.classes)))
+
+
+def test_majority_labels_is_the_scalar_tie_rule_per_row():
+    counts = list(itertools.product(range(4), repeat=3))
+    assert majority_labels(np.array(counts)).tolist() == [majority_label(c) for c in counts]
 
 
 @pytest.mark.parametrize("kind", KINDS)
