@@ -58,6 +58,8 @@ RUNS = {
     ],
     "evaluate-by-sector": ["evaluate", "--by-sector", "--trees", "3", "--seed", "8"],
     "pipeline-features": ["pipeline", "--features", "six.txt", "--trees", "4", "--seed", "9"],
+    "evaluate-knn-by-sector": ["evaluate", "--model", "knn", "--by-sector", "--k", "3"],
+    "pipeline-knn-features": ["pipeline", "--model", "knn", "--features", "six.txt", "--k", "7"],
     "backtest-model-file": [
         "backtest", "--model-file", "pipeline-forest/model.json", "--seed", "42",
     ],
@@ -118,6 +120,28 @@ GOLDEN = {
         "trades_TK02.csv": "ec156a44ed210a3bbb86f0399187ea1b6a72a413301c1a0532a1387fa96355cc",
         "trades_TK03.csv": "7e617e035e0baf20321b37751469d0c99bcfcfbc44aca18925889fcc0106920a",
         "variance.csv": "6237f632657db15c15df9e00e5a0eb5892d1fb4c8a1d1ae06a14f74447baeb7c",
+    },
+    "evaluate-knn-by-sector": {
+        "metrics.csv": "81242bb687e20c824db6ea92f2129ec100a0764c4303906ba58d70f23d27c450",
+        "metrics.json": "57864c63f5f33874071b4fddfa41ce11c37fba8b1157a9a5ebba56d942e762e5",
+        "run.json": "a47766ae3dc9ff8205e7fcb367a4e7830ec98c097d832852dfedf0dd58bedc4c",
+    },
+    "pipeline-knn-features": {
+        "backtest_TK00.json": "1d279be6b90984f5802c636c558680e3ff3ddd80da3dedf09971257fcc754bdc",
+        "backtest_TK01.json": "73fafc6fd8e3f4a09428fc310f59cb608e0d4ffb78dc3b6577abd40443677ec3",
+        "backtest_TK02.json": "ee52ef9f77cf633faccbf2c72da61d719dbf5018e3aa906956116d2b5d9b0051",
+        "backtest_TK03.json": "590a5702163acc8508e8d167201460cb37e00533c70f0441a6c972ffbf85ca45",
+        "dataset.csv": "c9789eade27cc3aee3de3418761b904678434fb68164b97e4864b8a42f622247",
+        "metrics.csv": "7d4c0e53f13478528a1ab78738bc537b7eff9493079dbefd4dd4895ba43752a0",
+        "metrics.json": "9a2f0d265ba312309177352e06571df162eafea18fe72e9c7f48f4dadcc2bbe8",
+        "model.json": "e0a00b1beed9cb740ba772045ea5c0c50cebd636e8a5eaa5a5bd1667ea9f3a7e",
+        "ranking.csv": "78c0dee9b446f2a13c88cb566e9265f6413a0c9e48479e14f7231bc8e53fe8f7",
+        "run.json": "6de4eb6513ce1a24c33ca64a1ab7f5de7ee0ee4167f0314c8ac9a0446f52b369",
+        "trades_TK00.csv": "f6e08b85d3c5e1d63ad7b850728bceb2a779bb0348bc29b115fea1fffb847c9f",
+        "trades_TK01.csv": "e8de1d402757f327db609161e2c57fa23a4d854888aeda2b790570d73690467b",
+        "trades_TK02.csv": "a24996b52eeeafc595876382418435a2aeb995130cf9ceb5bf4a069d17044342",
+        "trades_TK03.csv": "6a7976602d44db46dfb670d056f29b3a0e7de35c551ca5730c47492f8d83787c",
+        "variance.csv": "7d5a231830437b490fb346d57d40daf85cdc0835be9dcd5a083f836114c075d1",
     },
     "backtest-model-file": {
         "backtest_TK00.json": "ad34e3c7e75c0192fb5ca0903f11370a07d742eec55782254dd09b2d4fba44c8",
