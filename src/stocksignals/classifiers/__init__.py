@@ -13,6 +13,7 @@ from stocksignals.classifiers.base import (
     fit_bundle,
     fit_bundles,
     fit_classifier,
+    horizon_labels,
     load_bundle,
     model_from_params,
     model_to_params,
@@ -56,6 +57,7 @@ __all__ = [
     "fit_decision_tree",
     "fit_gaussian_nb",
     "fit_random_forest",
+    "horizon_labels",
     "load_bundle",
     "model_from_params",
     "model_to_params",

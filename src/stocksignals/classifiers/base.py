@@ -89,22 +89,28 @@ def fit_classifier(spec: ClassifierSpec, X, y) -> FittedModel:
     return fit_gaussian_nb(X, y)
 
 
+def _probe_matrix(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(f"input of shape {X.shape}, model expects (m, {n_features})")
+    return X
+
+
+def _label_values(model: FittedModel, X) -> np.ndarray:
+    """Label value of every row of a matrix, from one batch predictor per model kind."""
+    X = _probe_matrix(X, model.n_features)
+    if isinstance(model, DecisionTree):
+        return tree_labels(model, X)
+    if isinstance(model, ForestModel):
+        return forest_labels(model, X)
+    if isinstance(model, KnnModel):
+        return knn_labels(model.train_X, model.train_y[:, None], model.k, X)[:, 0]
+    return gaussian_nb_labels(model, X)
+
+
 def predict_batch(model: FittedModel, X) -> list[Label]:
     """Predict every row of a matrix with one batch predictor per model kind."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"input of shape {X.shape}, model expects (m, {model.n_features})"
-        )
-    if isinstance(model, DecisionTree):
-        labels = tree_labels(model, X)
-    elif isinstance(model, ForestModel):
-        labels = forest_labels(model, X)
-    elif isinstance(model, KnnModel):
-        labels = knn_labels(model, X)
-    else:
-        labels = gaussian_nb_labels(model, X)
-    return [_LABELS[value] for value in labels.tolist()]
+    return [_LABELS[value] for value in _label_values(model, X).tolist()]
 
 
 def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
@@ -293,3 +299,24 @@ def fit_bundles(
 
 def fit_bundle(spec: ClassifierSpec, split: TrainTestSplit, horizon: int) -> ModelBundle:
     return next(fit_bundles(spec, split, (horizon,)))
+
+
+def horizon_labels(
+    spec: ClassifierSpec, split: TrainTestSplit, horizons: Sequence[int], X
+) -> np.ndarray:
+    """(m, len(horizons)) label values of scaled rows X; column j is what
+    fit_bundle(spec, split, horizons[j]) predicts for them.
+
+    Every horizon's training rows are a subset of the same scaled training
+    matrix, so kNN computes each block of probe distances once and lets every
+    horizon pick its neighbours from it. Other kinds fit and predict one
+    horizon at a time.
+    """
+    if spec.kind != "knn":
+        return np.column_stack(
+            [_label_values(bundle.model, X) for bundle in fit_bundles(spec, split, horizons)]
+        )
+    train = split.train
+    train_X = standardize_apply(split.scaler, train.X)
+    Y = np.column_stack([train.labels(horizon) for horizon in horizons])
+    return knn_labels(train_X, Y, spec.k, _probe_matrix(X, train_X.shape[1]))

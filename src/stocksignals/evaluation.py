@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from stocksignals.classifiers import ClassifierSpec, fit_bundles, predict_batch
+from stocksignals.classifiers import ClassifierSpec, horizon_labels
 from stocksignals.errors import (
     EmptyDataset,
     LengthMismatch,
@@ -147,9 +147,12 @@ def evaluate_per_horizon(
     """One independently fitted classifier per horizon, day-1 through day-n.
 
     Each is fitted on the labeled training rows and scored on the labeled
-    test rows; every horizon shares the split's scaler. Horizons with no
-    labeled row on either side of the split are omitted with a warning; if
-    none is evaluable the whole call fails.
+    test rows; every horizon shares the split's scaler. The test matrix is
+    scaled once and `horizon_labels` predicts all of it for every evaluable
+    horizon (kNN shares its distance blocks across them); each horizon's
+    report counts its labeled test rows only. Horizons with no labeled row on
+    either side of the split are omitted with a warning; if none is
+    evaluable the whole call fails.
     """
     train, test = split.train, split.test
     evaluable: list[int] = []
@@ -163,14 +166,15 @@ def evaluate_per_horizon(
     if not evaluable:
         raise NoEvaluableHorizon("no horizon had labeled train and test rows")
     X_test = standardize_apply(split.scaler, test.X)
+    predicted = horizon_labels(spec, split, evaluable, X_test)
     reports: list[HorizonReport] = []
-    for bundle in fit_bundles(spec, split, evaluable):
-        y_true = test.labels(bundle.horizon)
+    for horizon, labels in zip(evaluable, predicted.T):
+        y_true = test.labels(horizon)
         labeled = y_true >= 0
-        cm = confusion_matrix(y_true[labeled].tolist(), predict_batch(bundle.model, X_test[labeled]))
+        cm = confusion_matrix(y_true[labeled].tolist(), labels[labeled].tolist())
         reports.append(
             HorizonReport(
-                horizon=bundle.horizon,
+                horizon=horizon,
                 sell=class_metrics(cm, Label.SELL),
                 hold=class_metrics(cm, Label.HOLD),
                 buy=class_metrics(cm, Label.BUY),

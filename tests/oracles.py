@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, boolean masks, per-candidate recounts, one feature or column at a
 time) and shares no code with the package under test. The `reference_*`
 functions are the package's former implementations, kept as bit-for-bit
-references for the faster code that replaced them.
+references for the faster code that replaced them; the one exception,
+`reference_evaluate_per_horizon`, builds on the package's own fit and metric
+code, because what it checks is only how the work is shared across horizons.
 """
 
 import math
@@ -252,6 +254,58 @@ def reference_predict_gaussian_nb(model, x):
     scores = reference_class_log_scores(model, x)
     winners = np.nonzero(scores == scores.max())[0]
     return model.classes[int(winners[0])] if len(winners) == 1 else 1
+
+
+# --- evaluation -------------------------------------------------------------------
+
+def reference_evaluate_per_horizon(spec, split, sector=None):
+    """The package's former evaluation loop: one fitted bundle per evaluable
+    horizon, predicting that horizon's labeled test rows."""
+    from stocksignals.classifiers import fit_bundles, predict_batch
+    from stocksignals.errors import NoEvaluableHorizon
+    from stocksignals.evaluation import (
+        EvaluationReport,
+        HorizonReport,
+        class_metrics,
+        confusion_matrix,
+        micro_f1,
+    )
+    from stocksignals.labels import Label
+    from stocksignals.transform import standardize_apply
+
+    train, test = split.train, split.test
+    evaluable, omitted = [], []
+    for horizon in train.horizons:
+        if (train.labels(horizon) >= 0).any() and (test.labels(horizon) >= 0).any():
+            evaluable.append(horizon)
+        else:
+            omitted.append(horizon)
+    if not evaluable:
+        raise NoEvaluableHorizon("no horizon had labeled train and test rows")
+    X_test = standardize_apply(split.scaler, test.X)
+    reports = []
+    for bundle in fit_bundles(spec, split, evaluable):
+        y_true = test.labels(bundle.horizon)
+        labeled = y_true >= 0
+        cm = confusion_matrix(y_true[labeled].tolist(), predict_batch(bundle.model, X_test[labeled]))
+        reports.append(
+            HorizonReport(
+                horizon=bundle.horizon,
+                sell=class_metrics(cm, Label.SELL),
+                hold=class_metrics(cm, Label.HOLD),
+                buy=class_metrics(cm, Label.BUY),
+                micro_f1=micro_f1(cm),
+                confusion=cm,
+                n_test=cm.total,
+            )
+        )
+    return EvaluationReport(
+        spec=spec,
+        seed=spec.seed,
+        horizons=tuple(reports),
+        sector=sector,
+        omitted_horizons=tuple(omitted),
+    )
 
 
 # --- backtest ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -472,12 +473,84 @@ def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
     ),
     st.integers(min_value=1, max_value=8),
 )
+# one block mixing rows that need the lowest-index fill at the k-th distance
+# (more ties there than free slots) with rows that take every tie
+@example([[0.0, 1, 1, 1, 2, 2, 2, 2], [0.0, 1, 2, 2, 2, 2, 2, 2], [1.0] * 8, [2.0, 0, 1, 2, 1, 0, 2, 1]], 2)
+@example([[math.nan] * 8, [0.0, 0, 1, 1, 1, 2, 2, 2], [0.0, 1, 2, 3, 4, 5, 6, 7]], 3)
+@example([[0.0, math.nan, 1, math.nan, math.inf, 1, math.nan, 2], [0.0, 1, 1, 2, 2, 2, 2, 2]], 6)
 def test_nearest_mask_is_stable_argsort_prefix(rows, k):
     squared = np.array(rows)
     expected = np.zeros(squared.shape, dtype=bool)
     for i, row in enumerate(squared):
         expected[i, np.argsort(row, kind="stable")[:k]] = True
     assert np.array_equal(knn.nearest_mask(squared, k), expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs(), st.data())
+def test_knn_label_columns_match_reference(inputs, data):
+    """Every column of a multi-column call is the per-row vote over that
+    column's labeled rows; a column with too few rows raises, first one first."""
+    X, _, probes = inputs
+    n = len(X)
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    exactly_k = np.isin(np.arange(n), data.draw(st.permutations(range(n)), label="rows")[:k])
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    kept = [np.ones(n, dtype=bool), exactly_k] + [np.array(data.draw(masks)) for _ in range(2)]
+    order = data.draw(st.permutations(range(4)), label="column order")
+    kept = [kept[i] for i in order[: data.draw(st.integers(1, 4), label="columns")]]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    Y = np.column_stack([np.where(rows, data.draw(labels), -1) for rows in kept])
+    per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
+        counts = [int(rows.sum()) for rows in kept]
+        short = [count for count in counts if count < k]
+        if short and short[0] == 0:
+            with pytest.raises(EmptyTraining):
+                knn.knn_labels(X, Y, k, probes)
+            return
+        if short:
+            with pytest.raises(KTooLarge, match=f"^k={k} but only {short[0]} training rows$"):
+                knn.knn_labels(X, Y, k, probes)
+            return
+        got = knn.knn_labels(X, Y, k, probes)
+    assert got.shape == (len(probes), len(kept))
+    for j, rows in enumerate(kept):
+        expected = [reference_knn_predict(X[rows], Y[rows, j], probe, k) for probe in probes]
+        assert got[:, j].tolist() == expected
+
+
+def test_knn_labels_checks_columns_in_order():
+    X = np.arange(6.0)[:, None]
+    Y = np.array([[0, 1, -1], [1, -1, -1], [2, -1, 0], [0, 1, -1], [1, -1, -1], [2, 1, -1]])
+    with pytest.raises(KTooLarge, match="^k=4 but only 3 training rows$"):
+        knn.knn_labels(X, Y, 4, X)
+    with pytest.raises(KTooLarge, match="^k=2 but only 1 training rows$"):
+        knn.knn_labels(X, Y, 2, X)
+    with pytest.raises(EmptyTraining):
+        knn.knn_labels(X, np.column_stack([Y[:, 0], np.full(6, -1)]), 1, X)
+    X_bad = X.copy()
+    X_bad[1] = math.nan  # a row labeled only in the first column
+    with pytest.raises(DataError, match="finite"):
+        knn.knn_labels(X_bad, Y, 1, X)
+    assert knn.knn_labels(X_bad, Y[:, 1:], 1, X).shape == (6, 2)
+
+
+def test_knn_labels_memory_stays_below_the_full_distance_matrix():
+    """Ten label columns share bounded distance blocks, never the (m, n) matrix
+    (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS)."""
+    rng = np.random.default_rng(0)
+    train_X = rng.normal(size=(1959, 28))
+    Y = rng.integers(-1, 3, size=(1959, 10))
+    X = rng.normal(size=(841, 28))
+    tracemalloc.start()
+    try:
+        knn.knn_labels(train_X, Y, 5, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(X) * len(train_X) * 8 / 2
 
 
 @settings(max_examples=400, deadline=None)

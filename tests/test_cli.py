@@ -264,6 +264,32 @@ def test_feature_subset_file(tmp_path, market_csv):
     assert run("evaluate", "--data", market_csv, "--out", out, "--features", bad) == 1
 
 
+def test_knn_k_between_horizon_row_counts_exits_1_naming_the_first_short_horizon(
+    tmp_path, market_csv, capsys
+):
+    # training rows labeled per horizon on this market: 125, 123, 120, 118, 115, ...
+    out = tmp_path / "out"
+    assert run("evaluate", "--data", market_csv, "--out", out, "--model", "knn", "--k", "117") == 1
+    assert capsys.readouterr().err == "error: k=117 but only 115 training rows\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_knn_non_finite_scaled_training_rows_exit_2(tmp_path, market_csv, capsys):
+    # three BEST_CAPEX values near the float64 maximum overflow the scaler's
+    # mean, so the scaled training matrix holds non-finite values
+    lines = market_csv.read_text().splitlines()
+    column = lines[0].split(",").index("BEST_CAPEX")
+    for i in (5, 90, 150):
+        cells = lines[i].split(",")
+        cells[column] = "1.7e308"
+        lines[i] = ",".join(cells)
+    market_csv.write_text("\n".join(lines) + "\n")
+    assert run("evaluate", "--data", market_csv, "--out", tmp_path / "out", "--model", "knn") == 2
+    assert capsys.readouterr().err == "data error: features must be finite\n"
+
+
 def test_pipeline_produces_full_artifact_set(tmp_path, market_csv, capsys):
     out = tmp_path / "out"
     assert (

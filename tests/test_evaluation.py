@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from conftest import random_dataset
+from oracles import reference_evaluate_per_horizon
 
-from stocksignals.classifiers import ClassifierSpec
-from stocksignals.errors import EmptyDataset, LengthMismatch, NoEvaluableHorizon
+from stocksignals.classifiers import KINDS, ClassifierSpec
+from stocksignals.errors import EmptyDataset, KTooLarge, LengthMismatch, NoEvaluableHorizon
 from stocksignals.evaluation import (
     ConfusionMatrix,
     class_metrics,
@@ -151,3 +152,40 @@ def test_evaluate_no_evaluable_horizon():
     data.Y[:] = -1
     with pytest.raises(NoEvaluableHorizon):
         evaluate_per_horizon(ClassifierSpec(kind="decision_tree"), _split(data))
+
+
+def _masked_split(seed, n=90):
+    """A random split whose horizons have different labeled-row counts and
+    whose horizon 7 has no labeled training row (so it is omitted)."""
+    data = random_dataset(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    data.Y[rng.random(data.Y.shape) < 0.3] = -1
+    split = _split(data)
+    split.train.Y[:, 6] = -1
+    return split
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_evaluate_matches_per_horizon_reference(kind, seed):
+    split = _masked_split(seed)
+    subset = split.select(split.train.feature_names[seed % 5 :: 3])
+    spec = ClassifierSpec(kind=kind, k=1 + seed % 7, n_trees=3, max_depth=4, seed=seed)
+    for case in (split, subset):
+        report = evaluate_per_horizon(spec, case, sector="Tech")
+        assert report == reference_evaluate_per_horizon(spec, case, sector="Tech")
+        assert report.omitted_horizons == (7,)
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_evaluate_knn_k_between_horizon_counts_raises_like_reference(seed):
+    split = _masked_split(seed)
+    counts = [int((split.train.labels(h) >= 0).sum()) for h in split.train.horizons if h != 7]
+    k = sorted(counts)[len(counts) // 2]  # enough rows for some horizons, too few for others
+    assert min(counts) < k <= max(counts)
+    spec = ClassifierSpec(kind="knn", k=k)
+    with pytest.raises(KTooLarge) as expected:
+        reference_evaluate_per_horizon(spec, split)
+    with pytest.raises(KTooLarge) as got:
+        evaluate_per_horizon(spec, split)
+    assert str(got.value) == str(expected.value)
