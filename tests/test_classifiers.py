@@ -503,15 +503,15 @@ def test_knn_label_columns_match_reference(inputs, data):
     labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
     Y = np.column_stack([np.where(rows, data.draw(labels), -1) for rows in kept])
     per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    short = [count for count in (int(rows.sum()) for rows in kept) if count < k]
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
-        counts = [int(rows.sum()) for rows in kept]
-        short = [count for count in counts if count < k]
-        if short and short[0] == 0:
-            with pytest.raises(EmptyTraining):
-                knn.knn_labels(X, Y, k, probes)
-            return
         if short:
-            with pytest.raises(KTooLarge, match=f"^k={k} but only {short[0]} training rows$"):
+            error, message = (
+                (EmptyTraining, "no training rows")
+                if short[0] == 0
+                else (KTooLarge, f"k={k} but only {short[0]} training rows")
+            )
+            with pytest.raises(error, match=f"^{message}$"):
                 knn.knn_labels(X, Y, k, probes)
             return
         got = knn.knn_labels(X, Y, k, probes)
@@ -521,19 +521,16 @@ def test_knn_label_columns_match_reference(inputs, data):
         assert got[:, j].tolist() == expected
 
 
-def test_knn_labels_checks_columns_in_order():
+def test_knn_labels_rejects_a_non_finite_row_only_where_it_is_labeled():
     X = np.arange(6.0)[:, None]
     Y = np.array([[0, 1, -1], [1, -1, -1], [2, -1, 0], [0, 1, -1], [1, -1, -1], [2, 1, -1]])
-    with pytest.raises(KTooLarge, match="^k=4 but only 3 training rows$"):
-        knn.knn_labels(X, Y, 4, X)
-    with pytest.raises(KTooLarge, match="^k=2 but only 1 training rows$"):
-        knn.knn_labels(X, Y, 2, X)
-    with pytest.raises(EmptyTraining):
-        knn.knn_labels(X, np.column_stack([Y[:, 0], np.full(6, -1)]), 1, X)
     X_bad = X.copy()
-    X_bad[1] = math.nan  # a row labeled only in the first column
-    with pytest.raises(DataError, match="finite"):
-        knn.knn_labels(X_bad, Y, 1, X)
+    X_bad[1] = math.nan  # labeled in the first column only
+    # columns are checked one after the other, as horizons were fitted
+    with pytest.raises(DataError, match="^features must be finite$"):
+        knn.knn_labels(X_bad, Y[:, [0, 2]], 2, X)
+    with pytest.raises(KTooLarge, match="^k=2 but only 1 training rows$"):
+        knn.knn_labels(X_bad, Y[:, [2, 0]], 2, X)
     assert knn.knn_labels(X_bad, Y[:, 1:], 1, X).shape == (6, 2)
 
 
