@@ -30,8 +30,6 @@ from stocksignals.classifiers.gaussian_nb import (
 from stocksignals.classifiers.knn import KnnModel
 from stocksignals.classifiers.tree import (
     DecisionTree,
-    Internal,
-    Leaf,
     Split,
     best_split,
     fit_decision_tree,
@@ -45,8 +43,6 @@ __all__ = [
     "ForestModel",
     "GaussianNbModel",
     "KnnModel",
-    "Internal",
-    "Leaf",
     "Split",
     "best_split",
     "bundle_json",

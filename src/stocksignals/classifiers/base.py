@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
@@ -22,10 +23,8 @@ from stocksignals.classifiers.gaussian_nb import (
 from stocksignals.classifiers.knn import KnnModel, fit_knn, knn_labels
 from stocksignals.classifiers.tree import (
     DecisionTree,
-    Internal,
-    Leaf,
+    check_layout,
     fit_decision_tree,
-    preorder,
     tree_labels,
 )
 from stocksignals.errors import DimensionMismatch, EmptyTraining, UsageError
@@ -120,20 +119,20 @@ def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
 
 # --- parameter (de)serialization -------------------------------------------
 
+# model.json keeps these columns of a leaf and these of an internal node; the
+# fitted columns hold _FILL in the fields a node does not keep
+_LEAF_FIELDS = ("counts", "label")
+_SPLIT_FIELDS = ("feature", "threshold", "left", "right")
+_FILL = dict(feature=-1, threshold=0.0, left=-1, right=-1, counts=[0, 0, 0], label=Label.HOLD)
+
+
 def _encode_tree(tree: DecisionTree) -> dict:
-    """Flat preorder node list; avoids recursion limits on deep trees."""
-    nodes, left, right = preorder(tree.root)
+    """The columns as a preorder node list; avoids recursion limits on deep trees."""
+    columns = {name: getattr(tree, name).tolist() for name in _FILL}
     return {
         "nodes": [
-            {"counts": list(node.counts), "label": int(node.label)}
-            if isinstance(node, Leaf)
-            else {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": left[pos],
-                "right": right[pos],
-            }
-            for pos, node in enumerate(nodes)
+            {name: columns[name][pos] for name in (_SPLIT_FIELDS if split else _LEAF_FIELDS)}
+            for pos, split in enumerate((tree.left >= 0).tolist())
         ],
         "n_features": tree.n_features,
         "criterion": tree.criterion,
@@ -141,24 +140,19 @@ def _encode_tree(tree: DecisionTree) -> dict:
 
 
 def _decode_tree(data: Mapping) -> DecisionTree:
-    raw = data["nodes"]
-    built: list[Leaf | Internal] = []
-    for entry in raw:
-        if "counts" in entry:
-            built.append(
-                Leaf(counts=tuple(entry["counts"]), label=Label(entry["label"]))
-            )
-        else:
-            built.append(
-                Internal(feature=entry["feature"], threshold=entry["threshold"])
-            )
-    for entry, node in zip(raw, built):
-        if isinstance(node, Internal):
-            node.left = built[entry["left"]]
-            node.right = built[entry["right"]]
-    return DecisionTree(
-        root=built[0], n_features=data["n_features"], criterion=data["criterion"]
+    """Columns of a preorder node list; ValueError unless check_layout holds."""
+    columns: dict[str, list] = {name: [] for name in _FILL}
+    for node in data["nodes"]:
+        kept = _LEAF_FIELDS if "counts" in node else _SPLIT_FIELDS
+        for name, column in columns.items():
+            column.append(node[name] if name in kept else _FILL[name])
+    tree = DecisionTree(
+        **{name: np.array(column) for name, column in columns.items()},
+        n_features=data["n_features"],
+        criterion=data["criterion"],
     )
+    check_layout(tree)
+    return tree
 
 
 def model_to_params(model: FittedModel) -> dict:
@@ -190,8 +184,11 @@ def model_from_params(kind: str, params: Mapping) -> FittedModel:
     if kind == "decision_tree":
         return _decode_tree(params["tree"])
     if kind == "random_forest":
+        trees = [_decode_tree(t) for t in params["trees"]]
+        if not trees or any(tree.n_features != params["n_features"] for tree in trees):
+            raise ValueError("a forest needs at least one tree, each with the forest's n_features")
         return ForestModel(
-            trees=[_decode_tree(t) for t in params["trees"]],
+            trees=trees,
             tree_seeds=list(params["tree_seeds"]),
             n_features=params["n_features"],
             mtry=params["mtry"],
@@ -248,12 +245,12 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelBundle":
-        if data.get("format") != FORMAT_NAME:
-            raise UsageError("not a model file")
+        if not isinstance(data, Mapping) or data.get("format") != FORMAT_NAME:
+            raise UsageError(f"format is not {FORMAT_NAME!r}")
         spec = ClassifierSpec(**data["spec"])
         return cls(
             spec=spec,
-            horizon=data["horizon"],
+            horizon=operator.index(data["horizon"]),
             feature_names=tuple(data["feature_names"]),
             scaler=Scaler.from_dict(data["scaler"]),
             model=model_from_params(spec.kind, data["params"]),
@@ -269,7 +266,13 @@ def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
 
 
 def load_bundle(path: Path | str) -> ModelBundle:
-    return ModelBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a saved bundle; UsageError naming the file if it does not hold one."""
+    try:
+        return ModelBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise UsageError(f"not a model file: {path}: missing key {exc}") from None
+    except (ValueError, TypeError, UsageError) as exc:
+        raise UsageError(f"not a model file: {path}: {exc}") from None
 
 
 def fit_bundles(

@@ -43,8 +43,9 @@ def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
     """Fit spec.n_trees trees, each on a size-n bootstrap sample.
 
     Every node's split search is restricted to mtry features sampled without
-    replacement (default floor(sqrt(d))). spec.bootstrap=False is a test
-    hook that trains every tree on the full sample.
+    replacement (default floor(sqrt(d))). Trees index the shared matrix
+    through their sample's rows. spec.bootstrap=False is a test hook that
+    trains every tree on the full sample.
     """
     X_arr, y_arr = as_training_arrays(X, y)
     n, d = X_arr.shape
@@ -57,17 +58,15 @@ def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
         tree_seeds.append(seed)
         rng = SplitMix64(seed)
         if spec.bootstrap:
-            sample = np.asarray(rng.bootstrap_indices(n), dtype=np.int64)
-            X_t, y_t = X_arr[sample], y_arr[sample]
+            rows = np.asarray(rng.bootstrap_indices(n), dtype=np.int64)
         else:
-            X_t, y_t = X_arr, y_arr
+            rows = np.arange(n)
         if mtry < d:
             pick = lambda: sorted(rng.sample_indices(d, mtry))  # noqa: E731
         else:
             all_features = tuple(range(d))
             pick = lambda: all_features  # noqa: E731
-        root = grow_tree(X_t, y_t, spec, pick)
-        trees.append(DecisionTree(root=root, n_features=d, criterion=spec.criterion))
+        trees.append(grow_tree(X_arr, y_arr, rows, spec, pick))
     return ForestModel(trees=trees, tree_seeds=tree_seeds, n_features=d, mtry=mtry)
 
 

@@ -18,28 +18,32 @@ elementwise operations and 3-wide row sums as a one-feature-at-a-time
 search (kept in the tests as the reference), so trees are bit-identical
 to it.
 
-`tree_labels` predicts a whole probe matrix by walking all probes down the
-tree together, one level per step, over the tree's preorder arrays (the
-layout of the saved model): each probe still inside the tree moves to the
-left child when x[feature] <= threshold and to the right child otherwise,
-NaN included, exactly as one probe walked on its own.
+A fitted tree is its preorder columns, the node list of the saved model:
+`grow_tree` pops nodes in preorder, left child first, and appends each to
+the columns as it goes, so a node's left child is the next row and its
+right child's row is filled in when that child is popped. `tree_labels`
+predicts a whole probe matrix by walking all probes down these columns
+together, one level per step: each probe still inside the tree moves to
+the left child when x[feature] <= threshold and to the right child
+otherwise, NaN included, exactly as one probe walked on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
-from stocksignals.labels import Label, majority_label
+from stocksignals.labels import majority_labels
 
 if TYPE_CHECKING:
     from stocksignals.classifiers.base import ClassifierSpec
 
 N_CLASSES = 3
 _ONE_HOT = np.eye(N_CLASSES)
+_NO_COUNTS = np.zeros(N_CLASSES, dtype=np.int64)
 
 
 def _impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
@@ -101,51 +105,47 @@ def best_split(
     return Split(feature=int(features[j, 0]), threshold=threshold, gain=gain)
 
 
-@dataclass
-class Leaf:
-    counts: tuple[int, int, int]
-    label: Label
-
-
-@dataclass
-class Internal:
-    feature: int
-    threshold: float
-    # children excluded from repr: printing a deep tree must not recurse
-    left: "Leaf | Internal | None" = field(default=None, repr=False)
-    right: "Leaf | Internal | None" = field(default=None, repr=False)
-
-
-TreeNode = Leaf | Internal
-
-
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    root: TreeNode
+    """A fitted tree as preorder columns, the node list of the saved model.
+
+    Node 0 is the root and each internal node's left child follows it
+    (`left[i] == i + 1`). Leaves hold -1 in `feature`, `left` and `right`
+    and 0.0 in `threshold`; internal nodes hold zero `counts` and so the
+    Hold label that the tie rule gives zero counts.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray  # (n_nodes, 3) training rows of each label per leaf
+    label: np.ndarray
     n_features: int
     criterion: str
 
 
-def _leaf_from_counts(counts: np.ndarray) -> Leaf:
-    values = counts.tolist()
-    return Leaf(counts=tuple(values), label=majority_label(values))
-
-
-def grow_tree(X: np.ndarray, y: np.ndarray, spec: "ClassifierSpec", pick_candidates) -> TreeNode:
-    """Iterative CART growth (explicit stack, preorder, left child first).
+def grow_tree(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: "ClassifierSpec", pick_candidates
+) -> DecisionTree:
+    """Iterative CART growth on X[rows], y[rows] (explicit stack, preorder,
+    left child first), appending each node to the columns as it is popped.
 
     `pick_candidates()` supplies the feature indices searched at each node;
     random forests pass a sampler, plain trees pass all features.
     """
-    root: TreeNode | None = None
-    stack: list[tuple[np.ndarray, int, Internal | None, str]] = [
-        (np.arange(len(y)), 0, None, "")
-    ]
+    nodes: list[tuple[int, float, int, np.ndarray]] = []  # feature, threshold, left, counts
+    right: list[int] = []
+    # (node rows, depth, position of the parent whose right child this is, or -1)
+    stack: list[tuple[np.ndarray, int, int]] = [(rows, 0, -1)]
     while stack:
-        idx, depth, parent, side = stack.pop()
+        idx, depth, parent = stack.pop()
+        pos = len(nodes)
+        if parent >= 0:
+            right[parent] = pos
+        right.append(-1)
         y_node = y[idx]
         counts = np.bincount(y_node, minlength=N_CLASSES)
-        node: TreeNode
         stop = (
             np.count_nonzero(counts) <= 1
             or len(idx) < spec.min_samples_split
@@ -155,20 +155,52 @@ def grow_tree(X: np.ndarray, y: np.ndarray, spec: "ClassifierSpec", pick_candida
         if not stop:
             split = best_split(X, y_node, spec.criterion, pick_candidates(), rows=idx)
         if split is None:
-            node = _leaf_from_counts(counts)
-        else:
-            node = Internal(feature=split.feature, threshold=split.threshold)
-            mask = X[idx, split.feature] <= split.threshold
-            stack.append((idx[~mask], depth + 1, node, "R"))
-            stack.append((idx[mask], depth + 1, node, "L"))
-        if parent is None:
-            root = node
-        elif side == "L":
-            parent.left = node
-        else:
-            parent.right = node
-    assert root is not None
-    return root
+            nodes.append((-1, 0.0, -1, counts))
+            continue
+        nodes.append((split.feature, split.threshold, pos + 1, _NO_COUNTS))
+        mask = X[idx, split.feature] <= split.threshold
+        stack.append((idx[~mask], depth + 1, pos))
+        stack.append((idx[mask], depth + 1, -1))
+    feature, threshold, left, counts = (np.array(column) for column in zip(*nodes))
+    return DecisionTree(
+        feature, threshold, left, np.array(right), counts, majority_labels(counts),
+        n_features=X.shape[1], criterion=spec.criterion,
+    )
+
+
+def check_layout(tree: DecisionTree) -> None:
+    """Raise ValueError unless every walk down the columns ends at a leaf.
+
+    Each internal node i needs left[i] == i + 1 and i + 1 < right[i] <
+    n_nodes, so child positions strictly increase and no walk can cycle,
+    and a feature in 0..n_features - 1. Each leaf needs right == -1, three
+    non-negative counts with a positive total and a label in 0..2.
+    """
+    n = len(tree.left)
+    columns = (tree.threshold, tree.feature, tree.left, tree.right, tree.label, tree.counts)
+    expected = [((n,), "f")] + [((n,), "i")] * 4 + [((n, N_CLASSES), "i")]
+    if n == 0 or [(column.shape, column.dtype.kind) for column in columns] != expected:
+        raise ValueError("a tree needs float thresholds and integer columns, one row a node")
+    internal = tree.left != -1
+    pos, right, feature = np.flatnonzero(internal), tree.right[internal], tree.feature[internal]
+    if not (
+        (tree.left[internal] == pos + 1).all()
+        and (right > pos + 1).all()
+        and (right < n).all()
+        and (tree.right[~internal] == -1).all()
+    ):
+        raise ValueError("tree child positions are not a preorder layout")
+    counts, label = tree.counts[~internal], tree.label[~internal]
+    if not (
+        ((feature >= 0) & (feature < tree.n_features)).all()
+        and ((label >= 0) & (label < N_CLASSES)).all()
+        and (counts >= 0).all()
+        and (counts.sum(axis=1) > 0).all()
+    ):
+        raise ValueError(
+            f"tree split features must lie in 0..{tree.n_features - 1}, leaf labels in 0..2, "
+            "leaf counts be non-negative with a positive total"
+        )
 
 
 def as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -192,56 +224,20 @@ def fit_decision_tree(X, y, spec: "ClassifierSpec") -> DecisionTree:
     X_arr, y_arr = as_training_arrays(X, y)
     d = X_arr.shape[1]
     all_features = tuple(range(d))
-    root = grow_tree(X_arr, y_arr, spec, lambda: all_features)
-    return DecisionTree(root=root, n_features=d, criterion=spec.criterion)
-
-
-def preorder(root: TreeNode) -> tuple[list[TreeNode], list[int], list[int]]:
-    """Nodes in preorder (left subtree first) with each node's left and right
-    child positions, -1 at leaves. An explicit stack avoids recursion limits."""
-    nodes: list[TreeNode] = []
-    left: list[int] = []
-    right: list[int] = []
-    stack: list[tuple[TreeNode, list[int] | None, int]] = [(root, None, -1)]
-    while stack:
-        node, parent_side, parent = stack.pop()
-        if parent_side is not None:
-            parent_side[parent] = len(nodes)
-        if isinstance(node, Internal):
-            stack.append((node.right, right, len(nodes)))
-            stack.append((node.left, left, len(nodes)))
-        nodes.append(node)
-        left.append(-1)
-        right.append(-1)
-    return nodes, left, right
+    return grow_tree(X_arr, y_arr, np.arange(len(y_arr)), spec, lambda: all_features)
 
 
 def tree_labels(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     """Label value of each row of X: the label of the leaf it reaches."""
-    nodes, left_list, right_list = preorder(tree.root)
-    left, right = np.array(left_list), np.array(right_list)
-    internal = left >= 0
-    feature = np.array([getattr(node, "feature", 0) for node in nodes])
-    threshold = np.array([getattr(node, "threshold", 0.0) for node in nodes])
-    label = np.array([getattr(node, "label", 0) for node in nodes])
+    internal = tree.left >= 0
     at = np.zeros(len(X), dtype=np.intp)
     rows = np.flatnonzero(internal[at])
     while rows.size:
         node = at[rows]
-        child = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+        child = np.where(
+            X[rows, tree.feature[node]] <= tree.threshold[node], tree.left[node], tree.right[node]
+        )
         at[rows] = child
         rows = rows[internal[child]]
-    return label[at]
+    return tree.label[at]
 
-
-def tree_depth(node: TreeNode) -> int:
-    """Maximum edge count from this node down to a leaf."""
-    depth = 0
-    stack = [(node, 0)]
-    while stack:
-        current, level = stack.pop()
-        depth = max(depth, level)
-        if isinstance(current, Internal):
-            stack.append((current.left, level + 1))
-            stack.append((current.right, level + 1))
-    return depth

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -16,24 +15,12 @@ class Label(IntEnum):
     BUY = 2
 
 
-def majority_label(counts: Sequence[int]) -> Label:
-    """Majority class of per-label counts (index = label value).
+def majority_labels(votes: np.ndarray) -> np.ndarray:
+    """Majority class of each row of an (m, 3) count matrix (column = label
+    value), as label values.
 
     Any tie resolves to Hold, the action that leaves a trading position
     unchanged.
-    """
-    best = max(counts)
-    winners = [i for i, c in enumerate(counts) if c == best]
-    if len(winners) != 1:
-        return Label.HOLD
-    return Label(winners[0])
-
-
-def majority_labels(votes: np.ndarray) -> np.ndarray:
-    """`majority_label` of each row of an (m, 3) count matrix, as label values.
-
-    Kept beside the scalar form, which tree growth calls once per leaf, where
-    a numpy call would cost more than the vote it counts.
     """
     winners = votes == votes.max(axis=1, keepdims=True)
     return np.where(winners.sum(axis=1) == 1, winners.argmax(axis=1), Label.HOLD)

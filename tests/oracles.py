@@ -203,8 +203,12 @@ def gaussian_log_posterior(prior, means, variances, x):
 
 # --- prediction, one row at a time -----------------------------------------------
 
-def _reference_majority(votes):
-    """Index of the single largest count; any tie is Hold (1)."""
+def majority_label(votes):
+    """Index of the single largest count; any tie is Hold (1).
+
+    The scalar tie rule the package once applied to each leaf, kept as the
+    reference for its row-wise form.
+    """
     best = max(votes)
     winners = [i for i, count in enumerate(votes) if count == best]
     return winners[0] if len(winners) == 1 else 1
@@ -221,15 +225,19 @@ def reference_knn_predict(train_X, train_y, x, k):
     votes = [0, 0, 0]
     for i in np.argsort(squared, kind="stable")[:k]:
         votes[int(train_y[i])] += 1
-    return _reference_majority(votes)
+    return majority_label(votes)
 
 
 def reference_predict_tree(tree, x):
-    """Walk from the root: x[feature] <= threshold goes left."""
-    node = tree.root
-    while hasattr(node, "threshold"):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return int(node.label)
+    """Walk the preorder columns from row 0: x[feature] <= threshold goes
+    left, and a row with left == -1 is a leaf."""
+    node = 0
+    while tree.left[node] != -1:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return int(tree.label[node])
 
 
 def reference_predict_forest(forest, x):
@@ -237,7 +245,7 @@ def reference_predict_forest(forest, x):
     votes = [0, 0, 0]
     for tree in forest.trees:
         votes[reference_predict_tree(tree, x)] += 1
-    return _reference_majority(votes)
+    return majority_label(votes)
 
 
 def reference_class_log_scores(model, x):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -12,6 +13,7 @@ from oracles import (
     entropy_impurity,
     gaussian_log_posterior,
     gini_impurity,
+    majority_label,
     reference_best_split,
     reference_class_log_scores,
     reference_knn_predict,
@@ -24,20 +26,20 @@ from stocksignals.classifiers import (
     KINDS,
     ClassifierSpec,
     ForestModel,
-    Internal,
     KnnModel,
-    Leaf,
     best_split,
     class_log_scores,
     fit_classifier,
     fit_decision_tree,
     fit_gaussian_nb,
     fit_random_forest,
+    model_from_params,
+    model_to_params,
     predict_batch,
     predict_one,
 )
 from stocksignals.classifiers import knn
-from stocksignals.classifiers.tree import DecisionTree, tree_depth
+from stocksignals.classifiers.tree import DecisionTree, check_layout
 from stocksignals.errors import (
     DataError,
     DimensionMismatch,
@@ -45,7 +47,7 @@ from stocksignals.errors import (
     KTooLarge,
     UsageError,
 )
-from stocksignals.labels import Label, majority_label, majority_labels
+from stocksignals.labels import Label, majority_labels
 
 TREE = ClassifierSpec(kind="decision_tree")
 
@@ -192,8 +194,11 @@ def test_tree_separable_is_depth_one_and_exact():
     X = [[1.0], [2.0], [3.0], [4.0]]
     y = [Label.SELL, Label.SELL, Label.BUY, Label.BUY]
     tree = fit_decision_tree(X, y, TREE)
-    assert isinstance(tree.root, Internal)
-    assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
+    assert tree.left.tolist() == [1, -1, -1]
+    assert tree.right.tolist() == [2, -1, -1]
+    assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
+    assert tree.counts.tolist() == [[0, 0, 0], [2, 0, 0], [0, 0, 2]]
+    assert tree.label.tolist() == [Label.HOLD, Label.SELL, Label.BUY]
     assert predict_batch(tree, X) == y
     assert predict_one(tree, [1.0]) == Label.SELL
     assert predict_one(tree, [2.5]) == Label.SELL  # boundary routes left
@@ -201,17 +206,18 @@ def test_tree_separable_is_depth_one_and_exact():
 
 def test_tree_single_class_is_single_leaf():
     tree = fit_decision_tree([[1.0], [2.0]], [Label.BUY, Label.BUY], TREE)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.label == Label.BUY
+    assert tree.left.tolist() == [-1]
+    assert tree.counts.tolist() == [[0, 0, 2]]
+    assert tree.label.tolist() == [Label.BUY]
 
 
 def test_tree_max_depth_zero_is_majority_leaf():
     spec = ClassifierSpec(kind="decision_tree", max_depth=0)
     tree = fit_decision_tree([[1.0], [2.0], [3.0]], [0, 0, 2], spec)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.label == Label.SELL
+    assert tree.left.tolist() == [-1]
+    assert tree.label.tolist() == [Label.SELL]
     tied = fit_decision_tree([[1.0], [2.0]], [0, 2], spec)
-    assert tied.root.label == Label.HOLD  # tie rule
+    assert tied.label.tolist() == [Label.HOLD]  # tie rule
 
 
 def test_tree_training_errors():
@@ -240,7 +246,7 @@ def test_tree_min_samples_split_stops_growth():
     y = [0, 2, 0, 2]
     spec = ClassifierSpec(kind="decision_tree", min_samples_split=5)
     tree = fit_decision_tree(X, y, spec)
-    assert isinstance(tree.root, Leaf)
+    assert tree.left.tolist() == [-1]
 
 
 # --- random forest ---------------------------------------------------------------
@@ -280,7 +286,19 @@ def test_forest_degenerate_equals_plain_tree():
 
 
 def _leaf_tree(label: Label) -> DecisionTree:
-    return DecisionTree(root=Leaf(counts=(0, 0, 0), label=label), n_features=1, criterion="gini")
+    """A one-node tree whose leaf predicts `label`."""
+    counts = np.zeros((1, 3), dtype=np.int64)
+    counts[0, label] = 1
+    return DecisionTree(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        counts=counts,
+        label=np.array([label]),
+        n_features=1,
+        criterion="gini",
+    )
 
 
 def test_forest_vote_majority_and_ties():
@@ -550,16 +568,28 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     assert peak < len(X) * len(train_X) * 8 / 2
 
 
+TREE_COLUMNS = ("feature", "threshold", "left", "right", "counts", "label")
+
+
+def _same_columns(a: DecisionTree, b: DecisionTree) -> bool:
+    return (a.n_features, a.criterion) == (b.n_features, b.criterion) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in TREE_COLUMNS
+    )
+
+
 @settings(max_examples=400, deadline=None)
 @given(prediction_inputs(), st.data())
 def test_tree_and_forest_batches_match_reference(inputs, data):
+    """Every fitted tree, alone or in a forest, passes check_layout, predicts
+    like the one-row column walk (also with a feature set to each learned
+    threshold, or to NaN) and comes back column for column from its params;
+    forests vote like the per-row reference."""
     X, y, probes = inputs
     criterion = data.draw(st.sampled_from(["gini", "entropy"]), label="criterion")
     max_depth = data.draw(st.none() | st.integers(min_value=0, max_value=4), label="max_depth")
     tree = fit_decision_tree(
         X, y, ClassifierSpec(kind="decision_tree", criterion=criterion, max_depth=max_depth)
     )
-    assert predict_batch(tree, probes) == [reference_predict_tree(tree, p) for p in probes]
     spec = ClassifierSpec(
         kind="random_forest",
         n_trees=data.draw(st.integers(min_value=1, max_value=6), label="n_trees"),
@@ -568,7 +598,23 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
         bootstrap=data.draw(st.booleans(), label="bootstrap"),
     )
     forest = fit_random_forest(X, y, spec)
+    base = X[:8]
+    for model in (tree, *forest.trees):
+        check_layout(model)
+        internal = np.flatnonzero(model.left >= 0)
+        on_threshold = np.repeat(base[None], len(internal), axis=0)
+        on_threshold[np.arange(len(internal)), :, model.feature[internal]] = model.threshold[
+            internal, None
+        ]
+        with_nan = np.repeat(base[None], X.shape[1], axis=0)
+        with_nan[np.arange(X.shape[1]), :, np.arange(X.shape[1])] = np.nan
+        rows = np.vstack([probes, *on_threshold, *with_nan])
+        assert predict_batch(model, rows) == [reference_predict_tree(model, row) for row in rows]
+        clone = model_from_params("decision_tree", json.loads(json.dumps(model_to_params(model))))
+        assert _same_columns(clone, model)
     assert predict_batch(forest, probes) == [reference_predict_forest(forest, p) for p in probes]
+    clone = model_from_params("random_forest", json.loads(json.dumps(model_to_params(forest))))
+    assert all(_same_columns(a, b) for a, b in zip(clone.trees, forest.trees, strict=True))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -615,12 +661,20 @@ def test_spec_validation():
         ClassifierSpec(kind="knn", k=0)
 
 
+def tree_depth(tree: DecisionTree) -> int:
+    """Maximum edge count from the root down to a leaf."""
+    depth = np.zeros(len(tree.left), dtype=np.intp)
+    for node in np.flatnonzero(tree.left >= 0):  # parents precede their children
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return int(depth.max())
+
+
 def test_deep_tree_does_not_hit_recursion_limits():
     # adversarial chain: one feature, strictly increasing, alternating labels
     n = 1200
     X = [[float(i)] for i in range(n)]
     y = [i % 2 * 2 for i in range(n)]
     tree = fit_decision_tree(X, y, TREE)
-    assert tree_depth(tree.root) >= 10
+    assert tree_depth(tree) >= 10
     assert predict_one(tree, [2.0]) == Label.SELL
     assert predict_one(tree, [3.0]) == Label.BUY

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -246,6 +250,43 @@ def test_backtest_with_saved_model_file(tmp_path, market_csv):
         assert (second / f"backtest_{ticker}.json").read_bytes() == (
             first / f"backtest_{ticker}.json"
         ).read_bytes()
+
+
+def _drop_params(model):
+    del model["params"]
+
+
+MALFORMED_MODELS = {
+    "cycle": lambda model: model["params"]["tree"]["nodes"][0].update(left=0),
+    "child-out-of-range": lambda model: model["params"]["tree"]["nodes"][0].update(left=10**6),
+    "no-params": _drop_params,
+    "not-json": None,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_backtest_rejects_malformed_model_file(tmp_path, market_csv, case):
+    """Exit 1 with a one-line message naming the file, in a fresh process so
+    a walk that never ends shows as a timeout."""
+    saved = tmp_path / "saved"
+    assert run("backtest", "--data", market_csv, "--out", saved, "--model", "decision-tree") == 0
+    path = tmp_path / "model.json"
+    if MALFORMED_MODELS[case] is None:
+        path.write_text("not json\n", encoding="utf-8")
+    else:
+        model = json.loads((saved / "model.json").read_text(encoding="utf-8"))
+        MALFORMED_MODELS[case](model)
+        path.write_text(json.dumps(model), encoding="utf-8")
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "stocksignals", "backtest", "--data", str(market_csv),
+         "--out", str(tmp_path / "out"), "--model-file", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: not a model file: {path}: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_feature_subset_file(tmp_path, market_csv):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,4 +89,73 @@ def test_load_bundle_rejects_foreign_json(tmp_path):
     path = tmp_path / "nope.json"
     path.write_text(json.dumps({"hello": 1}), encoding="utf-8")
     with pytest.raises(UsageError):
+        load_bundle(path)
+
+
+def _tree_params():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+    tree = fit_classifier(ClassifierSpec(kind="decision_tree"), X, [0, 1, 2, 2])
+    params = json.loads(json.dumps(model_to_params(tree)))
+    assert [len(node) for node in params["tree"]["nodes"]] == [4, 4, 2, 2, 2]
+    return params
+
+
+@pytest.mark.parametrize(
+    "node, field, value",
+    [
+        (0, "left", 0),  # a cycle back to the root
+        (0, "left", 10**6),
+        (0, "right", 1),  # the left child again
+        (1, "right", 5),  # past the last node
+        (0, "feature", 2),
+        (0, "feature", -1),
+        (0, "feature", 1.0),
+        (0, "threshold", "0.5"),
+        (2, "counts", [1, 0]),
+        (2, "counts", [0, 0, 0]),
+        (2, "counts", [-1, 2, 0]),
+        (2, "label", 3),
+        (2, "label", None),
+    ],
+)
+def test_decode_rejects_a_malformed_tree(node, field, value):
+    params = _tree_params()
+    model_from_params("decision_tree", params)
+    params["tree"]["nodes"][node][field] = value
+    with pytest.raises(ValueError):
+        model_from_params("decision_tree", params)
+
+
+@pytest.mark.parametrize("edit", ["no trees", "tree n_features"])
+def test_decode_rejects_a_forest_whose_trees_do_not_fit_it(edit):
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+    forest = fit_classifier(ClassifierSpec(kind="random_forest", n_trees=2), X, [0, 1, 2, 2])
+    params = json.loads(json.dumps(model_to_params(forest)))
+    if edit == "no trees":
+        params["trees"] = []
+    else:
+        params["trees"][1]["n_features"] = 3
+    with pytest.raises(ValueError):
+        model_from_params("random_forest", params)
+
+
+def _bundle_text(**changes):
+    """A saved bundle's JSON with some top-level keys replaced."""
+    bundle = fit_bundle(ClassifierSpec(kind="gaussian_nb"), _train_split(random_dataset(20)), 10)
+    return json.dumps({**bundle.to_dict(), **changes})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "Expecting property name"),
+        (json.dumps({"format": "stocksignals-model"}), "missing key 'spec'"),
+        (json.dumps([1, 2]), "format is not 'stocksignals-model'"),
+        (_bundle_text(horizon="10"), "'str' object cannot be interpreted as an integer"),
+    ],
+)
+def test_load_bundle_names_the_file_it_rejects(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(UsageError, match=re.escape(f"not a model file: {path}: {message}")):
         load_bundle(path)
