@@ -60,6 +60,13 @@ RUNS = {
     "pipeline-features": ["pipeline", "--features", "six.txt", "--trees", "4", "--seed", "9"],
     "evaluate-knn-by-sector": ["evaluate", "--model", "knn", "--by-sector", "--k", "3"],
     "pipeline-knn-features": ["pipeline", "--model", "knn", "--features", "six.txt", "--k", "7"],
+    "pipeline-entropy-stops": [
+        "pipeline", "--criterion", "entropy", "--max-depth", "6", "--min-samples-split", "5",
+        "--trees", "5", "--seed", "11",
+    ],
+    "evaluate-tree-depth": [
+        "evaluate", "--model", "decision-tree", "--max-depth", "4", "--seed", "13",
+    ],
     "backtest-model-file": [
         "backtest", "--model-file", "pipeline-forest/model.json", "--seed", "42",
     ],
@@ -142,6 +149,28 @@ GOLDEN = {
         "trades_TK02.csv": "a24996b52eeeafc595876382418435a2aeb995130cf9ceb5bf4a069d17044342",
         "trades_TK03.csv": "6a7976602d44db46dfb670d056f29b3a0e7de35c551ca5730c47492f8d83787c",
         "variance.csv": "7d5a231830437b490fb346d57d40daf85cdc0835be9dcd5a083f836114c075d1",
+    },
+    "pipeline-entropy-stops": {
+        "backtest_TK00.json": "7f6ef793f1bf061803dcc19682f331bd6f4ad599ad5a48c65a4c138ab4783718",
+        "backtest_TK01.json": "063e98107578b412ec6cf0313cee2f4b601f6b95c4c85d77e10a9a4dde37c1d2",
+        "backtest_TK02.json": "5e71b894f190da392ce51ab4522aa83c4889045fcd06dcd4737f98e4bad0ff54",
+        "backtest_TK03.json": "5ce4731e86ad6ebd9259fbb75816639109ef4a14763d90e6046cef84d2c3d690",
+        "dataset.csv": "c9789eade27cc3aee3de3418761b904678434fb68164b97e4864b8a42f622247",
+        "metrics.csv": "6060bddaa783b539529aaefe941eab60f91e08d4e12e46646fa8911fca79c9fc",
+        "metrics.json": "5994fc2f2fd79364a70a2dbd833c97aa4e1876c9249f862c9dcd4f37d1d7f5dd",
+        "model.json": "de2922de8a19922ede6fcaf777dbc3471a816a41115f65d52e7687a95a8be123",
+        "ranking.csv": "171354235d684d11c659cacffea4091f37876304606c680546c29628d2f12ce7",
+        "run.json": "e26d2af47f09bb9d2f95c82c0c79c086bf1972b23ef5aad51e6eab3f379cd7ba",
+        "trades_TK00.csv": "49611de14f8bcd6e9ab7824a5916db33de4b0319094f2596eea69b2ba88a5ac6",
+        "trades_TK01.csv": "3f4863714fbefc4e06e8db862b3d99993ca6ef9000f7b56cc2a76166705ddd73",
+        "trades_TK02.csv": "64d1a9ab3b93683e6a7ccbaaf809be20724ec808e73e0878f4d4942061db68c5",
+        "trades_TK03.csv": "1b695fbd8fd2b8763c2d4104d46a160c25dc02d16cb9ed07e00bf895d83413a1",
+        "variance.csv": "464c08bece035a0eb9ba9faf587c0c3e3a1c281a0a6a34514211f5f4fadb51a7",
+    },
+    "evaluate-tree-depth": {
+        "metrics.csv": "97c67a70b2bd13fd8a954c4c8c79e69cdf26c268996c2a586737b953dee10a3c",
+        "metrics.json": "5b211ece74e6099f1015c2257c856d378ec1118f8370e4b42651e7d8d0672bf3",
+        "run.json": "28e41f7768bdc4d5b6a9195a63e98b7a6653400ce43d3f76a1f5c249e1f90edd",
     },
     "backtest-model-file": {
         "backtest_TK00.json": "ad34e3c7e75c0192fb5ca0903f11370a07d742eec55782254dd09b2d4fba44c8",
