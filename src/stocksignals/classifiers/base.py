@@ -6,12 +6,13 @@ import json
 import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from stocksignals.classifiers.forest import (
     ForestModel,
+    fit_forests,
     fit_random_forest,
     forest_labels,
 )
@@ -23,8 +24,10 @@ from stocksignals.classifiers.gaussian_nb import (
 from stocksignals.classifiers.knn import KnnModel, fit_knn, knn_labels
 from stocksignals.classifiers.tree import (
     DecisionTree,
+    as_training_arrays,
     check_layout,
     fit_decision_tree,
+    fit_decision_trees,
     tree_labels,
 )
 from stocksignals.errors import DimensionMismatch, EmptyTraining, UsageError
@@ -78,7 +81,23 @@ class ClassifierSpec:
 FittedModel = Union[DecisionTree, ForestModel, KnnModel, GaussianNbModel]
 
 
-def fit_classifier(spec: ClassifierSpec, X, y) -> FittedModel:
+def fit_classifier(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
+    """The model of spec fitted on X and the labels y.
+
+    Given an (n, h) label matrix y instead, with -1 on the rows outside a
+    column's training set, the result is one model per column, each the
+    model of that column's rows alone. The columns are checked in order
+    for rows (EmptyTraining) and finite features (DataError) before any is
+    fitted, so the first failing column raises what fitting it alone would.
+    Tree kinds grow every column's trees together.
+    """
+    if np.ndim(y) == 2:
+        if spec.kind == "decision_tree":
+            return fit_decision_trees(X, y, spec)
+        if spec.kind == "random_forest":
+            return fit_forests(X, y, spec)
+        X, Y = as_training_arrays(X, y)
+        return [fit_classifier(spec, X[column >= 0], column[column >= 0]) for column in Y.T]
     if spec.kind == "decision_tree":
         return fit_decision_tree(X, y, spec)
     if spec.kind == "random_forest":
@@ -248,13 +267,20 @@ class ModelBundle:
         if not isinstance(data, Mapping) or data.get("format") != FORMAT_NAME:
             raise UsageError(f"format is not {FORMAT_NAME!r}")
         spec = ClassifierSpec(**data["spec"])
-        return cls(
+        bundle = cls(
             spec=spec,
             horizon=operator.index(data["horizon"]),
             feature_names=tuple(data["feature_names"]),
             scaler=Scaler.from_dict(data["scaler"]),
             model=model_from_params(spec.kind, data["params"]),
         )
+        n = len(bundle.feature_names)
+        scaler = bundle.scaler
+        if not scaler.means.shape == scaler.stds.shape == (n,) or bundle.model.n_features != n:
+            raise ValueError(
+                f"the scaler's means and stds and the model need one entry per feature ({n})"
+            )
+        return bundle
 
 
 def bundle_json(bundle: ModelBundle) -> str:
@@ -277,48 +303,59 @@ def load_bundle(path: Path | str) -> ModelBundle:
 
 def fit_bundles(
     spec: ClassifierSpec, split: TrainTestSplit, horizons: Sequence[int]
-) -> Iterator[ModelBundle]:
-    """Fit one classifier per horizon on the training rows labeled at it.
+) -> list[ModelBundle]:
+    """One classifier per horizon, fitted on the training rows labeled at it.
 
     The training matrix is scaled once with the split's scaler, which was
     fitted on every training row (labeled or not), so all horizons share
-    one feature scaling.
+    one feature scaling, and one fit_classifier call fits every horizon. A
+    horizon with no labeled training row raises EmptyTraining unless an
+    earlier horizon fails first.
     """
     train = split.train
     X = standardize_apply(split.scaler, train.X)
-    for horizon in horizons:
-        y = train.labels(horizon)
-        labeled = y >= 0
-        if not labeled.any():
-            raise EmptyTraining(f"no training rows labeled at horizon {horizon}")
-        yield ModelBundle(
+    Y = np.column_stack([train.labels(horizon) for horizon in horizons])
+    empty = np.flatnonzero(~(Y >= 0).any(axis=0))
+    if empty.size:
+        as_training_arrays(X, Y[:, : empty[0]])  # an earlier horizon's error comes first
+        raise EmptyTraining(f"no training rows labeled at horizon {horizons[empty[0]]}")
+    return [
+        ModelBundle(
             spec=spec,
             horizon=horizon,
             feature_names=train.feature_names,
             scaler=split.scaler,
-            model=fit_classifier(spec, X[labeled], y[labeled]),
+            model=model,
         )
+        for horizon, model in zip(horizons, fit_classifier(spec, X, Y))
+    ]
 
 
 def fit_bundle(spec: ClassifierSpec, split: TrainTestSplit, horizon: int) -> ModelBundle:
-    return next(fit_bundles(spec, split, (horizon,)))
+    return fit_bundles(spec, split, (horizon,))[0]
 
 
 def horizon_labels(
-    spec: ClassifierSpec, split: TrainTestSplit, horizons: Sequence[int], X
+    spec: ClassifierSpec,
+    split: TrainTestSplit,
+    horizons: Sequence[int],
+    X,
+    fitted: dict[int, ModelBundle] | None = None,
 ) -> np.ndarray:
     """(m, len(horizons)) label values of scaled rows X; column j is what
     fit_bundle(spec, split, horizons[j]) predicts for them.
 
     Every horizon's training rows are a subset of the same scaled training
     matrix, so kNN computes each block of probe distances once and lets every
-    horizon pick its neighbours from it. Other kinds fit and predict one
-    horizon at a time.
+    horizon pick its neighbours from it. Other kinds fit every horizon in one
+    fit_bundles call and predict with each bundle; `fitted`, when given,
+    receives those bundles by horizon.
     """
     if spec.kind != "knn":
-        return np.column_stack(
-            [_label_values(bundle.model, X) for bundle in fit_bundles(spec, split, horizons)]
-        )
+        bundles = fit_bundles(spec, split, horizons)
+        if fitted is not None:
+            fitted.update((bundle.horizon, bundle) for bundle in bundles)
+        return np.column_stack([_label_values(bundle.model, X) for bundle in bundles])
     train = split.train
     train_X = standardize_apply(split.scaler, train.X)
     Y = np.column_stack([train.labels(horizon) for horizon in horizons])

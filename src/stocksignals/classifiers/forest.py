@@ -1,7 +1,12 @@
 """Random forest: bootstrapped CART trees with per-node feature sampling.
 
-Each tree's PRNG stream derives from (seed, tree index), so trees could be
-trained in parallel and still match serial training bit for bit.
+Each tree's PRNG stream derives from (seed, tree index): it draws the
+tree's bootstrap sample, then the candidate features of each node the tree
+searches, in preorder. `fit_forests` fits one forest per label column, and
+all trees of all its forests grow together in `grow_trees`. Their draws are
+made for many trees at once from the closed form of SplitMix64 outputs, and
+a tree whose draw lands in `below`'s rejection zone continues from there on
+its own scalar generator, so every tree matches one grown alone bit for bit.
 `forest_labels` walks the whole probe matrix down each tree and counts the
 trees' votes per probe; vote ties resolve to Hold.
 """
@@ -10,18 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from stocksignals.classifiers.tree import (
     DecisionTree,
     as_training_arrays,
-    grow_tree,
+    grow_trees,
     tree_labels,
 )
 from stocksignals.labels import majority_labels
-from stocksignals.rng import SplitMix64, spawn_seed
+from stocksignals.rng import SplitMix64, draws_below, spawn_seed
 
 if TYPE_CHECKING:
     from stocksignals.classifiers.base import ClassifierSpec
@@ -39,35 +44,98 @@ def default_mtry(n_features: int) -> int:
     return max(1, math.isqrt(n_features))
 
 
-def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
-    """Fit spec.n_trees trees, each on a size-n bootstrap sample.
+class _TreeStreams:
+    """The SplitMix64 streams of every tree of every forest, drawn in lockstep.
+
+    Tree t = j * n_trees + i belongs to label column j and draws from
+    SplitMix64(tree_seeds[i]): first its bootstrap sample of column j's rows,
+    then `sorted(sample_indices(d, mtry))` for each node it searches. The
+    draws of many trees are vectorised; a tree with a draw in `below`'s
+    rejection zone switches to its scalar generator, from where it stands.
+    """
+
+    def __init__(self, tree_seeds: list[int], Y: np.ndarray, d: int, mtry: int, bootstrap: bool):
+        self.tree_seeds = tree_seeds
+        self.Y = Y
+        self.d = d
+        self.mtry = mtry
+        self.bootstrap = bootstrap
+        self.seeds = np.tile(np.array(tree_seeds, dtype=np.uint64), Y.shape[1])
+        labeled = (Y >= 0).sum(axis=0) if bootstrap else np.zeros(Y.shape[1], dtype=np.int64)
+        self.drawn = np.repeat(labeled, len(tree_seeds))  # outputs each tree has drawn
+        self.scalar: dict[int, SplitMix64] = {}  # tree -> its generator, once a draw was rejected
+
+    def roots(self) -> Iterator[np.ndarray]:
+        """Each tree's root rows, in tree order."""
+        for j, column in enumerate(self.Y.T):
+            rows = np.flatnonzero(column >= 0)
+            if not self.bootstrap:
+                yield from [rows] * len(self.tree_seeds)
+                continue
+            n = len(rows)
+            picks, ok = draws_below(self.tree_seeds, 0, np.full(n, n))
+            for i in np.flatnonzero(~ok).tolist():
+                rng = self.scalar[j * len(self.tree_seeds) + i] = SplitMix64(self.tree_seeds[i])
+                picks[i] = rng.bootstrap_indices(n)
+            yield from rows[picks]
+
+    def __call__(self, trees: np.ndarray) -> np.ndarray:
+        """(len(trees), mtry) sorted candidate features of each tree's next searched node."""
+        d, mtry = self.d, self.mtry
+        offsets, ok = draws_below(self.seeds[trees], self.drawn[trees], d - np.arange(mtry))
+        # partial Fisher-Yates, as sample_indices does, on every tree at once
+        pool = np.tile(np.arange(d), (len(trees), 1))
+        each = np.arange(len(trees))
+        for i in range(mtry):
+            j = i + offsets[:, i]
+            pool[each, i], pool[each, j] = pool[each, j], pool[each, i]
+        picked = pool[:, :mtry]
+        if self.scalar or not ok.all():
+            for s, t in enumerate(trees.tolist()):
+                if t not in self.scalar:
+                    if ok[s]:
+                        continue
+                    self.scalar[t] = SplitMix64.after(int(self.seeds[t]), int(self.drawn[t]))
+                picked[s] = self.scalar[t].sample_indices(d, mtry)
+        self.drawn[trees] += mtry
+        return np.sort(picked, axis=1)
+
+
+def fit_forests(X, Y, spec: "ClassifierSpec") -> list[ForestModel]:
+    """One forest per label column of Y (-1: row outside that column's
+    training set), each the forest fit_random_forest grows on that column's
+    rows alone.
 
     Every node's split search is restricted to mtry features sampled without
-    replacement (default floor(sqrt(d))). Trees index the shared matrix
-    through their sample's rows. spec.bootstrap=False is a test hook that
-    trains every tree on the full sample.
+    replacement (default floor(sqrt(d))). A tree trains on a size-n bootstrap
+    sample of its column's n rows, which indexes the shared matrix.
+    spec.bootstrap=False is a test hook that trains every tree on all of them.
     """
-    X_arr, y_arr = as_training_arrays(X, y)
-    n, d = X_arr.shape
+    X_arr, Y_arr = as_training_arrays(X, Y)
+    d = X_arr.shape[1]
     mtry = spec.mtry if spec.mtry is not None else default_mtry(d)
     mtry = min(mtry, d)
-    trees: list[DecisionTree] = []
-    tree_seeds: list[int] = []
-    for t in range(spec.n_trees):
-        seed = spawn_seed(spec.seed, t)
-        tree_seeds.append(seed)
-        rng = SplitMix64(seed)
-        if spec.bootstrap:
-            rows = np.asarray(rng.bootstrap_indices(n), dtype=np.int64)
-        else:
-            rows = np.arange(n)
-        if mtry < d:
-            pick = lambda: sorted(rng.sample_indices(d, mtry))  # noqa: E731
-        else:
-            all_features = tuple(range(d))
-            pick = lambda: all_features  # noqa: E731
-        trees.append(grow_tree(X_arr, y_arr, rows, spec, pick))
-    return ForestModel(trees=trees, tree_seeds=tree_seeds, n_features=d, mtry=mtry)
+    tree_seeds = [spawn_seed(spec.seed, t) for t in range(spec.n_trees)]
+    streams = _TreeStreams(tree_seeds, Y_arr, d, mtry, spec.bootstrap)
+    columns = np.repeat(np.arange(Y_arr.shape[1]), spec.n_trees)
+    trees = grow_trees(
+        X_arr, Y_arr, columns, streams.roots(), spec, streams if mtry < d else None
+    )
+    return [
+        ForestModel(
+            trees=trees[start : start + spec.n_trees],
+            tree_seeds=list(tree_seeds),
+            n_features=d,
+            mtry=mtry,
+        )
+        for start in range(0, len(trees), spec.n_trees)
+    ]
+
+
+def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
+    """Fit spec.n_trees trees on X and the labels y; see fit_forests."""
+    X_arr, y_arr = as_training_arrays(X, y)
+    return fit_forests(X_arr, y_arr[:, None], spec)[0]
 
 
 def forest_labels(forest: ForestModel, X: np.ndarray) -> np.ndarray:

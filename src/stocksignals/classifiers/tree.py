@@ -1,4 +1,4 @@
-"""CART decision tree with exhaustive midpoint threshold search.
+"""CART decision trees with exhaustive midpoint threshold search, grown in lockstep.
 
 Split rule: x[feature] <= threshold routes left. Thresholds sit at the
 midpoints of consecutive distinct sorted values, and the chosen split
@@ -6,32 +6,41 @@ maximizes the weighted impurity decrease; ties break toward the lower
 feature index, then the lower threshold. Growth stops on a pure node,
 max_depth, min_samples_split, or when no split has a positive decrease.
 
-`best_split` searches every candidate feature of a node with one set of
-array operations: the node's candidate columns form an (f, n) block that
-is stably sorted per feature, a cumulative one-hot sum gives the class
-counts left of every cut, and gains are computed for all (feature, cut)
-pairs at once, with cuts between equal values masked to -inf. One argmax
-over the feature-major gain matrix returns the first maximum, i.e. the
-lowest feature and within it the lowest threshold. Counts at a cut do not
-depend on the order of equal values, and every gain comes from the same
-elementwise operations and 3-wide row sums as a one-feature-at-a-time
-search (kept in the tests as the reference), so trees are bit-identical
-to it.
+`grow_trees` grows many trees together, for instance every tree of every
+horizon's forest on one split. Each tree pops its nodes from its own stack
+in preorder, left child first, and appends each to its preorder columns as
+it pops it, so a node's left child is the next row, and a right child is
+the node that follows the last leaf of its left sibling's subtree. Each
+step pops the next node of every unfinished tree and searches all of them
+in as few `best_split` calls as _SPLIT_ELEMENTS allows. Random forests
+draw each searched node's candidate features in the tree's own preorder,
+so every tree is the one it would be if grown alone.
 
-A fitted tree is its preorder columns, the node list of the saved model:
-`grow_tree` pops nodes in preorder, left child first, and appends each to
-the columns as it goes, so a node's left child is the next row and its
-right child's row is filled in when that child is popped. `tree_labels`
-predicts a whole probe matrix by walking all probes down these columns
-together, one level per step: each probe still inside the tree moves to
-the left child when x[feature] <= threshold and to the right child
+`best_split` lays the searched nodes out ragged: each (node, candidate
+feature) pair is one contiguous segment of a flat array holding that
+node's rows, with no padding. One argsort of the key segment * n + rank,
+where rank is the value's dense rank in its column of X (computed once per
+fit), sorts every segment by value at once. Per-class cumulative sums give
+the class counts left of every cut between distinct values, and the
+impurities are computed from three columns, one per class, summed in class
+order as a 3-wide row sum is; gains use the same elementwise operations as
+a one-feature-at-a-time search (kept in the tests as the reference), so
+trees are bit-identical to it. Counts at such a cut do not depend on the
+order of equal values, so the sort need not be stable. A node's segments
+are feature-major, so the first maximum of its gains is the lowest feature
+and, within it, the lowest threshold. A call holds about _SPLIT_ELEMENTS
+(segment, row) elements; a larger node is searched alone.
+
+`tree_labels` predicts a whole probe matrix by walking all probes down the
+columns together, one level per step: each probe still inside the tree
+moves to the left child when x[feature] <= threshold and to the right child
 otherwise, NaN included, exactly as one probe walked on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,19 +51,22 @@ if TYPE_CHECKING:
     from stocksignals.classifiers.base import ClassifierSpec
 
 N_CLASSES = 3
-_ONE_HOT = np.eye(N_CLASSES)
-_NO_COUNTS = np.zeros(N_CLASSES, dtype=np.int64)
+
+# (segment, row) elements searched by one best_split call: a few thousand
+# amortise the per-call numpy overhead while the work arrays stay small
+_SPLIT_ELEMENTS = 1 << 13
 
 
-def _impurity(counts: np.ndarray, sizes: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity along the last axis of class counts; `sizes` broadcasts to counts."""
-    p = counts / sizes
+def _impurity(counts: Sequence[np.ndarray], sizes: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of nodes given as one column of class counts per class.
+
+    The class terms are summed in class order, as a 3-wide row sum adds them.
+    """
+    p0, p1, p2 = (count / sizes for count in counts)
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    logp = np.zeros_like(p)
-    mask = p > 0
-    logp[mask] = np.log2(p[mask])
-    return -(p * logp).sum(axis=-1)
+        return 1.0 - ((p0 * p0 + p1 * p1) + p2 * p2)
+    t0, t1, t2 = (p * np.log2(np.where(p > 0, p, 1.0)) for p in (p0, p1, p2))
+    return -((t0 + t1) + t2)
 
 
 @dataclass(frozen=True)
@@ -64,45 +76,119 @@ class Split:
     gain: float
 
 
+def dense_ranks(X: np.ndarray) -> np.ndarray:
+    """(n, d) rank of every value among the distinct values of its column."""
+    order = X.argsort(axis=0)
+    ordered = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros(X.shape, dtype=np.intp)
+    steps[1:] = ordered[1:] > ordered[:-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=0), axis=0)
+    return ranks
+
+
 def best_split(
     X: np.ndarray,
-    y: np.ndarray,
+    y: np.ndarray | list[np.ndarray],
     criterion: str,
-    candidate_features: Iterable[int],
-    rows: np.ndarray | None = None,
-) -> Split | None:
+    candidate_features: Iterable[int] | list[Sequence[int]],
+    rows: np.ndarray | list[np.ndarray] | None = None,
+    ranks: np.ndarray | None = None,
+) -> Split | None | list[Split | None]:
     """Best (feature, threshold) over the candidates, or None without gain.
 
     `rows` indexes the node's rows in X (every row when None); y holds
-    their labels. All candidates are searched at once on an (f, n) block.
+    their labels. Given lists instead (per-node labels, candidate features
+    and rows, each node with at least one row), every node is searched in one
+    batch and the result is one Split or None per node. `ranks` is
+    dense_ranks(X), computed when None.
     """
-    features = np.array(sorted(candidate_features), dtype=np.intp)[:, None]
-    if rows is None:
-        rows = np.arange(len(y))
-    order = X.T[features, rows].argsort(axis=1, kind="stable")
-    ordered = X.T[features, rows[order]]
-    # is_cut[j, i]: a threshold fits between sorted positions i and i + 1
-    is_cut = ordered[:, 1:] > ordered[:, :-1]
-    if not is_cut.any():
+    if ranks is None:
+        ranks = dense_ranks(X)
+    if isinstance(y, list):
+        return _search(X, ranks, criterion, y, candidate_features, rows)
+    if len(y) == 0:
         return None
-    n = len(y)
-    # class counts of the first i + 1 sorted rows; the last column is the whole node
-    prefix = _ONE_HOT[y[order]].cumsum(axis=1)
-    sizes = np.arange(1.0, n + 1)
-    left = _impurity(prefix, sizes[:, None], criterion)
-    parent = left[0, -1]
-    n_left = sizes[:-1]
-    n_right = n - n_left
-    right = _impurity(prefix[:, -1:] - prefix[:, :-1], n_right[:, None], criterion)
-    gains = parent - (n_left * left[:, :-1] + n_right * right) / n
-    # first maximum in feature-major order: lowest feature, then lowest threshold
-    k = int(np.where(is_cut, gains, -np.inf).argmax())
-    j, cut = divmod(k, n - 1)
-    gain = float(gains[j, cut])
-    if gain <= 0.0:
-        return None
-    threshold = float((ordered[j, cut] + ordered[j, cut + 1]) / 2.0)
-    return Split(feature=int(features[j, 0]), threshold=threshold, gain=gain)
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
+    return _search(X, ranks, criterion, [y], [sorted(candidate_features)], [rows])[0]
+
+
+def _search(
+    X: np.ndarray,
+    ranks: np.ndarray,
+    criterion: str,
+    labels: list,
+    features: list,
+    rows: list,
+) -> list[Split | None]:
+    """The batched search behind best_split: one Split or None per node."""
+    found: list[Split | None] = [None] * len(rows)
+    sizes = np.array([len(r) for r in rows], dtype=np.intp)
+    widths = np.array([len(f) for f in features], dtype=np.intp)
+    node_rows = np.concatenate(rows)
+    seg_feature = np.concatenate(features).astype(np.intp)
+    seg_node = np.repeat(np.arange(len(rows)), widths)
+    seg_len = sizes[seg_node]
+    seg_end = seg_len.cumsum()
+    if not seg_end.size or seg_end[-1] < 2:
+        return found
+    seg_start = seg_end - seg_len
+    elem_seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    # each element's index into node_rows: its node's first row plus its
+    # position in the segment
+    src = np.arange(seg_end[-1]) + np.repeat(
+        (sizes.cumsum() - sizes)[seg_node] - seg_start, seg_len
+    )
+    key = elem_seg * len(X) + ranks[node_rows[src], seg_feature[elem_seg]]
+    order = key.argsort()
+    key = key[order]
+    src = src[order]
+    # a cut follows a sorted position whose successor in the segment is larger
+    is_cut = key[1:] != key[:-1]
+    is_cut[seg_end[:-1] - 1] = False
+    cuts = np.flatnonzero(is_cut)
+    if not cuts.size:
+        return found
+    node_y = np.concatenate(labels)
+    totals = np.bincount(
+        np.repeat(np.arange(len(rows)) * N_CLASSES, sizes) + node_y,
+        minlength=N_CLASSES * len(rows),
+    ).reshape(-1, N_CLASSES)
+    cut_seg = elem_seg[cuts]
+    cut_node = seg_node[cut_seg]
+    n_left = cuts + 1 - seg_start[cut_seg]
+    n_node = sizes[cut_node]
+    n_right = n_node - n_left
+    y_sorted = node_y[src]
+    left = []
+    for label in range(N_CLASSES - 1):
+        cum = np.zeros(len(src) + 1, dtype=np.intp)
+        np.cumsum(y_sorted == label, out=cum[1:])
+        left.append(cum[cuts + 1] - cum[seg_start[cut_seg]])
+    left.append(n_left - left[0] - left[1])
+    right = [totals[cut_node, label] - left[label] for label in range(N_CLASSES)]
+    parent = _impurity(totals.T, sizes, criterion)[cut_node]
+    gains = parent - (
+        n_left * _impurity(left, n_left, criterion)
+        + n_right * _impurity(right, n_right, criterion)
+    ) / n_node
+    # first maximum per node, in feature-major order: lowest feature, then
+    # lowest threshold
+    starts = np.flatnonzero(cut_node[1:] != cut_node[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    best = np.maximum.reduceat(gains, starts)
+    at_best = gains == np.repeat(best, np.diff(starts, append=len(cuts)))
+    first = np.minimum.reduceat(np.where(at_best, np.arange(len(cuts)), len(cuts)), starts)
+    first = first[best > 0.0]
+    feature = seg_feature[cut_seg[first]]
+    below = node_rows[src[cuts[first]]]
+    above = node_rows[src[cuts[first] + 1]]
+    threshold = (X[below, feature] + X[above, feature]) / 2.0
+    for node, f, t, gain in zip(
+        cut_node[first].tolist(), feature.tolist(), threshold.tolist(), gains[first].tolist()
+    ):
+        found[node] = Split(feature=f, threshold=t, gain=gain)
+    return found
 
 
 @dataclass(eq=False)
@@ -112,7 +198,9 @@ class DecisionTree:
     Node 0 is the root and each internal node's left child follows it
     (`left[i] == i + 1`). Leaves hold -1 in `feature`, `left` and `right`
     and 0.0 in `threshold`; internal nodes hold zero `counts` and so the
-    Hold label that the tie rule gives zero counts.
+    Hold label that the tie rule gives zero counts. The integer columns may
+    be of any width: grown trees use int32 and int8 labels, which halves
+    the memory of the hundred trees a split's forests hold at once.
     """
 
     feature: np.ndarray
@@ -125,47 +213,141 @@ class DecisionTree:
     criterion: str
 
 
-def grow_tree(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: "ClassifierSpec", pick_candidates
-) -> DecisionTree:
-    """Iterative CART growth on X[rows], y[rows] (explicit stack, preorder,
-    left child first), appending each node to the columns as it is popped.
+def _chunks(elements: list[int]) -> Iterator[slice]:
+    """Consecutive runs of nodes holding at most _SPLIT_ELEMENTS elements in all,
+    or one node alone when it holds more."""
+    start, total = 0, 0
+    for i, count in enumerate(elements):
+        if total and total + count > _SPLIT_ELEMENTS:
+            yield slice(start, i)
+            start, total = i, 0
+        total += count
+    if total:
+        yield slice(start, len(elements))
 
-    `pick_candidates()` supplies the feature indices searched at each node;
-    random forests pass a sampler, plain trees pass all features.
+
+class _Growth:
+    """One tree being grown: its stack of pending nodes and its columns so far.
+
+    Only the node kinds, split thresholds and leaf counts are kept; the
+    rest of the layout follows from the node kinds in preorder.
     """
-    nodes: list[tuple[int, float, int, np.ndarray]] = []  # feature, threshold, left, counts
-    right: list[int] = []
-    # (node rows, depth, position of the parent whose right child this is, or -1)
-    stack: list[tuple[np.ndarray, int, int]] = [(rows, 0, -1)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        pos = len(nodes)
-        if parent >= 0:
-            right[parent] = pos
-        right.append(-1)
-        y_node = y[idx]
-        counts = np.bincount(y_node, minlength=N_CLASSES)
-        stop = (
-            np.count_nonzero(counts) <= 1
-            or len(idx) < spec.min_samples_split
-            or (spec.max_depth is not None and depth >= spec.max_depth)
+
+    __slots__ = ("stack", "feature", "threshold", "counts")
+
+    def __init__(self, rows: np.ndarray):
+        self.stack: list[tuple[np.ndarray, int]] = [(rows, 0)]  # (node rows, depth)
+        self.feature: list[int] = []  # -1 at leaves
+        self.threshold: list[float] = []  # one per internal node
+        self.counts: list[int] = []  # three per leaf
+
+    def tree(self, n_features: int, criterion: str) -> DecisionTree:
+        n = len(self.feature)
+        # a node that follows a leaf is the right child of the nearest
+        # internal node before it whose right child has not come yet
+        right = [-1] * n
+        waiting: list[int] = []
+        for pos, feature in enumerate(self.feature):
+            if pos and self.feature[pos - 1] < 0:
+                right[waiting.pop()] = pos
+            if feature >= 0:
+                waiting.append(pos)
+        feature = np.array(self.feature, dtype=np.int32)
+        internal = feature >= 0
+        threshold = np.zeros(n)
+        threshold[internal] = self.threshold
+        counts = np.zeros((n, N_CLASSES), dtype=np.int32)
+        counts[~internal] = np.reshape(self.counts, (-1, N_CLASSES))
+        return DecisionTree(
+            feature,
+            threshold,
+            np.where(internal, np.arange(1, n + 1, dtype=np.int32), np.int32(-1)),
+            np.array(right, dtype=np.int32),
+            counts,
+            majority_labels(counts).astype(np.int8),
+            n_features=n_features,
+            criterion=criterion,
         )
-        split = None
-        if not stop:
-            split = best_split(X, y_node, spec.criterion, pick_candidates(), rows=idx)
+
+
+def grow_trees(
+    X: np.ndarray,
+    Y: np.ndarray,
+    columns: np.ndarray,
+    roots: Iterable[np.ndarray],
+    spec: "ClassifierSpec",
+    pick: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[DecisionTree]:
+    """Grow tree t on X[roots[t]] with labels Y[roots[t], columns[t]], all in lockstep.
+
+    `pick(trees)` gives, for each listed tree, the sorted candidate features
+    of the node it searches next, as one (len(trees), pick.mtry) array; a
+    tree's nodes are searched in its preorder, so a per-tree stream yields
+    the draws it would for that tree grown alone. Every node searches every
+    feature when `pick` is None. `roots` is only iterated, so a generator
+    lets each root go once its node is split.
+    """
+    ranks = dense_ranks(X)
+    width = X.shape[1] if pick is None else pick.mtry
+    growths: list[_Growth | None] = [_Growth(rows) for rows in roots]
+    trees: list[DecisionTree | None] = [None] * len(growths)
+    live = list(range(len(growths)))
+    while live:
+        popped = [growths[t].stack.pop() for t in live]
+        for chunk in _chunks([len(rows) * width for rows, _ in popped]):
+            _grow_nodes(
+                X, Y, ranks, columns, spec, pick,
+                live[chunk], [growths[t] for t in live[chunk]], popped[chunk],
+            )
+        for t in live:
+            if not growths[t].stack:
+                trees[t] = growths[t].tree(X.shape[1], spec.criterion)
+                growths[t] = None
+        live = [t for t in live if growths[t] is not None]
+    return trees
+
+
+def _grow_nodes(X, Y, ranks, columns, spec, pick, trees, growths, popped) -> None:
+    """Append one popped node to each tree's columns: a leaf, or a split
+    whose children go on the tree's stack, right child first."""
+    rows = [node_rows for node_rows, _ in popped]
+    sizes = np.array([len(r) for r in rows])
+    flat = np.concatenate(rows)
+    node_of = np.repeat(np.arange(len(rows)), sizes)
+    y = Y[flat, columns[trees][node_of]]
+    counts = np.bincount(node_of * N_CLASSES + y, minlength=N_CLASSES * len(rows))
+    counts = counts.reshape(-1, N_CLASSES)
+    stop = (np.count_nonzero(counts, axis=1) <= 1) | (sizes < spec.min_samples_split)
+    if spec.max_depth is not None:
+        stop |= np.array([depth for _, depth in popped]) >= spec.max_depth
+    searched = np.flatnonzero(~stop).tolist()
+    splits: list[Split | None] = [None] * len(rows)
+    offsets = [0, *sizes.cumsum().tolist()]
+    if searched:
+        if pick is None:
+            features = [np.arange(X.shape[1])] * len(searched)
+        else:
+            features = list(pick(np.asarray(trees)[searched]))
+        found = best_split(
+            X, [y[offsets[i] : offsets[i + 1]] for i in searched], spec.criterion, features,
+            rows=[rows[i] for i in searched], ranks=ranks,
+        )
+        for i, split in zip(searched, found):
+            splits[i] = split
+    split_feature = np.array([s.feature if s else 0 for s in splits])
+    split_threshold = np.array([s.threshold if s else 0.0 for s in splits])
+    go_left = X[flat, split_feature[node_of]] <= split_threshold[node_of]
+    leaf_counts = counts.tolist()
+    for i, (growth, (node_rows, depth), split) in enumerate(zip(growths, popped, splits)):
         if split is None:
-            nodes.append((-1, 0.0, -1, counts))
+            growth.feature.append(-1)
+            growth.counts.extend(leaf_counts[i])
             continue
-        nodes.append((split.feature, split.threshold, pos + 1, _NO_COUNTS))
-        mask = X[idx, split.feature] <= split.threshold
-        stack.append((idx[~mask], depth + 1, pos))
-        stack.append((idx[mask], depth + 1, -1))
-    feature, threshold, left, counts = (np.array(column) for column in zip(*nodes))
-    return DecisionTree(
-        feature, threshold, left, np.array(right), counts, majority_labels(counts),
-        n_features=X.shape[1], criterion=spec.criterion,
-    )
+        growth.feature.append(split.feature)
+        growth.threshold.append(split.threshold)
+        mask = go_left[offsets[i] : offsets[i + 1]]
+        growth.stack.append((node_rows[~mask], depth + 1))
+        growth.stack.append((node_rows[mask], depth + 1))
 
 
 def check_layout(tree: DecisionTree) -> None:
@@ -204,7 +386,13 @@ def check_layout(tree: DecisionTree) -> None:
 
 
 def as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a training pair as float features and int64 labels."""
+    """Validate a training pair as float features and int64 labels.
+
+    y holds one label per row, or is an (n, h) label matrix whose column j
+    holds -1 on the rows outside that column's training set. The columns are
+    checked in order, each as its training rows alone would be, so the first
+    failing column raises.
+    """
     X_arr = np.asarray(X, dtype=float)
     if X_arr.ndim != 2:
         raise DimensionMismatch("feature matrix must be 2-D")
@@ -213,18 +401,26 @@ def as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"{len(X_arr)} feature rows vs {len(y_arr)} labels"
         )
-    if len(y_arr) == 0:
-        raise EmptyTraining("no training rows")
-    if not np.isfinite(X_arr).all():
-        raise DataError("features must be finite")
+    finite = np.isfinite(X_arr).all(axis=1)
+    for rows in (y_arr >= 0).T if y_arr.ndim == 2 else (np.ones(len(y_arr), dtype=bool),):
+        if not rows.any():
+            raise EmptyTraining("no training rows")
+        if not finite[rows].all():
+            raise DataError("features must be finite")
     return X_arr, y_arr
+
+
+def fit_decision_trees(X, Y, spec: "ClassifierSpec") -> list[DecisionTree]:
+    """One tree per label column of Y (-1: row outside that column's training
+    set), each the tree fit_decision_tree grows on that column's rows alone."""
+    X_arr, Y_arr = as_training_arrays(X, Y)
+    roots = [np.flatnonzero(column >= 0) for column in Y_arr.T]
+    return grow_trees(X_arr, Y_arr, np.arange(len(roots)), roots, spec)
 
 
 def fit_decision_tree(X, y, spec: "ClassifierSpec") -> DecisionTree:
     X_arr, y_arr = as_training_arrays(X, y)
-    d = X_arr.shape[1]
-    all_features = tuple(range(d))
-    return grow_tree(X_arr, y_arr, np.arange(len(y_arr)), spec, lambda: all_features)
+    return fit_decision_trees(X_arr, y_arr[:, None], spec)[0]
 
 
 def tree_labels(tree: DecisionTree, X: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from stocksignals import ingest, reports
 from stocksignals.backtest import BacktestConfig, run_backtest
 from stocksignals.classifiers import (
     ClassifierSpec,
+    ModelBundle,
     bundle_json,
     fit_bundle,
     load_bundle,
@@ -307,6 +308,8 @@ class _State:
     ticker_rows: dict[str, range]  # each ticker's rows in data
     subset: tuple[str, ...] | None
     pooled: TrainTestSplit | None = None
+    # the signal horizon's model, when evaluate fitted it on the pooled split
+    signal_bundle: ModelBundle | None = None
 
 
 def _load_feature_subset(path: Path) -> tuple[str, ...]:
@@ -407,7 +410,9 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
             )
     else:
         split = _model_space(state, _pooled_split(cfg, state))
-        blocks.append(evaluate_per_horizon(cfg.classifier, split))
+        fitted: dict[int, ModelBundle] = {}
+        blocks.append(evaluate_per_horizon(cfg.classifier, split, fitted=fitted))
+        state.signal_bundle = fitted.get(cfg.backtest.signal_horizon)
     reports.atomic_write_text(
         cfg.out / "metrics.csv", reports.metrics_csv_text(blocks)
     )
@@ -449,6 +454,9 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
                 bundle.horizon,
                 cfg.backtest.signal_horizon,
             )
+    elif state.signal_bundle is not None:
+        # pipeline: evaluate fitted this model on the same split
+        bundle = state.signal_bundle
     else:
         split = _model_space(state, _pooled_split(cfg, state))
         bundle = fit_bundle(cfg.classifier, split, cfg.backtest.signal_horizon)

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from stocksignals.classifiers import ClassifierSpec, horizon_labels
+from stocksignals.classifiers import ClassifierSpec, ModelBundle, horizon_labels
 from stocksignals.errors import (
     EmptyDataset,
     LengthMismatch,
@@ -142,7 +142,10 @@ class EvaluationReport:
 
 
 def evaluate_per_horizon(
-    spec: ClassifierSpec, split: TrainTestSplit, sector: str | None = None
+    spec: ClassifierSpec,
+    split: TrainTestSplit,
+    sector: str | None = None,
+    fitted: dict[int, ModelBundle] | None = None,
 ) -> EvaluationReport:
     """One independently fitted classifier per horizon, day-1 through day-n.
 
@@ -152,7 +155,9 @@ def evaluate_per_horizon(
     horizon (kNN shares its distance blocks across them); each horizon's
     report counts its labeled test rows only. Horizons with no labeled row on
     either side of the split are omitted with a warning; if none is
-    evaluable the whole call fails.
+    evaluable the whole call fails. `fitted`, when given, receives the
+    bundles fitted on the way by horizon (none for kNN, which predicts from
+    shared distance blocks).
     """
     train, test = split.train, split.test
     evaluable: list[int] = []
@@ -166,7 +171,7 @@ def evaluate_per_horizon(
     if not evaluable:
         raise NoEvaluableHorizon("no horizon had labeled train and test rows")
     X_test = standardize_apply(split.scaler, test.X)
-    predicted = horizon_labels(spec, split, evaluable, X_test)
+    predicted = horizon_labels(spec, split, evaluable, X_test, fitted)
     reports: list[HorizonReport] = []
     for horizon, labels in zip(evaluable, predicted.T):
         y_true = test.labels(horizon)

@@ -219,6 +219,16 @@ def random_dataset(n: int, seed: int = 0) -> Dataset:
     return make_dataset(X, Y)
 
 
+def assert_same_tree(mine, reference):
+    """Two DecisionTrees hold the same columns, thresholds to the bit."""
+    assert (mine.n_features, mine.criterion) == (reference.n_features, reference.criterion)
+    for name in ("feature", "left", "right", "counts", "label"):
+        got, want = getattr(mine, name), getattr(reference, name)
+        assert got.dtype.kind == want.dtype.kind == "i" and np.array_equal(got, want), name
+    assert mine.threshold.dtype == reference.threshold.dtype == np.float64
+    assert np.array_equal(mine.threshold.view(np.uint64), reference.threshold.view(np.uint64))
+
+
 def label_horizons(series: TickerSeries, cfg: LabelConfig = LabelConfig()):
     """label_closes applied to a ticker series (records already date-ordered)."""
     return label_closes([r.close for r in series.records], cfg)

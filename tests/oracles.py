@@ -4,9 +4,12 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, boolean masks, per-candidate recounts, one feature or column at a
 time) and shares no code with the package under test. The `reference_*`
 functions are the package's former implementations, kept as bit-for-bit
-references for the faster code that replaced them; the one exception,
-`reference_evaluate_per_horizon`, builds on the package's own fit and metric
-code, because what it checks is only how the work is shared across horizons.
+references for the faster code that replaced them. Two exceptions build on
+package code, because what they check is only how the work is shared:
+`reference_evaluate_per_horizon` uses the package's fit and metric code to
+check the sharing across horizons, and the reference tree growers fill the
+package's DecisionTree columns and draw from its scalar SplitMix64 to check
+growing all trees of a split together.
 """
 
 import math
@@ -150,6 +153,82 @@ def reference_best_split(X, y, criterion, candidate_features):
             cut = boundaries[k]
             best = (feature, float((ordered[cut - 1] + ordered[cut]) / 2.0), gain)
     return best
+
+
+# --- tree growth, one tree at a time ------------------------------------------------
+
+def reference_grow_tree(X, y, rows, spec, pick_candidates):
+    """Iterative CART growth on X[rows], y[rows] (explicit stack, preorder,
+    left child first), appending each node to the columns as it is popped.
+
+    The package's former per-tree grower, searching each node with
+    reference_best_split. `pick_candidates()` supplies the feature indices
+    searched at each node that does not stop first.
+    """
+    from stocksignals.classifiers.tree import DecisionTree
+    from stocksignals.labels import majority_labels
+
+    nodes = []  # feature, threshold, left, counts
+    right = []
+    # (node rows, depth, position of the parent whose right child this is, or -1)
+    stack = [(rows, 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        pos = len(nodes)
+        if parent >= 0:
+            right[parent] = pos
+        right.append(-1)
+        y_node = y[idx]
+        counts = np.bincount(y_node, minlength=3)
+        stop = (
+            np.count_nonzero(counts) <= 1
+            or len(idx) < spec.min_samples_split
+            or (spec.max_depth is not None and depth >= spec.max_depth)
+        )
+        split = None
+        if not stop:
+            split = reference_best_split(X[idx], y_node, spec.criterion, pick_candidates())
+        if split is None:
+            nodes.append((-1, 0.0, -1, counts))
+            continue
+        feature, threshold, _ = split
+        nodes.append((feature, threshold, pos + 1, np.zeros(3, dtype=np.int64)))
+        mask = X[idx, feature] <= threshold
+        stack.append((idx[~mask], depth + 1, pos))
+        stack.append((idx[mask], depth + 1, -1))
+    feature, threshold, left, counts = (np.array(column) for column in zip(*nodes))
+    return DecisionTree(
+        feature, threshold, left, np.array(right), counts, majority_labels(counts),
+        n_features=X.shape[1], criterion=spec.criterion,
+    )
+
+
+def reference_fit_decision_tree(X, y, spec):
+    """One tree on every row, searching every feature at every node."""
+    every = tuple(range(X.shape[1]))
+    return reference_grow_tree(X, y, np.arange(len(y)), spec, lambda: every)
+
+
+def reference_fit_random_forest(X, y, spec):
+    """(trees, tree_seeds) of the package's former forest loop: tree t draws
+    from SplitMix64(spawn_seed(seed, t)) its bootstrap sample, then each
+    searched node's sorted mtry features."""
+    from stocksignals.classifiers.forest import default_mtry
+    from stocksignals.rng import SplitMix64, spawn_seed
+
+    n, d = X.shape
+    mtry = min(spec.mtry if spec.mtry is not None else default_mtry(d), d)
+    trees, seeds = [], []
+    for t in range(spec.n_trees):
+        seeds.append(spawn_seed(spec.seed, t))
+        rng = SplitMix64(seeds[-1])
+        rows = np.asarray(rng.bootstrap_indices(n), dtype=np.int64) if spec.bootstrap else np.arange(n)
+        if mtry < d:
+            pick = lambda: sorted(rng.sample_indices(d, mtry))  # noqa: E731
+        else:
+            pick = lambda: tuple(range(d))  # noqa: E731
+        trees.append(reference_grow_tree(X, y, rows, spec, pick))
+    return trees, seeds
 
 
 # --- standardization ---------------------------------------------------------------

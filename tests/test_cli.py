@@ -16,7 +16,8 @@ from conftest import (
 )
 
 from stocksignals import cli
-from stocksignals.classifiers import load_bundle
+from stocksignals.classifiers import forest, load_bundle
+from stocksignals.classifiers.tree import grow_trees
 from stocksignals.errors import UsageError
 from stocksignals.transform import FEATURE_COLUMNS
 
@@ -258,6 +259,7 @@ def _drop_params(model):
 
 MALFORMED_MODELS = {
     "cycle": lambda model: model["params"]["tree"]["nodes"][0].update(left=0),
+    "short-scaler": lambda model: model["scaler"].update(means=model["scaler"]["means"][:3]),
     "child-out-of-range": lambda model: model["params"]["tree"]["nodes"][0].update(left=10**6),
     "no-params": _drop_params,
     "not-json": None,
@@ -287,6 +289,24 @@ def test_backtest_rejects_malformed_model_file(tmp_path, market_csv, case):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: not a model file: {path}: ")
     assert result.stderr.count("\n") == 1
+
+
+def test_pipeline_backtests_with_the_forest_evaluate_grew(tmp_path, market_csv, monkeypatch):
+    """pipeline grows each (horizon, tree) once, 10 x 10 trees, and its
+    model.json is byte for byte that of a standalone backtest."""
+    grown = []
+
+    def counting(X, Y, columns, *rest):
+        grown.append(len(columns))
+        return grow_trees(X, Y, columns, *rest)
+
+    monkeypatch.setattr(forest, "grow_trees", counting)
+    assert run("pipeline", "--data", market_csv, "--out", tmp_path / "pipeline", "--seed", "5") == 0
+    assert grown == [100]
+    assert run("backtest", "--data", market_csv, "--out", tmp_path / "alone", "--seed", "5") == 0
+    assert grown == [100, 10]
+    model = (tmp_path / "pipeline" / "model.json").read_bytes()
+    assert model == (tmp_path / "alone" / "model.json").read_bytes()
 
 
 def test_feature_subset_file(tmp_path, market_csv):
