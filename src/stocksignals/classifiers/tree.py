@@ -78,12 +78,9 @@ class Split:
 
 def dense_ranks(X: np.ndarray) -> np.ndarray:
     """(n, d) rank of every value among the distinct values of its column."""
-    order = X.argsort(axis=0)
-    ordered = np.take_along_axis(X, order, axis=0)
-    steps = np.zeros(X.shape, dtype=np.intp)
-    steps[1:] = ordered[1:] > ordered[:-1]
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, steps.cumsum(axis=0), axis=0)
+    ranks = np.empty(X.shape, dtype=np.int32)
+    for j, column in enumerate(X.T):
+        ranks[:, j] = np.unique(column, return_inverse=True)[1]
     return ranks
 
 
