@@ -95,10 +95,10 @@ def best_split(
     """Best (feature, threshold) over the candidates, or None without gain.
 
     `rows` indexes the node's rows in X (every row when None); y holds
-    their labels. Given lists instead (per-node labels, candidate features
-    and rows, each node with at least one row), every node is searched in one
-    batch and the result is one Split or None per node. `ranks` is
-    dense_ranks(X), computed when None.
+    their labels. Given lists instead (per-node labels, ascending candidate
+    features and rows, each node with at least one row), every node is
+    searched in one batch and the result is one Split or None per node.
+    `ranks` is dense_ranks(X), computed when None.
     """
     if ranks is None:
         ranks = dense_ranks(X)
