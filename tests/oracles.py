@@ -4,15 +4,21 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, boolean masks, per-candidate recounts, one feature or column at a
 time) and shares no code with the package under test. The `reference_*`
 functions are the package's former implementations, kept as bit-for-bit
-references for the faster code that replaced them. Two exceptions build on
-package code, because what they check is only how the work is shared:
+references for the faster code that replaced them. Some exceptions build on
+package code. The per-row ingest references read the input schema
+(`RAW_COLUMNS` and friends), raise the package's error types and return its
+`Dataset`, because what they check is the column layout that replaced them.
 `reference_evaluate_per_horizon` uses the package's fit and metric code to
 check the sharing across horizons, and the reference tree growers fill the
 package's DecisionTree columns and draw from its scalar SplitMix64 to check
 growing all trees of a split together.
 """
 
+import csv
+import datetime as dt
+import io
 import math
+from collections import namedtuple
 from decimal import Decimal
 
 import numpy as np
@@ -38,6 +44,229 @@ def brute_force_labels(closes, horizons, up=1.01, down=0.99):
                 row.append(1)
         table.append(row)
     return table
+
+
+# --- ingest and assembly, one row at a time ------------------------------------
+
+# One parsed CSV row: `values` holds the RAW_COLUMNS cells in order, an int in
+# a count column, a float elsewhere, None when missing.
+ReferenceRow = namedtuple("ReferenceRow", "date ticker sector values")
+
+
+def _reference_numeric(cell, column, warnings):
+    """Typed cell value, or None (counting a warning) when invalid."""
+    from stocksignals.ingest import COUNT_COLUMNS
+
+    text = cell.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        warnings[column] = warnings.get(column, 0) + 1
+        return None
+    if not math.isfinite(value):
+        warnings[column] = warnings.get(column, 0) + 1
+        return None
+    if column in COUNT_COLUMNS:
+        if value < 0 or value != int(value):
+            warnings[column] = warnings.get(column, 0) + 1
+            return None
+        return int(value)
+    if column == "PX_OFFICIAL_CLOSE" and value <= 0:
+        warnings[column] = warnings.get(column, 0) + 1
+        return None
+    return value
+
+
+def reference_parse_market_csv(data):
+    """(rows, parse_warnings) of a market CSV's bytes, one ReferenceRow per data row."""
+    from stocksignals.errors import EmptyInput, MalformedRow, SchemaError
+    from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
+
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
+    text = text.lstrip("\ufeff")
+    if not text.strip():
+        raise EmptyInput("no header row")
+
+    reader = csv.reader(io.StringIO(text))
+    header = [name.strip() for name in next(reader)]
+    positions = {}
+    for i, name in enumerate(header):
+        if name in positions and name in CSV_COLUMNS:
+            raise SchemaError(f"duplicate column {name}")
+        positions.setdefault(name, i)
+    missing = [c for c in CSV_COLUMNS if c not in positions]
+    if missing:
+        raise SchemaError(", ".join(missing))
+
+    warnings = {}
+    rows = []
+    for record in reader:
+        if not record:
+            continue  # blank line
+        if len(record) != len(header):
+            raise MalformedRow(
+                f"line {reader.line_num}: expected {len(header)} columns, "
+                f"got {len(record)}"
+            )
+        date_text = record[positions["date"]].strip()
+        if date_text:
+            try:
+                date = dt.date.fromisoformat(date_text)
+            except ValueError:
+                raise MalformedRow(
+                    f"line {reader.line_num}: bad date {date_text!r}, "
+                    "expected YYYY-MM-DD"
+                ) from None
+        else:
+            date = None
+        values = tuple(
+            _reference_numeric(record[positions[col]], col, warnings) for col in RAW_COLUMNS
+        )
+        rows.append(
+            ReferenceRow(
+                date=date,
+                ticker=record[positions["ticker"]].strip() or None,
+                sector=record[positions["sector"]].strip(),
+                values=values,
+            )
+        )
+    return rows, warnings
+
+
+def reference_validate_and_clean(rows):
+    """(kept rows, dropped_by_column, rows_dropped, rec_count_violations).
+
+    A row missing a raw value, its date or its ticker is dropped; a kept row
+    whose buy + sell + hold (Python ints) exceeds the analyst total counts
+    as a violation.
+    """
+    from stocksignals.errors import AllRowsDropped
+    from stocksignals.ingest import RAW_COLUMNS
+
+    total, buy, sell, hold = (
+        RAW_COLUMNS.index(c)
+        for c in ("TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_SELL_REC", "TOT_HOLD_REC")
+    )
+    kept = []
+    dropped_by_column = {}
+    dropped = 0
+    violations = 0
+    for row in rows:
+        missing = [c for c, v in zip(RAW_COLUMNS, row.values) if v is None]
+        if row.date is None:
+            missing.append("date")
+        if not row.ticker:
+            missing.append("ticker")
+        if missing:
+            dropped += 1
+            for col in missing:
+                dropped_by_column[col] = dropped_by_column.get(col, 0) + 1
+            continue
+        if row.values[buy] + row.values[sell] + row.values[hold] > row.values[total]:
+            violations += 1
+        kept.append(row)
+    if not kept:
+        raise AllRowsDropped("no rows survive null-policy cleaning")
+    return kept, dropped_by_column, dropped, violations
+
+
+def reference_partition_by_ticker(rows):
+    """[(ticker, sector, rows ascending by date)] in sorted ticker order."""
+    from stocksignals.errors import DuplicateKey, SectorConflict
+
+    grouped = {}
+    sectors = {}
+    seen = set()
+    for row in rows:
+        key = (row.ticker, row.date)
+        if key in seen:
+            raise DuplicateKey(f"{row.ticker} already has a row for {row.date}")
+        seen.add(key)
+        if row.ticker in sectors:
+            if sectors[row.ticker] != row.sector:
+                raise SectorConflict(
+                    f"{row.ticker} maps to both "
+                    f"{sectors[row.ticker]!r} and {row.sector!r}"
+                )
+        else:
+            sectors[row.ticker] = row.sector
+        grouped.setdefault(row.ticker, []).append(row)
+    return [
+        (ticker, sectors[ticker], sorted(group, key=lambda r: r.date))
+        for ticker, group in sorted(grouped.items())
+    ]
+
+
+def reference_rolling_std(closes, window):
+    """Sample std of each trailing window from Python prefix sums of x and
+    x^2, None before the window fills; a negative variance clamps to 0."""
+    n = len(closes)
+    sums = [0.0] * (n + 1)
+    squares = [0.0] * (n + 1)
+    for i, x in enumerate(closes):
+        sums[i + 1] = sums[i] + x
+        squares[i + 1] = squares[i] + x * x
+    out = [None] * n
+    for i in range(window - 1, n):
+        s = sums[i + 1] - sums[i + 1 - window]
+        q = squares[i + 1] - squares[i + 1 - window]
+        var = (q - s * s / window) / (window - 1)
+        out[i] = math.sqrt(max(var, 0.0))
+    return out
+
+
+def _reference_rec_percentages(values):
+    """(buy, hold, sell) shares of the analyst total, or None when the total
+    is zero or a share leaves [0, 1]."""
+    from stocksignals.ingest import RAW_COLUMNS
+
+    total, buy, hold, sell = (
+        values[RAW_COLUMNS.index(c)]
+        for c in ("TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_HOLD_REC", "TOT_SELL_REC")
+    )
+    if not total:
+        return None
+    shares = (buy / total, hold / total, sell / total)
+    if not all(0.0 <= p <= 1.0 for p in shares):
+        return None
+    return shares
+
+
+def reference_assemble_features(ticker, rows, horizons, up=1.01, down=0.99):
+    """The package Dataset of one ticker's date-ordered rows: raw values,
+    shares, 5- and 10-day std and labels, keeping the days that have every
+    derived value and at least one label."""
+    from stocksignals.ingest import RAW_COLUMNS
+    from stocksignals.transform import FEATURE_COLUMNS, Dataset
+
+    closes = [row.values[RAW_COLUMNS.index("PX_OFFICIAL_CLOSE")] for row in rows]
+    std5 = reference_rolling_std(closes, 5)
+    std10 = reference_rolling_std(closes, 10)
+    labels = brute_force_labels(closes, horizons, up, down)
+    kept, X = [], []
+    for i, row in enumerate(rows):
+        shares = _reference_rec_percentages(row.values)
+        if shares is None or std5[i] is None or std10[i] is None:
+            continue
+        if all(label is None for label in labels[i]):
+            continue
+        kept.append(i)
+        X.append([*row.values, *shares, std5[i], std10[i]])
+    return Dataset(
+        tickers=np.full(len(kept), ticker),
+        dates=np.array([rows[i].date for i in kept], dtype="datetime64[D]"),
+        X=np.array(X, dtype=float).reshape(len(kept), len(FEATURE_COLUMNS)),
+        Y=np.array(
+            [[-1 if label is None else label for label in labels[i]] for i in kept],
+            dtype=np.int8,
+        ).reshape(len(kept), len(horizons)),
+        horizons=tuple(horizons),
+    )
 
 
 # --- split search --------------------------------------------------------------

@@ -47,8 +47,46 @@ CONFIG = {
     },
 }
 
+# (row, column, text) written over synthetic_market_bytes(3, 40, seed=8):
+# one cell per demotion rule, a dropped row per kind of missing cell, rows
+# that clean keeps but assembly drops, a -0 count and an overflowing close.
+# Rows 0-39 are TK00, 40-79 TK01 and 80-119 TK02, each ascending by date.
+DIRTY_CELLS = (
+    (3, "PE_RATIO", "abc"),
+    (5, "PX_VOLUME", "nan"),
+    (7, "SHORT_INT", "inf"),
+    (8, "BEST_EPS", "-inf"),
+    (12, "PX_OFFICIAL_CLOSE", "0"),
+    (14, "PX_OFFICIAL_CLOSE", "-2.5"),
+    (16, "TOT_SELL_REC", "-1"),
+    (18, "TOT_HOLD_REC", "1.5"),
+    (20, "RETURN_ON_ASSET", ""),
+    (22, "date", ""),
+    (24, "ticker", ""),
+    (26, "TOT_ANALYST_REC", "0"),  # zero total: kept, then dropped by assembly
+    (26, "TOT_BUY_REC", "0"),
+    (26, "TOT_SELL_REC", "0"),
+    (26, "TOT_HOLD_REC", "0"),
+    (28, "TOT_BUY_REC", "99"),  # a count above the total
+    (30, "TOT_BUY_REC", "-0"),
+    (31, "TOT_HOLD_REC", "-0.0"),
+    (33, "PE_RATIO", "-0.0"),
+    (52, "PX_OFFICIAL_CLOSE", "1e308"),  # the rolling std overflows to nan
+)
+
+
+def dirty_market_bytes() -> bytes:
+    lines = synthetic_market_bytes(n_tickers=3, n_days=40, seed=8).decode().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for row, column, text in DIRTY_CELLS:
+        rows[row][header.index(column)] = text
+    return ("\n".join(",".join(cells) for cells in [header, *rows]) + "\n").encode()
+
+
 # run name -> argv; the output directory is named after the run, and runs
-# execute in this order (backtest-model-file reuses pipeline-forest's model)
+# execute in this order (backtest-model-file reuses pipeline-forest's model).
+# Runs read market.csv unless they name --data.
 RUNS = {
     "pipeline-forest": ["pipeline", "--seed", "42"],
     "evaluate-knn": ["evaluate", "--model", "knn", "--seed", "3"],
@@ -71,6 +109,7 @@ RUNS = {
         "backtest", "--model-file", "pipeline-forest/model.json", "--seed", "42",
     ],
     "config": ["pipeline", "--config", "config.json"],
+    "transform-dirty": ["transform", "--data", "dirty.csv"],
 }
 
 GOLDEN = {
@@ -201,6 +240,10 @@ GOLDEN = {
         "trades_TK03.csv": "9e75abae578b395937f5f5b95bd0c140a278a5cf981b9fc10c0ad304aeaf8fa1",
         "variance.csv": "27aefc78bf221dd5dce63a9c63506c9bc199010561f65c792c0ec8c9e6c4a400",
     },
+    "transform-dirty": {
+        "dataset.csv": "34082ffeb00e2275f3ae4e72cd7849d89b83c3c4592be7f0431d7b85757416ff",
+        "run.json": "d673438335bd1acbc108cd4994d4ec6efc87dfb65f5f42952652eae48424c878",
+    },
 }
 
 
@@ -216,6 +259,7 @@ def produced(tmp_path_factory):
     """Run every CLI call once, from inside a scratch directory, and hash the outputs."""
     root = tmp_path_factory.mktemp("golden")
     (root / "market.csv").write_bytes(synthetic_market_bytes(n_tickers=4, n_days=60, seed=5))
+    (root / "dirty.csv").write_bytes(dirty_market_bytes())
     (root / "six.txt").write_text("\n".join(SIX_FEATURES) + "\n", encoding="utf-8")
     (root / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     previous = os.getcwd()
@@ -223,7 +267,9 @@ def produced(tmp_path_factory):
     try:
         results = {}
         for name, argv in RUNS.items():
-            extra = [] if "--config" in argv else ["--data", "market.csv", "--out", name]
+            extra = [] if "--config" in argv else ["--out", name]
+            if "--config" not in argv and "--data" not in argv:
+                extra += ["--data", "market.csv"]
             assert cli.main(argv + extra) == 0, name
             results[name] = _digests(root / CONFIG["out"] if name == "config" else root / name)
         return results

@@ -13,7 +13,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_scaler, reference_standardize
+from oracles import brute_force_labels, reference_scaler, reference_standardize
 
 from stocksignals import transform
 from stocksignals.errors import (
@@ -147,6 +147,35 @@ def test_label_scale_invariance_generic_walks():
         base = label_closes(closes)
         for c in (0.37, 3.1, 19.9):
             assert np.array_equal(label_closes([x * c for x in closes]), base)
+
+
+@st.composite
+def labeling_inputs(draw):
+    """(closes, cfg): a price walk, some of whose closes sit exactly on
+    up * close[i] or down * close[i] for an earlier day i, and horizons that
+    may reach past the series."""
+    up = draw(st.floats(1.0001, 1.5))
+    down = draw(st.floats(0.5, 0.9999))
+    closes = draw(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=30))
+    hits = draw(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40), st.booleans()), max_size=12)
+    )
+    for target, back, on_up in sorted(hits):  # ascending targets: sources are final
+        if target < len(closes) and back <= target:
+            closes[target] = (up if on_up else down) * closes[target - back]
+    horizons = draw(st.lists(st.integers(1, 45), min_size=1, max_size=6, unique=True))
+    return closes, LabelConfig(horizons=tuple(horizons), up_threshold=up, down_threshold=down)
+
+
+@settings(max_examples=400, deadline=None)
+@given(labeling_inputs())
+@example(([100.0, 101.0, 99.0, 100.0], LabelConfig(horizons=(1, 2, 4))))
+def test_label_closes_matches_brute_force_oracle(case):
+    closes, cfg = case
+    want = brute_force_labels(closes, cfg.horizons, cfg.up_threshold, cfg.down_threshold)
+    got = label_closes(closes, cfg)
+    assert got.dtype == np.int8 and got.shape == (len(closes), len(cfg.horizons))
+    assert got.tolist() == [[-1 if w is None else w for w in row] for row in want]
 
 
 # --- assemble ------------------------------------------------------------------
