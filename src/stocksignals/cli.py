@@ -30,8 +30,13 @@ from stocksignals.classifiers import (
 )
 from stocksignals.errors import (
     DataError,
+    EmptyDataset,
+    EmptyTraining,
+    KTooLarge,
+    NoEvaluableHorizon,
     NumericError,
     PipelineError,
+    TooFewRows,
     UsageError,
 )
 from stocksignals.evaluation import EvaluationReport, evaluate_per_horizon
@@ -401,13 +406,20 @@ def _stage_transform(cfg: RunConfig, state: _State) -> None:
 
 def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
     blocks: list[EvaluationReport] = []
+    skipped: dict[str, PipelineError] = {}
     if cfg.by_sector:
         for sector in sorted(set(state.sectors.values())):
             tickers = [t for t, s in state.sectors.items() if s == sector]
-            split = _split(cfg, state.data.take(np.isin(state.data.tickers, tickers)))
-            blocks.append(
-                evaluate_per_horizon(cfg.classifier, _model_space(state, split), sector)
-            )
+            try:
+                split = _split(cfg, state.data.take(np.isin(state.data.tickers, tickers)))
+                blocks.append(
+                    evaluate_per_horizon(cfg.classifier, _model_space(state, split), sector)
+                )
+            except (TooFewRows, EmptyDataset, EmptyTraining, NoEvaluableHorizon, KTooLarge) as exc:
+                logger.warning("sector %s skipped: %s", sector, exc)
+                skipped[sector] = exc
+        if not blocks:
+            raise next(iter(skipped.values()))
     else:
         split = _model_space(state, _pooled_split(cfg, state))
         fitted: dict[int, ModelBundle] = {}
@@ -417,7 +429,8 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
         cfg.out / "metrics.csv", reports.metrics_csv_text(blocks)
     )
     reports.atomic_write_text(
-        cfg.out / "metrics.json", reports.metrics_json_text(blocks, cfg.seed)
+        cfg.out / "metrics.json",
+        reports.metrics_json_text(blocks, cfg.seed, {s: str(e) for s, e in skipped.items()}),
     )
     scope = f"{len(blocks)} sectors" if cfg.by_sector else "pooled"
     print(

@@ -1,14 +1,20 @@
-"""CSV ingestion of daily per-ticker market records.
+"""CSV ingestion of daily per-ticker market rows into columns.
 
 Expected schema: a header row holding `date`, `ticker`, `sector` plus the
 23 Bloomberg field symbols in RAW_COLUMNS, comma separated, `.` decimal
 point, empty cell = missing. Extra columns are ignored.
 
-Cells that fail to parse under their column's type, or that violate a
-value constraint (non-positive close, negative or fractional recommendation
-count, non-finite number), are demoted to missing and counted as parse
-warnings. Rows that survive validate_and_clean therefore always satisfy the
-record invariants.
+A parsed table is columnar: `dates` (datetime64[D], NaT = missing),
+`tickers` and `sectors` (object arrays of str, "" = missing ticker) and
+`values`, an (n, 23) float64 matrix in RAW_COLUMNS order with NaN for a
+missing cell. This module owns that layout; transform reads the matrix by
+RAW_COLUMNS position.
+
+Cells that fail to parse as a number, or that violate a value constraint
+(non-positive close, negative or fractional recommendation count,
+non-finite number), are demoted to missing and counted as parse warnings.
+Rows that survive validate_and_clean therefore hold a finite value in every
+column, and a non-negative whole number in every count column.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Union
+from operator import itemgetter
+from typing import IO, Sequence, Union
+
+import numpy as np
 
 from stocksignals.errors import (
     AllRowsDropped,
@@ -62,81 +71,39 @@ COUNT_COLUMNS = frozenset(
 META_COLUMNS: tuple[str, ...] = ("date", "ticker", "sector")
 CSV_COLUMNS: tuple[str, ...] = META_COLUMNS + RAW_COLUMNS
 
-_FIELD_FOR_COLUMN = {
-    "PX_OFFICIAL_CLOSE": "close",
-    "PX_VOLUME": "volume",
-    "CUR_MKT_CAP": "cur_mkt_cap",
-    "HISTORICAL_MARKET_CAP": "historical_mkt_cap",
-    "SHORT_INT": "short_int",
-    "SHORT_INT_RATIO": "short_int_ratio",
-    "PE_RATIO": "pe_ratio",
-    "PX_TO_BOOK_RATIO": "pb_ratio",
-    "RETURN_ON_ASSET": "return_on_asset",
-    "BEST_EPS": "best_eps",
-    "BEST_EPS_LO": "best_eps_lo",
-    "BEST_EPS_HI": "best_eps_hi",
-    "BEST_CAPEX": "best_capex",
-    "BEST_CAPEX_LO": "best_capex_lo",
-    "BEST_CAPEX_HI": "best_capex_hi",
-    "TOT_ANALYST_REC": "tot_analyst_rec",
-    "TOT_BUY_REC": "tot_buy_rec",
-    "TOT_SELL_REC": "tot_sell_rec",
-    "TOT_HOLD_REC": "tot_hold_rec",
-    "EQY_REC_CONS": "eqy_rec_cons",
-    "BEST_ANALYST_RATING": "best_analyst_rating",
-    "BEST_EST_LONG_TERM_GROWTH": "best_est_long_term_growth",
-    "BEST_TARGET_PRICE": "best_target_price",
-}
-
-
-@dataclass(frozen=True)
-class DailyRecord:
-    """One ticker-day of raw inputs. Any value may be missing until cleaned."""
-
-    date: dt.date | None
-    ticker: str | None
-    sector: str
-    close: float | None
-    volume: float | None
-    cur_mkt_cap: float | None
-    historical_mkt_cap: float | None
-    short_int: float | None
-    short_int_ratio: float | None
-    pe_ratio: float | None
-    pb_ratio: float | None
-    return_on_asset: float | None
-    best_eps: float | None
-    best_eps_lo: float | None
-    best_eps_hi: float | None
-    best_capex: float | None
-    best_capex_lo: float | None
-    best_capex_hi: float | None
-    tot_analyst_rec: int | None
-    tot_buy_rec: int | None
-    tot_sell_rec: int | None
-    tot_hold_rec: int | None
-    eqy_rec_cons: float | None
-    best_analyst_rating: float | None
-    best_est_long_term_growth: float | None
-    best_target_price: float | None
-
-    def raw_value(self, column: str) -> float | int | None:
-        return getattr(self, _FIELD_FOR_COLUMN[column])
+# data rows whose raw cells are held as text at a time
+_CHUNK_ROWS = 4096
+_COUNT_INDEX = [
+    RAW_COLUMNS.index(c) for c in ("TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_SELL_REC", "TOT_HOLD_REC")
+]
 
 
 @dataclass
-class RawTable:
-    """Parsed rows in file order plus per-column unparseable-cell counts."""
+class MarketColumns:
+    """Rows as columns: dates, tickers, sectors and the raw value matrix."""
 
-    rows: list[DailyRecord]
+    dates: np.ndarray  # datetime64[D], NaT = missing
+    tickers: np.ndarray  # object array of str, "" = missing
+    sectors: np.ndarray  # object array of str
+    values: np.ndarray  # (n, 23) float64 in RAW_COLUMNS order, NaN = missing
+
+    @property
+    def rows(self) -> range:
+        """Row positions, in table order."""
+        return range(len(self.values))
+
+
+@dataclass
+class RawTable(MarketColumns):
+    """Parsed rows in file order plus per-column demoted-cell counts."""
+
     parse_warnings: dict[str, int]
 
 
 @dataclass
-class CleanTable:
+class CleanTable(MarketColumns):
     """Rows surviving the row-wise null drop, plus a drop report."""
 
-    rows: list[DailyRecord]
     dropped_by_column: dict[str, int]
     rows_dropped: int
     rec_count_violations: int
@@ -144,43 +111,71 @@ class CleanTable:
 
 @dataclass
 class TickerSeries:
-    """All records of one ticker, strictly ascending by date."""
+    """All rows of one ticker, strictly ascending by date."""
 
     ticker: str
     sector: str
-    records: list[DailyRecord]
+    dates: np.ndarray  # datetime64[D]
+    values: np.ndarray  # (n, 23) float64 in RAW_COLUMNS order
 
 
-def _parse_numeric(cell: str, column: str, warnings: dict[str, int]):
-    """Typed cell value, or None (counting a warning) when invalid."""
-    text = cell.strip()
-    if not text:
-        return None
+def _float_or_nan(cell: str) -> float:
     try:
-        value = float(text)
+        return float(cell)
     except ValueError:
-        warnings[column] = warnings.get(column, 0) + 1
-        return None
-    if not math.isfinite(value):
-        warnings[column] = warnings.get(column, 0) + 1
-        return None
+        return math.nan
+
+
+def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
+    """A column's values (NaN = missing) and its number of demoted cells.
+
+    An empty cell is missing. A cell that is no number, or that breaks the
+    column's value constraint, is demoted to missing and counted. float()
+    ignores surrounding whitespace, so one call per cell reads a whole
+    column unless some cell fails.
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        empty = 0
+    except ValueError:
+        values = np.array([_float_or_nan(cell) for cell in cells], dtype=float)
+        empty = sum(1 for cell in cells if not cell.strip())
+    valid = np.isfinite(values)
     if column in COUNT_COLUMNS:
-        if value < 0 or value != int(value):
-            warnings[column] = warnings.get(column, 0) + 1
-            return None
-        return int(value)
-    if column == "PX_OFFICIAL_CLOSE" and value <= 0:
-        warnings[column] = warnings.get(column, 0) + 1
-        return None
-    return value
+        valid &= (values >= 0) & (values == np.trunc(values))
+        values += 0.0  # a count of -0 is 0
+    elif column == "PX_OFFICIAL_CLOSE":
+        valid &= values > 0
+    values[~valid] = np.nan
+    return values, len(cells) - empty - int(np.count_nonzero(valid))
+
+
+def _parse_date(text: str, line: int) -> np.datetime64:
+    """A stripped ISO date cell as datetime64[D]; NaT when empty."""
+    try:
+        return np.datetime64(dt.date.fromisoformat(text) if text else "NaT", "D")
+    except ValueError:
+        raise MalformedRow(
+            f"line {line}: bad date {text!r}, expected YYYY-MM-DD"
+        ) from None
+
+
+def _parse_block(rows: list[tuple[str, ...]], demoted: np.ndarray) -> np.ndarray:
+    """The (k, 23) values of k rows of raw cells in RAW_COLUMNS order,
+    adding each column's demoted cells to `demoted`."""
+    columns = list(zip(*rows)) or [()] * len(RAW_COLUMNS)
+    parsed = [_parse_column(cells, name) for cells, name in zip(columns, RAW_COLUMNS)]
+    demoted += [count for _, count in parsed]
+    return np.column_stack([values for values, _ in parsed])
 
 
 def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
-    """Parse a UTF-8 market CSV byte stream into typed rows.
+    """Parse a UTF-8 market CSV byte stream into columns.
 
     Raises EmptyInput when there is no header, SchemaError when a required
-    column is missing, and MalformedRow for a wrong column count or a date
-    that is not ISO-8601 (YYYY-MM-DD).
+    column is missing, and MalformedRow for the first row, in file order,
+    with a wrong column count or a date that is not ISO-8601 (YYYY-MM-DD).
+    Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
     try:
@@ -202,8 +197,11 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     if missing:
         raise SchemaError(", ".join(missing))
 
-    warnings: dict[str, int] = {}
-    rows: list[DailyRecord] = []
+    date_at, ticker_at, sector_at = (positions[c] for c in META_COLUMNS)
+    pick = itemgetter(*(positions[c] for c in RAW_COLUMNS))
+    seen_dates: dict[str, np.datetime64] = {}  # date cell -> parsed date
+    dates, tickers, sectors, chunk, blocks = [], [], [], [], []
+    demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
     for record in reader:
         if not record:
             continue  # blank line
@@ -212,94 +210,96 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
                 f"line {reader.line_num}: expected {len(header)} columns, "
                 f"got {len(record)}"
             )
-        date_text = record[positions["date"]].strip()
-        if date_text:
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError:
-                raise MalformedRow(
-                    f"line {reader.line_num}: bad date {date_text!r}, "
-                    "expected YYYY-MM-DD"
-                ) from None
-        else:
-            date = None
-        ticker = record[positions["ticker"]].strip() or None
-        sector = record[positions["sector"]].strip()
-        values = {
-            _FIELD_FOR_COLUMN[col]: _parse_numeric(
-                record[positions[col]], col, warnings
-            )
-            for col in RAW_COLUMNS
-        }
-        rows.append(DailyRecord(date=date, ticker=ticker, sector=sector, **values))
-    return RawTable(rows=rows, parse_warnings=warnings)
+        cell = record[date_at]
+        if cell not in seen_dates:
+            seen_dates[cell] = _parse_date(cell.strip(), reader.line_num)
+        dates.append(seen_dates[cell])
+        tickers.append(record[ticker_at].strip())
+        sectors.append(record[sector_at].strip())
+        chunk.append(pick(record))
+        if len(chunk) == _CHUNK_ROWS:
+            blocks.append(_parse_block(chunk, demoted))
+            chunk = []
+    blocks.append(_parse_block(chunk, demoted))
+    return RawTable(
+        dates=np.array(dates, dtype="datetime64[D]"),
+        tickers=np.array(tickers, dtype=object),
+        sectors=np.array(sectors, dtype=object),
+        values=np.concatenate(blocks),
+        parse_warnings={c: int(n) for c, n in zip(RAW_COLUMNS, demoted) if n},
+    )
 
 
-def validate_and_clean(table: RawTable | CleanTable) -> CleanTable:
+def _rec_count_violations(values: np.ndarray) -> int:
+    """Rows whose buy + sell + hold exceeds the analyst total, counted exactly.
+
+    Float sums of whole numbers are exact while they stay below 2**53; the
+    rare larger sums are redone in Python ints.
+    """
+    total, buy, sell, hold = values[:, _COUNT_INDEX].T
+    parts = buy + sell + hold
+    exact = parts < 2.0**53
+    return int(np.count_nonzero(exact & (parts > total))) + sum(
+        int(b) + int(s) + int(h) > int(t) for t, b, s, h in values[~exact][:, _COUNT_INDEX].tolist()
+    )
+
+
+def validate_and_clean(table: MarketColumns) -> CleanTable:
     """Drop every row with a missing date, ticker, or raw feature value.
 
     The analyst-count identity (buy + sell + hold <= total) is checked but
     only counted: real feeds include analysts with no opinion, so violations
     flag the row rather than reject it.
     """
-    kept: list[DailyRecord] = []
-    dropped_by_column: dict[str, int] = {}
-    dropped = 0
-    violations = 0
-    for row in table.rows:
-        missing = [c for c in RAW_COLUMNS if row.raw_value(c) is None]
-        if row.date is None:
-            missing.append("date")
-        if not row.ticker:
-            missing.append("ticker")
-        if missing:
-            dropped += 1
-            for col in missing:
-                dropped_by_column[col] = dropped_by_column.get(col, 0) + 1
-            continue
-        parts = (row.tot_buy_rec, row.tot_sell_rec, row.tot_hold_rec)
-        if row.tot_analyst_rec is not None and None not in parts:
-            if sum(parts) > row.tot_analyst_rec:
-                violations += 1
-        kept.append(row)
-    if not kept:
+    missing = np.column_stack(
+        [np.isnan(table.values), np.isnat(table.dates), table.tickers == ""]
+    )
+    keep = ~missing.any(axis=1)
+    if not keep.any():
         raise AllRowsDropped("no rows survive null-policy cleaning")
+    values = table.values[keep]
     return CleanTable(
-        rows=kept,
-        dropped_by_column=dropped_by_column,
-        rows_dropped=dropped,
-        rec_count_violations=violations,
+        dates=table.dates[keep],
+        tickers=table.tickers[keep],
+        sectors=table.sectors[keep],
+        values=values,
+        dropped_by_column={
+            column: count
+            for column, count in zip(RAW_COLUMNS + ("date", "ticker"), missing.sum(axis=0).tolist())
+            if count
+        },
+        rows_dropped=len(keep) - int(np.count_nonzero(keep)),
+        rec_count_violations=_rec_count_violations(values),
     )
 
 
 def partition_by_ticker(table: CleanTable) -> dict[str, TickerSeries]:
-    """Group cleaned rows per ticker, sorted ascending by date.
+    """Group cleaned rows per ticker (in sorted order), ascending by date.
 
     Raises DuplicateKey when a (ticker, date) pair repeats and SectorConflict
-    when one ticker carries two different sectors.
+    when one ticker carries two different sectors, for whichever row comes
+    first in table order.
     """
-    grouped: dict[str, list[DailyRecord]] = {}
-    sectors: dict[str, str] = {}
-    seen: set[tuple[str, dt.date]] = set()
-    for row in table.rows:
-        key = (row.ticker, row.date)
-        if key in seen:
-            raise DuplicateKey(f"{row.ticker} already has a row for {row.date}")
-        seen.add(key)
-        if row.ticker in sectors:
-            if sectors[row.ticker] != row.sector:
-                raise SectorConflict(
-                    f"{row.ticker} maps to both "
-                    f"{sectors[row.ticker]!r} and {row.sector!r}"
-                )
-        else:
-            sectors[row.ticker] = row.sector
-        grouped.setdefault(row.ticker, []).append(row)
-    return {
-        ticker: TickerSeries(
-            ticker=ticker,
-            sector=sectors[ticker],
-            records=sorted(rows, key=lambda r: r.date),
+    names, first, codes = np.unique(table.tickers, return_index=True, return_inverse=True)
+    owners = table.sectors[first[codes]]  # each row's ticker's first sector
+    order = np.lexsort((table.dates, codes))  # stable: a repeated key keeps table order
+    codes_in_order, dates_in_order = codes[order], table.dates[order]
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = (codes_in_order[1:] == codes_in_order[:-1]) & (
+        dates_in_order[1:] == dates_in_order[:-1]
+    )
+    bad = np.flatnonzero(repeated | (table.sectors != owners))
+    if bad.size:
+        row = bad[0]
+        if repeated[row]:
+            raise DuplicateKey(
+                f"{table.tickers[row]} already has a row for {table.dates[row].item()}"
+            )
+        raise SectorConflict(
+            f"{table.tickers[row]} maps to both {owners[row]!r} and {table.sectors[row]!r}"
         )
-        for ticker, rows in sorted(grouped.items())
+    groups = np.split(order, np.flatnonzero(np.diff(codes_in_order)) + 1)
+    return {
+        ticker: TickerSeries(ticker, owners[rows[0]], table.dates[rows], table.values[rows])
+        for ticker, rows in zip(names.tolist(), groups)
     }

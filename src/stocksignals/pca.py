@@ -226,8 +226,8 @@ def select_top_features(
     scores: Sequence[FeatureScore],
     top_k: int,
     canonical_order: Sequence[str] = FEATURE_COLUMNS,
-) -> tuple[list[str], bool]:
-    """Top-k feature names by weighted occurrence.
+) -> tuple[list[FeatureScore], list[str], bool]:
+    """All scores ranked by weighted occurrence, and the top-k feature names.
 
     Ties break by occurrences, then canonical feature order. When fewer
     than top_k features scored above zero the tail is canonical-order
@@ -244,9 +244,8 @@ def select_top_features(
             position.get(s.feature, len(position)),
         ),
     )
-    selected = ranked[:top_k]
     padded = sum(1 for s in scores if s.weighted_occurrence > 0) < top_k
-    return [s.feature for s in selected], padded
+    return ranked, [s.feature for s in ranked[:top_k]], padded
 
 
 def rank_features(
@@ -292,12 +291,7 @@ def rank_features(
         scored.get(name, FeatureScore(feature=name, occurrences=0, weighted_occurrence=0))
         for name in names
     ]
-    position = {name: i for i, name in enumerate(names)}
-    ordered = sorted(
-        all_scores,
-        key=lambda s: (-s.weighted_occurrence, -s.occurrences, position[s.feature]),
-    )
-    selected, padded = select_top_features(all_scores, cfg.top_k, names)
+    ordered, selected, padded = select_top_features(all_scores, cfg.top_k, names)
     return PcaRanking(
         feature_names=names,
         used_features=used_names,

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from stocksignals.backtest import BacktestReport, Trade
 from stocksignals.evaluation import EvaluationReport
@@ -91,8 +91,12 @@ def _class_metrics_dict(metrics) -> dict:
     }
 
 
-def metrics_json_text(blocks: Sequence[EvaluationReport], seed: int) -> str:
-    payload = {
+def metrics_json_text(
+    blocks: Sequence[EvaluationReport], seed: int, skipped: Mapping[str, str]
+) -> str:
+    """The blocks' reports; `skipped` (sector -> reason) is listed under
+    `skipped_sectors` only when some sector was skipped."""
+    payload: dict = {
         "seed": seed,
         "blocks": [
             {
@@ -119,6 +123,10 @@ def metrics_json_text(blocks: Sequence[EvaluationReport], seed: int) -> str:
             for block in blocks
         ],
     }
+    if skipped:
+        payload["skipped_sectors"] = [
+            {"sector": sector, "reason": reason} for sector, reason in skipped.items()
+        ]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -2,13 +2,14 @@
 
 The canonical feature vector has 28 entries: the 23 raw columns from
 ingest.RAW_COLUMNS followed by buy_percent, hold_percent, sell_percent,
-std_5day, std_10day, in that order for every row.
+std_5day, std_10day, in that order for every row. A ticker's assembled X
+is therefore its cleaned (n, 23) value matrix, in RAW_COLUMNS order, with
+the five derived columns appended, all computed with array operations.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence, Sized
 
@@ -24,7 +25,7 @@ from stocksignals.errors import (
     UsageError,
     WindowTooSmall,
 )
-from stocksignals.ingest import DailyRecord, TickerSeries
+from stocksignals.ingest import TickerSeries
 from stocksignals.labels import Label
 from stocksignals.rng import SplitMix64
 
@@ -39,6 +40,9 @@ FEATURE_COLUMNS: tuple[str, ...] = ingest.RAW_COLUMNS + DERIVED_COLUMNS
 DEFAULT_HORIZONS: tuple[int, ...] = tuple(range(1, 11))
 
 CLOSE_INDEX = FEATURE_COLUMNS.index("PX_OFFICIAL_CLOSE")
+# the analyst total, then the counts behind buy_percent, hold_percent, sell_percent
+_TOTAL_INDEX = FEATURE_COLUMNS.index("TOT_ANALYST_REC")
+_SHARE_COUNT_INDEX = [FEATURE_COLUMNS.index(c) for c in ("TOT_BUY_REC", "TOT_HOLD_REC", "TOT_SELL_REC")]
 # rows converted to Python values at a time when writing dataset.csv
 _CSV_CHUNK_ROWS = 4096
 
@@ -180,48 +184,25 @@ class TrainTestSplit:
         )
 
 
-def derive_rec_percentages(
-    record: DailyRecord,
-) -> tuple[float, float, float] | None:
-    """(buy, hold, sell) shares of the analyst recommendation total.
-
-    Missing (None) when the total is zero or absent, and also when a count
-    exceeds the total, so downstream rows always carry values in [0, 1].
-    """
-    total = record.tot_analyst_rec
-    if not total:
-        return None
-    if None in (record.tot_buy_rec, record.tot_hold_rec, record.tot_sell_rec):
-        return None
-    buy = record.tot_buy_rec / total
-    hold = record.tot_hold_rec / total
-    sell = record.tot_sell_rec / total
-    if not all(0.0 <= p <= 1.0 for p in (buy, hold, sell)):
-        return None
-    return buy, hold, sell
-
-
-def rolling_std(closes: Sequence[float], window: int) -> list[float | None]:
+def rolling_std(closes, window: int) -> np.ndarray:
     """Sample standard deviation of the trailing window ending on each day.
 
-    Days with fewer than `window` observations so far are None. Uses prefix
-    sums of x and x^2; the n-1 denominator matches the Scaler so that
-    standardized covariance diagonals come out at exactly 1.
+    Days with fewer than `window` observations so far are NaN. Uses prefix
+    sums of x and x^2, added in sequence (np.cumsum from 0.0); the n-1
+    denominator matches the Scaler so that standardized covariance
+    diagonals come out at exactly 1. A window whose sums overflow gives NaN.
     """
     if window < 2:
         raise WindowTooSmall(f"window must be >= 2, got {window}")
-    n = len(closes)
-    sums = [0.0] * (n + 1)
-    squares = [0.0] * (n + 1)
-    for i, x in enumerate(closes):
-        sums[i + 1] = sums[i] + x
-        squares[i + 1] = squares[i] + x * x
-    out: list[float | None] = [None] * n
-    for i in range(window - 1, n):
-        s = sums[i + 1] - sums[i + 1 - window]
-        q = squares[i + 1] - squares[i + 1 - window]
+    closes = np.asarray(closes, dtype=float)
+    out = np.full(len(closes), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(np.concatenate(([0.0], closes)))
+        squares = np.cumsum(np.concatenate(([0.0], closes * closes)))
+        s = sums[window:] - sums[:-window]
+        q = squares[window:] - squares[:-window]
         var = (q - s * s / window) / (window - 1)
-        out[i] = math.sqrt(max(var, 0.0))  # clamp negative rounding residue
+    out[window - 1 :] = np.sqrt(np.where(var < 0.0, 0.0, var))  # clamp rounding residue
     return out
 
 
@@ -251,33 +232,30 @@ def label_closes(closes: Sequence[float], cfg: LabelConfig = LabelConfig()) -> n
 def assemble_features(series: TickerSeries, cfg: LabelConfig = LabelConfig()) -> Dataset:
     """Combine raw columns, derived indicators, and horizon labels per day.
 
-    Days with any missing derived value, or with no computable label at all,
-    are dropped.
+    Dropped are the first nine days (std_10day needs ten closes; a std that
+    overflowed to NaN later on is kept), days whose analyst total is zero
+    or below one of its counts, and days with no computable label at all.
     """
-    if not series.records:
+    values = series.values
+    if not len(values):
         raise EmptySeries(series.ticker)
-    records = series.records
-    closes = [r.close for r in records]
-    std5 = rolling_std(closes, 5)
-    std10 = rolling_std(closes, 10)
+    closes = values[:, CLOSE_INDEX]
+    total = values[:, _TOTAL_INDEX]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = values[:, _SHARE_COUNT_INDEX] / total[:, None]
     labels = label_closes(closes, cfg)
-    labeled = (labels >= 0).any(axis=1).tolist()
-    kept: list[int] = []
-    rows: list[list[float]] = []
-    for i, record in enumerate(records):
-        percentages = derive_rec_percentages(record)
-        if percentages is None or std5[i] is None or std10[i] is None or not labeled[i]:
-            continue
-        kept.append(i)
-        rows.append(
-            [record.raw_value(col) for col in ingest.RAW_COLUMNS]
-            + [*percentages, std5[i], std10[i]]
-        )
+    keep = (
+        (np.arange(len(values)) >= 9)
+        & (total != 0)
+        & ((shares >= 0.0) & (shares <= 1.0)).all(axis=1)
+        & (labels >= 0).any(axis=1)
+    )
+    X = np.column_stack((values, shares, rolling_std(closes, 5), rolling_std(closes, 10)))
     return Dataset(
-        tickers=np.full(len(kept), series.ticker),
-        dates=np.array([records[i].date for i in kept], dtype="datetime64[D]"),
-        X=np.array(rows, dtype=float).reshape(len(kept), len(FEATURE_COLUMNS)),
-        Y=labels[np.array(kept, dtype=np.intp)],
+        tickers=np.full(np.count_nonzero(keep), series.ticker),
+        dates=series.dates[keep],
+        X=X[keep],
+        Y=labels[keep],
         horizons=cfg.horizons,
     )
 
@@ -288,8 +266,6 @@ def shuffle_split(rows: Sized, cfg: SplitConfig) -> tuple[list[int], list[int]]:
     The first floor(n * train_fraction) permuted indices form the training
     set; the remainder is the test set. Identical seed, identical split.
     """
-    if not 0.0 < cfg.train_fraction < 1.0:
-        raise InvalidFraction(str(cfg.train_fraction))
     n = len(rows)
     if n == 0:
         raise EmptyDataset("cannot split zero rows")

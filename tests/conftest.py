@@ -13,10 +13,11 @@ if str(SRC) not in sys.path:
 
 from stocksignals import ingest  # noqa: E402
 from stocksignals.backtest import Trade  # noqa: E402
-from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, DailyRecord, TickerSeries  # noqa: E402
+from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, MarketColumns, TickerSeries  # noqa: E402
 from stocksignals.errors import DimensionMismatch  # noqa: E402
 from stocksignals.pca import FeatureScore  # noqa: E402
 from stocksignals.transform import (  # noqa: E402
+    CLOSE_INDEX,
     FEATURE_COLUMNS,
     Dataset,
     LabelConfig,
@@ -37,49 +38,71 @@ def trading_date(i: int) -> dt.date:
     return date
 
 
-def make_record(
-    ticker: str = "AAA",
+DEFAULT_VALUES = {
+    "PX_OFFICIAL_CLOSE": 100.0,
+    "PX_VOLUME": 1_000_000.0,
+    "CUR_MKT_CAP": 5e9,
+    "HISTORICAL_MARKET_CAP": 4.5e9,
+    "SHORT_INT": 1e6,
+    "SHORT_INT_RATIO": 1.5,
+    "PE_RATIO": 22.0,
+    "PX_TO_BOOK_RATIO": 3.5,
+    "RETURN_ON_ASSET": 7.5,
+    "BEST_EPS": 4.2,
+    "BEST_EPS_LO": 3.8,
+    "BEST_EPS_HI": 4.6,
+    "BEST_CAPEX": 2e8,
+    "BEST_CAPEX_LO": 1.5e8,
+    "BEST_CAPEX_HI": 2.5e8,
+    "TOT_ANALYST_REC": 10,
+    "TOT_BUY_REC": 5,
+    "TOT_SELL_REC": 2,
+    "TOT_HOLD_REC": 3,
+    "EQY_REC_CONS": 4.1,
+    "BEST_ANALYST_RATING": 4.3,
+    "BEST_EST_LONG_TERM_GROWTH": 12.0,
+    "BEST_TARGET_PRICE": 120.0,
+}
+
+
+def make_row(
+    ticker: str | None = "AAA",
     sector: str = "Tech",
-    date: dt.date = BASE_DATE,
-    close: float = 100.0,
-    tot_analyst_rec: int = 10,
-    tot_buy_rec: int = 5,
-    tot_sell_rec: int = 2,
-    tot_hold_rec: int = 3,
-    **overrides,
-) -> DailyRecord:
-    values = {
-        "volume": 1_000_000.0,
-        "cur_mkt_cap": 5e9,
-        "historical_mkt_cap": 4.5e9,
-        "short_int": 1e6,
-        "short_int_ratio": 1.5,
-        "pe_ratio": 22.0,
-        "pb_ratio": 3.5,
-        "return_on_asset": 7.5,
-        "best_eps": 4.2,
-        "best_eps_lo": 3.8,
-        "best_eps_hi": 4.6,
-        "best_capex": 2e8,
-        "best_capex_lo": 1.5e8,
-        "best_capex_hi": 2.5e8,
-        "eqy_rec_cons": 4.1,
-        "best_analyst_rating": 4.3,
-        "best_est_long_term_growth": 12.0,
-        "best_target_price": 120.0,
-    }
-    values.update(overrides)
-    return DailyRecord(
-        date=date,
-        ticker=ticker,
-        sector=sector,
-        close=close,
-        tot_analyst_rec=tot_analyst_rec,
-        tot_buy_rec=tot_buy_rec,
-        tot_sell_rec=tot_sell_rec,
-        tot_hold_rec=tot_hold_rec,
-        **values,
-    )
+    date: dt.date | None = BASE_DATE,
+    **values,
+) -> dict:
+    """One input CSV row as {CSV column: value}; None is an empty cell.
+
+    Raw values are overridden by column name, e.g. `PE_RATIO=None`.
+    """
+    unknown = set(values) - set(RAW_COLUMNS)
+    if unknown:
+        raise TypeError(f"not a raw column: {sorted(unknown)}")
+    return {"date": date, "ticker": ticker, "sector": sector, **DEFAULT_VALUES, **values}
+
+
+def row_csv_cells(row: dict) -> list[str]:
+    """The row's cells in CSV_COLUMNS order: repr for floats, str otherwise, "" for None."""
+    return [
+        "" if row[c] is None else repr(row[c]) if isinstance(row[c], float) else str(row[c])
+        for c in CSV_COLUMNS
+    ]
+
+
+def csv_bytes(rows, header=CSV_COLUMNS) -> bytes:
+    """A market CSV of make_row dicts or of lists of cells."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = row_csv_cells(row) if isinstance(row, dict) else row
+        lines.append(",".join(str(c) for c in cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def series_of(rows) -> TickerSeries:
+    """The one ticker series that ingest makes of these make_row dicts."""
+    table = ingest.validate_and_clean(ingest.parse_market_csv(csv_bytes(rows)))
+    (series,) = ingest.partition_by_ticker(table).values()
+    return series
 
 
 def make_series(
@@ -87,46 +110,15 @@ def make_series(
     ticker: str = "AAA",
     sector: str = "Tech",
     start: int = 0,
-    **record_overrides,
+    **values,
 ) -> TickerSeries:
-    records = [
-        make_record(
-            ticker=ticker,
-            sector=sector,
-            date=trading_date(start + i),
-            close=float(c),
-            **record_overrides,
-        )
-        for i, c in enumerate(closes)
-    ]
-    return TickerSeries(ticker=ticker, sector=sector, records=records)
-
-
-def record_csv_cells(record: DailyRecord) -> list[str]:
-    cells = [
-        record.date.isoformat() if record.date else "",
-        record.ticker or "",
-        record.sector,
-    ]
-    for col in RAW_COLUMNS:
-        value = record.raw_value(col)
-        if value is None:
-            cells.append("")
-        elif isinstance(value, float):
-            cells.append(repr(value))
-        else:
-            cells.append(str(value))
-    return cells
-
-
-def csv_bytes(rows, header=CSV_COLUMNS) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        if isinstance(row, DailyRecord):
-            lines.append(",".join(record_csv_cells(row)))
-        else:
-            lines.append(",".join(str(c) for c in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """A series of one row per close on consecutive trading dates."""
+    return series_of(
+        [
+            make_row(ticker, sector, trading_date(start + i), PX_OFFICIAL_CLOSE=float(c), **values)
+            for i, c in enumerate(closes)
+        ]
+    )
 
 
 def synthetic_market_bytes(
@@ -154,33 +146,33 @@ def synthetic_market_bytes(
             eps_lo = eps * float(rng.uniform(0.8, 0.95))
             eps_hi = eps * float(rng.uniform(1.05, 1.2))
             rows.append(
-                make_record(
-                    ticker=ticker,
-                    sector=sector,
-                    date=trading_date(day),
-                    close=round(price, 4),
-                    tot_analyst_rec=total,
-                    tot_buy_rec=buy,
-                    tot_sell_rec=sell,
-                    tot_hold_rec=hold,
-                    volume=float(rng.integers(100_000, 5_000_000)),
-                    cur_mkt_cap=round(price * shares, 2),
-                    historical_mkt_cap=round(price * shares * float(rng.uniform(0.7, 1.0)), 2),
-                    short_int=float(rng.integers(100_000, 3_000_000)),
-                    short_int_ratio=float(rng.uniform(0.2, 6.0)),
-                    pe_ratio=float(rng.uniform(5.0, 40.0)),
-                    pb_ratio=float(rng.uniform(0.5, 8.0)),
-                    return_on_asset=float(rng.uniform(-5.0, 20.0)),
-                    best_eps=round(eps, 4),
-                    best_eps_lo=round(eps_lo, 4),
-                    best_eps_hi=round(eps_hi, 4),
-                    best_capex=round(capex, 2),
-                    best_capex_lo=round(capex * 0.8, 2),
-                    best_capex_hi=round(capex * 1.25, 2),
-                    eqy_rec_cons=float(rng.uniform(1.0, 5.0)),
-                    best_analyst_rating=float(rng.uniform(1.0, 5.0)),
-                    best_est_long_term_growth=float(rng.uniform(-2.0, 25.0)),
-                    best_target_price=round(price * float(rng.uniform(0.8, 1.3)), 4),
+                make_row(
+                    ticker,
+                    sector,
+                    trading_date(day),
+                    PX_OFFICIAL_CLOSE=round(price, 4),
+                    TOT_ANALYST_REC=total,
+                    TOT_BUY_REC=buy,
+                    TOT_SELL_REC=sell,
+                    TOT_HOLD_REC=hold,
+                    PX_VOLUME=float(rng.integers(100_000, 5_000_000)),
+                    CUR_MKT_CAP=round(price * shares, 2),
+                    HISTORICAL_MARKET_CAP=round(price * shares * float(rng.uniform(0.7, 1.0)), 2),
+                    SHORT_INT=float(rng.integers(100_000, 3_000_000)),
+                    SHORT_INT_RATIO=float(rng.uniform(0.2, 6.0)),
+                    PE_RATIO=float(rng.uniform(5.0, 40.0)),
+                    PX_TO_BOOK_RATIO=float(rng.uniform(0.5, 8.0)),
+                    RETURN_ON_ASSET=float(rng.uniform(-5.0, 20.0)),
+                    BEST_EPS=round(eps, 4),
+                    BEST_EPS_LO=round(eps_lo, 4),
+                    BEST_EPS_HI=round(eps_hi, 4),
+                    BEST_CAPEX=round(capex, 2),
+                    BEST_CAPEX_LO=round(capex * 0.8, 2),
+                    BEST_CAPEX_HI=round(capex * 1.25, 2),
+                    EQY_REC_CONS=float(rng.uniform(1.0, 5.0)),
+                    BEST_ANALYST_RATING=float(rng.uniform(1.0, 5.0)),
+                    BEST_EST_LONG_TERM_GROWTH=float(rng.uniform(-2.0, 25.0)),
+                    BEST_TARGET_PRICE=round(price * float(rng.uniform(0.8, 1.3)), 4),
                 )
             )
     return csv_bytes(rows)
@@ -230,18 +222,21 @@ def assert_same_tree(mine, reference):
 
 
 def label_horizons(series: TickerSeries, cfg: LabelConfig = LabelConfig()):
-    """label_closes applied to a ticker series (records already date-ordered)."""
-    return label_closes([r.close for r in series.records], cfg)
+    """label_closes applied to a ticker series (rows already date-ordered)."""
+    return label_closes(series.values[:, CLOSE_INDEX], cfg)
 
 
 # --- CSV round trips of the program's formats ---------------------------------
 
-def write_market_csv(rows, stream) -> None:
-    """Serialize records back to the input schema (repr floats, so a round trip is exact)."""
+def write_market_csv(table: MarketColumns, stream) -> None:
+    """Serialize a table without missing dates back to the input schema
+    (repr floats, "" for NaN, so a round trip is exact)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(record_csv_cells(row))
+    for date, ticker, sector, values in zip(
+        table.dates.astype(str).tolist(), table.tickers, table.sectors, table.values.tolist()
+    ):
+        writer.writerow([date, ticker, sector, *("" if v != v else repr(v) for v in values)])
 
 
 def read_dataset_csv(stream) -> Dataset:

@@ -192,6 +192,41 @@ def test_evaluate_by_sector_blocks(tmp_path, market_csv):
         assert sum(1 for r in rows if r["sector"] == sector) == 10
 
 
+@pytest.mark.parametrize(
+    "model,days,reason",
+    [
+        ("gaussian-nb", 12, "need at least 2 rows to fit a scaler, got 1"),
+        ("knn", 16, "k=5 but only 4 training rows"),
+    ],
+)
+def test_evaluate_by_sector_skips_a_degenerate_sector(tmp_path, caplog, model, days, reason):
+    from conftest import csv_bytes, make_row, trading_date
+
+    plain = synthetic_market_bytes(n_tickers=3, n_days=70, seed=21)
+    tiny = csv_bytes(
+        [make_row("TINY", "Tiny", trading_date(i), PX_OFFICIAL_CLOSE=50.0 + i) for i in range(days)]
+    )
+    for name, data in (("plain", plain), ("tiny", plain + tiny.split(b"\n", 1)[1])):
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        argv = ("evaluate", "--by-sector", "--model", model, "--seed", "4")
+        assert run(*argv, "--data", tmp_path / f"{name}.csv", "--out", tmp_path / name) == 0
+    whole = json.loads((tmp_path / "plain" / "metrics.json").read_text())
+    skipped = json.loads((tmp_path / "tiny" / "metrics.json").read_text())
+    assert [b["sector"] for b in skipped["blocks"]] == ["Energy", "Health", "Tech"]
+    assert skipped.pop("skipped_sectors") == [{"sector": "Tiny", "reason": reason}]
+    assert skipped == whole
+    assert (tmp_path / "tiny" / "metrics.csv").read_bytes() == (
+        tmp_path / "plain" / "metrics.csv"
+    ).read_bytes()
+    assert f"sector Tiny skipped: {reason}" in caplog.text
+
+    # with every sector skipped the run fails on the first sector's error
+    (tmp_path / "only.csv").write_bytes(tiny)
+    assert run("evaluate", "--by-sector", "--model", model, "--data", tmp_path / "only.csv",
+               "--out", tmp_path / "only") == (1 if model == "knn" else 2)
+    assert not (tmp_path / "only" / "metrics.json").exists()
+
+
 def test_sector_filter(tmp_path, market_csv):
     out = tmp_path / "out"
     assert run("transform", "--data", market_csv, "--out", out, "--sector", "Tech") == 0
@@ -405,9 +440,9 @@ def test_unwritable_output_dir_exit_2(tmp_path, market_csv):
 def test_degenerate_features_exit_3(tmp_path):
     # identical rows every day: every feature is constant, so the PCA
     # covariance carries no variance at all
-    from conftest import csv_bytes, make_record, trading_date
+    from conftest import csv_bytes, make_row, trading_date
 
-    rows = [make_record(date=trading_date(i)) for i in range(40)]
+    rows = [make_row(date=trading_date(i)) for i in range(40)]
     flat = tmp_path / "flat.csv"
     flat.write_bytes(csv_bytes(rows))
     assert run("rank", "--data", flat, "--out", tmp_path / "out") == 3

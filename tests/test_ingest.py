@@ -1,10 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 from conftest import (
     csv_bytes,
-    make_record,
+    make_row,
     parse_synthetic,
+    row_csv_cells,
     synthetic_market_bytes,
     trading_date,
     write_market_csv,
@@ -22,14 +24,29 @@ from stocksignals.errors import (
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
 
 
+def clean_rows(rows):
+    """validate_and_clean of the parsed CSV of these make_row dicts."""
+    return ingest.validate_and_clean(ingest.parse_market_csv(csv_bytes(rows)))
+
+
+def assert_same_columns(got, want):
+    assert np.array_equal(got.dates, want.dates)
+    assert got.tickers.tolist() == want.tickers.tolist()
+    assert got.sectors.tolist() == want.sectors.tolist()
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
 def test_parse_minimal_two_rows():
-    data = csv_bytes([make_record(date=trading_date(0)), make_record(date=trading_date(1))])
+    data = csv_bytes([make_row(date=trading_date(0)), make_row(date=trading_date(1))])
     table = ingest.parse_market_csv(data)
     assert len(table.rows) == 2
     assert len(CSV_COLUMNS) == 26
     assert table.parse_warnings == {}
-    assert table.rows[0].close == 100.0
-    assert table.rows[0].tot_buy_rec == 5
+    assert table.values.shape == (2, 23) and table.values.dtype == np.float64
+    assert table.values[0, RAW_COLUMNS.index("PX_OFFICIAL_CLOSE")] == 100.0
+    assert table.values[0, RAW_COLUMNS.index("TOT_BUY_REC")] == 5
+    assert table.dates.tolist() == [trading_date(0), trading_date(1)]
+    assert table.tickers.tolist() == ["AAA", "AAA"] and table.sectors.tolist() == ["Tech"] * 2
 
 
 def test_missing_required_column_names_it():
@@ -47,23 +64,17 @@ def test_zero_byte_stream_is_empty_input():
 
 
 def test_extra_columns_are_ignored():
-    record = make_record()
-    from conftest import record_csv_cells
-
     header = ",".join(CSV_COLUMNS + ("EXTRA",))
-    line = ",".join(record_csv_cells(record) + ["42"])
+    line = ",".join(row_csv_cells(make_row()) + ["42"])
     table = ingest.parse_market_csv(f"{header}\n{line}\n".encode())
     assert len(table.rows) == 1
+    assert_same_columns(table, ingest.parse_market_csv(csv_bytes([make_row()])))
 
 
 def test_unparseable_numeric_cell_becomes_missing_with_warning():
-    record = make_record()
-    from conftest import record_csv_cells
-
-    cells = record_csv_cells(record)
-    cells[CSV_COLUMNS.index("PE_RATIO")] = "abc"
-    table = ingest.parse_market_csv(csv_bytes([cells]))
-    assert table.rows[0].pe_ratio is None
+    table = ingest.parse_market_csv(csv_bytes([make_row(PE_RATIO="abc")]))
+    assert np.isnan(table.values[0, RAW_COLUMNS.index("PE_RATIO")])
+    assert np.isfinite(np.delete(table.values[0], RAW_COLUMNS.index("PE_RATIO"))).all()
     assert table.parse_warnings == {"PE_RATIO": 1}
 
 
@@ -79,137 +90,157 @@ def test_unparseable_numeric_cell_becomes_missing_with_warning():
     ],
 )
 def test_invariant_violating_cells_demoted_to_missing(column, value):
-    from conftest import record_csv_cells
-
-    cells = record_csv_cells(make_record())
-    cells[CSV_COLUMNS.index(column)] = value
-    table = ingest.parse_market_csv(csv_bytes([cells]))
-    assert table.rows[0].raw_value(column) is None
+    table = ingest.parse_market_csv(csv_bytes([make_row(**{column: value})]))
+    assert np.isnan(table.values[0, RAW_COLUMNS.index(column)])
     assert table.parse_warnings.get(column) == 1
 
 
+def test_empty_cell_is_missing_without_warning():
+    table = ingest.parse_market_csv(csv_bytes([make_row(PE_RATIO=None), make_row(PE_RATIO=" ")]))
+    assert np.isnan(table.values[:, RAW_COLUMNS.index("PE_RATIO")]).all()
+    assert table.parse_warnings == {}
+
+
 def test_wrong_column_count_names_line():
-    data = csv_bytes([make_record()]) + b"only,three,cells\n"
+    data = csv_bytes([make_row()]) + b"only,three,cells\n"
     with pytest.raises(MalformedRow, match="line 3"):
         ingest.parse_market_csv(data)
 
 
 def test_non_iso_date_is_malformed():
-    from conftest import record_csv_cells
-
-    cells = record_csv_cells(make_record())
+    cells = row_csv_cells(make_row())
     cells[CSV_COLUMNS.index("date")] = "26/11/2011"
     with pytest.raises(MalformedRow, match="26/11/2011"):
         ingest.parse_market_csv(csv_bytes([cells]))
 
 
+def test_parse_reads_rows_beyond_one_chunk(monkeypatch):
+    rows = [make_row(date=trading_date(i), PX_OFFICIAL_CLOSE=100.0 + i) for i in range(7)]
+    rows[5]["PE_RATIO"] = "bad"
+    whole = ingest.parse_market_csv(csv_bytes(rows))
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+    chunked = ingest.parse_market_csv(csv_bytes(rows))
+    assert_same_columns(chunked, whole)
+    assert chunked.parse_warnings == whole.parse_warnings == {"PE_RATIO": 1}
+
+
 def test_clean_drops_row_with_missing_feature_and_reports():
-    rows = [
-        make_record(date=trading_date(0)),
-        make_record(date=trading_date(1), pe_ratio=None),
-        make_record(date=trading_date(2)),
-    ]
-    table = ingest.RawTable(rows=list(rows), parse_warnings={})
-    clean = ingest.validate_and_clean(table)
+    clean = clean_rows(
+        [
+            make_row(date=trading_date(0)),
+            make_row(date=trading_date(1), PE_RATIO=None),
+            make_row(date=trading_date(2)),
+        ]
+    )
     assert len(clean.rows) == 2
+    assert clean.dates.tolist() == [trading_date(0), trading_date(2)]
     assert clean.dropped_by_column == {"PE_RATIO": 1}
     assert clean.rows_dropped == 1
 
 
 def test_clean_identity_on_complete_table():
-    rows = [make_record(date=trading_date(i)) for i in range(3)]
-    clean = ingest.validate_and_clean(ingest.RawTable(rows=rows, parse_warnings={}))
-    assert clean.rows == rows
+    table = ingest.parse_market_csv(csv_bytes([make_row(date=trading_date(i)) for i in range(3)]))
+    clean = ingest.validate_and_clean(table)
+    assert_same_columns(clean, table)
     assert clean.dropped_by_column == {}
     assert clean.rows_dropped == 0
 
 
 def test_all_rows_dropped():
-    rows = [make_record(date=trading_date(i), volume=None) for i in range(3)]
     with pytest.raises(AllRowsDropped):
-        ingest.validate_and_clean(ingest.RawTable(rows=rows, parse_warnings={}))
+        clean_rows([make_row(date=trading_date(i), PX_VOLUME=None) for i in range(3)])
 
 
 def test_missing_date_or_ticker_drops_row():
-    rows = [
-        make_record(date=None),
-        make_record(ticker=None, date=trading_date(1)),
-        make_record(date=trading_date(2)),
-    ]
-    clean = ingest.validate_and_clean(ingest.RawTable(rows=rows, parse_warnings={}))
+    clean = clean_rows(
+        [
+            make_row(date=None),
+            make_row(ticker=None, date=trading_date(1)),
+            make_row(date=trading_date(2)),
+        ]
+    )
     assert len(clean.rows) == 1
     assert clean.dropped_by_column == {"date": 1, "ticker": 1}
 
 
 def test_rec_count_violation_flags_but_keeps_row():
-    rows = [make_record(tot_analyst_rec=5, tot_buy_rec=4, tot_sell_rec=3, tot_hold_rec=2)]
-    clean = ingest.validate_and_clean(ingest.RawTable(rows=rows, parse_warnings={}))
+    clean = clean_rows([make_row(TOT_ANALYST_REC=5, TOT_BUY_REC=4, TOT_SELL_REC=3, TOT_HOLD_REC=2)])
     assert len(clean.rows) == 1
     assert clean.rec_count_violations == 1
+
+
+def test_rec_count_violation_is_exact_beyond_float_precision():
+    # 2**53 + 1 rounds to 2**53 in float64, which would hide the violation
+    big = make_row(TOT_ANALYST_REC=2**53, TOT_BUY_REC=2**53, TOT_SELL_REC=1, TOT_HOLD_REC=0)
+    fits = make_row(date=trading_date(1), TOT_ANALYST_REC=2**53, TOT_BUY_REC=2**53 - 1,
+                    TOT_SELL_REC=1, TOT_HOLD_REC=0)
+    assert clean_rows([big, fits]).rec_count_violations == 1
 
 
 def test_cleaning_is_idempotent():
     clean = parse_synthetic(n_tickers=2, n_days=20, seed=3)
     again = ingest.validate_and_clean(clean)
-    assert again.rows == clean.rows
+    assert_same_columns(again, clean)
     assert again.rows_dropped == 0
 
 
 def test_partition_groups_and_sorts():
-    rows = [
-        make_record(ticker="A", date=trading_date(2)),
-        make_record(ticker="B", sector="Energy", date=trading_date(0)),
-        make_record(ticker="A", date=trading_date(0)),
-        make_record(ticker="A", date=trading_date(1)),
-    ]
-    clean = ingest.validate_and_clean(ingest.RawTable(rows=rows, parse_warnings={}))
+    clean = clean_rows(
+        [
+            make_row(ticker="A", date=trading_date(2)),
+            make_row(ticker="B", sector="Energy", date=trading_date(0)),
+            make_row(ticker="A", date=trading_date(0)),
+            make_row(ticker="A", date=trading_date(1)),
+        ]
+    )
     series = ingest.partition_by_ticker(clean)
-    assert set(series) == {"A", "B"}
-    assert [r.date for r in series["A"].records] == [trading_date(i) for i in range(3)]
+    assert list(series) == ["A", "B"]
+    assert series["A"].dates.tolist() == [trading_date(i) for i in range(3)]
     assert series["B"].sector == "Energy"
-    assert len(series["B"].records) == 1
+    assert series["B"].values.shape == (1, len(RAW_COLUMNS))
 
 
 def test_partition_preserves_row_multiset():
     clean = parse_synthetic(n_tickers=4, n_days=15, seed=9)
     series = ingest.partition_by_ticker(clean)
-    assert sum(len(s.records) for s in series.values()) == len(clean.rows)
+    assert sum(len(s.values) for s in series.values()) == len(clean.rows)
+    rows = np.concatenate([s.values for s in series.values()])
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, clean.values.tolist()))
 
 
 def test_partition_duplicate_key():
-    rows = [make_record(date=trading_date(0)), make_record(date=trading_date(0))]
-    clean = ingest.CleanTable(rows=rows, dropped_by_column={}, rows_dropped=0, rec_count_violations=0)
-    with pytest.raises(DuplicateKey):
+    clean = clean_rows([make_row(date=trading_date(0)), make_row(date=trading_date(0))])
+    with pytest.raises(DuplicateKey, match="AAA already has a row for 2018-01-02"):
         ingest.partition_by_ticker(clean)
 
 
 def test_partition_sector_conflict():
-    rows = [
-        make_record(date=trading_date(0), sector="Tech"),
-        make_record(date=trading_date(1), sector="Energy"),
-    ]
-    clean = ingest.CleanTable(rows=rows, dropped_by_column={}, rows_dropped=0, rec_count_violations=0)
-    with pytest.raises(SectorConflict):
+    clean = clean_rows(
+        [
+            make_row(date=trading_date(0), sector="Tech"),
+            make_row(date=trading_date(1), sector="Energy"),
+        ]
+    )
+    with pytest.raises(SectorConflict, match="AAA maps to both 'Tech' and 'Energy'"):
         ingest.partition_by_ticker(clean)
 
 
 def test_csv_round_trip_is_exact():
     clean = parse_synthetic(n_tickers=3, n_days=25, seed=11)
     out = io.StringIO()
-    write_market_csv(clean.rows, out)
+    write_market_csv(clean, out)
     reparsed = ingest.parse_market_csv(out.getvalue().encode())
     assert reparsed.parse_warnings == {}
-    clean_again = ingest.validate_and_clean(reparsed)
-    assert clean_again.rows == clean.rows
+    assert_same_columns(ingest.validate_and_clean(reparsed), clean)
 
 
 def test_round_trip_random_sweep():
     for seed in range(5):
         clean = parse_synthetic(n_tickers=2, n_days=12, seed=seed)
         out = io.StringIO()
-        write_market_csv(clean.rows, out)
+        write_market_csv(clean, out)
         again = ingest.validate_and_clean(ingest.parse_market_csv(out.getvalue().encode()))
-        assert again.rows == clean.rows
+        assert_same_columns(again, clean)
 
 
 def test_synthetic_fixture_parses_clean():

@@ -194,12 +194,16 @@ def test_select_top_features_order_and_ties():
         FeatureScore("d", 0, 0),
     ]
     names = ["a", "b", "c", "d"]
-    selected, padded = select_top_features(scores, 3, names)
+    ranked, selected, padded = select_top_features(scores, 3, names)
+    assert [s.feature for s in ranked] == ["c", "a", "b", "d"]
     assert selected == ["c", "a", "b"]
     assert not padded
-    everything, padded = select_top_features(scores, 4, names)
+    _, everything, padded = select_top_features(scores, 4, names)
     assert everything == ["c", "a", "b", "d"]
     assert padded  # d scored zero, so the tail is canonical padding
+    # equal scores fall back to canonical order
+    tied = [FeatureScore("b", 1, 2), FeatureScore("a", 1, 2)]
+    assert select_top_features(tied, 1, names)[1] == ["a"]
     with pytest.raises(KTooLarge):
         select_top_features(scores, 5, names)
 

@@ -6,14 +6,21 @@ import pytest
 from conftest import (
     label_horizons,
     make_dataset,
-    make_record,
+    make_row,
     make_series,
     random_dataset,
     read_dataset_csv,
+    series_of,
+    trading_date,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_labels, reference_scaler, reference_standardize
+from oracles import (
+    brute_force_labels,
+    reference_rolling_std,
+    reference_scaler,
+    reference_standardize,
+)
 
 from stocksignals import transform
 from stocksignals.errors import (
@@ -25,6 +32,7 @@ from stocksignals.errors import (
     UsageError,
     WindowTooSmall,
 )
+from stocksignals.ingest import RAW_COLUMNS
 from stocksignals.labels import Label
 from stocksignals.transform import (
     FEATURE_COLUMNS,
@@ -32,7 +40,6 @@ from stocksignals.transform import (
     LabelConfig,
     SplitConfig,
     assemble_features,
-    derive_rec_percentages,
     label_closes,
     rolling_std,
     shuffle_split,
@@ -45,31 +52,44 @@ from stocksignals.transform import (
 
 # --- derived percentages -----------------------------------------------------
 
+def _shares(total, buy, hold, sell):
+    """(buy, hold, sell)_percent of each assembled day of a 12-day series with these counts."""
+    series = make_series(
+        100.0 + np.arange(12.0),
+        TOT_ANALYST_REC=total, TOT_BUY_REC=buy, TOT_HOLD_REC=hold, TOT_SELL_REC=sell,
+    )
+    data = assemble_features(series)
+    return data.X[:, data.columns(["buy_percent", "hold_percent", "sell_percent"])].tolist()
+
+
 def test_rec_percentages_basic():
-    record = make_record(tot_analyst_rec=10, tot_buy_rec=5, tot_hold_rec=3, tot_sell_rec=2)
-    assert derive_rec_percentages(record) == (0.5, 0.3, 0.2)
+    assert _shares(10, 5, 3, 2) == [[0.5, 0.3, 0.2]] * 2
 
 
 def test_rec_percentages_zero_total_is_missing():
-    record = make_record(tot_analyst_rec=0, tot_buy_rec=0, tot_hold_rec=0, tot_sell_rec=0)
-    assert derive_rec_percentages(record) is None
+    assert _shares(0, 0, 0, 0) == []
 
 
 def test_rec_percentages_all_buy():
-    record = make_record(tot_analyst_rec=4, tot_buy_rec=4, tot_hold_rec=0, tot_sell_rec=0)
-    assert derive_rec_percentages(record) == (1.0, 0.0, 0.0)
+    assert _shares(4, 4, 0, 0) == [[1.0, 0.0, 0.0]] * 2
 
 
 def test_rec_percentages_count_above_total_is_missing():
-    record = make_record(tot_analyst_rec=5, tot_buy_rec=7, tot_hold_rec=0, tot_sell_rec=0)
-    assert derive_rec_percentages(record) is None
+    assert _shares(5, 7, 0, 0) == []
+
+
+def test_rec_percentages_of_a_minus_zero_count_are_plus_zero():
+    series = series_of([make_row(date=trading_date(i), TOT_BUY_REC="-0") for i in range(12)])
+    data = assemble_features(series)
+    buy = data.X[:, data.columns(["TOT_BUY_REC", "buy_percent"])]
+    assert buy.size and not np.signbit(buy).any()
 
 
 # --- rolling std ---------------------------------------------------------------
 
 def test_rolling_std_hand_value():
     out = rolling_std([1.0, 2.0, 3.0, 4.0, 5.0], 5)
-    assert out[:4] == [None] * 4
+    assert np.isnan(out[:4]).all()
     assert out[4] == pytest.approx(math.sqrt(2.5), rel=1e-12)
 
 
@@ -78,7 +98,8 @@ def test_rolling_std_constant_is_zero():
 
 
 def test_rolling_std_short_series_all_missing():
-    assert rolling_std([1.0, 2.0, 3.0, 4.0], 5) == [None] * 4
+    out = rolling_std([1.0, 2.0, 3.0, 4.0], 5)
+    assert out.shape == (4,) and np.isnan(out).all()
 
 
 def test_rolling_std_window_too_small():
@@ -95,12 +116,24 @@ def test_rolling_std_matches_two_pass_oracle():
         got = rolling_std(closes, window)
         for i in range(n):
             if i + 1 < window:
-                assert got[i] is None
+                assert np.isnan(got[i])
                 continue
             chunk = closes[i + 1 - window : i + 1]
             mean = sum(chunk) / window
             var = sum((x - mean) ** 2 for x in chunk) / (window - 1)
             assert got[i] == pytest.approx(math.sqrt(var), abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1e6) | st.sampled_from([1e154, 1e308]), max_size=30),
+    st.integers(2, 12),
+)
+def test_rolling_std_matches_prefix_sum_reference_bit_for_bit(closes, window):
+    want = [math.nan if w is None else w for w in reference_rolling_std(closes, window)]
+    got = rolling_std(closes, window)
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(np.array(want, dtype=float)))
 
 
 # --- labels --------------------------------------------------------------------
@@ -185,26 +218,26 @@ def test_assemble_drops_warmup_days():
     rows = assemble_features(series)
     # first 9 days lack std_10day; the final day has no future rows at all
     assert len(rows) == 5
-    assert rows.dates.tolist()[0] == series.records[9].date
+    assert rows.dates[0] == series.dates[9] == np.datetime64(trading_date(9))
     assert rows.X.shape == (5, 28) and rows.Y.shape == (5, 10)
 
 
+def test_assemble_keeps_a_day_whose_std_overflowed():
+    closes = [100.0 + i for i in range(14)]
+    closes[11] = 1e308  # x * x overflows: this and later windows give nan
+    rows = assemble_features(make_series(closes))
+    assert rows.dates.tolist() == [trading_date(i) for i in range(9, 13)]
+    std10 = rows.X[:, FEATURE_COLUMNS.index("std_10day")]
+    assert not np.isnan(std10[:2]).any() and np.isnan(std10[2:]).all()
+
+
 def test_assemble_drops_zero_analyst_day():
-    series = make_series([100.0 + i for i in range(20)])
-    records = list(series.records)
-    bad = make_record(
-        ticker=series.ticker,
-        date=records[12].date,
-        close=records[12].close,
-        tot_analyst_rec=0,
-        tot_buy_rec=0,
-        tot_sell_rec=0,
-        tot_hold_rec=0,
-    )
-    records[12] = bad
-    series = transform.TickerSeries(series.ticker, series.sector, records)
-    rows = assemble_features(series)
-    assert bad.date not in rows.dates.tolist()
+    rows = [make_row(date=trading_date(i), PX_OFFICIAL_CLOSE=100.0 + i) for i in range(20)]
+    for column in ("TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_SELL_REC", "TOT_HOLD_REC"):
+        rows[12][column] = 0
+    data = assemble_features(series_of(rows))
+    assert trading_date(12) not in data.dates.tolist()
+    assert trading_date(13) in data.dates.tolist()
 
 
 def test_assemble_full_series_has_28_features():
@@ -215,6 +248,8 @@ def test_assemble_full_series_has_28_features():
     hold_i = FEATURE_COLUMNS.index("hold_percent")
     sell_i = FEATURE_COLUMNS.index("sell_percent")
     assert rows.X.shape[1] == len(FEATURE_COLUMNS) == 28
+    assert rows.X.flags.c_contiguous
+    assert np.array_equal(rows.X[:, : len(RAW_COLUMNS)], series.values[9:19])
     for features in rows.X.tolist():
         assert features[-2] >= 0.0 and features[-1] >= 0.0
         percentages = (features[buy_i], features[hold_i], features[sell_i])
@@ -224,8 +259,11 @@ def test_assemble_full_series_has_28_features():
 
 
 def test_assemble_empty_series():
+    empty = transform.TickerSeries(
+        "X", "Tech", np.array([], dtype="datetime64[D]"), np.empty((0, len(RAW_COLUMNS)))
+    )
     with pytest.raises(EmptySeries):
-        assemble_features(transform.TickerSeries("X", "Tech", []))
+        assemble_features(empty)
 
 
 def test_assemble_row_count_never_exceeds_input():
