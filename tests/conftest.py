@@ -1,6 +1,5 @@
 import csv
 import datetime as dt
-import io
 import sys
 from decimal import Decimal
 from pathlib import Path

@@ -21,6 +21,7 @@ from oracles import (
 )
 
 from stocksignals import ingest
+from stocksignals.errors import DuplicateKey, MalformedRow, SectorConflict
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
 from stocksignals.transform import LabelConfig, assemble_features
 
@@ -77,17 +78,19 @@ def assert_same_dataset(got, want):
 
 
 def assert_same_path(data, cfg=LabelConfig()):
+    """Run both paths and compare them; the package's outcome is returned."""
     got = _run(_outcome, data, cfg)
     want = _run(_reference_outcome, data, cfg)
     if want[0] == "error" or got[0] == "error":
         assert got == want
-        return
+        return got
     (parsed, cleaned, parts), (ref_parsed, ref_cleaned, ref_parts) = got[1], want[1]
     assert parsed == ref_parsed
     assert cleaned == ref_cleaned
     assert [(t, s) for t, s, _ in parts] == [(t, s) for t, s, _ in ref_parts]
     for (_, _, mine), (_, _, reference) in zip(parts, ref_parts):
         assert_same_dataset(mine, reference)
+    return got
 
 
 def _clean_row(draw, ticker, sector, day):
@@ -219,24 +222,37 @@ def test_columnar_path_matches_reference_for_any_label_config(data, horizons, up
     assert_same_path(data, LabelConfig(horizons=tuple(horizons), up_threshold=up, down_threshold=down))
 
 
+def _lines(data):
+    return data.decode().splitlines()
+
+
+def _csv(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_first_bad_row_in_file_order_raises():
-    good = _series_rows(n=3).decode().splitlines()
-    header, rows = good[0], good[1:]
-    bad_date = rows[1].replace("2018-01-03", "2018/01/03")
-    for lines in (
-        [header, rows[0], "A,short", bad_date],
-        [header, rows[0], bad_date, "A,short"],
-        [header, '"multi', 'line",' + rows[0].split(",", 1)[1], "A,short"],
-    ):
-        assert_same_path(("\n".join(lines) + "\n").encode())
+    header, first, second = _lines(_series_rows(n=2))
+    short = "2018-01-09,A"
+    bad_date = second.replace("2018-01-03", "2018/01/03")
+    multi_line = '"2018\n01",' + first.split(",", 1)[1]  # one cell over lines 2-3
+    cases = {
+        (first, short, bad_date): "line 3: expected 26 columns, got 2",
+        (first, bad_date, short): "line 3: bad date '2018/01/03', expected YYYY-MM-DD",
+        (multi_line, short): "line 3: bad date '2018\\n01', expected YYYY-MM-DD",
+    }
+    for rows, message in cases.items():
+        assert assert_same_path(_csv((header, *rows))) == ("error", MalformedRow, message)
 
 
 def test_first_partition_error_in_file_order_raises():
-    rows = _series_rows(n=4).decode().splitlines()
-    conflict = rows[3].replace("Tech", "Energy")
-    for lines in (
-        rows + [rows[2], conflict],
-        rows + [conflict, rows[2]],
-        rows + [rows[2].replace("Tech", "Energy")],  # both at once: the duplicate wins
-    ):
-        assert_same_path(("\n".join(lines) + "\n").encode())
+    header, *rows = _lines(_series_rows(n=4))
+    conflict = rows[3].replace("Tech", "Energy")  # a new date under another sector
+    both = rows[1].replace("Tech", "Energy")  # a repeated date under another sector
+    cases = {
+        (rows[0], conflict): (DuplicateKey, "A already has a row for 2018-01-02"),
+        (conflict, rows[0]): (SectorConflict, "A maps to both 'Tech' and 'Energy'"),
+        (both, conflict): (DuplicateKey, "A already has a row for 2018-01-03"),
+    }
+    for extra, (error, message) in cases.items():
+        got = assert_same_path(_csv((header, *rows[:3], *extra)))
+        assert got == ("error", error, message)
