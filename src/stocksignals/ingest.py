@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -150,6 +149,16 @@ def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
     return values, len(cells) - empty - int(np.count_nonzero(valid))
 
 
+def _lines(text: str):
+    """The lines of `text`, each with its "\\n" ending, as io.StringIO(text)
+    yields them, without the copy at four bytes per character it holds."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _parse_date(text: str, line: int) -> np.datetime64:
     """A stripped ISO date cell as datetime64[D]; NaT when empty."""
     try:
@@ -186,7 +195,7 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     if not text.strip():
         raise EmptyInput("no header row")
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     header = [name.strip() for name in next(reader)]
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
