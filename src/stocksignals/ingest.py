@@ -126,13 +126,10 @@ def _float_or_nan(cell: str) -> float:
 
 
 def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
-    """A column's values (NaN = missing) and its number of demoted cells.
-
-    An empty cell is missing. A cell that is no number, or that breaks the
-    column's value constraint, is demoted to missing and counted. float()
-    ignores surrounding whitespace, so one call per cell reads a whole
-    column unless some cell fails.
-    """
+    """A column's values (NaN = missing: empty, or demoted for being no number
+    or breaking the column's constraint) and its number of demoted cells.
+    float() ignores surrounding whitespace, so it reads a whole column at
+    once unless some cell fails."""
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
         empty = 0
@@ -240,11 +237,8 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
 
 
 def _rec_count_violations(values: np.ndarray) -> int:
-    """Rows whose buy + sell + hold exceeds the analyst total, counted exactly.
-
-    Float sums of whole numbers are exact while they stay below 2**53; the
-    rare larger sums are redone in Python ints.
-    """
+    """Rows whose buy + sell + hold exceeds the analyst total, counted exactly:
+    float sums of whole numbers are exact below 2**53, larger ones are redone in ints."""
     total, buy, sell, hold = values[:, _COUNT_INDEX].T
     parts = buy + sell + hold
     exact = parts < 2.0**53

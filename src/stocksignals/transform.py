@@ -2,9 +2,8 @@
 
 The canonical feature vector has 28 entries: the 23 raw columns from
 ingest.RAW_COLUMNS followed by buy_percent, hold_percent, sell_percent,
-std_5day, std_10day, in that order for every row. A ticker's assembled X
-is therefore its cleaned (n, 23) value matrix, in RAW_COLUMNS order, with
-the five derived columns appended, all computed with array operations.
+std_5day, std_10day, in that order for every row: a ticker's assembled X is
+its cleaned (n, 23) value matrix with the five derived columns appended.
 """
 
 from __future__ import annotations
