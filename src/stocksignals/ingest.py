@@ -128,14 +128,9 @@ def _float_or_nan(cell: str) -> float:
 def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
     """A column's values (NaN = missing: empty, or demoted for being no number
     or breaking the column's constraint) and its number of demoted cells.
-    float() ignores surrounding whitespace, so it reads a whole column at
-    once unless some cell fails."""
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-        empty = 0
-    except ValueError:
-        values = np.array([_float_or_nan(cell) for cell in cells], dtype=float)
-        empty = sum(1 for cell in cells if not cell.strip())
+    float() ignores surrounding whitespace."""
+    values = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+    empty = sum(not cells[i].strip() for i in np.flatnonzero(np.isnan(values)))
     valid = np.isfinite(values)
     if column in COUNT_COLUMNS:
         valid &= (values >= 0) & (values == np.trunc(values))
@@ -166,13 +161,12 @@ def _parse_date(text: str, line: int) -> np.datetime64:
         ) from None
 
 
-def _parse_block(rows: list[tuple[str, ...]], demoted: np.ndarray) -> np.ndarray:
-    """The (k, 23) values of k rows of raw cells in RAW_COLUMNS order,
-    adding each column's demoted cells to `demoted`."""
-    columns = list(zip(*rows)) or [()] * len(RAW_COLUMNS)
-    parsed = [_parse_column(cells, name) for cells, name in zip(columns, RAW_COLUMNS)]
-    demoted += [count for _, count in parsed]
-    return np.column_stack([values for values, _ in parsed])
+def _parse_block(rows: list[tuple[str, ...]], out: np.ndarray, demoted: np.ndarray) -> None:
+    """Write the values of rows of raw cells, in RAW_COLUMNS order, into the
+    same rows of `out`, adding each column's demoted cells to `demoted`."""
+    for j, cells in enumerate(zip(*rows)):
+        out[:, j], count = _parse_column(cells, RAW_COLUMNS[j])
+        demoted[j] += count
 
 
 def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
@@ -184,12 +178,22 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
+    # The columns get a slot per line, and no more rows than one byte per
+    # column allows. They are allocated before the decoded text, so that the
+    # text and the per-chunk buffers, freed on return, leave one free block
+    # at the top of the heap that malloc can give back.
+    size = min(data.count(b"\n"), len(data) // len(CSV_COLUMNS)) + 1
+    dates = np.empty(size, dtype="datetime64[D]")
+    tickers = np.empty(size, dtype=object)
+    sectors = np.empty(size, dtype=object)
+    values = np.empty((size, len(RAW_COLUMNS)))
+    demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
     text = text.lstrip("\ufeff")
-    if not text.strip():
+    if not text or text.isspace():
         raise EmptyInput("no header row")
 
     reader = csv.reader(_lines(text))
@@ -206,8 +210,8 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     date_at, ticker_at, sector_at = (positions[c] for c in META_COLUMNS)
     pick = itemgetter(*(positions[c] for c in RAW_COLUMNS))
     seen_dates: dict[str, np.datetime64] = {}  # date cell -> parsed date
-    dates, tickers, sectors, chunk, blocks = [], [], [], [], []
-    demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
+    chunk: list[tuple[str, ...]] = []
+    n = 0  # rows read
     for record in reader:
         if not record:
             continue  # blank line
@@ -219,20 +223,21 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
         cell = record[date_at]
         if cell not in seen_dates:
             seen_dates[cell] = _parse_date(cell.strip(), reader.line_num)
-        dates.append(seen_dates[cell])
-        tickers.append(record[ticker_at].strip())
-        sectors.append(record[sector_at].strip())
+        dates[n] = seen_dates[cell]
+        tickers[n] = record[ticker_at].strip()
+        sectors[n] = record[sector_at].strip()
         chunk.append(pick(record))
+        n += 1
         if len(chunk) == _CHUNK_ROWS:
-            blocks.append(_parse_block(chunk, demoted))
+            _parse_block(chunk, values[n - _CHUNK_ROWS : n], demoted)
             chunk = []
-    blocks.append(_parse_block(chunk, demoted))
+    _parse_block(chunk, values[n - len(chunk) : n], demoted)
     return RawTable(
-        dates=np.array(dates, dtype="datetime64[D]"),
-        tickers=np.array(tickers, dtype=object),
-        sectors=np.array(sectors, dtype=object),
-        values=np.concatenate(blocks),
-        parse_warnings={c: int(n) for c, n in zip(RAW_COLUMNS, demoted) if n},
+        dates=dates[:n],
+        tickers=tickers[:n],
+        sectors=sectors[:n],
+        values=values[:n],
+        parse_warnings={c: int(k) for c, k in zip(RAW_COLUMNS, demoted) if k},
     )
 
 
