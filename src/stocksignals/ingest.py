@@ -178,10 +178,8 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
-    # The columns get a slot per line, and no more rows than one byte per
-    # column allows. They are allocated before the decoded text, so that the
-    # text and the per-chunk buffers, freed on return, leave one free block
-    # at the top of the heap that malloc can give back.
+    # a slot per line, at most one row per byte per column; allocated before the decoded
+    # text, so the text and the chunk buffers are freed as one block at the heap's top
     size = min(data.count(b"\n"), len(data) // len(CSV_COLUMNS)) + 1
     dates = np.empty(size, dtype="datetime64[D]")
     tickers = np.empty(size, dtype=object)

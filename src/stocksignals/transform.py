@@ -42,8 +42,8 @@ CLOSE_INDEX = FEATURE_COLUMNS.index("PX_OFFICIAL_CLOSE")
 # the analyst total, then the counts behind buy_percent, hold_percent, sell_percent
 _TOTAL_INDEX = FEATURE_COLUMNS.index("TOT_ANALYST_REC")
 _SHARE_COUNT_INDEX = [FEATURE_COLUMNS.index(c) for c in ("TOT_BUY_REC", "TOT_HOLD_REC", "TOT_SELL_REC")]
-# closes behind std_5day and std_10day; the days before the longer window fills are dropped
-_SHORT_STD_DAYS, _LONG_STD_DAYS = 5, 10
+# closes behind std_5day and std_10day; days before the longer window fills are dropped
+_STD_DAYS = (5, 10)
 # rows converted to Python values at a time when writing dataset.csv
 _CSV_CHUNK_ROWS = 4096
 
@@ -246,14 +246,12 @@ def assemble_features(series: TickerSeries, cfg: LabelConfig = LabelConfig()) ->
         shares = values[:, _SHARE_COUNT_INDEX] / total[:, None]
     labels = label_closes(closes, cfg)
     keep = (
-        (np.arange(len(values)) >= _LONG_STD_DAYS - 1)
+        (np.arange(len(values)) >= _STD_DAYS[-1] - 1)
         & (total != 0)
         & ((shares >= 0.0) & (shares <= 1.0)).all(axis=1)
         & (labels >= 0).any(axis=1)
     )
-    X = np.column_stack(
-        (values, shares, rolling_std(closes, _SHORT_STD_DAYS), rolling_std(closes, _LONG_STD_DAYS))
-    )
+    X = np.column_stack((values, shares, *(rolling_std(closes, days) for days in _STD_DAYS)))
     return Dataset(
         tickers=np.full(np.count_nonzero(keep), series.ticker),
         dates=series.dates[keep],
