@@ -54,7 +54,7 @@ class WindowTooSmall(UsageError):
 
 
 class EmptySeries(DataError):
-    """A ticker series has no records."""
+    """A ticker series has no rows."""
 
 
 class InvalidFraction(UsageError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -141,16 +142,6 @@ def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
     return values, len(cells) - empty - int(np.count_nonzero(valid))
 
 
-def _lines(text: str):
-    """The lines of `text`, each with its "\\n" ending, as io.StringIO(text)
-    yields them, without the copy at four bytes per character it holds."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _parse_date(text: str, line: int) -> np.datetime64:
     """A stripped ISO date cell as datetime64[D]; NaT when empty."""
     try:
@@ -178,8 +169,8 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
-    # a slot per line, at most one row per byte per column; allocated before the decoded
-    # text, so the text and the chunk buffers are freed as one block at the heap's top
+    # a slot per line, but no more than rows of bare commas fill; allocated before the
+    # decoded text, so the text and the chunk buffers are freed as one block at the heap's top
     size = min(data.count(b"\n"), len(data) // len(CSV_COLUMNS)) + 1
     dates = np.empty(size, dtype="datetime64[D]")
     tickers = np.empty(size, dtype=object)
@@ -191,10 +182,10 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
     text = text.lstrip("\ufeff")
-    if not text or text.isspace():
+    if not text or text.isspace():  # text.strip() would copy the text
         raise EmptyInput("no header row")
 
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(io.StringIO(text))
     header = [name.strip() for name in next(reader)]
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
