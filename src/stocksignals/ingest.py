@@ -152,12 +152,13 @@ def _parse_date(text: str, line: int) -> np.datetime64:
         ) from None
 
 
-def _parse_block(rows: list[tuple[str, ...]], out: np.ndarray, demoted: np.ndarray) -> None:
-    """Write the values of rows of raw cells, in RAW_COLUMNS order, into the
-    same rows of `out`, adding each column's demoted cells to `demoted`."""
-    for j, cells in enumerate(zip(*rows)):
-        out[:, j], count = _parse_column(cells, RAW_COLUMNS[j])
-        demoted[j] += count
+def _parse_block(rows: list[tuple[str, ...]], demoted: np.ndarray) -> np.ndarray:
+    """The (k, 23) values of k rows of raw cells in RAW_COLUMNS order,
+    adding each column's demoted cells to `demoted`."""
+    columns = list(zip(*rows)) or [()] * len(RAW_COLUMNS)
+    parsed = [_parse_column(cells, name) for cells, name in zip(columns, RAW_COLUMNS)]
+    demoted += [count for _, count in parsed]
+    return np.column_stack([values for values, _ in parsed])
 
 
 def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
@@ -169,14 +170,6 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
-    # a slot per line, but no more than rows of bare commas fill; allocated before the
-    # decoded text, so the text and the chunk buffers are freed as one block at the heap's top
-    size = min(data.count(b"\n"), len(data) // len(CSV_COLUMNS)) + 1
-    dates = np.empty(size, dtype="datetime64[D]")
-    tickers = np.empty(size, dtype=object)
-    sectors = np.empty(size, dtype=object)
-    values = np.empty((size, len(RAW_COLUMNS)))
-    demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -199,8 +192,8 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     date_at, ticker_at, sector_at = (positions[c] for c in META_COLUMNS)
     pick = itemgetter(*(positions[c] for c in RAW_COLUMNS))
     seen_dates: dict[str, np.datetime64] = {}  # date cell -> parsed date
-    chunk: list[tuple[str, ...]] = []
-    n = 0  # rows read
+    dates, tickers, sectors, chunk, blocks = [], [], [], [], []
+    demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
     for record in reader:
         if not record:
             continue  # blank line
@@ -212,21 +205,20 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
         cell = record[date_at]
         if cell not in seen_dates:
             seen_dates[cell] = _parse_date(cell.strip(), reader.line_num)
-        dates[n] = seen_dates[cell]
-        tickers[n] = record[ticker_at].strip()
-        sectors[n] = record[sector_at].strip()
+        dates.append(seen_dates[cell])
+        tickers.append(record[ticker_at].strip())
+        sectors.append(record[sector_at].strip())
         chunk.append(pick(record))
-        n += 1
         if len(chunk) == _CHUNK_ROWS:
-            _parse_block(chunk, values[n - _CHUNK_ROWS : n], demoted)
+            blocks.append(_parse_block(chunk, demoted))
             chunk = []
-    _parse_block(chunk, values[n - len(chunk) : n], demoted)
+    blocks.append(_parse_block(chunk, demoted))
     return RawTable(
-        dates=dates[:n],
-        tickers=tickers[:n],
-        sectors=sectors[:n],
-        values=values[:n],
-        parse_warnings={c: int(k) for c, k in zip(RAW_COLUMNS, demoted) if k},
+        dates=np.array(dates, dtype="datetime64[D]"),
+        tickers=np.array(tickers, dtype=object),
+        sectors=np.array(sectors, dtype=object),
+        values=np.concatenate(blocks),
+        parse_warnings={c: int(n) for c, n in zip(RAW_COLUMNS, demoted) if n},
     )
 
 

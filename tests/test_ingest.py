@@ -124,16 +124,6 @@ def test_parse_reads_rows_beyond_one_chunk(monkeypatch):
     assert chunked.parse_warnings == whole.parse_warnings == {"PE_RATIO": 1}
 
 
-@pytest.mark.parametrize("end", ["", "\n"])
-def test_parse_reads_a_file_of_empty_rows(end):
-    # rows of bare commas are the fewest bytes per row a file can hold
-    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join([","] * 1000).replace(",", "," * 25) + end
-    table = ingest.parse_market_csv(text.encode())
-    assert len(table.rows) == 1000
-    assert np.isnan(table.values).all() and np.isnat(table.dates).all()
-    assert table.parse_warnings == {}
-
-
 def test_clean_drops_row_with_missing_feature_and_reports():
     clean = clean_rows(
         [
