@@ -7,7 +7,9 @@ that alters bytes on purpose updates GOLDEN and says why in CHANGES.md; the
 assertion message prints the hashes the current code produces.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -84,6 +86,36 @@ def dirty_market_bytes() -> bytes:
     return ("\n".join(",".join(cells) for cells in [header, *rows]) + "\n").encode()
 
 
+# (ticker, column, day, text) written over synthetic_market_bytes(3, 30, seed=4),
+# whose tickers are renamed to QUOTED_TICKERS: a signed zero and floats on
+# both sides of the points where repr switches to exponent form.
+QUOTED_TICKERS = ("TK,00", 'TK"01', "TK 02  B")
+QUOTED_CELLS = (
+    (0, "RETURN_ON_ASSET", 12, "-0.0"),
+    (1, "RETURN_ON_ASSET", 20, "-0"),
+    (0, "SHORT_INT_RATIO", 14, "1e-05"),
+    (1, "SHORT_INT_RATIO", 15, "0.0001"),
+    (2, "SHORT_INT_RATIO", 16, "9.99e-05"),
+    (0, "CUR_MKT_CAP", 17, "1e+16"),
+    (1, "CUR_MKT_CAP", 18, "9999999999999998"),
+    (2, "CUR_MKT_CAP", 19, "12345678901234567"),
+    (2, "BEST_CAPEX", 21, "0.1234567890123456789"),
+)
+
+
+def quoted_market_bytes() -> bytes:
+    """A market CSV, every cell quoted, whose tickers need quoting in dataset.csv."""
+    header, *rows = csv.reader(io.StringIO(synthetic_market_bytes(3, 30, seed=4).decode()))
+    ticker_at = header.index("ticker")
+    for row in rows:
+        row[ticker_at] = QUOTED_TICKERS[int(row[ticker_at][2:])]
+    for ticker, column, day, text in QUOTED_CELLS:
+        rows[30 * ticker + day][header.index(column)] = text
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue().encode()
+
+
 # run name -> argv; the output directory is named after the run, and runs
 # execute in this order (backtest-model-file reuses pipeline-forest's model).
 # Runs read market.csv unless they name --data.
@@ -110,6 +142,7 @@ RUNS = {
     ],
     "config": ["pipeline", "--config", "config.json"],
     "transform-dirty": ["transform", "--data", "dirty.csv"],
+    "transform-quoted": ["transform", "--data", "quoted.csv"],
 }
 
 GOLDEN = {
@@ -244,6 +277,10 @@ GOLDEN = {
         "dataset.csv": "34082ffeb00e2275f3ae4e72cd7849d89b83c3c4592be7f0431d7b85757416ff",
         "run.json": "d673438335bd1acbc108cd4994d4ec6efc87dfb65f5f42952652eae48424c878",
     },
+    "transform-quoted": {
+        "dataset.csv": "2c312135a6dfa72bb6ab7963158bc4bffd5dc49b1a5c2a4e0798daf78df4f26f",
+        "run.json": "51b29ddb2a43ebe42502b74492d87005b202445de82bf69ff847ea47baafee34",
+    },
 }
 
 
@@ -260,6 +297,7 @@ def produced(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     (root / "market.csv").write_bytes(synthetic_market_bytes(n_tickers=4, n_days=60, seed=5))
     (root / "dirty.csv").write_bytes(dirty_market_bytes())
+    (root / "quoted.csv").write_bytes(quoted_market_bytes())
     (root / "six.txt").write_text("\n".join(SIX_FEATURES) + "\n", encoding="utf-8")
     (root / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     previous = os.getcwd()
