@@ -8,7 +8,7 @@ codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import logging
 import os
@@ -394,10 +394,8 @@ def _model_space(state: _State, split: TrainTestSplit) -> TrainTestSplit:
 # --- stages --------------------------------------------------------------------
 
 def _stage_transform(cfg: RunConfig, state: _State) -> None:
-    buffer = io.StringIO()
-    write_dataset_csv(state.data, buffer)
     path = cfg.out / "dataset.csv"
-    reports.atomic_write_text(path, buffer.getvalue())
+    reports.atomic_write_text(path, functools.partial(write_dataset_csv, state.data))
     print(
         f"transform: {len(state.data)} rows across "
         f"{len(state.ticker_rows)} tickers -> {path}"

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from stocksignals.backtest import BacktestReport, Trade
 from stocksignals.evaluation import EvaluationReport
@@ -31,8 +31,12 @@ METRICS_FIELDS = (
 )
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a partial file."""
+def atomic_write_text(path: Path | str, text: str | Callable[[IO[str]], object]) -> None:
+    """Write via a sibling temp file and rename, so readers never see a partial file.
+
+    `text` may be a function that writes the text to the stream it is given
+    instead, so that a large file is written as it is formatted.
+    """
     target = Path(path)
     handle = tempfile.NamedTemporaryFile(
         mode="w",
@@ -44,7 +48,10 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     )
     try:
         with handle as stream:
-            stream.write(text)
+            if isinstance(text, str):
+                stream.write(text)
+            else:
+                text(stream)
         os.replace(handle.name, target)
     except BaseException:
         try:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import IO, Mapping, Sequence, Sized
+from types import SimpleNamespace
+from typing import IO, Callable, Iterable, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -44,7 +45,7 @@ _TOTAL_INDEX = FEATURE_COLUMNS.index("TOT_ANALYST_REC")
 _SHARE_COUNT_INDEX = [FEATURE_COLUMNS.index(c) for c in ("TOT_BUY_REC", "TOT_HOLD_REC", "TOT_SELL_REC")]
 # closes behind std_5day and std_10day; days before the longer window fills are dropped
 _STD_DAYS = (5, 10)
-# rows converted to Python values at a time when writing dataset.csv
+# rows formatted at a time when writing dataset.csv
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -316,24 +317,52 @@ def standardize_apply(scaler: Scaler, X) -> np.ndarray:
     return out
 
 
-def write_dataset_csv(data: Dataset, stream: IO[str]) -> None:
-    """Persist assembled rows; labels as 0/1/2, empty cell = missing.
+def _csv_cells(cells: list[str]) -> list[str]:
+    """Each text as csv.writer writes it as one cell of a row of several."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows([cell, ""] for cell in cells)  # one write per row: "<cell>,\n"
+    return [line[:-2] for line in lines]
 
-    Rows are converted chunk by chunk, so the Python floats of the whole
-    matrix never exist at once.
+
+def _label_texts(rows: np.ndarray) -> list[str]:
+    """The cells of each row of labels, 0/1/2 or empty when unlabeled, and a line end."""
+    rows = rows.tolist()
+    cell = {label: "" if label < 0 else str(label) for label in set().union(*rows)}
+    return [",".join(map(cell.__getitem__, row)) + "\n" for row in rows]
+
+
+def write_dataset_csv(data: Dataset, stream: IO[str]) -> None:
+    """Persist assembled rows as csv.writer writes them: the ticker, the ISO
+    date, repr of every feature (a missing feature reads `nan`) and each
+    label as 0/1/2, an empty cell where the horizon is unlabeled.
+
+    Rows go _CSV_CHUNK_ROWS at a time and a chunk is formatted a column at a
+    time: only the distinct keys of a column are formatted (tickers, dates,
+    feature bit patterns, so that -0.0 and 0.0 differ, and whole rows of
+    labels), and each row is one join of its cells' texts.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
+    csv.writer(stream, lineterminator="\n").writerow(
         ["ticker", "date", *data.feature_names, *(f"label_day{h}" for h in data.horizons)]
     )
     for start in range(0, len(data), _CSV_CHUNK_ROWS):
         rows = slice(start, start + _CSV_CHUNK_ROWS)
-        for ticker, date, features, labels in zip(
-            data.tickers[rows].tolist(),
-            data.dates[rows].astype(str).tolist(),
-            data.X[rows].tolist(),
-            data.Y[rows].tolist(),
-        ):
-            writer.writerow(
-                [ticker, date, *map(repr, features), *("" if lab < 0 else lab for lab in labels)]
-            )
+        texts: list[str] = []  # the texts of each column's distinct keys
+        at: list[np.ndarray] = []  # per column, the position in texts of each row's cell
+
+        def add(keys: np.ndarray, texts_of: Callable[[np.ndarray], Iterable[str]]) -> None:
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            at.append(inverse.reshape(-1) + len(texts))
+            texts.extend(texts_of(distinct))
+
+        add(data.tickers[rows], lambda tickers: _csv_cells(tickers.tolist()))
+        add(data.dates[rows], lambda dates: dates.astype(str).tolist())
+        for bits in np.ascontiguousarray(data.X[rows].T).view(np.int64):
+            add(bits, lambda distinct: map(float.__repr__, distinct.view(np.float64).tolist()))
+        labels = np.ascontiguousarray(data.Y[rows])  # a row of labels is one key: its bytes
+        add(
+            labels.view(np.dtype((np.void, labels[0].nbytes))).reshape(-1),
+            lambda distinct: _label_texts(distinct.view(labels.dtype).reshape(-1, labels.shape[1])),
+        )
+        cells = np.array(texts, dtype=object)[np.column_stack(at)]
+        stream.write("".join(map(",".join, cells.tolist())))

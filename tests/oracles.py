@@ -269,6 +269,25 @@ def reference_assemble_features(ticker, rows, horizons, up=1.01, down=0.99):
     )
 
 
+def reference_write_dataset_csv(data, stream):
+    """dataset.csv one row at a time through csv.writer: a header, then per
+    row the ticker, the ISO date, repr of every feature and each label as
+    0/1/2, an empty cell where unlabeled."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(
+        ["ticker", "date", *data.feature_names, *(f"label_day{h}" for h in data.horizons)]
+    )
+    for ticker, date, features, labels in zip(data.tickers, data.dates, data.X, data.Y):
+        writer.writerow(
+            [
+                str(ticker),
+                str(date),
+                *(repr(float(x)) for x in features),
+                *("" if label < 0 else int(label) for label in labels),
+            ]
+        )
+
+
 # --- split search --------------------------------------------------------------
 
 def gini_impurity(class_counts):

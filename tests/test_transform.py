@@ -20,6 +20,7 @@ from oracles import (
     reference_rolling_std,
     reference_scaler,
     reference_standardize,
+    reference_write_dataset_csv,
 )
 
 from stocksignals import transform
@@ -465,3 +466,72 @@ def test_dataset_csv_round_trip(monkeypatch):
     assert back.dates.tolist() == rows.dates.tolist()
     assert _bits(back.X) == _bits(rows.X)
     assert back.Y.tolist() == rows.Y.tolist()
+
+
+# floats whose text is easy to get wrong: signed zeros, infinities, subnormals,
+# both sides of where repr switches to exponent form (1e-4 and 1e16) and
+# values that need all 17 digits
+EDGE_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e-4, 1e-05,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e17,
+    0.1 + 0.2, 1 / 3, 2.0000000000000004, 123456789.12345679, 1.7976931348623157e308,
+)
+# NaN bit patterns: quiet, negative, signalling and with payloads
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF4000000000ABC)
+# tickers csv.writer quotes (delimiter, quote, line breaks) and ones it does not
+CSV_TICKERS = ("AAA", "B,C", 'D"E', '"', "x y", " lead", "new\nline", "cr\r", "", "\u00e9", "'q'")
+
+
+def _float_bits():
+    """Bit patterns of any float, of the edge floats above, of NaNs with
+    payloads and of values near 1e-4 and 1e16."""
+    floats = st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(1e-5, 1e-3),
+        st.floats(-1e17, 1e17),
+        st.floats(1e15, 1e17),
+    )
+    return st.one_of(
+        floats.map(lambda x: int(np.float64(x).view(np.uint64))),
+        st.sampled_from(NAN_BITS),
+        st.integers(1, 2**52 - 1).map(lambda payload: 0xFFF0000000000000 | payload),
+    )
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets of 0-12 rows and 1-5 features, some horizons maybe never labeled."""
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 5))
+    horizons = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True)))
+    bits = draw(st.lists(_float_bits(), min_size=n * d, max_size=n * d))
+    labels = st.sampled_from((-1, 0, 1, 2))
+    Y = np.array(draw(st.lists(labels, min_size=n * len(horizons), max_size=n * len(horizons))))
+    Y = Y.reshape(n, len(horizons))
+    for column in draw(st.sets(st.integers(0, len(horizons) - 1))):
+        Y[:, column] = -1
+    return Dataset(
+        tickers=np.array(draw(st.lists(st.sampled_from(CSV_TICKERS), min_size=n, max_size=n)), dtype=str),
+        dates=np.datetime64("2018-01-02") + np.array(
+            draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n)), dtype=int
+        ),
+        X=np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d),
+        Y=Y.astype(np.int8),
+        feature_names=FEATURE_COLUMNS[:d],
+        horizons=horizons,
+    )
+
+
+@example(make_dataset(np.zeros((0, 3)), np.zeros((0, 10))), 1)
+@settings(max_examples=300, deadline=None)
+@given(csv_datasets(), st.sampled_from((1, 3, 4096)))
+def test_dataset_csv_matches_per_row_reference(data, chunk_rows):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_CSV_CHUNK_ROWS", chunk_rows)
+        write_dataset_csv(data, out)
+    want = io.StringIO()
+    reference_write_dataset_csv(data, want)
+    assert out.getvalue() == want.getvalue()
