@@ -19,6 +19,7 @@ column, and a non-negative whole number in every count column.
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime as dt
 import io
@@ -119,27 +120,33 @@ class TickerSeries:
     values: np.ndarray  # (n, 23) float64 in RAW_COLUMNS order
 
 
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
 def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
     """A column's values (NaN = missing: empty, or demoted for being no number
     or breaking the column's constraint) and its number of demoted cells.
-    float() ignores surrounding whitespace."""
-    values = np.fromiter(map(_float_or_nan, cells), float, len(cells))
-    empty = sum(not cells[i].strip() for i in np.flatnonzero(np.isnan(values)))
-    valid = np.isfinite(values)
+
+    float() ignores surrounding whitespace. One map(float) converts the cells;
+    when a cell raises, the conversion resumes after it. array.extend keeps
+    the values converted before the error, so the failing cell is the one at
+    len(values).
+    """
+    values = array.array("d")
+    remaining = iter(cells)
+    empty = 0
+    while len(values) < len(cells):
+        try:
+            values.extend(map(float, remaining))
+        except ValueError:
+            empty += not cells[len(values)].strip()
+            values.append(math.nan)
+    parsed = np.frombuffer(values, dtype=float)
+    valid = np.isfinite(parsed)
     if column in COUNT_COLUMNS:
-        valid &= (values >= 0) & (values == np.trunc(values))
-        values += 0.0  # a count of -0 is 0
+        valid &= (parsed >= 0) & (parsed == np.trunc(parsed))
+        parsed += 0.0  # a count of -0 is 0
     elif column == "PX_OFFICIAL_CLOSE":
-        valid &= values > 0
-    values[~valid] = np.nan
-    return values, len(cells) - empty - int(np.count_nonzero(valid))
+        valid &= parsed > 0
+    parsed[~valid] = np.nan
+    return parsed, len(cells) - empty - int(np.count_nonzero(valid))
 
 
 def _parse_date(text: str, line: int) -> np.datetime64:

@@ -11,6 +11,7 @@ import datetime as dt
 import io
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -256,3 +257,33 @@ def test_first_partition_error_in_file_order_raises():
     for extra, (error, message) in cases.items():
         got = assert_same_path(_csv((header, *rows[:3], *extra)))
         assert got == ("error", error, message)
+
+
+# (column -> {row: text}) over 10 rows parsed 4 rows to a chunk (rows 0-3,
+# 4-7, 8-9): cells that float() rejects, one at a time or all of a column,
+# and cells that it reads although they are not plain decimals
+FALLBACK_CASES = {
+    "first of a chunk": {"PE_RATIO": {0: "abc", 4: "x"}, "SHORT_INT": {8: "-"}},
+    "middle of a chunk": {"PE_RATIO": {5: "abc"}, "BEST_EPS": {1: "1.2.3", 2: "--1"}},
+    "last of a chunk": {"PE_RATIO": {3: "abc", 7: "?"}, "SHORT_INT": {9: "1e"}},
+    "runs of bad cells": {"PE_RATIO": {2: "a", 3: "b", 4: "c", 5: "d"}},
+    "every cell": {"PE_RATIO": dict.fromkeys(range(10), "abc"), "SHORT_INT": dict.fromkeys(range(10), "")},
+    "empty and blank": {"BEST_EPS": {0: "", 1: " ", 2: "\t", 5: "", 9: "  "}, "TOT_BUY_REC": {4: ""}},
+    "read by float": {
+        "BEST_EPS": {0: "nan", 1: "inf", 2: "1_000", 3: " 2.5 ", 4: "-inf", 5: "-0.0"},
+        "TOT_BUY_REC": {6: "1_0", 7: " 4 ", 8: "nan"},
+        "PX_OFFICIAL_CLOSE": {9: " 12.5\t"},
+    },
+}
+
+
+@pytest.mark.parametrize("cells", FALLBACK_CASES.values(), ids=list(FALLBACK_CASES))
+def test_parse_resumes_after_each_bad_cell(monkeypatch, cells):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    data = _series_rows(n=10, **cells)
+    table = ingest.parse_market_csv(data)
+    rows, warnings = reference_parse_market_csv(data)
+    want = np.array([[np.nan if v is None else v for v in row.values] for row in rows])
+    assert np.array_equal(np.isnan(table.values), np.isnan(want))
+    assert np.array_equal(table.values, want, equal_nan=True)
+    assert table.parse_warnings == warnings
