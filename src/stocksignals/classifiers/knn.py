@@ -75,11 +75,15 @@ def squared_distances(train_X: np.ndarray, probes: np.ndarray) -> np.ndarray:
 def nearest_mask(squared: np.ndarray, k: int) -> np.ndarray:
     """(c, n) mask of each row's k smallest entries, ties to the lower column, NaN last."""
     kth = np.partition(squared, k - 1, axis=1)[:, k - 1 : k]
-    nan = np.isnan(squared)
-    nan_kth = np.isnan(kth)
-    # below a NaN k-th distance lies every number
-    below = np.where(nan_kth, ~nan, squared < kth)
-    at_kth = np.where(nan_kth, nan, squared == kth)
+    below = squared < kth
+    at_kth = squared == kth
+    # a row with a NaN k-th distance (a NaN probe): every number lies below it
+    # and the NaNs lie at it
+    nan_kth = np.flatnonzero(np.isnan(kth[:, 0]))
+    if nan_kth.size:
+        nan = np.isnan(squared[nan_kth])
+        below[nan_kth] = ~nan
+        at_kth[nan_kth] = nan
     free = k - below.sum(axis=1, keepdims=True)
     # only rows with more entries at the k-th distance than free slots need the
     # lowest-index fill; every other row takes all of them
