@@ -186,6 +186,7 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
         raise EmptyInput("no header row")
 
     reader = csv.reader(io.StringIO(text))
+    del data, text  # the reader reads its own copy; free these before the rows pile up
     header = [name.strip() for name in next(reader)]
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
