@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import asdict, dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -285,50 +283,8 @@ class ModelBundle:
         return bundle
 
 
-_JSON_CONTAINERS = (dict, list, tuple)
-
-
-def _json_scalar(value) -> str:
-    """A scalar as json.dumps writes it; ints, finite floats and strs directly."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
-
-
-def _json_text(value, indent: str = "") -> str:
-    """`value` (dicts with str keys, lists, tuples, scalars) as
-    json.dumps(value, sort_keys=True, indent=2) writes it at this indent.
-
-    json.dumps runs its pure-Python encoder when given an indent; this
-    writes the same text with one join per container, a list of scalars
-    included.
-    """
-    if not isinstance(value, _JSON_CONTAINERS):
-        return _json_scalar(value)
-    if not value:
-        return json.dumps(value)
-    inner = indent + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        body = separator.join(
-            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if any(isinstance(item, _JSON_CONTAINERS) for item in value):
-        body = separator.join([_json_text(item, inner) for item in value])
-    else:
-        body = separator.join(map(_json_scalar, value))
-    return f"[\n{inner}{body}\n{indent}]"
-
-
 def bundle_json(bundle: ModelBundle) -> str:
-    """The bundle as json.dumps(..., sort_keys=True, indent=2) writes it, plus a newline."""
-    return _json_text(bundle.to_dict()) + "\n"
+    return json.dumps(bundle.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def save_bundle(bundle: ModelBundle, path: Path | str) -> None:

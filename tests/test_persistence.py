@@ -4,8 +4,6 @@ import re
 import numpy as np
 import pytest
 from conftest import random_dataset
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stocksignals.classifiers import (
     ClassifierSpec,
@@ -20,7 +18,7 @@ from stocksignals.classifiers import (
     save_bundle,
 )
 from stocksignals.errors import EmptyTraining, UsageError
-from stocksignals.transform import FEATURE_COLUMNS, Scaler, split_dataset, standardize_apply
+from stocksignals.transform import FEATURE_COLUMNS, split_dataset, standardize_apply
 
 
 @pytest.mark.parametrize(
@@ -161,35 +159,3 @@ def test_load_bundle_names_the_file_it_rejects(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(UsageError, match=re.escape(f"not a model file: {path}: {message}")):
         load_bundle(path)
-
-
-@st.composite
-def bundles(draw):
-    """A bundle of any kind fitted on up to 12 rows of 1-3 grid features, with
-    feature names that JSON must escape and a scaler of any floats."""
-    kind = draw(st.sampled_from(("decision_tree", "random_forest", "knn", "gaussian_nb")))
-    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
-    spec = ClassifierSpec(
-        kind=kind,
-        criterion=draw(st.sampled_from(("gini", "entropy"))),
-        n_trees=draw(st.integers(1, 3)),
-        k=draw(st.integers(1, n)),
-        max_depth=draw(st.none() | st.integers(1, 4)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))) * 0.5 - 0.75
-    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    floats = st.lists(st.floats(allow_subnormal=True), min_size=d, max_size=d)
-    return ModelBundle(
-        spec=spec,
-        horizon=draw(st.integers(1, 30)),
-        feature_names=tuple(draw(st.lists(st.text(), min_size=d, max_size=d, unique=True))),
-        scaler=Scaler(means=np.array(draw(floats)), stds=np.array(draw(floats))),
-        model=fit_classifier(spec, X.reshape(n, d), y),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(bundles())
-def test_bundle_json_is_the_indented_json_dump(bundle):
-    assert bundle_json(bundle) == json.dumps(bundle.to_dict(), sort_keys=True, indent=2) + "\n"
