@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Mapping, Sequence, Sized
+from typing import IO, Iterable, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -325,11 +325,18 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return [line[:-2] for line in lines]
 
 
-def _label_texts(rows: np.ndarray) -> list[str]:
-    """The cells of each row of labels, 0/1/2 or empty when unlabeled, and a line end."""
-    rows = rows.tolist()
-    cell = {label: "" if label < 0 else str(label) for label in set().union(*rows)}
-    return [",".join(map(cell.__getitem__, row)) + "\n" for row in rows]
+def _label_cells(labels: list[int]) -> Iterable[str]:
+    """Each label as 0/1/2, an empty cell when unlabeled."""
+    cell = {label: "" if label < 0 else str(label) for label in set(labels)}
+    return map(cell.__getitem__, labels)
+
+
+def _float_cells(column: np.ndarray) -> list[str]:
+    """repr of each float, formatted once per distinct bit pattern, so that
+    -0.0 and 0.0 differ."""
+    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[at].tolist()
 
 
 def write_dataset_csv(data: Dataset, stream: IO[str]) -> None:
@@ -338,31 +345,18 @@ def write_dataset_csv(data: Dataset, stream: IO[str]) -> None:
     label as 0/1/2, an empty cell where the horizon is unlabeled.
 
     Rows go _CSV_CHUNK_ROWS at a time and a chunk is formatted a column at a
-    time: only the distinct keys of a column are formatted (tickers, dates,
-    feature bit patterns, so that -0.0 and 0.0 differ, and whole rows of
-    labels), and each row is one join of its cells' texts.
+    time, a feature column once per distinct value, so each row is one join
+    of its cells' texts.
     """
     csv.writer(stream, lineterminator="\n").writerow(
         ["ticker", "date", *data.feature_names, *(f"label_day{h}" for h in data.horizons)]
     )
     for start in range(0, len(data), _CSV_CHUNK_ROWS):
         rows = slice(start, start + _CSV_CHUNK_ROWS)
-        texts: list[str] = []  # the texts of each column's distinct keys
-        at: list[np.ndarray] = []  # per column, the position in texts of each row's cell
-
-        def add(keys: np.ndarray, texts_of: Callable[[np.ndarray], Iterable[str]]) -> None:
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            at.append(inverse.reshape(-1) + len(texts))
-            texts.extend(texts_of(distinct))
-
-        add(data.tickers[rows], lambda tickers: _csv_cells(tickers.tolist()))
-        add(data.dates[rows], lambda dates: dates.astype(str).tolist())
-        for bits in np.ascontiguousarray(data.X[rows].T).view(np.int64):
-            add(bits, lambda distinct: map(float.__repr__, distinct.view(np.float64).tolist()))
-        labels = np.ascontiguousarray(data.Y[rows])  # a row of labels is one key: its bytes
-        add(
-            labels.view(np.dtype((np.void, labels[0].nbytes))).reshape(-1),
-            lambda distinct: _label_texts(distinct.view(labels.dtype).reshape(-1, labels.shape[1])),
-        )
-        cells = np.array(texts, dtype=object)[np.column_stack(at)]
-        stream.write("".join(map(",".join, cells.tolist())))
+        columns = [
+            _csv_cells(data.tickers[rows].tolist()),
+            data.dates[rows].astype(str).tolist(),
+            *map(_float_cells, np.ascontiguousarray(data.X[rows].T)),
+            *(_label_cells(column) for column in data.Y[rows].T.tolist()),
+        ]
+        stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
