@@ -525,6 +525,7 @@ def csv_datasets(draw):
 
 
 @example(make_dataset(np.zeros((0, 3)), np.zeros((0, 10))), 1)
+@example(make_dataset([[0.0, -0.0], [-0.0, 0.0], [0.0, math.nan]], np.full((3, 10), -1)), 4096)
 @settings(max_examples=300, deadline=None)
 @given(csv_datasets(), st.sampled_from((1, 3, 4096)))
 def test_dataset_csv_matches_per_row_reference(data, chunk_rows):
