@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -142,6 +143,225 @@ def test_env_var_supplies_output_dir(tmp_path, monkeypatch, market_csv):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
     assert run("transform", "--data", market_csv) == 0
     assert (out / "dataset.csv").exists()
+
+
+# --- the settings contract ------------------------------------------------------
+# These pin what a refactor of the settings layer must keep: every command's
+# options as argparse sees them, and the resolution of a config file that sets
+# every key, with and without every flag. The formatted --help is not pinned,
+# since it changes with the Python version and the terminal width.
+
+# option -> (option strings, dest, type, choices, default, const, action, help)
+OPTIONS = {
+    "--help": (("-h", "--help"), "help", None, None, "==SUPPRESS==", None, "_HelpAction", "show this help message and exit"),
+    "--data": (("--data",), "data", None, None, None, None, "_StoreAction", "input market CSV path"),
+    "--out": (("--out",), "out", None, None, None, None, "_StoreAction", "output directory (default: $STOCKSIGNALS_OUTPUT_DIR or .)"),
+    "--config": (("--config",), "config", None, None, None, None, "_StoreAction", "JSON config file; flags override it"),
+    "--seed": (("--seed",), "seed", "int", None, None, None, "_StoreAction", "seed for the split and the classifier"),
+    "--train-fraction": (("--train-fraction",), "train_fraction", "float", None, None, None, "_StoreAction", None),
+    "--sector": (("--sector",), "sector", None, None, None, None, "_StoreAction", "restrict to one sector"),
+    "--features": (("--features",), "features", None, None, None, None, "_StoreAction", "file with one feature name per line; train on that subset"),
+    "--up-threshold": (("--up-threshold",), "up_threshold", "float", None, None, None, "_StoreAction", None),
+    "--down-threshold": (("--down-threshold",), "down_threshold", "float", None, None, None, "_StoreAction", None),
+    "--model": (("--model",), "model", None, ("decision-tree", "gaussian-nb", "knn", "random-forest"), None, None, "_StoreAction", "classifier kind (default random-forest)"),
+    "--criterion": (("--criterion",), "criterion", None, ("gini", "entropy"), None, None, "_StoreAction", None),
+    "--trees": (("--trees",), "trees", "int", None, None, None, "_StoreAction", "forest size"),
+    "--k": (("--k",), "k", "int", None, None, None, "_StoreAction", "neighbour count for knn"),
+    "--max-depth": (("--max-depth",), "max_depth", "int", None, None, None, "_StoreAction", None),
+    "--min-samples-split": (("--min-samples-split",), "min_samples_split", "int", None, None, None, "_StoreAction", None),
+    "--by-sector": (("--by-sector",), "by_sector", None, None, None, True, "_StoreTrueAction", "evaluate each sector separately"),
+    "--select-top": (("--select-top",), "select_top", "int", None, None, None, "_StoreAction", None),
+    "--signal-horizon": (("--signal-horizon",), "signal_horizon", "int", None, None, None, "_StoreAction", None),
+    "--fee": (("--fee",), "fee", "float", None, None, None, "_StoreAction", "fee per transaction in USD"),
+    "--take-profit": (("--take-profit",), "take_profit", "float", None, None, None, "_StoreAction", None),
+    "--stop-loss": (("--stop-loss",), "stop_loss", "float", None, None, None, "_StoreAction", None),
+    "--no-liquidate": (("--no-liquidate",), "no_liquidate", None, None, None, True, "_StoreTrueAction", "leave the final position open"),
+    "--model-file": (("--model-file",), "model_file", None, None, None, None, "_StoreAction", "reuse a saved model.json"),
+}
+COMMON = ("--help", "--data", "--out", "--config", "--seed", "--train-fraction", "--sector",
+          "--features", "--up-threshold", "--down-threshold")
+MODEL = ("--model", "--criterion", "--trees", "--k", "--max-depth", "--min-samples-split")
+TRADE = ("--signal-horizon", "--fee", "--take-profit", "--stop-loss", "--no-liquidate")
+COMMAND_OPTIONS = {
+    "transform": COMMON,
+    "evaluate": COMMON + MODEL + ("--by-sector",),
+    "rank": COMMON + ("--select-top",),
+    "backtest": COMMON + MODEL + TRADE + ("--model-file",),
+    "pipeline": COMMON + MODEL + ("--select-top",) + TRADE,
+}
+
+
+def _option_table(command):
+    actions = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]._actions
+    return [
+        (
+            tuple(a.option_strings),
+            a.dest,
+            getattr(a.type, "__name__", a.type),
+            None if a.choices is None else tuple(a.choices),
+            a.default,
+            a.const,
+            type(a).__name__,
+            a.help,
+        )
+        for a in actions
+    ]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_each_command_option_table_is_pinned(command):
+    assert _option_table(command) == [OPTIONS[flag] for flag in COMMAND_OPTIONS[command]]
+
+
+# a config file setting every top-level key and every key of every section,
+# each away from its default where the flags can still show that they win
+EVERY_KEY = {
+    "data": "config.csv",
+    "out": "config_out",
+    "seed": 7,
+    "sector": "Energy",
+    "features": "config_features.txt",
+    "by_sector": False,
+    "model_file": "config_model.json",
+    "label": {"horizons": [1, 3, 5], "up_threshold": 1.02, "down_threshold": 0.98},
+    "split": {"train_fraction": 0.6, "seed": 3},
+    "classifier": {
+        "kind": "knn", "criterion": "entropy", "n_trees": 4, "k": 7, "max_depth": 5,
+        "min_samples_split": 3, "seed": 5, "mtry": 2, "bootstrap": False,
+    },
+    "rank": {"n_components": 3, "contribution_threshold": 0.2, "weights": [3, 2, 1], "top_k": 4},
+    "backtest": {
+        "fee_per_transaction": 0.05, "take_profit_fraction": 0.02, "stop_loss_fraction": 0.03,
+        "signal_horizon": 3, "liquidate_at_end": True,
+    },
+}
+EVERY_PIPELINE_FLAG = [
+    "--data", "flag.csv", "--out", "flag_out", "--seed", "42", "--train-fraction", "0.8",
+    "--sector", "Tech", "--features", "flag_features.txt", "--up-threshold", "1.03",
+    "--down-threshold", "0.97", "--model", "decision-tree", "--criterion", "gini",
+    "--trees", "6", "--k", "9", "--max-depth", "8", "--min-samples-split", "4",
+    "--select-top", "5", "--signal-horizon", "5", "--fee", "0.02", "--take-profit", "0.04",
+    "--stop-loss", "0.05", "--no-liquidate",
+]
+CONFIG_MANIFEST = {
+    "command": "pipeline",
+    "data": "config.csv",
+    "seed": 3,
+    "sector": "Energy",
+    "features_file": "config_features.txt",
+    "by_sector": False,
+    "model_file": "config_model.json",
+    "label": {"horizons": (1, 3, 5), "up_threshold": 1.02, "down_threshold": 0.98},
+    "split": {"train_fraction": 0.6, "seed": 3},
+    "classifier": {
+        "kind": "knn", "criterion": "entropy", "n_trees": 4, "k": 7, "max_depth": 5,
+        "min_samples_split": 3, "seed": 5, "mtry": 2, "bootstrap": False,
+    },
+    "rank": {"n_components": 3, "contribution_threshold": 0.2, "weights": (3, 2, 1), "top_k": 4},
+    "backtest": {
+        "fee_per_transaction": 0.05, "take_profit_fraction": 0.02, "stop_loss_fraction": 0.03,
+        "signal_horizon": 3, "liquidate_at_end": True,
+    },
+}
+FLAG_MANIFEST = {
+    "command": "pipeline",
+    "data": "flag.csv",
+    "seed": 42,
+    "sector": "Tech",
+    "features_file": "flag_features.txt",
+    "by_sector": False,
+    "model_file": "config_model.json",
+    "label": {"horizons": (1, 3, 5), "up_threshold": 1.03, "down_threshold": 0.97},
+    "split": {"train_fraction": 0.8, "seed": 42},
+    "classifier": {
+        "kind": "decision_tree", "criterion": "gini", "n_trees": 6, "k": 9, "max_depth": 8,
+        "min_samples_split": 4, "seed": 42, "mtry": 2, "bootstrap": False,
+    },
+    "rank": {"n_components": 3, "contribution_threshold": 0.2, "weights": (3, 2, 1), "top_k": 5},
+    "backtest": {
+        "fee_per_transaction": 0.02, "take_profit_fraction": 0.04, "stop_loss_fraction": 0.05,
+        "signal_horizon": 5, "liquidate_at_end": False,
+    },
+}
+DEFAULT_MANIFEST = {
+    "command": "pipeline",
+    "data": "d.csv",
+    "seed": 0,
+    "sector": None,
+    "features_file": None,
+    "by_sector": False,
+    "model_file": None,
+    "label": {
+        "horizons": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), "up_threshold": 1.01, "down_threshold": 0.99,
+    },
+    "split": {"train_fraction": 0.7, "seed": 0},
+    "classifier": {
+        "kind": "random_forest", "criterion": "gini", "n_trees": 10, "k": 5, "max_depth": None,
+        "min_samples_split": 2, "seed": 0, "mtry": None, "bootstrap": True,
+    },
+    "rank": {
+        "n_components": 6, "contribution_threshold": 0.1, "weights": (6, 5, 4, 3, 2, 1), "top_k": 6,
+    },
+    "backtest": {
+        "fee_per_transaction": 0.01, "take_profit_fraction": 0.01, "stop_loss_fraction": 0.01,
+        "signal_horizon": 10, "liquidate_at_end": True,
+    },
+}
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def test_every_config_key_resolves_with_and_without_every_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "from_env"))
+    config = _write_config(tmp_path, EVERY_KEY)
+    command, cfg = cli.parse_cli(["pipeline", "--config", config])
+    assert command == "pipeline" and cfg.out == Path("config_out")
+    assert cfg.to_manifest("pipeline") == CONFIG_MANIFEST
+    _, cfg = cli.parse_cli(["pipeline", "--config", config] + EVERY_PIPELINE_FLAG)
+    assert cfg.out == Path("flag_out")
+    assert cfg.to_manifest("pipeline") == FLAG_MANIFEST
+    # the two flags pipeline does not take
+    _, cfg = cli.parse_cli(["evaluate", "--config", config, "--by-sector"])
+    assert cfg.to_manifest("pipeline") == {**CONFIG_MANIFEST, "by_sector": True}
+    _, cfg = cli.parse_cli(["backtest", "--config", config, "--model-file", "flag_model.json"])
+    assert cfg.to_manifest("pipeline") == {**CONFIG_MANIFEST, "model_file": "flag_model.json"}
+
+
+def test_no_config_resolves_to_the_defaults(monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    _, cfg = cli.parse_cli(["pipeline", "--data", "d.csv"])
+    assert cfg.out == Path(".")
+    assert cfg.to_manifest("pipeline") == DEFAULT_MANIFEST
+
+
+def test_null_config_values_take_the_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    nulls = {
+        key: {k: None for k in value} if isinstance(value, dict) else None
+        for key, value in EVERY_KEY.items()
+    }
+    _, cfg = cli.parse_cli(["pipeline", "--data", "d.csv", "--config", _write_config(tmp_path, nulls)])
+    assert cfg.out == Path(".")
+    assert cfg.to_manifest("pipeline") == DEFAULT_MANIFEST
+
+
+def test_config_kind_takes_no_hyphenated_spelling(tmp_path):
+    config = _write_config(tmp_path, {"classifier": {"kind": "random-forest"}})
+    with pytest.raises(UsageError, match="unknown classifier kind 'random-forest'"):
+        cli.parse_cli(["evaluate", "--data", "d.csv", "--config", config])
+
+
+@pytest.mark.parametrize("section", ["label", "split", "classifier", "rank", "backtest"])
+def test_unknown_key_in_each_section_is_named(tmp_path, section):
+    config = _write_config(tmp_path, {section: {"bogus": 1}})
+    with pytest.raises(UsageError, match=f"^unknown config key '{section}.bogus'$"):
+        cli.parse_cli(["pipeline", "--data", "d.csv", "--config", config])
 
 
 # --- commands -------------------------------------------------------------------
