@@ -51,7 +51,7 @@ class ClassifierSpec:
     test hook that makes a 1-tree, mtry=d forest reproduce a plain tree.
     """
 
-    kind: str
+    kind: str = "random_forest"
     criterion: str = "gini"
     n_trees: int = 10
     k: int = 5

@@ -3,6 +3,13 @@
 Commands: transform, evaluate, rank, backtest, pipeline. Flags override a
 JSON config file (--config), which overrides documented defaults. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+
+Each setting is declared once. The config sections are the fields of
+LabelConfig, SplitConfig, ClassifierSpec, RankConfig and BacktestConfig:
+a section's keys and defaults are its dataclass's fields, and a key that
+is absent or null takes the field's default. _TOP_DEFAULTS holds the
+top-level keys, and _FLAGS every flag with the commands that take it and
+the key it sets.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,12 +29,14 @@ import numpy as np
 from stocksignals import ingest, reports
 from stocksignals.backtest import BacktestConfig, run_backtest
 from stocksignals.classifiers import (
+    KINDS,
     ClassifierSpec,
     ModelBundle,
     bundle_json,
     fit_bundle,
     load_bundle,
 )
+from stocksignals.classifiers.base import CRITERIA
 from stocksignals.errors import (
     DataError,
     EmptyDataset,
@@ -40,10 +49,9 @@ from stocksignals.errors import (
     UsageError,
 )
 from stocksignals.evaluation import EvaluationReport, evaluate_per_horizon
-from stocksignals.pca import DEFAULT_WEIGHTS, PcaRanking, RankConfig, rank_features
+from stocksignals.pca import PcaRanking, RankConfig, rank_features
 from stocksignals.transform import (
     CLOSE_INDEX,
-    DEFAULT_HORIZONS,
     FEATURE_COLUMNS,
     Dataset,
     LabelConfig,
@@ -59,54 +67,61 @@ logger = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "STOCKSIGNALS_OUTPUT_DIR"
 
-_KIND_BY_FLAG = {
-    "decision-tree": "decision_tree",
-    "random-forest": "random_forest",
-    "knn": "knn",
-    "gaussian-nb": "gaussian_nb",
+_SECTIONS = {
+    "label": LabelConfig, "split": SplitConfig, "classifier": ClassifierSpec,
+    "rank": RankConfig, "backtest": BacktestConfig,
 }
-
-# One row per configurable value: (argparse dest, or None when no flag sets
-# it; config section, or None for a top-level key; config key; default).
-# Per value, a flag beats the config file, which beats the default.
-_SETTINGS = (
-    ("data", None, "data", None),
-    ("out", None, "out", None),  # then $STOCKSIGNALS_OUTPUT_DIR, then "."
-    ("seed", None, "seed", 0),
-    ("sector", None, "sector", None),
-    ("features", None, "features", None),
-    ("by_sector", None, "by_sector", False),
-    ("model_file", None, "model_file", None),
-    (None, "label", "horizons", DEFAULT_HORIZONS),
-    ("up_threshold", "label", "up_threshold", 1.01),
-    ("down_threshold", "label", "down_threshold", 0.99),
-    ("train_fraction", "split", "train_fraction", 0.7),
-    ("seed", "split", "seed", None),  # then the top-level seed
-    ("model", "classifier", "kind", "random_forest"),
-    ("criterion", "classifier", "criterion", "gini"),
-    ("trees", "classifier", "n_trees", 10),
-    ("k", "classifier", "k", 5),
-    ("max_depth", "classifier", "max_depth", None),
-    ("min_samples_split", "classifier", "min_samples_split", 2),
-    ("seed", "classifier", "seed", None),  # then the top-level seed
-    (None, "classifier", "mtry", None),
-    (None, "classifier", "bootstrap", True),
-    (None, "rank", "n_components", 6),
-    (None, "rank", "contribution_threshold", 0.1),
-    (None, "rank", "weights", DEFAULT_WEIGHTS),
-    ("select_top", "rank", "top_k", 6),
-    ("fee", "backtest", "fee_per_transaction", 0.01),
-    ("take_profit", "backtest", "take_profit_fraction", 0.01),
-    ("stop_loss", "backtest", "stop_loss_fraction", 0.01),
-    ("signal_horizon", "backtest", "signal_horizon", 10),
-    ("no_liquidate", "backtest", "liquidate_at_end", True),
+# out falls back to $STOCKSIGNALS_OUTPUT_DIR, then "."; the split and
+# classifier seeds fall back to the top-level seed
+_TOP_DEFAULTS = dict(
+    data=None, out=None, seed=0, sector=None, features=None, by_sector=False, model_file=None
 )
 
-_SECTION_KEYS = {
-    section: {key for _, s, key, _ in _SETTINGS if s == section}
-    for section in dict.fromkeys(s for _, s, _, _ in _SETTINGS if s is not None)
+_COMMANDS = {
+    "transform": "ingest a market CSV and write the labeled dataset",
+    "evaluate": "train per-horizon classifiers and report signal metrics",
+    "rank": "rank features by weighted PCA occurrence",
+    "backtest": "replay per-ticker test windows through the trade rules",
+    "pipeline": "run transform, evaluate, rank, and backtest in order",
 }
-_CONFIG_KEYS = {key for _, section, key, _ in _SETTINGS if section is None} | set(_SECTION_KEYS)
+_ALL = tuple(_COMMANDS)
+_FIT = ("evaluate", "backtest", "pipeline")
+_TRADE = ("backtest", "pipeline")
+
+# One row per flag, in --help order: (flag, commands that take it, config
+# section or None for a top-level key, config key it sets, argparse
+# keywords). Per key, a flag beats the config file, which beats the default.
+_FLAGS = (
+    ("--data", _ALL, None, "data", {"help": "input market CSV path"}),
+    ("--out", _ALL, None, "out", {"help": f"output directory (default: ${OUTPUT_DIR_ENV} or .)"}),
+    ("--config", _ALL, None, None, {"help": "JSON config file; flags override it"}),
+    ("--seed", _ALL, None, "seed", {"type": int, "help": "seed for the split and the classifier"}),
+    ("--train-fraction", _ALL, "split", "train_fraction", {"type": float}),
+    ("--sector", _ALL, None, "sector", {"help": "restrict to one sector"}),
+    ("--features", _ALL, None, "features",
+     {"help": "file with one feature name per line; train on that subset"}),
+    ("--up-threshold", _ALL, "label", "up_threshold", {"type": float}),
+    ("--down-threshold", _ALL, "label", "down_threshold", {"type": float}),
+    ("--model", _FIT, "classifier", "kind",
+     {"choices": sorted(kind.replace("_", "-") for kind in KINDS),
+      "help": "classifier kind (default random-forest)"}),
+    ("--criterion", _FIT, "classifier", "criterion", {"choices": CRITERIA}),
+    ("--trees", _FIT, "classifier", "n_trees", {"type": int, "help": "forest size"}),
+    ("--k", _FIT, "classifier", "k", {"type": int, "help": "neighbour count for knn"}),
+    ("--max-depth", _FIT, "classifier", "max_depth", {"type": int}),
+    ("--min-samples-split", _FIT, "classifier", "min_samples_split", {"type": int}),
+    ("--by-sector", ("evaluate",), None, "by_sector",
+     {"action": "store_true", "default": None, "help": "evaluate each sector separately"}),
+    ("--select-top", ("rank", "pipeline"), "rank", "top_k", {"type": int}),
+    ("--signal-horizon", _TRADE, "backtest", "signal_horizon", {"type": int}),
+    ("--fee", _TRADE, "backtest", "fee_per_transaction",
+     {"type": float, "help": "fee per transaction in USD"}),
+    ("--take-profit", _TRADE, "backtest", "take_profit_fraction", {"type": float}),
+    ("--stop-loss", _TRADE, "backtest", "stop_loss_fraction", {"type": float}),
+    ("--no-liquidate", _TRADE, "backtest", "liquidate_at_end",
+     {"action": "store_const", "const": False, "help": "leave the final position open"}),
+    ("--model-file", ("backtest",), None, "model_file", {"help": "reuse a saved model.json"}),
+)
 
 
 @dataclass
@@ -127,20 +142,9 @@ class RunConfig:
     def to_manifest(self, command: str) -> dict:
         # the output directory is deliberately absent: the manifest lives in
         # it, and recording it would break byte-identical reruns elsewhere
-        return {
-            "command": command,
-            "data": str(self.data),
-            "seed": self.seed,
-            "sector": self.sector,
-            "features_file": str(self.features_file) if self.features_file else None,
-            "by_sector": self.by_sector,
-            "model_file": str(self.model_file) if self.model_file else None,
-            "label": asdict(self.label),
-            "split": asdict(self.split),
-            "classifier": asdict(self.classifier),
-            "rank": asdict(self.rank),
-            "backtest": asdict(self.backtest),
-        }
+        manifest = {"command": command, **asdict(self)}
+        del manifest["out"]
+        return {key: str(v) if isinstance(v, Path) else v for key, v in manifest.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,67 +155,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="stocksignals", description=__doc__)
+    # the module docstring's last paragraph is for readers of the code
+    parser = _Parser(prog="stocksignals", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text in (
-        ("transform", "ingest a market CSV and write the labeled dataset"),
-        ("evaluate", "train per-horizon classifiers and report signal metrics"),
-        ("rank", "rank features by weighted PCA occurrence"),
-        ("backtest", "replay per-ticker test windows through the trade rules"),
-        ("pipeline", "run transform, evaluate, rank, and backtest in order"),
-    ):
+    for name, help_text in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--data", help="input market CSV path")
-        cmd.add_argument("--out", help="output directory (default: $%s or .)" % OUTPUT_DIR_ENV)
-        cmd.add_argument("--config", help="JSON config file; flags override it")
-        cmd.add_argument("--seed", type=int, help="seed for the split and the classifier")
-        cmd.add_argument("--train-fraction", type=float, dest="train_fraction")
-        cmd.add_argument("--sector", help="restrict to one sector")
-        cmd.add_argument(
-            "--features",
-            help="file with one feature name per line; train on that subset",
-        )
-        cmd.add_argument("--up-threshold", type=float, dest="up_threshold")
-        cmd.add_argument("--down-threshold", type=float, dest="down_threshold")
-        if name in ("evaluate", "backtest", "pipeline"):
-            cmd.add_argument(
-                "--model",
-                choices=sorted(_KIND_BY_FLAG),
-                help="classifier kind (default random-forest)",
-            )
-            cmd.add_argument("--criterion", choices=("gini", "entropy"))
-            cmd.add_argument("--trees", type=int, help="forest size")
-            cmd.add_argument("--k", type=int, help="neighbour count for knn")
-            cmd.add_argument("--max-depth", type=int, dest="max_depth")
-            cmd.add_argument(
-                "--min-samples-split", type=int, dest="min_samples_split"
-            )
-        if name == "evaluate":
-            cmd.add_argument(
-                "--by-sector",
-                action="store_true",
-                default=None,
-                dest="by_sector",
-                help="evaluate each sector separately",
-            )
-        if name in ("rank", "pipeline"):
-            cmd.add_argument("--select-top", type=int, dest="select_top")
-        if name in ("backtest", "pipeline"):
-            cmd.add_argument("--signal-horizon", type=int, dest="signal_horizon")
-            cmd.add_argument("--fee", type=float, help="fee per transaction in USD")
-            cmd.add_argument("--take-profit", type=float, dest="take_profit")
-            cmd.add_argument("--stop-loss", type=float, dest="stop_loss")
-            cmd.add_argument(
-                "--no-liquidate",
-                action="store_true",
-                default=None,
-                dest="no_liquidate",
-                help="leave the final position open",
-            )
-        if name == "backtest":
-            cmd.add_argument(
-                "--model-file", dest="model_file", help="reuse a saved model.json"
-            )
+        for flag, commands, _, _, keywords in _FLAGS:
+            if name in commands:
+                cmd.add_argument(flag, **keywords)
     return parser
 
 
@@ -235,53 +186,65 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_TOP_DEFAULTS) - set(_SECTIONS)
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
-    for name, keys in _SECTION_KEYS.items():
-        unknown = set(_section(data, name)) - keys
+    for name, section in _SECTIONS.items():
+        unknown = set(_section(data, name)) - {field.name for field in fields(section)}
         if unknown:
             raise UsageError(f"unknown config key {name + '.' + sorted(unknown)[0]!r}")
     return data
 
 
-def _resolve_settings(args: argparse.Namespace, config: Mapping) -> dict:
-    """Resolved value of every _SETTINGS row, keyed by section, then key."""
-    flags = dict(vars(args))
-    flags["model"] = _KIND_BY_FLAG.get(flags.get("model"))
-    # --no-liquidate is store_true with default None; given, it turns liquidation off
-    flags["no_liquidate"] = False if flags.get("no_liquidate") else None
-    values: dict = {}
-    for dest, section, key, default in _SETTINGS:
-        source = config if section is None else _section(config, section)
-        value = flags.get(dest) if dest else None
-        if value is None:
-            value = source.get(key)
-        if value is None:
-            value = default
-        values.setdefault(section, {})[key] = tuple(value) if isinstance(value, list) else value
-    return values
+def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, dict]:
+    """The top-level values, and each section's dataclass keyword arguments.
+
+    A key that neither a flag nor the config file sets (null counts as
+    unset) takes its default: from _TOP_DEFAULTS at the top level, and by
+    being left out of its section's keyword arguments in a section.
+    """
+    # each flag's value under argparse's automatic dest; None when not given
+    flags = {
+        (section, key): getattr(args, flag[2:].replace("-", "_"), None)
+        for flag, _, section, key, _ in _FLAGS
+        if key is not None
+    }
+    if flags["classifier", "kind"] is not None:  # only the flag is hyphenated
+        flags["classifier", "kind"] = flags["classifier", "kind"].replace("-", "_")
+
+    def value(section: str | None, key: str, default=None):
+        found = flags.get((section, key))
+        if found is None:
+            found = (config if section is None else _section(config, section)).get(key)
+        if found is None:
+            return default
+        return tuple(found) if isinstance(found, list) else found
+
+    top = {key: value(None, key, default) for key, default in _TOP_DEFAULTS.items()}
+    sections = {
+        name: {f.name: v for f in fields(section) if (v := value(name, f.name)) is not None}
+        for name, section in _SECTIONS.items()
+    }
+    # --seed beats a section's seed, which beats the top-level seed
+    for name in ("split", "classifier"):
+        if flags[None, "seed"] is not None or "seed" not in sections[name]:
+            sections[name]["seed"] = top["seed"]
+    return top, sections
 
 
 def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
     """Parse argv into (command, resolved RunConfig).
 
     Precedence per value: command-line flag, then config file, then the
-    documented default.
+    default (the section dataclass's field default, or _TOP_DEFAULTS).
     """
     args = build_parser().parse_args(argv)
-    values = _resolve_settings(args, _load_config_file(args.config))
-    top = values.pop(None)
+    top, sections = _resolve_settings(args, _load_config_file(args.config))
     if top["data"] is None:
         raise UsageError("missing required --data (or config key 'data')")
-    for section in ("split", "classifier"):
-        if values[section]["seed"] is None:
-            values[section]["seed"] = top["seed"]
-    label = LabelConfig(**values["label"])
-    split = SplitConfig(**values["split"])
-    classifier = ClassifierSpec(**values["classifier"])
-    rank = RankConfig(**values["rank"])
-    backtest = BacktestConfig(**values["backtest"])
+    label, split, classifier, rank, backtest = (
+        section(**sections[name]) for name, section in _SECTIONS.items()
+    )
     if backtest.signal_horizon not in label.horizons:
         raise UsageError(
             f"signal horizon {backtest.signal_horizon} is not a labeled horizon"

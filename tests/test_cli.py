@@ -175,7 +175,7 @@ OPTIONS = {
     "--fee": (("--fee",), "fee", "float", None, None, None, "_StoreAction", "fee per transaction in USD"),
     "--take-profit": (("--take-profit",), "take_profit", "float", None, None, None, "_StoreAction", None),
     "--stop-loss": (("--stop-loss",), "stop_loss", "float", None, None, None, "_StoreAction", None),
-    "--no-liquidate": (("--no-liquidate",), "no_liquidate", None, None, None, True, "_StoreTrueAction", "leave the final position open"),
+    "--no-liquidate": (("--no-liquidate",), "no_liquidate", None, None, None, False, "_StoreConstAction", "leave the final position open"),
     "--model-file": (("--model-file",), "model_file", None, None, None, None, "_StoreAction", "reuse a saved model.json"),
 }
 COMMON = ("--help", "--data", "--out", "--config", "--seed", "--train-fraction", "--sector",
