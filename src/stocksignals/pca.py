@@ -82,11 +82,9 @@ class FeatureScore:
 
 @dataclass(frozen=True)
 class PcaRanking:
-    feature_names: tuple[str, ...]          # canonical order, all features
     used_features: tuple[str, ...]          # non-constant features fed to PCA
     explained_ratios: tuple[float, ...]
     cumulative_ratios: tuple[float, ...]
-    loadings: tuple[tuple[float, ...], ...]  # used_features x n_components
     scores: tuple[FeatureScore, ...]         # sorted by rank
     selected: tuple[str, ...]
     padded: bool
@@ -293,11 +291,9 @@ def rank_features(
     ]
     ordered, selected, padded = select_top_features(all_scores, cfg.top_k, names)
     return PcaRanking(
-        feature_names=names,
         used_features=used_names,
         explained_ratios=ratios,
         cumulative_ratios=cumulative,
-        loadings=tuple(tuple(float(x) for x in row) for row in loadings),
         scores=tuple(ordered),
         selected=tuple(selected),
         padded=padded,
