@@ -19,7 +19,6 @@ from stocksignals.classifiers.base import (
     model_to_params,
     predict_batch,
     predict_one,
-    save_bundle,
 )
 from stocksignals.classifiers.forest import ForestModel, fit_random_forest
 from stocksignals.classifiers.gaussian_nb import (
@@ -59,5 +58,4 @@ __all__ = [
     "model_to_params",
     "predict_batch",
     "predict_one",
-    "save_bundle",
 ]

@@ -287,10 +287,6 @@ def bundle_json(bundle: ModelBundle) -> str:
     return json.dumps(bundle.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
-    Path(path).write_text(bundle_json(bundle), encoding="utf-8")
-
-
 def load_bundle(path: Path | str) -> ModelBundle:
     """Read a saved bundle; UsageError naming the file if it does not hold one."""
     try:

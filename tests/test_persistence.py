@@ -15,7 +15,6 @@ from stocksignals.classifiers import (
     model_from_params,
     model_to_params,
     predict_batch,
-    save_bundle,
 )
 from stocksignals.errors import EmptyTraining, UsageError
 from stocksignals.transform import FEATURE_COLUMNS, split_dataset, standardize_apply
@@ -51,7 +50,7 @@ def test_bundle_save_load_bit_identical(tmp_path):
     spec = ClassifierSpec(kind="random_forest", n_trees=4, seed=9)
     bundle = fit_bundle(spec, _train_split(random_dataset(40, seed=2)), horizon=10)
     path = tmp_path / "model.json"
-    save_bundle(bundle, path)
+    path.write_text(bundle_json(bundle), encoding="utf-8")
     loaded = load_bundle(path)
     assert loaded.spec == bundle.spec
     assert loaded.horizon == 10
