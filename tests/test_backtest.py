@@ -1,8 +1,10 @@
 import datetime as dt
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import simulate_backtest
 
 from stocksignals.backtest import (
@@ -216,6 +218,71 @@ def test_matches_hand_rule_simulator():
             assert trade.exit_price == exit_price
             assert trade.exit_reason == reason
             assert trade.pnl == pnl
+
+
+def _ten_thousandths(n):
+    return Decimal(n).scaleb(-4)
+
+
+@st.composite
+def backtest_cases(draw):
+    """Rules, signals and closes for one replay.
+
+    Fees include 0 and the fractions are any multiple of 0.0001 up to 0.3.
+    Signals come in runs, so long Hold runs occur. While the oracle holds a
+    position, a close may sit on one of its take-profit or stop bands,
+    quantized down or up to $0.0001 (exactly on the band when the band
+    needs no rounding, as with a whole-cent entry and 0.01).
+    """
+    fee = _ten_thousandths(draw(st.sampled_from([0, 100]) | st.integers(0, 500)))
+    fraction = st.sampled_from([100, 200]) | st.integers(1, 3000)
+    tp, sl = _ten_thousandths(draw(fraction)), _ten_thousandths(draw(fraction))
+    liquidate = draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    runs = draw(st.lists(st.tuples(st.sampled_from(Label), st.integers(1, 15)), min_size=1))
+    signals = ([label for label, length in runs for _ in range(length)] * n)[:n]
+    quantum = Decimal("0.0001")
+    closes = [Decimal(draw(st.integers(100, 20000))).scaleb(-2)]
+    while len(closes) < n:
+        held = simulate_backtest(
+            list(zip(dates(len(closes)), closes)), list(zip(dates(n), map(int, signals))),
+            str(fee), str(tp), str(sl), liquidate=True,
+        )
+        if held and held[-1][5] == END_OF_DATA and draw(st.booleans()):
+            entry = held[-1][3]
+            band = draw(st.sampled_from(
+                [entry * (1 + tp), entry * (1 - sl), entry * (1 - tp), entry * (1 + sl)]
+            ))
+            close = band.quantize(quantum, draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING])))
+        else:
+            step = 1 + _ten_thousandths(draw(st.integers(-300, 300)))
+            close = (closes[-1] * step).quantize(Decimal("0.01"))
+        closes.append(close)
+    return fee, tp, sl, liquidate, [float(c) for c in closes], signals
+
+
+@settings(max_examples=300, deadline=None)
+@given(backtest_cases())
+def test_matches_hand_rule_simulator_on_drawn_rules_and_band_closes(case):
+    fee, tp, sl, liquidate, prices, signals = case
+    cfg = BacktestConfig(
+        fee_per_transaction=float(fee),
+        take_profit_fraction=float(tp),
+        stop_loss_fraction=float(sl),
+        liquidate_at_end=liquidate,
+    )
+    closes, sigs = bars(prices, signals)
+    report = run_backtest(closes, sigs, cfg)
+    oracle = simulate_backtest(
+        closes, list(zip(dates(len(prices)), map(int, signals))),
+        str(fee), str(tp), str(sl), liquidate,
+    )
+    got = [
+        (t.open_date, t.close_date, t.side, t.entry_price, t.exit_price, t.exit_reason, t.pnl)
+        for t in report.trades
+    ]
+    assert got == oracle
+    assert report.total_profit == sum((trade[6] for trade in oracle), Decimal(0))
 
 
 # --- return percentage ------------------------------------------------------------

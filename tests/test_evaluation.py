@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_evaluate_per_horizon
 
 from stocksignals.classifiers import KINDS, ClassifierSpec
@@ -114,6 +116,37 @@ def test_joint_permutation_leaves_metrics_unchanged():
         [y_true[i] for i in perm], [y_pred[i] for i in perm]
     )
     assert shuffled == base
+
+
+@st.composite
+def label_pairs(draw):
+    """(true, predicted) pairs whose true and predicted labels each come from
+    a drawn subset of the classes, so some classes are never present or never
+    predicted."""
+    true_classes = draw(st.lists(st.sampled_from(Label), min_size=1, max_size=3, unique=True))
+    pred_classes = draw(st.lists(st.sampled_from(Label), min_size=1, max_size=3, unique=True))
+    pair = st.tuples(st.sampled_from(true_classes), st.sampled_from(pred_classes))
+    return draw(st.lists(pair, min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_pairs())
+def test_metrics_match_brute_force_counts(pairs):
+    cm = confusion_matrix([t for t, _ in pairs], [p for _, p in pairs])
+    for t in Label:
+        for p in Label:
+            assert cm.counts[t][p] == sum(1 for pair in pairs if pair == (t, p))
+    for label in Label:
+        hits = sum(1 for t, p in pairs if t == p == label)
+        predicted = sum(1 for _, p in pairs if p == label)
+        present = sum(1 for t, _ in pairs if t == label)
+        m = class_metrics(cm, label)
+        assert (m.no_predictions, m.no_instances) == (predicted == 0, present == 0)
+        assert m.precision == (hits / predicted if predicted else 0.0)
+        assert m.recall == (hits / present if present else 0.0)
+        # F1 is the harmonic mean of the two, 2 * hits / (predicted + present)
+        assert m.f1 == pytest.approx(2 * hits / (predicted + present) if hits else 0.0, rel=1e-12)
+    assert micro_f1(cm) == sum(1 for t, p in pairs if t == p) / len(pairs)
 
 
 def _split(data, fraction=0.7):
