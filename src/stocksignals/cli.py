@@ -155,8 +155,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the module docstring's last paragraph is for readers of the code
-    parser = _Parser(prog="stocksignals", description=__doc__.rsplit("\n\n", 1)[0])
+    # --help leaves out the module docstring's last paragraph, which is for
+    # readers of the code (python -OO strips the docstring)
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="stocksignals", description=description)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, help_text in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
