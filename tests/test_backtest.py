@@ -241,9 +241,10 @@ def backtest_cases(draw):
     n = draw(st.integers(1, 40))
     runs = draw(st.lists(st.tuples(st.sampled_from(Label), st.integers(1, 15)), min_size=1))
     signals = ([label for label, length in runs for _ in range(length)] * n)[:n]
-    quantum = Decimal("0.0001")
     closes = [Decimal(draw(st.integers(100, 20000))).scaleb(-2)]
     while len(closes) < n:
+        # a position still open after the bars so far is the oracle's last,
+        # liquidating trade
         held = simulate_backtest(
             list(zip(dates(len(closes)), closes)), list(zip(dates(n), map(int, signals))),
             str(fee), str(tp), str(sl), liquidate=True,
@@ -253,7 +254,7 @@ def backtest_cases(draw):
             band = draw(st.sampled_from(
                 [entry * (1 + tp), entry * (1 - sl), entry * (1 - tp), entry * (1 + sl)]
             ))
-            close = band.quantize(quantum, draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING])))
+            close = band.quantize(Decimal("0.0001"), draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING])))
         else:
             step = 1 + _ten_thousandths(draw(st.integers(-300, 300)))
             close = (closes[-1] * step).quantize(Decimal("0.01"))
