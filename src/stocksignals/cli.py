@@ -202,8 +202,8 @@ def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, 
     """The top-level values, and each section's dataclass keyword arguments.
 
     A key that neither a flag nor the config file sets (null counts as
-    unset) takes its default: from _TOP_DEFAULTS at the top level, and by
-    being left out of its section's keyword arguments in a section.
+    unset) takes its default: from _TOP_DEFAULTS at the top level, and in
+    a section by being left out, so the dataclass field's default applies.
     """
     # each flag's value under argparse's automatic dest; None when not given
     flags = {
