@@ -7,6 +7,10 @@ bootstrap duplicates) reach deep nodes and every tie rule of the split
 search is exercised. A change that alters a model on purpose updates
 MODEL_HASHES and says why in CHANGES.md; the assertion message prints the
 hash the current code produces.
+
+kNN and naive Bayes are also pinned through a two-column label matrix
+whose second column leaves every third row unlabeled (-1), so each model
+saves only its own column's training rows.
 """
 
 import hashlib
@@ -23,10 +27,24 @@ MODEL_HASHES = {
     "decision_tree_entropy": "6279c9957ca87f49b9ca49bb6881115f1883c70c99171949a59c28cd5bfe554d",
 }
 
+# one hash per label column
+MATRIX_HASHES = {
+    "knn_k5": (
+        "b2fb8038cff136afa41eb216325bd9c1adb82f271f2d07c5e699b31c1267e096",
+        "5e717ec548c71fe47bbbc04dc46c0e3ebde702fd055dd384588572146423593f",
+    ),
+    "gaussian_nb": (
+        "e660d0fc434d85e55b31b3a121a7f9cebf6d2683c2634290db8203c0fae9ad49",
+        "ebb57df180023a59038276bfb544540af0cd66b92a0eb286bcdeb1b8d750954d",
+    ),
+}
+
 SPECS = {
     "random_forest": ClassifierSpec(kind="random_forest", seed=42),
     "decision_tree_gini": ClassifierSpec(kind="decision_tree", criterion="gini"),
     "decision_tree_entropy": ClassifierSpec(kind="decision_tree", criterion="entropy"),
+    "knn_k5": ClassifierSpec(kind="knn", k=5),
+    "gaussian_nb": ClassifierSpec(kind="gaussian_nb"),
 }
 
 
@@ -39,7 +57,11 @@ def grid_matrix(seed=11, n=630, d=len(FEATURE_COLUMNS)):
     return X, y.astype(np.int64)
 
 
-@pytest.mark.parametrize("name", list(SPECS))
+def _digest(bundle):
+    return hashlib.sha256(bundle_json(bundle).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(MODEL_HASHES))
 def test_bench_sized_model_bytes_are_pinned(name):
     X, y = grid_matrix()
     scaler = standardize_fit(X)
@@ -51,5 +73,27 @@ def test_bench_sized_model_bytes_are_pinned(name):
         scaler=scaler,
         model=fit_classifier(spec, standardize_apply(scaler, X), y),
     )
-    digest = hashlib.sha256(bundle_json(bundle).encode("utf-8")).hexdigest()
+    digest = _digest(bundle)
     assert digest == MODEL_HASHES[name], f"{name}: {digest}"
+
+
+@pytest.mark.parametrize("name", list(MATRIX_HASHES))
+def test_label_matrix_model_bytes_are_pinned(name):
+    X, y = grid_matrix()
+    Y = np.column_stack([y, np.where(np.arange(len(y)) % 3 == 0, -1, y[::-1])])
+    scaler = standardize_fit(X)
+    spec = SPECS[name]
+    models = fit_classifier(spec, standardize_apply(scaler, X), Y)
+    digests = tuple(
+        _digest(
+            ModelBundle(
+                spec=spec,
+                horizon=horizon,
+                feature_names=FEATURE_COLUMNS,
+                scaler=scaler,
+                model=model,
+            )
+        )
+        for horizon, model in enumerate(models, start=1)
+    )
+    assert digests == MATRIX_HASHES[name], f"{name}: {digests}"
