@@ -1,8 +1,12 @@
 """From-scratch classifiers behind one fit/predict contract.
 
 Kinds: decision_tree (CART, gini or entropy), random_forest (bootstrap +
-per-node feature sampling), knn (Euclidean), gaussian_nb. Every fit is a
-pure function of (data, spec.seed); every prediction tie resolves to Hold.
+per-node feature sampling), knn (Euclidean), gaussian_nb. Every kind fits
+through `fit_classifier(spec, X, Y)` on an (n, h) label matrix Y whose
+column j labels column j's training rows and holds -1 on the rest; the
+result is one model per column, as if each were fitted on its rows alone.
+Every fit is a pure function of (data, spec.seed); every prediction tie
+resolves to Hold.
 """
 
 from stocksignals.classifiers.base import (
@@ -10,7 +14,6 @@ from stocksignals.classifiers.base import (
     ClassifierSpec,
     ModelBundle,
     bundle_json,
-    fit_bundle,
     fit_bundles,
     fit_classifier,
     horizon_labels,
@@ -20,19 +23,10 @@ from stocksignals.classifiers.base import (
     predict_batch,
     predict_one,
 )
-from stocksignals.classifiers.forest import ForestModel, fit_random_forest
-from stocksignals.classifiers.gaussian_nb import (
-    GaussianNbModel,
-    class_log_scores,
-    fit_gaussian_nb,
-)
+from stocksignals.classifiers.forest import ForestModel
+from stocksignals.classifiers.gaussian_nb import GaussianNbModel, class_log_scores
 from stocksignals.classifiers.knn import KnnModel
-from stocksignals.classifiers.tree import (
-    DecisionTree,
-    Split,
-    best_split,
-    fit_decision_tree,
-)
+from stocksignals.classifiers.tree import DecisionTree
 
 __all__ = [
     "KINDS",
@@ -42,16 +36,10 @@ __all__ = [
     "ForestModel",
     "GaussianNbModel",
     "KnnModel",
-    "Split",
-    "best_split",
     "bundle_json",
     "class_log_scores",
-    "fit_bundle",
     "fit_bundles",
     "fit_classifier",
-    "fit_decision_tree",
-    "fit_gaussian_nb",
-    "fit_random_forest",
     "horizon_labels",
     "load_bundle",
     "model_from_params",

@@ -1,4 +1,12 @@
-"""Shared classifier spec, fit/predict dispatch, and JSON persistence."""
+"""Shared classifier spec, fit/predict dispatch, and JSON persistence.
+
+Every fit takes an (n, h) label matrix: column j holds the labels of its
+training rows and -1 on every other row, and `fit_classifier` returns one
+model per column, each the model of its column's rows alone, so
+`fit_bundles` fits all horizons of a split in one call. A model is checked
+once, where it is made: its training pair when it is fitted, its
+parameters when it is loaded. Prediction checks only the probe matrix.
+"""
 
 from __future__ import annotations
 
@@ -10,27 +18,27 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from stocksignals.classifiers.forest import (
-    ForestModel,
-    fit_forests,
-    fit_random_forest,
-    forest_labels,
-)
+from stocksignals.classifiers.forest import ForestModel, fit_forests, forest_labels
 from stocksignals.classifiers.gaussian_nb import (
     GaussianNbModel,
+    check_gaussian_nb,
     fit_gaussian_nb,
     gaussian_nb_labels,
 )
-from stocksignals.classifiers.knn import KnnModel, fit_knn, knn_labels
+from stocksignals.classifiers.knn import KnnModel, check_knn, knn_labels
 from stocksignals.classifiers.tree import (
     DecisionTree,
-    as_training_arrays,
     check_layout,
-    fit_decision_tree,
     fit_decision_trees,
     tree_labels,
 )
-from stocksignals.errors import DimensionMismatch, EmptyTraining, UsageError
+from stocksignals.errors import (
+    DataError,
+    DimensionMismatch,
+    EmptyTraining,
+    KTooLarge,
+    UsageError,
+)
 from stocksignals.labels import Label
 from stocksignals.transform import Dataset, Scaler, TrainTestSplit, standardize_apply
 
@@ -81,30 +89,51 @@ class ClassifierSpec:
 FittedModel = Union[DecisionTree, ForestModel, KnnModel, GaussianNbModel]
 
 
-def fit_classifier(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
-    """The model of spec fitted on X and the labels y.
+def _training_arrays(spec: ClassifierSpec, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X as (n, d) floats and Y as an (n, h) int64 label matrix, checked for spec.
 
-    Given an (n, h) label matrix y instead, with -1 on the rows outside a
-    column's training set, the result is one model per column, each the
-    model of that column's rows alone. The columns are checked in order
-    for rows (EmptyTraining) and finite features (DataError) before any is
-    fitted, so the first failing column raises what fitting it alone would.
-    Tree kinds grow every column's trees together.
+    Column j of Y holds -1 on the rows outside its training set. The columns
+    are checked in order, each as its training rows alone would be: no row
+    (EmptyTraining), a non-finite row (DataError) or, for kNN, fewer than k
+    rows (KTooLarge); so the first failing column raises.
     """
-    if np.ndim(y) == 2:
-        if spec.kind == "decision_tree":
-            return fit_decision_trees(X, y, spec)
-        if spec.kind == "random_forest":
-            return fit_forests(X, y, spec)
-        X, Y = as_training_arrays(X, y)
-        return [fit_classifier(spec, X[column >= 0], column[column >= 0]) for column in Y.T]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("feature matrix must be 2-D")
+    Y = np.asarray(Y, dtype=np.int64)
+    if Y.ndim != 2:
+        raise DimensionMismatch("labels must be an (n, h) matrix, one column per model")
+    if len(X) != len(Y):
+        raise DimensionMismatch(f"{len(X)} feature rows vs {len(Y)} labels")
+    k = spec.k if spec.kind == "knn" else 1
+    finite = np.isfinite(X).all(axis=1)
+    for rows in (Y >= 0).T:
+        count = int(rows.sum())
+        if count == 0:
+            raise EmptyTraining("no training rows")
+        if not finite[rows].all():
+            raise DataError("features must be finite")
+        if k > count:
+            raise KTooLarge(f"k={k} but only {count} training rows")
+    return X, Y
+
+
+def fit_classifier(spec: ClassifierSpec, X, Y) -> list[FittedModel]:
+    """One model of spec per column of the (n, h) label matrix Y, each fitted
+    on the rows of X its column labels (-1: not a training row there).
+
+    Every column is checked, in order, before any is fitted (see
+    _training_arrays). Tree kinds grow every column's trees together, and
+    kNN models share X.
+    """
+    X, Y = _training_arrays(spec, X, Y)
     if spec.kind == "decision_tree":
-        return fit_decision_tree(X, y, spec)
+        return fit_decision_trees(X, Y, spec)
     if spec.kind == "random_forest":
-        return fit_random_forest(X, y, spec)
+        return fit_forests(X, Y, spec)
     if spec.kind == "knn":
-        return fit_knn(X, y, spec.k)
-    return fit_gaussian_nb(X, y)
+        return [KnnModel(train_X=X, train_y=column, k=spec.k) for column in Y.T]
+    return [fit_gaussian_nb(X[column >= 0], column[column >= 0]) for column in Y.T]
 
 
 def _probe_matrix(X, n_features: int) -> np.ndarray:
@@ -185,9 +214,10 @@ def model_to_params(model: FittedModel) -> dict:
             "mtry": model.mtry,
         }
     if isinstance(model, KnnModel):
+        rows = model.train_y >= 0  # a fitted model's training rows
         return {
-            "train_x": model.train_X.tolist(),
-            "train_y": model.train_y.tolist(),
+            "train_x": model.train_X[rows].tolist(),
+            "train_y": model.train_y[rows].tolist(),
             "k": model.k,
         }
     return {
@@ -200,6 +230,8 @@ def model_to_params(model: FittedModel) -> dict:
 
 
 def model_from_params(kind: str, params: Mapping) -> FittedModel:
+    """The model that model_to_params saved; ValueError unless it is one that
+    predicts every probe as a fitted model does."""
     if kind == "decision_tree":
         return _decode_tree(params["tree"])
     if kind == "random_forest":
@@ -213,19 +245,21 @@ def model_from_params(kind: str, params: Mapping) -> FittedModel:
             mtry=params["mtry"],
         )
     if kind == "knn":
-        return KnnModel(
-            train_X=np.asarray(params["train_x"], dtype=float),
-            train_y=np.asarray(params["train_y"], dtype=np.int64),
-            k=params["k"],
+        model = KnnModel(
+            train_X=np.array(params["train_x"]), train_y=np.array(params["train_y"]), k=params["k"]
         )
+        check_knn(model)
+        return model
     if kind == "gaussian_nb":
-        return GaussianNbModel(
+        model = GaussianNbModel(
             classes=tuple(params["classes"]),
-            priors=np.asarray(params["priors"], dtype=float),
-            means=np.asarray(params["means"], dtype=float),
-            variances=np.asarray(params["variances"], dtype=float),
+            priors=np.array(params["priors"]),
+            means=np.array(params["means"]),
+            variances=np.array(params["variances"]),
             epsilon=params["epsilon"],
         )
+        check_gaussian_nb(model)
+        return model
     raise UsageError(f"unknown classifier kind {kind!r}")
 
 
@@ -267,6 +301,8 @@ class ModelBundle:
         if not isinstance(data, Mapping) or data.get("format") != FORMAT_NAME:
             raise UsageError(f"format is not {FORMAT_NAME!r}")
         spec = ClassifierSpec(**data["spec"])
+        if type(data["version"]) is not int or data["version"] != FORMAT_VERSION:
+            raise UsageError(f"version {data['version']!r} is not {FORMAT_VERSION}")
         bundle = cls(
             spec=spec,
             horizon=operator.index(data["horizon"]),
@@ -313,7 +349,7 @@ def fit_bundles(
     Y = np.column_stack([train.labels(horizon) for horizon in horizons])
     empty = np.flatnonzero(~(Y >= 0).any(axis=0))
     if empty.size:
-        as_training_arrays(X, Y[:, : empty[0]])  # an earlier horizon's error comes first
+        _training_arrays(spec, X, Y[:, : empty[0]])  # an earlier horizon's error comes first
         raise EmptyTraining(f"no training rows labeled at horizon {horizons[empty[0]]}")
     return [
         ModelBundle(
@@ -327,10 +363,6 @@ def fit_bundles(
     ]
 
 
-def fit_bundle(spec: ClassifierSpec, split: TrainTestSplit, horizon: int) -> ModelBundle:
-    return fit_bundles(spec, split, (horizon,))[0]
-
-
 def horizon_labels(
     spec: ClassifierSpec,
     split: TrainTestSplit,
@@ -338,21 +370,20 @@ def horizon_labels(
     X,
     fitted: dict[int, ModelBundle] | None = None,
 ) -> np.ndarray:
-    """(m, len(horizons)) label values of scaled rows X; column j is what
-    fit_bundle(spec, split, horizons[j]) predicts for them.
+    """(m, len(horizons)) label values of scaled rows X; column j is what the
+    bundle fit_bundles fits for horizons[j] predicts for them.
 
-    Every horizon's training rows are a subset of the same scaled training
-    matrix, so kNN computes each block of probe distances once and lets every
-    horizon pick its neighbours from it. Other kinds fit every horizon in one
-    fit_bundles call and predict with each bundle; `fitted`, when given,
-    receives those bundles by horizon.
+    Every horizon is fitted in one fit_bundles call; `fitted`, when given,
+    receives the bundles by horizon. The kNN models of all horizons share
+    one training matrix, so one knn_labels call computes each block of probe
+    distances once and lets every horizon pick its neighbours from it.
     """
-    if spec.kind != "knn":
-        bundles = fit_bundles(spec, split, horizons)
-        if fitted is not None:
-            fitted.update((bundle.horizon, bundle) for bundle in bundles)
-        return np.column_stack([_label_values(bundle.model, X) for bundle in bundles])
-    train = split.train
-    train_X = standardize_apply(split.scaler, train.X)
-    Y = np.column_stack([train.labels(horizon) for horizon in horizons])
-    return knn_labels(train_X, Y, spec.k, _probe_matrix(X, train_X.shape[1]))
+    bundles = fit_bundles(spec, split, horizons)
+    if fitted is not None:
+        fitted.update((bundle.horizon, bundle) for bundle in bundles)
+    models = [bundle.model for bundle in bundles]
+    if spec.kind == "knn":
+        train_X = models[0].train_X
+        Y = np.column_stack([model.train_y for model in models])
+        return knn_labels(train_X, Y, spec.k, _probe_matrix(X, train_X.shape[1]))
+    return np.column_stack([_label_values(model, X) for model in models])

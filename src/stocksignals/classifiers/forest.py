@@ -19,12 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from stocksignals.classifiers.tree import (
-    DecisionTree,
-    as_training_arrays,
-    grow_trees,
-    tree_labels,
-)
+from stocksignals.classifiers.tree import DecisionTree, grow_trees, tree_labels
 from stocksignals.labels import majority_labels
 from stocksignals.rng import SplitMix64, draws_below, spawn_seed
 
@@ -101,26 +96,23 @@ class _TreeStreams:
         return np.sort(picked, axis=1)
 
 
-def fit_forests(X, Y, spec: "ClassifierSpec") -> list[ForestModel]:
-    """One forest per label column of Y (-1: row outside that column's
-    training set), each the forest fit_random_forest grows on that column's
-    rows alone.
+def fit_forests(X: np.ndarray, Y: np.ndarray, spec: "ClassifierSpec") -> list[ForestModel]:
+    """One forest of spec.n_trees trees per column of the validated (n, h)
+    label matrix Y, each grown on the rows its column labels (-1: not a
+    training row there).
 
     Every node's split search is restricted to mtry features sampled without
     replacement (default floor(sqrt(d))). A tree trains on a size-n bootstrap
     sample of its column's n rows, which indexes the shared matrix.
     spec.bootstrap=False is a test hook that trains every tree on all of them.
     """
-    X_arr, Y_arr = as_training_arrays(X, Y)
-    d = X_arr.shape[1]
+    d = X.shape[1]
     mtry = spec.mtry if spec.mtry is not None else default_mtry(d)
     mtry = min(mtry, d)
     tree_seeds = [spawn_seed(spec.seed, t) for t in range(spec.n_trees)]
-    streams = _TreeStreams(tree_seeds, Y_arr, d, mtry, spec.bootstrap)
-    columns = np.repeat(np.arange(Y_arr.shape[1]), spec.n_trees)
-    trees = grow_trees(
-        X_arr, Y_arr, columns, streams.roots(), spec, streams if mtry < d else None
-    )
+    streams = _TreeStreams(tree_seeds, Y, d, mtry, spec.bootstrap)
+    columns = np.repeat(np.arange(Y.shape[1]), spec.n_trees)
+    trees = grow_trees(X, Y, columns, streams.roots(), spec, streams if mtry < d else None)
     return [
         ForestModel(
             trees=trees[start : start + spec.n_trees],
@@ -130,12 +122,6 @@ def fit_forests(X, Y, spec: "ClassifierSpec") -> list[ForestModel]:
         )
         for start in range(0, len(trees), spec.n_trees)
     ]
-
-
-def fit_random_forest(X, y, spec: "ClassifierSpec") -> ForestModel:
-    """Fit spec.n_trees trees on X and the labels y; see fit_forests."""
-    X_arr, y_arr = as_training_arrays(X, y)
-    return fit_forests(X_arr, y_arr[:, None], spec)[0]
 
 
 def forest_labels(forest: ForestModel, X: np.ndarray) -> np.ndarray:

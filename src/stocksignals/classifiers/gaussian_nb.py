@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stocksignals.classifiers.tree import as_training_arrays
 from stocksignals.labels import Label
 
 VAR_SMOOTHING = 1e-9
@@ -36,24 +35,24 @@ class GaussianNbModel:
         return self.means.shape[1]
 
 
-def fit_gaussian_nb(X, y) -> GaussianNbModel:
-    """Class priors from frequencies; per-class feature means and 1/n variances.
+def fit_gaussian_nb(X: np.ndarray, y: np.ndarray) -> GaussianNbModel:
+    """Class priors from frequencies; per-class feature means and 1/n variances,
+    from validated training rows and their labels.
 
     Variances are smoothed by epsilon = 1e-9 * max over features of the
     overall (population) variance, keeping densities finite for features
     that are constant within a class.
     """
-    X_arr, y_arr = as_training_arrays(X, y)
-    classes = tuple(sorted(int(c) for c in np.unique(y_arr)))
-    n = len(y_arr)
-    epsilon = VAR_SMOOTHING * float(X_arr.var(axis=0).max())
+    classes = tuple(sorted(int(c) for c in np.unique(y)))
+    n = len(y)
+    epsilon = VAR_SMOOTHING * float(X.var(axis=0).max())
     if epsilon == 0.0:
         epsilon = VAR_FLOOR
     priors = np.empty(len(classes))
-    means = np.empty((len(classes), X_arr.shape[1]))
+    means = np.empty((len(classes), X.shape[1]))
     variances = np.empty_like(means)
     for i, cls in enumerate(classes):
-        rows = X_arr[y_arr == cls]
+        rows = X[y == cls]
         priors[i] = len(rows) / n
         means[i] = rows.mean(axis=0)
         variances[i] = rows.var(axis=0) + epsilon
@@ -61,6 +60,31 @@ def fit_gaussian_nb(X, y) -> GaussianNbModel:
         classes=classes, priors=priors, means=means, variances=variances,
         epsilon=epsilon,
     )
+
+
+def check_gaussian_nb(model: GaussianNbModel) -> None:
+    """Raise ValueError unless a loaded model holds c ascending distinct
+    classes in 0..2, c positive priors and (c, d) means and positive
+    variances, all finite floats, and a finite positive epsilon."""
+    c = len(model.classes)
+    arrays = (model.priors, model.means, model.variances)
+    if not (
+        all(type(label) is int and 0 <= label <= 2 for label in model.classes)
+        and list(model.classes) == sorted(set(model.classes))
+        and c > 0
+        and model.means.ndim == 2
+        and model.priors.shape == (c,)
+        and model.means.shape == model.variances.shape == (c, model.means.shape[1])
+        and all(array.dtype.kind == "f" and np.isfinite(array).all() for array in arrays)
+        and (model.priors > 0).all()
+        and (model.variances > 0).all()
+        and type(model.epsilon) is float
+        and 0 < model.epsilon < math.inf
+    ):
+        raise ValueError(
+            "a naive Bayes model needs ascending classes in 0..2 with finite positive priors, "
+            "finite means and finite positive variances, and a finite positive epsilon"
+        )
 
 
 def class_log_scores(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """k-nearest-neighbour voting on standardized features.
 
-`knn_labels` votes for several label columns at once. Each column of the
-(n, h) training labels marks, with -1, the training rows outside that
-column's training set, as each horizon's unlabeled rows are; a single model
-is the one-column case. Probes go a block at a time: the squared distances
-from a block of probes to all n training rows (about 2^17 of them) are
-computed once, and every column selects its own training rows from that
-block, in training order, before choosing neighbours.
+A fitted `KnnModel` holds the whole scaled training matrix of its fit and
+one column of the (n, h) label matrix, -1 on the rows outside its training
+set, so every horizon's model of one split shares the matrix. `knn_labels`
+votes for several such label columns at once; a single model is the
+one-column case. Probes go a block at a time: the squared distances from a
+block of probes to all n training rows (about 2^17 of them) are computed
+once, and every column selects its own training rows from that block, in
+training order, before choosing neighbours.
 
 The squared distances are ((X - p) ** 2).sum(axis=-1) over (c, n, d)
 difference blocks, the same pairwise sum over each probe's features as for a
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stocksignals.classifiers.tree import as_training_arrays
-from stocksignals.errors import DataError, EmptyTraining, KTooLarge
 from stocksignals.labels import majority_labels
 
 # float64 elements of one (c, n, d) difference block, and distances in one
@@ -39,7 +38,12 @@ _BLOCK_ELEMENTS = 1 << 17
 
 @dataclass
 class KnnModel:
-    """Memorized training set plus k, matching the shared fit/predict shape."""
+    """A training matrix, one label per row (-1: not a training row) and k.
+
+    A fitted model's training rows are those its column labels; a saved
+    model keeps only those rows. fit_classifier checks a fitted model and
+    check_knn a loaded one, so each labels at least k rows, all finite.
+    """
 
     train_X: np.ndarray
     train_y: np.ndarray
@@ -50,11 +54,23 @@ class KnnModel:
         return self.train_X.shape[1]
 
 
-def fit_knn(X, y, k: int) -> KnnModel:
-    X_arr, y_arr = as_training_arrays(X, y)
-    if k > len(X_arr):
-        raise KTooLarge(f"k={k} but only {len(X_arr)} training rows")
-    return KnnModel(train_X=X_arr, train_y=y_arr, k=k)
+def check_knn(model: KnnModel) -> None:
+    """Raise ValueError unless a loaded model holds an (n, d) matrix of finite
+    floats, n integer labels in 0..2 and an integer k in 1..n."""
+    X, y, k = model.train_X, model.train_y, model.k
+    if not (
+        X.ndim == 2
+        and X.dtype.kind == "f"
+        and np.isfinite(X).all()
+        and y.shape == (len(X),)
+        and y.dtype.kind == "i"
+        and ((y >= 0) & (y <= 2)).all()
+        and type(k) is int
+        and 1 <= k <= len(X)
+    ):
+        raise ValueError(
+            "a kNN model needs an (n, d) matrix of finite floats, n labels in 0..2 and k in 1..n"
+        )
 
 
 def squared_distances(train_X: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -96,22 +112,11 @@ def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) 
     """(m, h) label values: column j is the vote of the k nearest training rows
     labeled in column j of the (n, h) train_Y (-1: not a training row there).
 
-    Each column's rows are checked, in column order, as fit_knn checks a
-    training set: none (EmptyTraining), a non-finite row (DataError) or
-    fewer than k (KTooLarge).
+    Every column labels at least k rows, all finite, as fit_classifier and
+    check_knn make sure.
     """
     labeled = train_Y >= 0
-    finite = np.isfinite(train_X).all(axis=1)
-    one_hots = []
-    for column, rows in zip(train_Y.T, labeled.T):
-        count = int(rows.sum())
-        if count == 0:
-            raise EmptyTraining("no training rows")
-        if not finite[rows].all():
-            raise DataError("features must be finite")
-        if k > count:
-            raise KTooLarge(f"k={k} but only {count} training rows")
-        one_hots.append(np.eye(3)[column[rows]])
+    one_hots = [np.eye(3)[column[rows]] for column, rows in zip(train_Y.T, labeled.T)]
     block = max(1, _BLOCK_ELEMENTS // max(1, len(train_X)))
     votes = np.empty((len(X), len(one_hots), 3))
     for start in range(0, len(X), block):

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
 from stocksignals.labels import majority_labels
 
 if TYPE_CHECKING:
@@ -69,13 +68,6 @@ def _impurity(counts: Sequence[np.ndarray], sizes: np.ndarray, criterion: str) -
     return -((t0 + t1) + t2)
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    gain: float
-
-
 def dense_ranks(X: np.ndarray) -> np.ndarray:
     """(n, d) rank of every value among the distinct values of its column."""
     ranks = np.empty(X.shape, dtype=np.int32)
@@ -86,40 +78,20 @@ def dense_ranks(X: np.ndarray) -> np.ndarray:
 
 def best_split(
     X: np.ndarray,
-    y: np.ndarray | list[np.ndarray],
+    labels: list[np.ndarray],
     criterion: str,
-    candidate_features: Iterable[int] | list[Sequence[int]],
-    rows: np.ndarray | list[np.ndarray] | None = None,
-    ranks: np.ndarray | None = None,
-) -> Split | None | list[Split | None]:
-    """Best (feature, threshold) over the candidates, or None without gain.
-
-    `rows` indexes the node's rows in X (every row when None); y holds
-    their labels. Given lists instead (per-node labels, ascending candidate
-    features and rows, each node with at least one row), every node is
-    searched in one batch and the result is one Split or None per node.
-    `ranks` is dense_ranks(X), computed when None.
-    """
-    if ranks is None:
-        ranks = dense_ranks(X)
-    if isinstance(y, list):
-        return _search(X, ranks, criterion, y, candidate_features, rows)
-    if len(y) == 0:
-        return None
-    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
-    return _search(X, ranks, criterion, [y], [sorted(candidate_features)], [rows])[0]
-
-
-def _search(
-    X: np.ndarray,
+    features: list[Sequence[int]],
+    rows: list[np.ndarray],
     ranks: np.ndarray,
-    criterion: str,
-    labels: list,
-    features: list,
-    rows: list,
-) -> list[Split | None]:
-    """The batched search behind best_split: one Split or None per node."""
-    found: list[Split | None] = [None] * len(rows)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (feature, threshold, gain) of every node, searched in one batch.
+
+    Node i has the rows rows[i] of X (at least one), their labels labels[i]
+    and the ascending candidate features features[i]; `ranks` is
+    dense_ranks(X). The three arrays hold one entry per node; a node where
+    no split gains has feature -1, threshold 0.0 and gain 0.0.
+    """
+    feature, threshold, gain = np.full(len(rows), -1), np.zeros(len(rows)), np.zeros(len(rows))
     sizes = np.array([len(r) for r in rows], dtype=np.intp)
     widths = np.array([len(f) for f in features], dtype=np.intp)
     node_rows = np.concatenate(rows)
@@ -128,7 +100,7 @@ def _search(
     seg_len = sizes[seg_node]
     seg_end = seg_len.cumsum()
     if not seg_end.size or seg_end[-1] < 2:
-        return found
+        return feature, threshold, gain
     seg_start = seg_end - seg_len
     elem_seg = np.repeat(np.arange(len(seg_len)), seg_len)
     # each element's index into node_rows: its node's first row plus its
@@ -145,7 +117,7 @@ def _search(
     is_cut[seg_end[:-1] - 1] = False
     cuts = np.flatnonzero(is_cut)
     if not cuts.size:
-        return found
+        return feature, threshold, gain
     node_y = np.concatenate(labels)
     totals = np.bincount(
         np.repeat(np.arange(len(rows)) * N_CLASSES, sizes) + node_y,
@@ -177,15 +149,13 @@ def _search(
     at_best = gains == np.repeat(best, np.diff(starts, append=len(cuts)))
     first = np.minimum.reduceat(np.where(at_best, np.arange(len(cuts)), len(cuts)), starts)
     first = first[best > 0.0]
-    feature = seg_feature[cut_seg[first]]
+    node = cut_node[first]
+    feature[node] = seg_feature[cut_seg[first]]
     below = node_rows[src[cuts[first]]]
     above = node_rows[src[cuts[first] + 1]]
-    threshold = (X[below, feature] + X[above, feature]) / 2.0
-    for node, f, t, gain in zip(
-        cut_node[first].tolist(), feature.tolist(), threshold.tolist(), gains[first].tolist()
-    ):
-        found[node] = Split(feature=f, threshold=t, gain=gain)
-    return found
+    threshold[node] = (X[below, feature[node]] + X[above, feature[node]]) / 2.0
+    gain[node] = gains[first]
+    return feature, threshold, gain
 
 
 @dataclass(eq=False)
@@ -318,30 +288,28 @@ def _grow_nodes(X, Y, ranks, columns, spec, pick, trees, growths, popped) -> Non
     if spec.max_depth is not None:
         stop |= np.array([depth for _, depth in popped]) >= spec.max_depth
     searched = np.flatnonzero(~stop).tolist()
-    splits: list[Split | None] = [None] * len(rows)
+    feature = np.full(len(rows), -1)
+    threshold = np.zeros(len(rows))
     offsets = [0, *sizes.cumsum().tolist()]
     if searched:
         if pick is None:
             features = [np.arange(X.shape[1])] * len(searched)
         else:
             features = list(pick(np.asarray(trees)[searched]))
-        found = best_split(
+        feature[searched], threshold[searched], _ = best_split(
             X, [y[offsets[i] : offsets[i + 1]] for i in searched], spec.criterion, features,
-            rows=[rows[i] for i in searched], ranks=ranks,
+            [rows[i] for i in searched], ranks,
         )
-        for i, split in zip(searched, found):
-            splits[i] = split
-    split_feature = np.array([s.feature if s else 0 for s in splits])
-    split_threshold = np.array([s.threshold if s else 0.0 for s in splits])
-    go_left = X[flat, split_feature[node_of]] <= split_threshold[node_of]
-    leaf_counts = counts.tolist()
-    for i, (growth, (node_rows, depth), split) in enumerate(zip(growths, popped, splits)):
-        if split is None:
-            growth.feature.append(-1)
-            growth.counts.extend(leaf_counts[i])
+    go_left = X[flat, np.maximum(feature, 0)[node_of]] <= threshold[node_of]
+    nodes = zip(growths, popped, feature.tolist(), threshold.tolist(), counts.tolist())
+    for i, (growth, (node_rows, depth), split_feature, split_threshold, leaf_counts) in enumerate(
+        nodes
+    ):
+        growth.feature.append(split_feature)
+        if split_feature < 0:
+            growth.counts.extend(leaf_counts)
             continue
-        growth.feature.append(split.feature)
-        growth.threshold.append(split.threshold)
+        growth.threshold.append(split_threshold)
         mask = go_left[offsets[i] : offsets[i + 1]]
         growth.stack.append((node_rows[~mask], depth + 1))
         growth.stack.append((node_rows[mask], depth + 1))
@@ -382,42 +350,11 @@ def check_layout(tree: DecisionTree) -> None:
         )
 
 
-def as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a training pair as float features and int64 labels.
-
-    y holds one label per row, or is an (n, h) label matrix whose column j
-    holds -1 on the rows outside that column's training set. The columns are
-    checked in order, each as its training rows alone would be, so the first
-    failing column raises.
-    """
-    X_arr = np.asarray(X, dtype=float)
-    if X_arr.ndim != 2:
-        raise DimensionMismatch("feature matrix must be 2-D")
-    y_arr = np.asarray(y, dtype=np.int64)
-    if len(X_arr) != len(y_arr):
-        raise DimensionMismatch(
-            f"{len(X_arr)} feature rows vs {len(y_arr)} labels"
-        )
-    finite = np.isfinite(X_arr).all(axis=1)
-    for rows in (y_arr >= 0).T if y_arr.ndim == 2 else (np.ones(len(y_arr), dtype=bool),):
-        if not rows.any():
-            raise EmptyTraining("no training rows")
-        if not finite[rows].all():
-            raise DataError("features must be finite")
-    return X_arr, y_arr
-
-
-def fit_decision_trees(X, Y, spec: "ClassifierSpec") -> list[DecisionTree]:
-    """One tree per label column of Y (-1: row outside that column's training
-    set), each the tree fit_decision_tree grows on that column's rows alone."""
-    X_arr, Y_arr = as_training_arrays(X, Y)
-    roots = [np.flatnonzero(column >= 0) for column in Y_arr.T]
-    return grow_trees(X_arr, Y_arr, np.arange(len(roots)), roots, spec)
-
-
-def fit_decision_tree(X, y, spec: "ClassifierSpec") -> DecisionTree:
-    X_arr, y_arr = as_training_arrays(X, y)
-    return fit_decision_trees(X_arr, y_arr[:, None], spec)[0]
+def fit_decision_trees(X: np.ndarray, Y: np.ndarray, spec: "ClassifierSpec") -> list[DecisionTree]:
+    """One tree per column of the validated (n, h) label matrix Y, each
+    grown on the rows its column labels (-1: not a training row there)."""
+    roots = [np.flatnonzero(column >= 0) for column in Y.T]
+    return grow_trees(X, Y, np.arange(len(roots)), roots, spec)
 
 
 def tree_labels(tree: DecisionTree, X: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
 Each setting is declared once. The config sections are the fields of
 LabelConfig, SplitConfig, ClassifierSpec, RankConfig and BacktestConfig:
-a section's keys and defaults are its dataclass's fields, and a key that
-is absent or null takes the field's default. _TOP_DEFAULTS holds the
-top-level keys, and _FLAGS every flag with the commands that take it and
-the key it sets.
+a section's keys, defaults and value types are its dataclass's fields,
+and a key that is absent or null takes the field's default. _TOP_DEFAULTS
+holds the top-level keys, and _FLAGS every flag with the commands that
+take it and the key it sets.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,7 +34,7 @@ from stocksignals.classifiers import (
     ClassifierSpec,
     ModelBundle,
     bundle_json,
-    fit_bundle,
+    fit_bundles,
     load_bundle,
 )
 from stocksignals.classifiers.base import CRITERIA
@@ -175,6 +176,23 @@ def _section(config: Mapping, name: str) -> Mapping:
     return section
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has a section field's type: an int passes as a
+    float, a bool as nothing but a bool, a list as a tuple of its items' type."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return type(value) is list and all(_has_type(v, item) for v in value)
+    allowed = typing.get_args(hint) or (hint,)  # int | None -> (int, NoneType)
+    return type(value) in allowed or (float in allowed and type(value) is int)
+
+
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {typing.get_args(hint)[0].__name__}"
+    types = typing.get_args(hint) or (hint,)
+    return " or ".join("null" if t is type(None) else t.__name__ for t in types)
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -195,6 +213,13 @@ def _load_config_file(path: str | None) -> dict:
         unknown = set(_section(data, name)) - {field.name for field in fields(section)}
         if unknown:
             raise UsageError(f"unknown config key {name + '.' + sorted(unknown)[0]!r}")
+        for key, hint in typing.get_type_hints(section).items():
+            value = _section(data, name).get(key)
+            if value is not None and not _has_type(value, hint):
+                raise UsageError(
+                    f"config key {name + '.' + key!r} must be {_type_name(hint)}, "
+                    f"not {json.dumps(value)}"
+                )
     return data
 
 
@@ -435,7 +460,7 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
         bundle = state.signal_bundle
     else:
         split = _model_space(state, _pooled_split(cfg, state))
-        bundle = fit_bundle(cfg.classifier, split, cfg.backtest.signal_horizon)
+        bundle = fit_bundles(cfg.classifier, split, (cfg.backtest.signal_horizon,))[0]
     reports.atomic_write_text(cfg.out / "model.json", bundle_json(bundle))
 
     # each ticker replays its last (1 - train_fraction) share of rows; all

@@ -134,12 +134,6 @@ class EvaluationReport:
     sector: str | None = None
     omitted_horizons: tuple[int, ...] = field(default_factory=tuple)
 
-    def by_horizon(self, horizon: int) -> HorizonReport:
-        for report in self.horizons:
-            if report.horizon == horizon:
-                return report
-        raise KeyError(horizon)
-
 
 def evaluate_per_horizon(
     spec: ClassifierSpec,
@@ -156,8 +150,7 @@ def evaluate_per_horizon(
     report counts its labeled test rows only. Horizons with no labeled row on
     either side of the split are omitted with a warning; if none is
     evaluable the whole call fails. `fitted`, when given, receives the
-    bundles fitted on the way by horizon (none for kNN, which predicts from
-    shared distance blocks).
+    bundles fitted on the way by horizon.
     """
     train, test = split.train, split.test
     evaluable: list[int] = []

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,6 +13,8 @@ if str(SRC) not in sys.path:
 
 from stocksignals import ingest  # noqa: E402
 from stocksignals.backtest import Trade  # noqa: E402
+from stocksignals.classifiers import fit_classifier  # noqa: E402
+from stocksignals.classifiers.tree import best_split, dense_ranks  # noqa: E402
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, MarketColumns, TickerSeries  # noqa: E402
 from stocksignals.errors import DimensionMismatch  # noqa: E402
 from stocksignals.pca import FeatureScore  # noqa: E402
@@ -218,6 +221,43 @@ def assert_same_tree(mine, reference):
         assert got.dtype.kind == want.dtype.kind == "i" and np.array_equal(got, want), name
     assert mine.threshold.dtype == reference.threshold.dtype == np.float64
     assert np.array_equal(mine.threshold.view(np.uint64), reference.threshold.view(np.uint64))
+
+
+def fit_one(spec, X, y):
+    """The model of spec fitted on X and one label per row."""
+    return fit_classifier(spec, X, np.asarray(y)[:, None])[0]
+
+
+@dataclass(frozen=True)
+class Split:
+    feature: int
+    threshold: float
+    gain: float
+
+
+def node_split(X, y, criterion, candidate_features, rows=None):
+    """best_split of one node: its Split, or None when no split gains.
+
+    `rows` indexes the node's rows in X (every row when None); y holds
+    their labels.
+    """
+    if len(y) == 0:
+        return None
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
+    feature, threshold, gain = best_split(
+        X, [np.asarray(y)], criterion, [sorted(candidate_features)], [rows], dense_ranks(X)
+    )
+    if feature[0] < 0:
+        return None
+    return Split(feature=int(feature[0]), threshold=float(threshold[0]), gain=float(gain[0]))
+
+
+def horizon_report(report, horizon: int):
+    """The HorizonReport of one horizon in an EvaluationReport."""
+    for block in report.horizons:
+        if block.horizon == horizon:
+            return block
+    raise KeyError(horizon)
 
 
 def label_horizons(series: TickerSeries, cfg: LabelConfig = LabelConfig()):

@@ -11,12 +11,12 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import make_dataset, synthetic_market_bytes
+from conftest import horizon_report, make_dataset, node_split, synthetic_market_bytes
 from oracles import brute_force_best_split, brute_force_labels, simulate_backtest
 
 from stocksignals import cli
 from stocksignals.backtest import BacktestConfig, return_percentage, run_backtest
-from stocksignals.classifiers import ClassifierSpec, best_split
+from stocksignals.classifiers import ClassifierSpec
 from stocksignals.evaluation import (
     class_metrics,
     confusion_matrix,
@@ -105,7 +105,7 @@ def test_criterion_04_split_search_matches_brute_force(criterion):
         d = int(rng.integers(1, 5))
         X = rng.uniform(-10.0, 10.0, size=(n, d))
         y = rng.integers(0, 3, size=n)
-        mine = best_split(X, y, criterion, range(d))
+        mine = node_split(X, y, criterion, range(d))
         oracle = brute_force_best_split(X.tolist(), y.tolist(), criterion)
         if oracle is None:
             assert mine is None
@@ -240,7 +240,7 @@ def test_criterion_09_synthetic_learnability_and_top6_retention():
     spec = ClassifierSpec(kind="random_forest", seed=17)
 
     report = evaluate_per_horizon(spec, split)
-    day10 = report.by_horizon(10)
+    day10 = horizon_report(report, 10)
     truths = split.test.labels(10).tolist()
     baseline = max(truths.count(c) for c in (Label.SELL, Label.HOLD, Label.BUY)) / len(truths)
     assert day10.micro_f1 >= baseline + 0.10, (
@@ -254,7 +254,7 @@ def test_criterion_09_synthetic_learnability_and_top6_retention():
     assert selected_idx <= informative, f"selection leaked noise columns: {selected}"
 
     small_report = evaluate_per_horizon(spec, split.select(selected))
-    small_day10 = small_report.by_horizon(10)
+    small_day10 = horizon_report(small_report, 10)
     assert day10.micro_f1 - small_day10.micro_f1 <= 0.05, (
         f"top-6 lost {day10.micro_f1 - small_day10.micro_f1:.4f}"
     )

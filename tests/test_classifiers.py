@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import fit_one, node_split
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -26,13 +27,8 @@ from stocksignals.classifiers import (
     KINDS,
     ClassifierSpec,
     ForestModel,
-    KnnModel,
-    best_split,
     class_log_scores,
     fit_classifier,
-    fit_decision_tree,
-    fit_gaussian_nb,
-    fit_random_forest,
     model_from_params,
     model_to_params,
     predict_batch,
@@ -50,13 +46,12 @@ from stocksignals.errors import (
 from stocksignals.labels import Label, majority_labels
 
 TREE = ClassifierSpec(kind="decision_tree")
+NB = ClassifierSpec(kind="gaussian_nb")
 
 
 def knn_model(X, y, k):
-    """A kNN model over the given rows, without fit_knn's k <= n check."""
-    return KnnModel(
-        train_X=np.asarray(X, dtype=float), train_y=np.asarray(y, dtype=np.int64), k=k
-    )
+    """The kNN model of k fitted on X and one label per row."""
+    return fit_one(ClassifierSpec(kind="knn", k=k), X, y)
 
 
 # --- impurities ----------------------------------------------------------------
@@ -100,7 +95,7 @@ def test_impurity_bounds_random_counts():
 def test_best_split_separable_example():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 2, 2])
-    split = best_split(X, y, "gini", [0])
+    split = node_split(X, y, "gini", [0])
     assert split.feature == 0
     assert split.threshold == 2.5
     assert split.gain == pytest.approx(0.5, abs=1e-15)
@@ -109,16 +104,16 @@ def test_best_split_separable_example():
 def test_best_split_pure_node_returns_none():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1, 1, 1])
-    assert best_split(X, y, "gini", [0]) is None
+    assert node_split(X, y, "gini", [0]) is None
 
 
 def test_best_split_respects_candidate_set():
     # feature 1 separates perfectly; restricting to {0} must still use 0
     X = np.array([[5.0, 1.0], [5.0, 2.0], [7.0, 3.0], [5.0, 4.0]])
     y = np.array([0, 0, 2, 2])
-    restricted = best_split(X, y, "gini", [0])
+    restricted = node_split(X, y, "gini", [0])
     assert restricted is not None and restricted.feature == 0
-    free = best_split(X, y, "gini", [0, 1])
+    free = node_split(X, y, "gini", [0, 1])
     assert free.feature == 1 and free.threshold == 2.5
 
 
@@ -130,7 +125,7 @@ def test_best_split_matches_brute_force(criterion):
         d = int(rng.integers(1, 5))
         X = rng.uniform(-5.0, 5.0, size=(n, d))
         y = rng.integers(0, 3, size=n)
-        mine = best_split(X, y, criterion, range(d))
+        mine = node_split(X, y, criterion, range(d))
         oracle = brute_force_best_split(X.tolist(), y.tolist(), criterion)
         if oracle is None:
             assert mine is None
@@ -171,13 +166,13 @@ def _bits(split):
 @example((np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]), np.array([0, 1, 2]), [], "gini"))
 def test_best_split_matches_reference_and_brute_force(inputs):
     X, y, candidates, criterion = inputs
-    mine = best_split(X, y, criterion, candidates)
+    mine = node_split(X, y, criterion, candidates)
     found = None if mine is None else (mine.feature, mine.threshold, mine.gain)
     assert _bits(found) == _bits(reference_best_split(X, y, criterion, candidates))
     # the node's rows picked out of a larger matrix search the same as the node alone
     n = len(y)
     rows = np.arange(2 * n - 1, n - 1, -1)
-    assert best_split(np.vstack([X + 1.0, X[::-1]]), y, criterion, candidates, rows=rows) == mine
+    assert node_split(np.vstack([X + 1.0, X[::-1]]), y, criterion, candidates, rows=rows) == mine
     features = sorted(candidates)
     oracle = None
     if features:
@@ -193,7 +188,7 @@ def test_best_split_matches_reference_and_brute_force(inputs):
 def test_tree_separable_is_depth_one_and_exact():
     X = [[1.0], [2.0], [3.0], [4.0]]
     y = [Label.SELL, Label.SELL, Label.BUY, Label.BUY]
-    tree = fit_decision_tree(X, y, TREE)
+    tree = fit_one(TREE, X, y)
     assert tree.left.tolist() == [1, -1, -1]
     assert tree.right.tolist() == [2, -1, -1]
     assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
@@ -205,7 +200,7 @@ def test_tree_separable_is_depth_one_and_exact():
 
 
 def test_tree_single_class_is_single_leaf():
-    tree = fit_decision_tree([[1.0], [2.0]], [Label.BUY, Label.BUY], TREE)
+    tree = fit_one(TREE, [[1.0], [2.0]], [Label.BUY, Label.BUY])
     assert tree.left.tolist() == [-1]
     assert tree.counts.tolist() == [[0, 0, 2]]
     assert tree.label.tolist() == [Label.BUY]
@@ -213,19 +208,19 @@ def test_tree_single_class_is_single_leaf():
 
 def test_tree_max_depth_zero_is_majority_leaf():
     spec = ClassifierSpec(kind="decision_tree", max_depth=0)
-    tree = fit_decision_tree([[1.0], [2.0], [3.0]], [0, 0, 2], spec)
+    tree = fit_one(spec, [[1.0], [2.0], [3.0]], [0, 0, 2])
     assert tree.left.tolist() == [-1]
     assert tree.label.tolist() == [Label.SELL]
-    tied = fit_decision_tree([[1.0], [2.0]], [0, 2], spec)
+    tied = fit_one(spec, [[1.0], [2.0]], [0, 2])
     assert tied.label.tolist() == [Label.HOLD]  # tie rule
 
 
 def test_tree_training_errors():
     with pytest.raises(EmptyTraining):
-        fit_decision_tree(np.empty((0, 2)), [], TREE)
+        fit_one(TREE, np.empty((0, 2)), [])
     with pytest.raises(DimensionMismatch):
-        fit_decision_tree([[1.0], [2.0]], [0], TREE)
-    tree = fit_decision_tree([[1.0, 2.0]] * 2, [0, 0], TREE)
+        fit_one(TREE, [[1.0], [2.0]], [0])
+    tree = fit_one(TREE, [[1.0, 2.0]] * 2, [0, 0])
     with pytest.raises(DimensionMismatch):
         predict_one(tree, [1.0])
 
@@ -237,7 +232,7 @@ def test_tree_perfect_fit_on_consistent_data():
         d = int(rng.integers(1, 4))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 3, size=n)
-        tree = fit_decision_tree(X, y, TREE)
+        tree = fit_one(TREE, X, y)
         assert [int(p) for p in predict_batch(tree, X)] == list(y)
 
 
@@ -245,7 +240,7 @@ def test_tree_min_samples_split_stops_growth():
     X = [[1.0], [2.0], [3.0], [4.0]]
     y = [0, 2, 0, 2]
     spec = ClassifierSpec(kind="decision_tree", min_samples_split=5)
-    tree = fit_decision_tree(X, y, spec)
+    tree = fit_one(spec, X, y)
     assert tree.left.tolist() == [-1]
 
 
@@ -255,7 +250,7 @@ def test_forest_default_has_ten_trees_and_sqrt_mtry():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 28))
     y = rng.integers(0, 3, size=30)
-    forest = fit_random_forest(X, y, ClassifierSpec(kind="random_forest", seed=5))
+    forest = fit_one(ClassifierSpec(kind="random_forest", seed=5), X, y)
     assert len(forest.trees) == 10
     assert forest.mtry == 5
 
@@ -265,11 +260,11 @@ def test_forest_deterministic_given_seed():
     X = rng.normal(size=(40, 6))
     y = rng.integers(0, 3, size=40)
     spec = ClassifierSpec(kind="random_forest", seed=11)
-    a = fit_random_forest(X, y, spec)
-    b = fit_random_forest(X, y, spec)
+    a = fit_one(spec, X, y)
+    b = fit_one(spec, X, y)
     probes = rng.normal(size=(25, 6))
     assert predict_batch(a, probes) == predict_batch(b, probes)
-    c = fit_random_forest(X, y, ClassifierSpec(kind="random_forest", seed=12))
+    c = fit_one(ClassifierSpec(kind="random_forest", seed=12), X, y)
     probes = rng.normal(size=(200, 6))
     assert predict_batch(a, probes) != predict_batch(c, probes)
 
@@ -279,8 +274,8 @@ def test_forest_degenerate_equals_plain_tree():
     X = rng.normal(size=(50, 4))
     y = rng.integers(0, 3, size=50)
     spec = ClassifierSpec(kind="random_forest", n_trees=1, mtry=4, bootstrap=False)
-    forest = fit_random_forest(X, y, spec)
-    tree = fit_decision_tree(X, y, ClassifierSpec(kind="decision_tree"))
+    forest = fit_one(spec, X, y)
+    tree = fit_one(ClassifierSpec(kind="decision_tree"), X, y)
     probes = rng.normal(size=(40, 4))
     assert predict_batch(forest, probes) == predict_batch(tree, probes)
 
@@ -329,10 +324,16 @@ def test_knn_majority():
 
 
 def test_knn_k_too_large():
-    with pytest.raises(KTooLarge):
-        predict_one(knn_model([[0.0]] * 4, [0] * 4, 5), [0.0])
+    """Checked where a model is made: at fit, and when its params are loaded."""
+    with pytest.raises(KTooLarge, match="^k=5 but only 4 training rows$"):
+        knn_model([[0.0]] * 4, [0] * 4, 5)
     with pytest.raises(EmptyTraining):
-        predict_one(knn_model(np.empty((0, 1)), [], 1), [0.0])
+        knn_model(np.empty((0, 1)), [], 1)
+    params = model_to_params(knn_model([[0.0]] * 4, [0] * 4, 4))
+    model_from_params("knn", params)
+    for edit in ({"k": 5}, {"train_x": [], "train_y": [], "k": 1}):
+        with pytest.raises(ValueError):
+            model_from_params("knn", {**params, **edit})
 
 
 def test_knn_distance_tie_prefers_lower_index():
@@ -358,27 +359,27 @@ def test_knn_full_neighbourhood_is_global_majority():
 # --- gaussian nb ---------------------------------------------------------------------
 
 def test_nb_per_class_population_moments():
-    model = fit_gaussian_nb([[0.0], [2.0], [10.0]], [0, 0, 2])
+    model = fit_one(NB, [[0.0], [2.0], [10.0]], [0, 0, 2])
     i = model.classes.index(0)
     assert model.means[i][0] == 1.0
     assert model.variances[i][0] == pytest.approx(1.0, rel=1e-6)  # population 1/n + smoothing
 
 
 def test_nb_single_class_prior_one():
-    model = fit_gaussian_nb([[1.0], [2.0]], [1, 1])
+    model = fit_one(NB, [[1.0], [2.0]], [1, 1])
     assert model.classes == (1,)
     assert model.priors[0] == 1.0
 
 
 def test_nb_zero_variance_smoothed_positive():
-    model = fit_gaussian_nb([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], [0, 0, 0])
+    model = fit_one(NB, [[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], [0, 0, 0])
     assert (model.variances > 0).all()
-    constant = fit_gaussian_nb([[5.0], [5.0]], [0, 0])
+    constant = fit_one(NB, [[5.0], [5.0]], [0, 0])
     assert (constant.variances > 0).all()
 
 
 def test_nb_equal_variance_picks_nearer_mean():
-    model = fit_gaussian_nb([[-1.0], [1.0]], [0, 2])
+    model = fit_one(NB, [[-1.0], [1.0]], [0, 2])
     assert predict_one(model, [0.9]) == Label.BUY
     assert predict_one(model, [-0.9]) == Label.SELL
     assert predict_one(model, [0.0]) == Label.HOLD  # exact tie
@@ -393,7 +394,7 @@ def test_nb_matches_brute_force_posteriors():
         y = rng.integers(0, 3, size=n)
         if len(np.unique(y)) < 2:
             continue
-        model = fit_gaussian_nb(X, y)
+        model = fit_one(NB, X, y)
         x = rng.normal(size=d)
         scores = class_log_scores(model, x[None, :])[0]
         oracle = [
@@ -409,7 +410,7 @@ def test_nb_matches_brute_force_posteriors():
 
 
 def test_nb_argmax_shift_invariant():
-    model = fit_gaussian_nb([[-1.0], [0.0], [1.0]], [0, 1, 2])
+    model = fit_one(NB, [[-1.0], [0.0], [1.0]], [0, 1, 2])
     scores = class_log_scores(model, np.array([[0.4]]))[0]
     for shift in (-100.0, 3.5, 1e6):
         assert int(np.argmax(scores + shift)) == int(np.argmax(scores))
@@ -457,7 +458,7 @@ def test_knn_batch_matches_reference(inputs, data):
     X, y, probes = inputs
     k = data.draw(st.integers(min_value=1, max_value=len(y)), label="k")
     per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
-    model = fit_classifier(ClassifierSpec(kind="knn", k=k), X, y)
+    model = knn_model(X, y, k)
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * X.size):
         labels = predict_batch(model, probes)
     assert labels == [reference_knn_predict(X, y, probe, k) for probe in probes]
@@ -476,7 +477,7 @@ def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
     per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes]).reshape(m, n)
     assert _bit_equal(knn.squared_distances(X, probes), per_row)
     k = int(rng.integers(1, n + 1))
-    model = fit_classifier(ClassifierSpec(kind="knn", k=k), X, rng.integers(0, 3, size=n))
+    model = knn_model(X, rng.integers(0, 3, size=n), k)
     assert predict_batch(model, probes) == [
         reference_knn_predict(X, model.train_y, probe, k) for probe in probes
     ]
@@ -509,7 +510,8 @@ def test_nearest_mask_is_stable_argsort_prefix(rows, k):
 @given(prediction_inputs(), st.data())
 def test_knn_label_columns_match_reference(inputs, data):
     """Every column of a multi-column call is the per-row vote over that
-    column's labeled rows; a column with too few rows raises, first one first."""
+    column's labeled rows, and what that column's model predicts alone; a
+    column with too few rows fails the fit, first one first."""
     X, _, probes = inputs
     n = len(X)
     k = data.draw(st.integers(min_value=1, max_value=n), label="k")
@@ -522,34 +524,38 @@ def test_knn_label_columns_match_reference(inputs, data):
     Y = np.column_stack([np.where(rows, data.draw(labels), -1) for rows in kept])
     per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
     short = [count for count in (int(rows.sum()) for rows in kept) if count < k]
+    spec = ClassifierSpec(kind="knn", k=k)
+    if short:
+        error, message = (
+            (EmptyTraining, "no training rows")
+            if short[0] == 0
+            else (KTooLarge, f"k={k} but only {short[0]} training rows")
+        )
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_classifier(spec, X, Y)
+        return
+    models = fit_classifier(spec, X, Y)
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
-        if short:
-            error, message = (
-                (EmptyTraining, "no training rows")
-                if short[0] == 0
-                else (KTooLarge, f"k={k} but only {short[0]} training rows")
-            )
-            with pytest.raises(error, match=f"^{message}$"):
-                knn.knn_labels(X, Y, k, probes)
-            return
         got = knn.knn_labels(X, Y, k, probes)
     assert got.shape == (len(probes), len(kept))
     for j, rows in enumerate(kept):
         expected = [reference_knn_predict(X[rows], Y[rows, j], probe, k) for probe in probes]
         assert got[:, j].tolist() == expected
+        assert [int(label) for label in predict_batch(models[j], probes)] == expected
 
 
-def test_knn_labels_rejects_a_non_finite_row_only_where_it_is_labeled():
+def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     X = np.arange(6.0)[:, None]
     Y = np.array([[0, 1, -1], [1, -1, -1], [2, -1, 0], [0, 1, -1], [1, -1, -1], [2, 1, -1]])
     X_bad = X.copy()
     X_bad[1] = math.nan  # labeled in the first column only
-    # columns are checked one after the other, as horizons were fitted
+    # each column is checked whole (rows, finite rows, k) before the next one
     with pytest.raises(DataError, match="^features must be finite$"):
-        knn.knn_labels(X_bad, Y[:, [0, 2]], 2, X)
+        fit_classifier(ClassifierSpec(kind="knn", k=2), X_bad, Y[:, [0, 2]])
     with pytest.raises(KTooLarge, match="^k=2 but only 1 training rows$"):
-        knn.knn_labels(X_bad, Y[:, [2, 0]], 2, X)
-    assert knn.knn_labels(X_bad, Y[:, 1:], 1, X).shape == (6, 2)
+        fit_classifier(ClassifierSpec(kind="knn", k=2), X_bad, Y[:, [2, 0]])
+    models = fit_classifier(ClassifierSpec(kind="knn", k=1), X_bad, Y[:, 1:])
+    assert [predict_batch(model, X) for model in models] == [[Label.HOLD] * 6, [Label.SELL] * 6]
 
 
 def test_knn_labels_memory_stays_below_the_full_distance_matrix():
@@ -587,8 +593,8 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
     X, y, probes = inputs
     criterion = data.draw(st.sampled_from(["gini", "entropy"]), label="criterion")
     max_depth = data.draw(st.none() | st.integers(min_value=0, max_value=4), label="max_depth")
-    tree = fit_decision_tree(
-        X, y, ClassifierSpec(kind="decision_tree", criterion=criterion, max_depth=max_depth)
+    tree = fit_one(
+        ClassifierSpec(kind="decision_tree", criterion=criterion, max_depth=max_depth), X, y
     )
     spec = ClassifierSpec(
         kind="random_forest",
@@ -597,7 +603,7 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
         mtry=data.draw(st.none() | st.integers(min_value=1, max_value=6), label="mtry"),
         bootstrap=data.draw(st.booleans(), label="bootstrap"),
     )
-    forest = fit_random_forest(X, y, spec)
+    forest = fit_one(spec, X, y)
     base = X[:8]
     for model in (tree, *forest.trees):
         check_layout(model)
@@ -624,7 +630,7 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
 @example((np.array([[0.0, 1.0]]), np.array([2]), np.empty((0, 2))))
 def test_gaussian_nb_batch_matches_reference(inputs):
     X, y, probes = inputs
-    model = fit_gaussian_nb(X, y)
+    model = fit_one(NB, X, y)
     labels = predict_batch(model, probes)
     assert labels == [reference_predict_gaussian_nb(model, p) for p in probes]
     per_row = np.array([reference_class_log_scores(model, p) for p in probes])
@@ -642,10 +648,12 @@ def test_fit_rejects_1d_or_non_finite_training_input(kind):
     """Every kind validates its training pair alike; DataError exits 2."""
     spec = ClassifierSpec(kind=kind, k=1)
     with pytest.raises(DimensionMismatch):
-        fit_classifier(spec, [0.0, 1.0], [0, 2])
+        fit_classifier(spec, [0.0, 1.0], [[0], [2]])
+    with pytest.raises(DimensionMismatch, match="^labels must be an"):
+        fit_classifier(spec, [[0.0], [1.0]], [0, 2])  # a label vector, not a matrix
     for bad in (math.nan, math.inf):
         with pytest.raises(DataError):
-            fit_classifier(spec, [[0.0], [bad]], [0, 2])
+            fit_one(spec, [[0.0], [bad]], [0, 2])
 
 
 # --- spec validation ------------------------------------------------------------------
@@ -674,7 +682,7 @@ def test_deep_tree_does_not_hit_recursion_limits():
     n = 1200
     X = [[float(i)] for i in range(n)]
     y = [i % 2 * 2 for i in range(n)]
-    tree = fit_decision_tree(X, y, TREE)
+    tree = fit_one(TREE, X, y)
     assert tree_depth(tree) >= 10
     assert predict_one(tree, [2.0]) == Label.SELL
     assert predict_one(tree, [3.0]) == Label.BUY

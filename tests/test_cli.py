@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,8 @@ from conftest import (
 )
 
 from stocksignals import cli
-from stocksignals.classifiers import forest, load_bundle
+from stocksignals.classifiers import base, forest, load_bundle
+from stocksignals.classifiers.base import fit_classifier
 from stocksignals.classifiers.tree import grow_trees
 from stocksignals.errors import UsageError
 from stocksignals.transform import FEATURE_COLUMNS
@@ -364,6 +366,36 @@ def test_unknown_key_in_each_section_is_named(tmp_path, section):
         cli.parse_cli(["pipeline", "--data", "d.csv", "--config", config])
 
 
+# one value of each JSON type, and which field types take it (null means unset)
+JSON_VALUES = {
+    "string": ("x", {"str"}),
+    "integer": (3, {"int", "float", "int | None"}),
+    "fraction": (2.5, {"float"}),
+    "boolean": (True, {"bool"}),
+    "integer list": ([3], {"tuple[int, ...]"}),
+    "string list": (["x"], set()),
+    "object": ({"x": 1}, set()),
+}
+
+
+@pytest.mark.parametrize("section", sorted(cli._SECTIONS))
+def test_config_value_of_a_wrong_type_is_named(tmp_path, capsys, section):
+    """Every field of the section, given a value of each JSON type its type
+    does not take, exits 1 with one error line naming the key."""
+    cases = 0
+    for field in dataclasses.fields(cli._SECTIONS[section]):
+        for value, takes in JSON_VALUES.values():
+            if field.type in takes:
+                continue
+            config = _write_config(tmp_path, {section: {field.name: value}})
+            assert run("rank", "--data", "d.csv", "--config", config) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config key '{section}.{field.name}' must be ")
+            assert err.count("\n") == 1
+            cases += 1
+    assert cases >= 4 * len(dataclasses.fields(cli._SECTIONS[section]))
+
+
 # --- commands -------------------------------------------------------------------
 
 def test_transform_writes_dataset(tmp_path, market_csv, capsys):
@@ -512,27 +544,50 @@ def _drop_params(model):
     del model["params"]
 
 
+def _first_row(model, key, value):
+    model["params"][key][0] = value
+
+
+def _first_variance(model, value):
+    model["params"]["variances"][0][0] = value
+
+
+# case -> (the --model kind that saves the file, the edit that breaks it)
 MALFORMED_MODELS = {
-    "cycle": lambda model: model["params"]["tree"]["nodes"][0].update(left=0),
-    "short-scaler": lambda model: model["scaler"].update(means=model["scaler"]["means"][:3]),
-    "child-out-of-range": lambda model: model["params"]["tree"]["nodes"][0].update(left=10**6),
-    "no-params": _drop_params,
-    "not-json": None,
+    "cycle": ("decision-tree", lambda model: model["params"]["tree"]["nodes"][0].update(left=0)),
+    "short-scaler": (
+        "decision-tree",
+        lambda model: model["scaler"].update(means=model["scaler"]["means"][:3]),
+    ),
+    "child-out-of-range": (
+        "decision-tree",
+        lambda model: model["params"]["tree"]["nodes"][0].update(left=10**6),
+    ),
+    "no-params": ("decision-tree", _drop_params),
+    "not-json": ("decision-tree", None),
+    "knn-label-5": ("knn", lambda model: _first_row(model, "train_y", 5)),
+    "knn-label-unlabeled": ("knn", lambda model: _first_row(model, "train_y", -1)),
+    "knn-k-0": ("knn", lambda model: model["params"].update(k=0)),
+    "knn-row-short": ("knn", lambda model: model["params"]["train_x"].pop()),
+    "nb-variance-0": ("gaussian-nb", lambda model: _first_variance(model, 0.0)),
+    "nb-variance-negative": ("gaussian-nb", lambda model: _first_variance(model, -1.0)),
+    "version-99": ("random-forest", lambda model: model.update(version=99)),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_MODELS)
 def test_backtest_rejects_malformed_model_file(tmp_path, market_csv, case):
-    """Exit 1 with a one-line message naming the file, in a fresh process so
-    a walk that never ends shows as a timeout."""
+    """Exit 1 with a one-line message naming the file and nothing written,
+    in a fresh process so a walk that never ends shows as a timeout."""
+    kind, edit = MALFORMED_MODELS[case]
     saved = tmp_path / "saved"
-    assert run("backtest", "--data", market_csv, "--out", saved, "--model", "decision-tree") == 0
+    assert run("backtest", "--data", market_csv, "--out", saved, "--model", kind) == 0
     path = tmp_path / "model.json"
-    if MALFORMED_MODELS[case] is None:
+    if edit is None:
         path.write_text("not json\n", encoding="utf-8")
     else:
         model = json.loads((saved / "model.json").read_text(encoding="utf-8"))
-        MALFORMED_MODELS[case](model)
+        edit(model)
         path.write_text(json.dumps(model), encoding="utf-8")
     src = Path(cli.__file__).parents[1]
     result = subprocess.run(
@@ -544,6 +599,7 @@ def test_backtest_rejects_malformed_model_file(tmp_path, market_csv, case):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: not a model file: {path}: ")
     assert result.stderr.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_pipeline_backtests_with_the_forest_evaluate_grew(tmp_path, market_csv, monkeypatch):
@@ -560,6 +616,25 @@ def test_pipeline_backtests_with_the_forest_evaluate_grew(tmp_path, market_csv, 
     assert grown == [100]
     assert run("backtest", "--data", market_csv, "--out", tmp_path / "alone", "--seed", "5") == 0
     assert grown == [100, 10]
+    model = (tmp_path / "pipeline" / "model.json").read_bytes()
+    assert model == (tmp_path / "alone" / "model.json").read_bytes()
+
+
+def test_pipeline_backtests_with_the_knn_models_evaluate_fitted(tmp_path, market_csv, monkeypatch):
+    """pipeline --model knn fits once, in evaluate, and its model.json is
+    byte for byte that of a standalone backtest."""
+    fits = []
+
+    def counting(spec, X, Y):
+        fits.append(Y.shape[1])
+        return fit_classifier(spec, X, Y)
+
+    monkeypatch.setattr(base, "fit_classifier", counting)
+    args = ("--data", market_csv, "--seed", "5", "--model", "knn")
+    assert run("pipeline", "--out", tmp_path / "pipeline", *args) == 0
+    assert fits == [10]
+    assert run("backtest", "--out", tmp_path / "alone", *args) == 0
+    assert fits == [10, 1]
     model = (tmp_path / "pipeline" / "model.json").read_bytes()
     assert model == (tmp_path / "alone" / "model.json").read_bytes()
 

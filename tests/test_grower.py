@@ -10,19 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_tree, random_dataset
+from conftest import assert_same_tree, fit_one, node_split, random_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_fit_decision_tree, reference_fit_random_forest
 
-from stocksignals.classifiers import (
-    ClassifierSpec,
-    best_split,
-    fit_bundles,
-    fit_classifier,
-    fit_decision_tree,
-    fit_random_forest,
-)
+from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals.classifiers import tree
 from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
 from stocksignals.transform import split_dataset
@@ -97,11 +90,11 @@ def test_one_column_fits_match_the_matrix_fit():
     y = rng.integers(0, 3, size=60)
     forest = ClassifierSpec(kind="random_forest", n_trees=3, seed=9, max_depth=5)
     for mine, reference in zip(
-        fit_random_forest(X, y, forest).trees, reference_fit_random_forest(X, y, forest)[0]
+        fit_one(forest, X, y).trees, reference_fit_random_forest(X, y, forest)[0]
     ):
         assert_same_tree(mine, reference)
     plain = ClassifierSpec(kind="decision_tree", criterion="entropy")
-    assert_same_tree(fit_decision_tree(X, y, plain), reference_fit_decision_tree(X, y, plain))
+    assert_same_tree(fit_one(plain, X, y), reference_fit_decision_tree(X, y, plain))
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,10 +113,17 @@ def test_list_form_of_best_split_is_one_call_per_node(inputs, data):
         features.append(
             sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1), label="features"))
         )
-    found = best_split(X, labels, criterion, features, rows=rows, ranks=tree.dense_ranks(X))
-    expected = [best_split(X, y, criterion, f, rows=r) for y, f, r in zip(labels, features, rows)]
+    feature, threshold, gain = tree.best_split(
+        X, labels, criterion, features, rows, tree.dense_ranks(X)
+    )
+    found = [
+        None if f < 0 else (f, t.hex(), g.hex())
+        for f, t, g in zip(feature.tolist(), threshold.tolist(), gain.tolist())
+    ]
+    expected = [node_split(X, y, criterion, f, rows=r) for y, f, r in zip(labels, features, rows)]
     as_bits = lambda s: None if s is None else (s.feature, s.threshold.hex(), s.gain.hex())  # noqa: E731
-    assert [as_bits(s) for s in found] == [as_bits(s) for s in expected]
+    assert found == [as_bits(s) for s in expected]
+    assert (threshold[feature < 0] == 0.0).all() and (gain[feature < 0] == 0.0).all()
 
 
 @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "knn", "gaussian_nb"])

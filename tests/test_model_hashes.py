@@ -17,6 +17,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import fit_one
 
 from stocksignals.classifiers import ClassifierSpec, ModelBundle, bundle_json, fit_classifier
 from stocksignals.transform import FEATURE_COLUMNS, standardize_apply, standardize_fit
@@ -71,7 +72,7 @@ def test_bench_sized_model_bytes_are_pinned(name):
         horizon=1,
         feature_names=FEATURE_COLUMNS,
         scaler=scaler,
-        model=fit_classifier(spec, standardize_apply(scaler, X), y),
+        model=fit_one(spec, standardize_apply(scaler, X), y),
     )
     digest = _digest(bundle)
     assert digest == MODEL_HASHES[name], f"{name}: {digest}"

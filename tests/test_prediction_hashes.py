@@ -14,9 +14,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import fit_one
 from test_model_hashes import grid_matrix
 
-from stocksignals.classifiers import ClassifierSpec, fit_classifier, predict_batch
+from stocksignals.classifiers import ClassifierSpec, predict_batch
 
 PREDICTION_HASHES = {
     "knn_k1": "2aea6009b79a74419daf0b8d2bd3e0f89c8e9d113a87d73b81f59dd51023143b",
@@ -45,7 +46,7 @@ def probe_matrix(seed=23, m=300, d=28):
 @pytest.mark.parametrize("name", list(SPECS))
 def test_bench_sized_prediction_bytes_are_pinned(name):
     X, y = grid_matrix()
-    labels = predict_batch(fit_classifier(SPECS[name], X, y), probe_matrix())
+    labels = predict_batch(fit_one(SPECS[name], X, y), probe_matrix())
     digest = hashlib.sha256(np.array(labels, dtype=np.int8).tobytes()).hexdigest()
     assert digest == PREDICTION_HASHES[name], f"{name}: {digest}"
 

@@ -2,12 +2,12 @@
 fallback to the scalar generator when a draw lands in `below`'s rejection zone."""
 
 import numpy as np
-from conftest import assert_same_tree
+from conftest import assert_same_tree, fit_one
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_fit_random_forest
 
-from stocksignals.classifiers import ClassifierSpec, fit_random_forest
+from stocksignals.classifiers import ClassifierSpec
 from stocksignals.classifiers.forest import _TreeStreams
 from stocksignals.rng import _GOLDEN, SplitMix64, _mix, draws_below, outputs, spawn_seed
 
@@ -107,7 +107,7 @@ def test_rejected_bootstrap_draw_falls_back_to_the_scalar_generator():
     spec = ClassifierSpec(kind="random_forest", n_trees=2, seed=spec_seed_for_first_tree(tree_seed))
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
-    forest = fit_random_forest(X, y, spec)
+    forest = fit_one(spec, X, y)
     trees, tree_seeds = reference_fit_random_forest(X, y, spec)
     assert forest.tree_seeds == tree_seeds and tree_seeds[0] == tree_seed
     for mine, reference in zip(forest.trees, trees, strict=True):
@@ -124,7 +124,7 @@ def test_rejected_feature_draw_falls_back_to_the_scalar_generator():
     )
     rng = np.random.default_rng(1)
     X, y = rng.normal(size=(30, 3)), np.arange(30) % 3
-    forest = fit_random_forest(X, y, spec)
+    forest = fit_one(spec, X, y)
     trees, _ = reference_fit_random_forest(X, y, spec)
     assert forest.trees[0].left[0] == 1  # the root was searched
     for mine, reference in zip(forest.trees, trees, strict=True):
