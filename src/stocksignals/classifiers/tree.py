@@ -301,15 +301,13 @@ def _grow_nodes(X, Y, ranks, columns, spec, pick, trees, growths, popped) -> Non
             [rows[i] for i in searched], ranks,
         )
     go_left = X[flat, np.maximum(feature, 0)[node_of]] <= threshold[node_of]
-    nodes = zip(growths, popped, feature.tolist(), threshold.tolist(), counts.tolist())
-    for i, (growth, (node_rows, depth), split_feature, split_threshold, leaf_counts) in enumerate(
-        nodes
-    ):
-        growth.feature.append(split_feature)
-        if split_feature < 0:
-            growth.counts.extend(leaf_counts)
+    feature, threshold, leaf_counts = feature.tolist(), threshold.tolist(), counts.tolist()
+    for i, (growth, (node_rows, depth)) in enumerate(zip(growths, popped)):
+        growth.feature.append(feature[i])
+        if feature[i] < 0:
+            growth.counts.extend(leaf_counts[i])
             continue
-        growth.threshold.append(split_threshold)
+        growth.threshold.append(threshold[i])
         mask = go_left[offsets[i] : offsets[i + 1]]
         growth.stack.append((node_rows[~mask], depth + 1))
         growth.stack.append((node_rows[mask], depth + 1))
