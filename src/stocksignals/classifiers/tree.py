@@ -1,9 +1,9 @@
 """CART decision trees with exhaustive midpoint threshold search, grown in lockstep.
 
-Split rule: x[feature] <= threshold routes left. Thresholds sit at the
-midpoints of consecutive distinct sorted values, and the chosen split
-maximizes the weighted impurity decrease; ties break toward the lower
-feature index, then the lower threshold. Growth stops on a pure node,
+An internal node routes x left when x[feature] <= threshold. Thresholds
+sit at the midpoints of consecutive distinct sorted values, and the chosen
+split maximizes the weighted impurity decrease; ties break toward the
+lower feature index, then the lower threshold. Growth stops on a pure node,
 max_depth, min_samples_split, or when no split has a positive decrease.
 
 `grow_trees` grows many trees together, for instance every tree of every
