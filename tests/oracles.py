@@ -518,6 +518,28 @@ def reference_standardize(means, stds, rows):
     ]
 
 
+# --- PCA contribution scoring -------------------------------------------------------
+
+def reference_contribution_scores(eigenvectors, used_names, names, cfg):
+    """(feature, occurrences, weighted occurrence) for each of `names`.
+
+    Row i of `eigenvectors` holds the loadings of used_names[i]. Each used
+    feature gets the set of 1-based components among the first
+    cfg.n_components where |loading| >= cfg.contribution_threshold; its
+    occurrences are the set's size and its weighted occurrence the sum of
+    the components' weights. A feature outside used_names scores (0, 0).
+    """
+    scored = {}
+    for name, row in zip(used_names, np.asarray(eigenvectors, dtype=float)):
+        contributed = frozenset(
+            j + 1
+            for j in range(min(cfg.n_components, len(row)))
+            if abs(row[j]) >= cfg.contribution_threshold
+        )
+        scored[name] = (len(contributed), sum(cfg.weights[j - 1] for j in contributed))
+    return [(name, *scored.get(name, (0, 0))) for name in names]
+
+
 # --- gaussian density ------------------------------------------------------------
 
 def gaussian_log_posterior(prior, means, variances, x):

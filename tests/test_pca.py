@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_contribution_scores
 
+from stocksignals import pca
 from stocksignals.errors import (
     KTooLarge,
     NoConvergence,
@@ -270,3 +274,59 @@ def test_rank_features_padding_flag():
     cfg = RankConfig(n_components=4, weights=(4, 3, 2, 1), top_k=4)
     ranking = rank_features(X, standardize_fit(X), names, cfg)
     assert len(ranking.selected) == 4
+
+
+@st.composite
+def ranking_inputs(draw):
+    """A raw training matrix with some constant columns, and a RankConfig
+    whose n_components may exceed the number of non-constant columns."""
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(1, 8))
+    cells = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=n, max_size=n)))
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
+        X[:, j] = X[0, j]
+    n_components = draw(st.integers(1, 10))
+    weights = draw(
+        st.lists(st.integers(1, 40), min_size=n_components, max_size=n_components, unique=True)
+    )
+    cfg = RankConfig(
+        n_components=n_components,
+        contribution_threshold=draw(st.sampled_from([0.1, 0.5, 1.0]) | st.floats(0.01, 1.0)),
+        weights=tuple(sorted(weights, reverse=True)),
+        top_k=draw(st.integers(1, d)),
+    )
+    return X, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_inputs())
+@example((np.array([[1.0, 5.0, 0.0], [2.0, 5.0, 1.0], [4.0, 5.0, -1.0]]), RankConfig(top_k=3)))
+def test_rank_features_matches_the_per_feature_set_reference(case):
+    """Scores, order, selection and padding flag against the per-feature
+    frozenset scoring, on the eigenvectors rank_features itself computed."""
+    X, cfg = case
+    names = tuple(f"f{j}" for j in range(X.shape[1]))
+    scaler = standardize_fit(X)
+    if not (scaler.stds > 0.0).any():
+        with pytest.raises(ZeroTotalVariance):
+            rank_features(X, scaler, names, cfg)
+        return
+    seen = []
+
+    def capturing(A):
+        seen.append(jacobi_eigen(A))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pca, "jacobi_eigen", capturing)
+        ranking = rank_features(X, scaler, names, cfg)
+    used = tuple(names[j] for j in np.flatnonzero(scaler.stds > 0.0))
+    expected = reference_contribution_scores(seen[0].eigenvectors, used, names, cfg)
+    expected.sort(key=lambda s: (-s[2], -s[1], names.index(s[0])))
+    assert ranking.used_features == used
+    scores = [(s.feature, s.occurrences, s.weighted_occurrence) for s in ranking.scores]
+    assert scores == expected
+    assert all(type(s.occurrences) is type(s.weighted_occurrence) is int for s in ranking.scores)
+    assert ranking.selected == tuple(name for name, _, _ in expected[: cfg.top_k])
+    assert ranking.padded == (sum(w > 0 for _, _, w in expected) < cfg.top_k)
