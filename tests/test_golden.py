@@ -14,7 +14,7 @@ import json
 import os
 
 import pytest
-from conftest import synthetic_market_bytes
+from conftest import csv_bytes, make_row, synthetic_market_bytes, trading_date
 
 from stocksignals import cli
 
@@ -116,6 +116,18 @@ def quoted_market_bytes() -> bytes:
     return out.getvalue().encode()
 
 
+def tiny_sector_market_bytes() -> bytes:
+    """The golden market plus a one-ticker sector too short to split and fit."""
+    tiny = csv_bytes(
+        [make_row("TINY", "Tiny", trading_date(i), PX_OFFICIAL_CLOSE=50.0 + i) for i in range(12)]
+    )
+    return golden_market_bytes() + tiny.split(b"\n", 1)[1]
+
+
+def golden_market_bytes() -> bytes:
+    return synthetic_market_bytes(n_tickers=4, n_days=60, seed=5)
+
+
 # run name -> argv; the output directory is named after the run, and runs
 # execute in this order (backtest-model-file reuses pipeline-forest's model).
 # Runs read market.csv unless they name --data.
@@ -143,6 +155,9 @@ RUNS = {
     "config": ["pipeline", "--config", "config.json"],
     "transform-dirty": ["transform", "--data", "dirty.csv"],
     "transform-quoted": ["transform", "--data", "quoted.csv"],
+    "evaluate-skipped-sector": [
+        "evaluate", "--by-sector", "--model", "gaussian-nb", "--data", "tiny.csv", "--seed", "4",
+    ],
 }
 
 GOLDEN = {
@@ -281,6 +296,11 @@ GOLDEN = {
         "dataset.csv": "2c312135a6dfa72bb6ab7963158bc4bffd5dc49b1a5c2a4e0798daf78df4f26f",
         "run.json": "51b29ddb2a43ebe42502b74492d87005b202445de82bf69ff847ea47baafee34",
     },
+    "evaluate-skipped-sector": {
+        "metrics.csv": "f4141cd72450db99d5404451cce9e30069449966ed839695c1c58f30a11c18c5",
+        "metrics.json": "9aa3370961b8e488c9ea17b571926362a9ecda53fc843d841fc8a55f68df3dcc",
+        "run.json": "219deee64b7ffc0511494e609bdba6d74da09caef41462fab0114a149e21e9e5",
+    },
 }
 
 
@@ -295,7 +315,8 @@ def _digests(directory):
 def produced(tmp_path_factory):
     """Run every CLI call once, from inside a scratch directory, and hash the outputs."""
     root = tmp_path_factory.mktemp("golden")
-    (root / "market.csv").write_bytes(synthetic_market_bytes(n_tickers=4, n_days=60, seed=5))
+    (root / "market.csv").write_bytes(golden_market_bytes())
+    (root / "tiny.csv").write_bytes(tiny_sector_market_bytes())
     (root / "dirty.csv").write_bytes(dirty_market_bytes())
     (root / "quoted.csv").write_bytes(quoted_market_bytes())
     (root / "six.txt").write_text("\n".join(SIX_FEATURES) + "\n", encoding="utf-8")
