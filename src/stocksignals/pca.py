@@ -68,10 +68,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column j pairs with eigenvalues[j]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class FeatureScore:
@@ -178,46 +174,18 @@ def explained_variance(
     total = float(values.sum())
     if total == 0.0:
         raise ZeroTotalVariance("eigenvalues sum to zero")
-    ratios = [float(v / total) for v in values]
-    cumulative = []
-    running = 0.0
-    for r in ratios:
-        running += r
-        cumulative.append(running)
-    return tuple(ratios), tuple(cumulative)
+    ratios = values / total
+    return tuple(ratios.tolist()), tuple(np.cumsum(ratios).tolist())
 
 
-def valid_contributions(loadings, cfg: RankConfig = RankConfig()) -> list[frozenset[int]]:
-    """Per feature, the set of components (1-based) where |loading| >= threshold."""
-    matrix = np.asarray(loadings, dtype=float)
-    out = []
-    for row in matrix:
-        out.append(
-            frozenset(
-                j + 1
-                for j in range(min(cfg.n_components, len(row)))
-                if abs(row[j]) >= cfg.contribution_threshold
-            )
-        )
-    return out
-
-
-def weighted_occurrences(
-    contributions: Sequence[frozenset[int]],
-    feature_names: Sequence[str],
-    cfg: RankConfig = RankConfig(),
-) -> list[FeatureScore]:
-    """Count contributions and sum component points (PC-1 earns the most)."""
-    scores = []
-    for name, contributed in zip(feature_names, contributions):
-        scores.append(
-            FeatureScore(
-                feature=name,
-                occurrences=len(contributed),
-                weighted_occurrence=sum(cfg.weights[j - 1] for j in contributed),
-            )
-        )
-    return scores
+def contribution_scores(loadings, cfg: RankConfig = RankConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Per feature (row of loadings), its occurrences and weighted occurrence:
+    how many of the first n_components components it validly contributes to
+    (|loading| >= threshold), and the sum of those components' weights."""
+    matrix = np.asarray(loadings, dtype=float)[:, : cfg.n_components]
+    mask = np.abs(matrix) >= cfg.contribution_threshold
+    weights = np.asarray(cfg.weights, dtype=np.int64)[: matrix.shape[1]]
+    return mask.sum(axis=1), mask @ weights
 
 
 def select_top_features(
@@ -277,21 +245,13 @@ def rank_features(
     covariance = covariance_matrix(standardized)
     eigen = jacobi_eigen(covariance)
     ratios, cumulative = explained_variance(eigen.eigenvalues)
-    n_components = min(cfg.n_components, eigen.dimension)
-    loadings = eigen.eigenvectors[:, :n_components]
-    used_names = tuple(names[i] for i in usable)
-    contributions = valid_contributions(loadings, cfg)
-    scored = {
-        s.feature: s
-        for s in weighted_occurrences(contributions, used_names, cfg)
-    }
-    all_scores = [
-        scored.get(name, FeatureScore(feature=name, occurrences=0, weighted_occurrence=0))
-        for name in names
-    ]
-    ordered, selected, padded = select_top_features(all_scores, cfg.top_k, names)
+    occurrences = np.zeros(len(names), dtype=np.int64)
+    weighted = np.zeros(len(names), dtype=np.int64)
+    occurrences[usable], weighted[usable] = contribution_scores(eigen.eigenvectors, cfg)
+    scores = map(FeatureScore, names, occurrences.tolist(), weighted.tolist())
+    ordered, selected, padded = select_top_features(list(scores), cfg.top_k, names)
     return PcaRanking(
-        used_features=used_names,
+        used_features=tuple(names[i] for i in usable),
         explained_ratios=ratios,
         cumulative_ratios=cumulative,
         scores=tuple(ordered),

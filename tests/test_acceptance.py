@@ -26,8 +26,8 @@ from stocksignals.evaluation import (
 from stocksignals.labels import Label
 from stocksignals.pca import (
     RankConfig,
+    contribution_scores,
     jacobi_eigen,
-    weighted_occurrences,
 )
 from stocksignals.transform import (
     FEATURE_COLUMNS,
@@ -134,15 +134,13 @@ def test_criterion_05_eigensolver_properties():
 
 def test_criterion_06_weighted_occurrence_arithmetic():
     cfg = RankConfig()
-    scores = weighted_occurrences(
-        [frozenset({1, 2, 3, 4, 5}), frozenset({1, 2, 3, 5})],
-        ["total_hold_recs", "total_buy_recs"],
-        cfg,
+    # total_hold_recs contributes to PCs 1-5 and total_buy_recs to PCs 1, 2, 3 and 5
+    occurrences, weighted = contribution_scores(
+        [[0.3, -0.2, 0.15, 0.4, -0.1, 0.05], [0.3, 0.2, -0.15, 0.0, 0.1, -0.09]], cfg
     )
-    assert (scores[0].occurrences, scores[0].weighted_occurrence) == (5, 20)
-    assert (scores[1].occurrences, scores[1].weighted_occurrence) == (4, 17)
-    full = weighted_occurrences([frozenset(range(1, 7))], ["all"], cfg)[0]
-    assert full.weighted_occurrence == sum(cfg.weights) == 21
+    assert list(zip(occurrences.tolist(), weighted.tolist())) == [(5, 20), (4, 17)]
+    _, full = contribution_scores([[0.5] * 6], cfg)
+    assert full.tolist() == [sum(cfg.weights)] == [21]
     _report(6, "contribution scoring matches the reference rows, max 21")
 
 

@@ -18,13 +18,12 @@ from stocksignals.errors import (
 from stocksignals.pca import (
     FeatureScore,
     RankConfig,
+    contribution_scores,
     covariance_matrix,
     explained_variance,
     jacobi_eigen,
     rank_features,
     select_top_features,
-    valid_contributions,
-    weighted_occurrences,
 )
 from stocksignals.transform import standardize_apply, standardize_fit
 
@@ -161,33 +160,59 @@ def test_explained_variance_sums_to_one():
 
 # --- contributions and scoring ------------------------------------------------------
 
+def _loadings(*components):
+    """One loading row per set of 1-based components: 0.5 on them, 0.05 elsewhere."""
+    return [[0.5 if j in valid else 0.05 for j in range(1, 7)] for valid in components]
+
+
 def test_valid_contribution_threshold_inclusive_and_absolute():
-    loadings = [[0.1, -0.5, 0.099, 0.0, 0.2, 0.3]]
-    sets = valid_contributions(loadings)
-    assert sets[0] == frozenset({1, 2, 5, 6})
+    occurrences, weighted = contribution_scores([[0.1, -0.5, 0.099, 0.0, 0.2, 0.3]])
+    assert occurrences.tolist() == [4]  # components 1, 2, 5 and 6
+    assert weighted.tolist() == [6 + 5 + 2 + 1]
 
 
 def test_weighted_occurrences_table_rows():
-    sets = [
-        frozenset({1, 2, 3, 4, 5}),
-        frozenset({1, 2, 3, 5}),
-        frozenset(),
-        frozenset({6}),
-    ]
-    scores = weighted_occurrences(sets, ["hold_recs", "buy_recs", "nothing", "tail"])
-    assert (scores[0].occurrences, scores[0].weighted_occurrence) == (5, 20)
-    assert (scores[1].occurrences, scores[1].weighted_occurrence) == (4, 17)
-    assert (scores[2].occurrences, scores[2].weighted_occurrence) == (0, 0)
-    assert (scores[3].occurrences, scores[3].weighted_occurrence) == (1, 1)
+    occurrences, weighted = contribution_scores(
+        _loadings({1, 2, 3, 4, 5}, {1, 2, 3, 5}, set(), {6})
+    )
+    assert occurrences.tolist() == [5, 4, 0, 1]
+    assert weighted.tolist() == [20, 17, 0, 1]
 
 
 def test_weighted_occurrence_monotone_in_contributions():
-    base = frozenset({2, 4})
-    bigger = base | {1}
-    names = ["a", "b"]
-    small, large = weighted_occurrences([base, bigger], names)
-    assert large.occurrences == small.occurrences + 1
-    assert large.weighted_occurrence > small.weighted_occurrence
+    (small, large), (small_weight, large_weight) = contribution_scores(
+        _loadings({2, 4}, {1, 2, 4})
+    )
+    assert large == small + 1
+    assert large_weight > small_weight
+
+
+@st.composite
+def loading_inputs(draw):
+    """A loading matrix with entries on and around the thresholds drawn, and
+    a RankConfig whose n_components may exceed its columns."""
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = st.sampled_from([0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+    loadings = draw(st.lists(st.lists(cells, min_size=columns, max_size=columns),
+                             min_size=rows, max_size=rows))
+    n_components = draw(st.integers(1, 10))
+    cfg = RankConfig(
+        n_components=n_components,
+        contribution_threshold=draw(st.sampled_from([0.1, 0.5, 1.0]) | st.floats(0.01, 1.0)),
+        weights=tuple(range(2 * n_components, 0, -2)),
+    )
+    return loadings, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(loading_inputs())
+def test_contribution_scores_match_the_per_feature_set_reference(case):
+    loadings, cfg = case
+    names = [f"f{i}" for i in range(len(loadings))]
+    occurrences, weighted = contribution_scores(loadings, cfg)
+    expected = reference_contribution_scores(loadings, names, names, cfg)
+    assert occurrences.tolist() == [occ for _, occ, _ in expected]
+    assert weighted.tolist() == [w for _, _, w in expected]
 
 
 def test_select_top_features_order_and_ties():
