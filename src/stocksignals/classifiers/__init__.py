@@ -13,7 +13,6 @@ from stocksignals.classifiers.base import (
     KINDS,
     ClassifierSpec,
     ModelBundle,
-    bundle_json,
     fit_bundles,
     fit_classifier,
     horizon_labels,
@@ -36,7 +35,6 @@ __all__ = [
     "ForestModel",
     "GaussianNbModel",
     "KnnModel",
-    "bundle_json",
     "class_log_scores",
     "fit_bundles",
     "fit_classifier",

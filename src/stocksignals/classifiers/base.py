@@ -319,10 +319,6 @@ class ModelBundle:
         return bundle
 
 
-def bundle_json(bundle: ModelBundle) -> str:
-    return json.dumps(bundle.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def load_bundle(path: Path | str) -> ModelBundle:
     """Read a saved bundle; UsageError naming the file if it does not hold one."""
     try:

@@ -33,7 +33,6 @@ from stocksignals.classifiers import (
     KINDS,
     ClassifierSpec,
     ModelBundle,
-    bundle_json,
     fit_bundles,
     load_bundle,
 )
@@ -461,7 +460,7 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
     else:
         split = _model_space(state, _pooled_split(cfg, state))
         bundle = fit_bundles(cfg.classifier, split, (cfg.backtest.signal_horizon,))[0]
-    reports.atomic_write_text(cfg.out / "model.json", bundle_json(bundle))
+    reports.atomic_write_text(cfg.out / "model.json", reports.json_text(bundle.to_dict()))
 
     # each ticker replays its last (1 - train_fraction) share of rows; all
     # windows are predicted as one matrix
@@ -522,9 +521,7 @@ def run_command(command: str, cfg: RunConfig) -> int:
     if ranking is not None:
         manifest["selected_features"] = list(ranking.selected)
         manifest["selection_padded"] = ranking.padded
-    reports.atomic_write_text(
-        cfg.out / "run.json", reports.manifest_json_text(manifest)
-    )
+    reports.atomic_write_text(cfg.out / "run.json", reports.json_text(manifest))
     return 0
 
 

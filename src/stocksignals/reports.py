@@ -12,22 +12,28 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import asdict, astuple
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from stocksignals.backtest import BacktestReport, Trade
-from stocksignals.evaluation import EvaluationReport
-from stocksignals.pca import PcaRanking
+if TYPE_CHECKING:
+    from stocksignals.backtest import BacktestReport, Trade
+    from stocksignals.evaluation import EvaluationReport, HorizonReport
+    from stocksignals.pca import PcaRanking
 
-METRICS_FIELDS = (
-    "sector",
-    "model",
-    "horizon",
-    "buy_precision",
-    "sell_recall",
-    "hold_f1",
-    "micro_f1",
-    "n_test",
+# a horizon's headline values, in metrics.csv's column order and under these
+# keys in metrics.json
+HEADLINE_FIELDS = ("buy_precision", "sell_recall", "hold_f1", "micro_f1", "n_test")
+METRICS_FIELDS = ("sector", "model", "horizon", *HEADLINE_FIELDS)
+# Trade's fields, in order
+TRADE_FIELDS = (
+    "open_date",
+    "close_date",
+    "side",
+    "entry_price",
+    "exit_price",
+    "exit_reason",
+    "pnl",
 )
 
 
@@ -61,41 +67,34 @@ def atomic_write_text(path: Path | str, text: str | Callable[[IO[str]], object])
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-# --- metrics ---------------------------------------------------------------
-
-def metrics_csv_text(blocks: Sequence[EvaluationReport]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header and rows as CSV with "\n" line endings; csv writes each
+    cell as str(), so floats appear as their repr and dates in ISO form."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(METRICS_FIELDS)
-    for block in blocks:
-        for report in block.horizons:
-            writer.writerow(
-                [
-                    block.sector or "",
-                    block.spec.kind,
-                    report.horizon,
-                    _fmt(report.buy_precision),
-                    _fmt(report.sell_recall),
-                    _fmt(report.hold_f1),
-                    _fmt(report.micro_f1),
-                    report.n_test,
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def _class_metrics_dict(metrics) -> dict:
-    return {
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "no_predictions": metrics.no_predictions,
-        "no_instances": metrics.no_instances,
-    }
+def json_text(payload) -> str:
+    """Every JSON artifact's text: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _headline(report: HorizonReport) -> dict:
+    return {name: getattr(report, name) for name in HEADLINE_FIELDS}
+
+
+def metrics_csv_text(blocks: Sequence[EvaluationReport]) -> str:
+    return _csv_text(
+        METRICS_FIELDS,
+        (
+            [block.sector or "", block.spec.kind, report.horizon, *_headline(report).values()]
+            for block in blocks
+            for report in block.horizons
+        ),
+    )
 
 
 def metrics_json_text(
@@ -114,15 +113,11 @@ def metrics_json_text(
                 "horizons": [
                     {
                         "horizon": r.horizon,
-                        "buy_precision": r.buy_precision,
-                        "sell_recall": r.sell_recall,
-                        "hold_f1": r.hold_f1,
-                        "micro_f1": r.micro_f1,
-                        "n_test": r.n_test,
-                        "confusion": [list(row) for row in r.confusion.counts],
-                        "sell": _class_metrics_dict(r.sell),
-                        "hold": _class_metrics_dict(r.hold),
-                        "buy": _class_metrics_dict(r.buy),
+                        **_headline(r),
+                        "confusion": r.confusion.counts,
+                        "sell": asdict(r.sell),
+                        "hold": asdict(r.hold),
+                        "buy": asdict(r.buy),
                     }
                     for r in block.horizons
                 ],
@@ -134,80 +129,41 @@ def metrics_json_text(
         payload["skipped_sectors"] = [
             {"sector": sector, "reason": reason} for sector, reason in skipped.items()
         ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
-
-# --- ranking ----------------------------------------------------------------
 
 def ranking_csv_text(ranking: PcaRanking) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["feature", "occurrences", "weighted_occurrence"])
-    for score in ranking.scores:
-        writer.writerow([score.feature, score.occurrences, score.weighted_occurrence])
-    return out.getvalue()
+    return _csv_text(
+        ("feature", "occurrences", "weighted_occurrence"), map(astuple, ranking.scores)
+    )
 
 
 def variance_csv_text(ranking: PcaRanking) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["component", "ratio", "cumulative"])
-    for i, (ratio, cum) in enumerate(
-        zip(ranking.explained_ratios, ranking.cumulative_ratios), start=1
-    ):
-        writer.writerow([i, _fmt(ratio), _fmt(cum)])
-    return out.getvalue()
-
-
-# --- backtest ----------------------------------------------------------------
-
-TRADE_FIELDS = (
-    "open_date",
-    "close_date",
-    "side",
-    "entry_price",
-    "exit_price",
-    "exit_reason",
-    "pnl",
-)
+    ratios = ranking.explained_ratios
+    return _csv_text(
+        ("component", "ratio", "cumulative"),
+        zip(range(1, len(ratios) + 1), ratios, ranking.cumulative_ratios),
+    )
 
 
 def trades_csv_text(trades: Iterable[Trade]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRADE_FIELDS)
-    for trade in trades:
-        writer.writerow(
-            [
-                trade.open_date.isoformat(),
-                trade.close_date.isoformat(),
-                trade.side,
-                str(trade.entry_price),
-                str(trade.exit_price),
-                trade.exit_reason,
-                str(trade.pnl),
-            ]
-        )
-    return out.getvalue()
+    return _csv_text(TRADE_FIELDS, map(astuple, trades))
 
 
 def backtest_json_text(
     ticker: str, report: BacktestReport, seed: int, horizon: int
 ) -> str:
-    payload = {
-        "ticker": ticker,
-        "seed": seed,
-        "signal_horizon": horizon,
-        "n_trades": len(report.trades),
-        "total_profit": str(report.total_profit),
-        "initial_price": str(report.initial_price),
-        "return_percentage": report.return_percentage,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def manifest_json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(
+        {
+            "ticker": ticker,
+            "seed": seed,
+            "signal_horizon": horizon,
+            "n_trades": len(report.trades),
+            "total_profit": str(report.total_profit),
+            "initial_price": str(report.initial_price),
+            "return_percentage": report.return_percentage,
+        }
+    )
 
 
 def safe_name(ticker: str) -> str:

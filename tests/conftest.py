@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from stocksignals import ingest  # noqa: E402
+from stocksignals import ingest, reports  # noqa: E402
 from stocksignals.backtest import Trade  # noqa: E402
 from stocksignals.classifiers import fit_classifier  # noqa: E402
 from stocksignals.classifiers.tree import best_split, dense_ranks  # noqa: E402
@@ -221,6 +221,11 @@ def assert_same_tree(mine, reference):
         assert got.dtype.kind == want.dtype.kind == "i" and np.array_equal(got, want), name
     assert mine.threshold.dtype == reference.threshold.dtype == np.float64
     assert np.array_equal(mine.threshold.view(np.uint64), reference.threshold.view(np.uint64))
+
+
+def bundle_json(bundle) -> str:
+    """A bundle's model.json text, as the CLI writes it."""
+    return reports.json_text(bundle.to_dict())
 
 
 def fit_one(spec, X, y):

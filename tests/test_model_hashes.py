@@ -17,9 +17,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import fit_one
+from conftest import bundle_json, fit_one
 
-from stocksignals.classifiers import ClassifierSpec, ModelBundle, bundle_json, fit_classifier
+from stocksignals.classifiers import ClassifierSpec, ModelBundle, fit_classifier
 from stocksignals.transform import FEATURE_COLUMNS, standardize_apply, standardize_fit
 
 MODEL_HASHES = {

@@ -3,12 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fit_one, random_dataset
+from conftest import bundle_json, fit_one, random_dataset
 
 from stocksignals.classifiers import (
     ClassifierSpec,
     ModelBundle,
-    bundle_json,
     fit_bundles,
     fit_classifier,
     load_bundle,
