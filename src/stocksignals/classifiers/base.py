@@ -325,7 +325,7 @@ def load_bundle(path: Path | str) -> ModelBundle:
         return ModelBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except KeyError as exc:
         raise UsageError(f"not a model file: {path}: missing key {exc}") from None
-    except (ValueError, TypeError, UsageError) as exc:
+    except (ValueError, TypeError, OverflowError, UsageError) as exc:
         raise UsageError(f"not a model file: {path}: {exc}") from None
 
 

@@ -98,10 +98,15 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scaler":
-        return cls(
-            means=np.asarray(data["means"], dtype=float),
-            stds=np.asarray(data["stds"], dtype=float),
-        )
+        """The scaler to_dict saved; ValueError unless every mean is a finite
+        JSON number and every std a finite one >= 0 (0 marks a constant feature)."""
+        means, stds = data["means"], data["stds"]
+        if all(type(v) in (int, float) for v in (*means, *stds)):
+            scaler = cls(means=np.array(means, dtype=float), stds=np.array(stds, dtype=float))
+            finite = np.isfinite(scaler.means).all() and np.isfinite(scaler.stds).all()
+            if finite and (scaler.stds >= 0.0).all():
+                return scaler
+        raise ValueError("a scaler needs finite numbers as means and finite numbers >= 0 as stds")
 
 
 @dataclass(frozen=True, eq=False)

@@ -548,6 +548,10 @@ def _first_row(model, key, value):
     model["params"][key][0] = value
 
 
+def _first_scaler(model, key, value):
+    model["scaler"][key][0] = value
+
+
 def _first_variance(model, value):
     model["params"]["variances"][0][0] = value
 
@@ -572,6 +576,10 @@ MALFORMED_MODELS = {
     "nb-variance-0": ("gaussian-nb", lambda model: _first_variance(model, 0.0)),
     "nb-variance-negative": ("gaussian-nb", lambda model: _first_variance(model, -1.0)),
     "version-99": ("random-forest", lambda model: model.update(version=99)),
+    "scaler-std-negative": ("decision-tree", lambda model: _first_scaler(model, "stds", -1.0)),
+    "scaler-std-nan": ("decision-tree", lambda model: _first_scaler(model, "stds", float("nan"))),
+    "scaler-mean-string": ("decision-tree", lambda model: _first_scaler(model, "means", "0.5")),
+    "scaler-mean-inf": ("decision-tree", lambda model: _first_scaler(model, "means", float("inf"))),
 }
 
 

@@ -203,12 +203,26 @@ def test_decode_rejects_a_malformed_naive_bayes_model(case):
         model_from_params("gaussian_nb", params)
 
 
-def _bundle_text(**changes):
-    """A saved bundle's JSON with some top-level keys replaced."""
+def _fitted_bundle():
     (bundle,) = fit_bundles(
         ClassifierSpec(kind="gaussian_nb"), _train_split(random_dataset(20)), (10,)
     )
-    return json.dumps({**bundle.to_dict(), **changes})
+    return bundle
+
+
+def _bundle_text(**changes):
+    """A saved bundle's JSON with some top-level keys replaced."""
+    return json.dumps({**_fitted_bundle().to_dict(), **changes})
+
+
+def _scaler_text(key, value):
+    """A saved bundle's JSON with the first of its scaler's means or stds replaced."""
+    saved = _fitted_bundle().to_dict()
+    saved["scaler"][key][0] = value
+    return json.dumps(saved)
+
+
+BAD_SCALER = "a scaler needs finite numbers as means and finite numbers >= 0 as stds"
 
 
 @pytest.mark.parametrize(
@@ -221,6 +235,17 @@ def _bundle_text(**changes):
         (_bundle_text(version=99), "version 99 is not 1"),
         (_bundle_text(version="1"), "version '1' is not 1"),
         (_bundle_text(version=True), "version True is not 1"),
+        (_scaler_text("means", "0.5"), BAD_SCALER),
+        (_scaler_text("means", True), BAD_SCALER),
+        (_scaler_text("means", None), BAD_SCALER),
+        (_scaler_text("means", [0.5]), BAD_SCALER),
+        (_scaler_text("means", float("nan")), BAD_SCALER),
+        (_scaler_text("means", float("-inf")), BAD_SCALER),
+        (_scaler_text("stds", "1.0"), BAD_SCALER),
+        (_scaler_text("stds", -1.0), BAD_SCALER),
+        (_scaler_text("stds", float("nan")), BAD_SCALER),
+        (_scaler_text("stds", float("inf")), BAD_SCALER),
+        (_scaler_text("stds", 10**400), "int too large to convert to float"),
     ],
 )
 def test_load_bundle_names_the_file_it_rejects(tmp_path, text, message):
@@ -228,3 +253,17 @@ def test_load_bundle_names_the_file_it_rejects(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(UsageError, match=re.escape(f"not a model file: {path}: {message}")):
         load_bundle(path)
+
+
+def test_load_bundle_takes_integer_scaler_values_and_a_zero_std(tmp_path):
+    """A zero std marks a constant feature, which scales to 0."""
+    bundle = _fitted_bundle()
+    saved = bundle.to_dict()
+    saved["scaler"]["means"][0] = 3
+    saved["scaler"]["stds"][0] = 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    scaler = load_bundle(path).scaler
+    assert scaler.means.dtype == scaler.stds.dtype == np.float64
+    assert (scaler.means[0], scaler.stds[0]) == (3.0, 0.0)
+    assert np.array_equal(scaler.stds[1:], bundle.scaler.stds[1:])
