@@ -7,9 +7,9 @@ codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Each setting is declared once. The config sections are the fields of
 LabelConfig, SplitConfig, ClassifierSpec, RankConfig and BacktestConfig:
 a section's keys, defaults and value types are its dataclass's fields,
-and a key that is absent or null takes the field's default. _TOP_DEFAULTS
-holds the top-level keys, and _FLAGS every flag with the commands that
-take it and the key it sets.
+and a key that is absent or null takes the field's default. The top-level
+keys are the fields of _TopLevel in the same way, and _FLAGS holds every
+flag with the commands that take it and the key it sets.
 """
 
 from __future__ import annotations
@@ -71,11 +71,21 @@ _SECTIONS = {
     "label": LabelConfig, "split": SplitConfig, "classifier": ClassifierSpec,
     "rank": RankConfig, "backtest": BacktestConfig,
 }
-# out falls back to $STOCKSIGNALS_OUTPUT_DIR, then "."; the split and
-# classifier seeds fall back to the top-level seed
-_TOP_DEFAULTS = dict(
-    data=None, out=None, seed=0, sector=None, features=None, by_sector=False, model_file=None
-)
+
+
+@dataclass(frozen=True)
+class _TopLevel:
+    """The top-level config keys. out falls back to $STOCKSIGNALS_OUTPUT_DIR,
+    then "."; the split and classifier seeds fall back to seed."""
+
+    data: str | None = None
+    out: str | None = None
+    seed: int = 0
+    sector: str | None = None
+    features: str | None = None
+    by_sector: bool = False
+    model_file: str | None = None
+
 
 _COMMANDS = {
     "transform": "ingest a market CSV and write the labeled dataset",
@@ -205,18 +215,19 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_TOP_DEFAULTS) - set(_SECTIONS)
-    if unknown:
-        raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
-    for name, section in _SECTIONS.items():
-        unknown = set(_section(data, name)) - {field.name for field in fields(section)}
+    # (key prefix, values, their dataclass, the section names among them)
+    levels = [("", data, _TopLevel, set(_SECTIONS))] + [
+        (name + ".", _section(data, name), section, set()) for name, section in _SECTIONS.items()
+    ]
+    for prefix, values, schema, sections in levels:
+        unknown = set(values) - {field.name for field in fields(schema)} - sections
         if unknown:
-            raise UsageError(f"unknown config key {name + '.' + sorted(unknown)[0]!r}")
-        for key, hint in typing.get_type_hints(section).items():
-            value = _section(data, name).get(key)
+            raise UsageError(f"unknown config key {prefix + sorted(unknown)[0]!r}")
+        for key, hint in typing.get_type_hints(schema).items():
+            value = values.get(key)
             if value is not None and not _has_type(value, hint):
                 raise UsageError(
-                    f"config key {name + '.' + key!r} must be {_type_name(hint)}, "
+                    f"config key {prefix + key!r} must be {_type_name(hint)}, "
                     f"not {json.dumps(value)}"
                 )
     return data
@@ -226,8 +237,8 @@ def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, 
     """The top-level values, and each section's dataclass keyword arguments.
 
     A key that neither a flag nor the config file sets (null counts as
-    unset) takes its default: from _TOP_DEFAULTS at the top level, and in
-    a section by being left out, so the dataclass field's default applies.
+    unset) takes its default: the field's default of _TopLevel or of the
+    section's dataclass (a section leaves the key out for that).
     """
     # each flag's value under argparse's automatic dest; None when not given
     flags = {
@@ -246,7 +257,7 @@ def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, 
             return default
         return tuple(found) if isinstance(found, list) else found
 
-    top = {key: value(None, key, default) for key, default in _TOP_DEFAULTS.items()}
+    top = {f.name: value(None, f.name, f.default) for f in fields(_TopLevel)}
     sections = {
         name: {f.name: v for f in fields(section) if (v := value(name, f.name)) is not None}
         for name, section in _SECTIONS.items()
@@ -262,7 +273,7 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
     """Parse argv into (command, resolved RunConfig).
 
     Precedence per value: command-line flag, then config file, then the
-    default (the section dataclass's field default, or _TOP_DEFAULTS).
+    default (the field default of _TopLevel or of the section's dataclass).
     """
     args = build_parser().parse_args(argv)
     top, sections = _resolve_settings(args, _load_config_file(args.config))
@@ -287,7 +298,7 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
         seed=split.seed,
         sector=top["sector"],
         features_file=Path(top["features"]) if top["features"] else None,
-        by_sector=bool(top["by_sector"]),
+        by_sector=top["by_sector"],
         model_file=Path(top["model_file"]) if top["model_file"] else None,
     )
     return args.command, run

@@ -368,7 +368,7 @@ def test_unknown_key_in_each_section_is_named(tmp_path, section):
 
 # one value of each JSON type, and which field types take it (null means unset)
 JSON_VALUES = {
-    "string": ("x", {"str"}),
+    "string": ("x", {"str", "str | None"}),
     "integer": (3, {"int", "float", "int | None"}),
     "fraction": (2.5, {"float"}),
     "boolean": (True, {"bool"}),
@@ -378,22 +378,27 @@ JSON_VALUES = {
 }
 
 
-@pytest.mark.parametrize("section", sorted(cli._SECTIONS))
+@pytest.mark.parametrize(
+    "section", [*sorted(cli._SECTIONS), pytest.param(None, id="top-level")]
+)
 def test_config_value_of_a_wrong_type_is_named(tmp_path, capsys, section):
-    """Every field of the section, given a value of each JSON type its type
-    does not take, exits 1 with one error line naming the key."""
+    """Every field of the section (or every top-level key), given a value of
+    each JSON type its type does not take, exits 1 with one error line
+    naming the key."""
+    schema = cli._TopLevel if section is None else cli._SECTIONS[section]
     cases = 0
-    for field in dataclasses.fields(cli._SECTIONS[section]):
+    for field in dataclasses.fields(schema):
         for value, takes in JSON_VALUES.values():
             if field.type in takes:
                 continue
-            config = _write_config(tmp_path, {section: {field.name: value}})
-            assert run("rank", "--data", "d.csv", "--config", config) == 1
+            key = field.name if section is None else f"{section}.{field.name}"
+            config = {field.name: value} if section is None else {section: {field.name: value}}
+            assert run("rank", "--data", "d.csv", "--config", _write_config(tmp_path, config)) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: config key '{section}.{field.name}' must be ")
+            assert err.startswith(f"error: config key '{key}' must be ")
             assert err.count("\n") == 1
             cases += 1
-    assert cases >= 4 * len(dataclasses.fields(cli._SECTIONS[section]))
+    assert cases >= 4 * len(dataclasses.fields(schema))
 
 
 # --- commands -------------------------------------------------------------------
