@@ -10,11 +10,13 @@ without float drift. At most one share is ever held.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Sequence
 
 from stocksignals.errors import (
+    DataError,
     EmptyDataset,
     MisalignedSeries,
     NonPositiveInitialPrice,
@@ -34,12 +36,12 @@ END_OF_DATA = "end_of_data"
 
 
 def to_price(value) -> Decimal:
-    """Exact decimal for a price or fee, quantized to $0.0001."""
-    return Decimal(str(value)).quantize(PRICE_QUANTUM)
-
-
-def _fraction(value) -> Decimal:
-    return Decimal(str(value))
+    """Exact decimal for a price or fee, quantized to $0.0001; DataError for
+    a value that has none (an infinity, or 1e24 and up at 28 digits)."""
+    try:
+        return Decimal(str(value)).quantize(PRICE_QUANTUM)
+    except InvalidOperation:
+        raise DataError(f"cannot price {value!r} to $0.0001") from None
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,6 @@ class BacktestConfig:
             raise UsageError("stop fractions must be positive")
         if self.signal_horizon < 1:
             raise UsageError("signal_horizon must be >= 1")
-
-
-@dataclass(frozen=True)
-class Position:
-    side: str  # LONG or SHORT
-    entry_price: Decimal
-    entry_date: dt.date
 
 
 @dataclass(frozen=True)
@@ -85,127 +80,67 @@ class BacktestReport:
     return_percentage: float
 
 
-def check_stops(
-    position: Position | None, close, cfg: BacktestConfig
-) -> tuple[Decimal, str] | None:
-    """Exit (price, reason) if the close crosses a stop band, else None.
-
-    Long positions take profit at entry*(1+tp) and stop out at
-    entry*(1-sl); shorts are symmetric. Both boundaries are inclusive and
-    the exit price is the close itself.
-    """
-    if position is None:
-        return None
-    price = to_price(close)
-    entry = position.entry_price
-    up = entry * (Decimal(1) + _fraction(cfg.take_profit_fraction))
-    down = entry * (Decimal(1) - _fraction(cfg.stop_loss_fraction))
-    if position.side == LONG:
-        if price >= up:
-            return price, TAKE_PROFIT
-        if price <= down:
-            return price, STOP_LOSS
-        return None
-    short_profit = entry * (Decimal(1) - _fraction(cfg.take_profit_fraction))
-    short_stop = entry * (Decimal(1) + _fraction(cfg.stop_loss_fraction))
-    if price <= short_profit:
-        return price, TAKE_PROFIT
-    if price >= short_stop:
-        return price, STOP_LOSS
-    return None
-
-
-def _close_trade(
-    position: Position,
-    exit_price: Decimal,
-    close_date: dt.date,
-    reason: str,
-    fee: Decimal,
-) -> Trade:
-    if position.side == LONG:
-        pnl = exit_price - position.entry_price - 2 * fee
-    else:
-        pnl = position.entry_price - exit_price - 2 * fee
-    return Trade(
-        open_date=position.entry_date,
-        close_date=close_date,
-        side=position.side,
-        entry_price=position.entry_price,
-        exit_price=exit_price,
-        exit_reason=reason,
-        pnl=pnl,
-    )
-
-
-def apply_signal(
-    position: Position | None,
-    signal: Label,
-    close,
-    cfg: BacktestConfig,
-    date: dt.date = dt.date.min,
-) -> tuple[Position | None, list[Trade]]:
-    """Transition the position on the day's signal at the given close.
-
-    Flat opens in the signal's direction (Hold stays flat); a matching
-    signal leaves the position alone; an opposing signal closes it as a
-    signal reversal and reverses into the other side at the same close.
-    Stops for this bar must already have been processed.
-    """
-    price = to_price(close)
-    fee = to_price(cfg.fee_per_transaction)
-    if signal == Label.HOLD:
-        return position, []
-    wanted = LONG if signal == Label.BUY else SHORT
-    if position is None:
-        return Position(side=wanted, entry_price=price, entry_date=date), []
-    if position.side == wanted:
-        return position, []
-    trade = _close_trade(position, price, date, SIGNAL_REVERSAL, fee)
-    return Position(side=wanted, entry_price=price, entry_date=date), [trade]
-
-
 def run_backtest(
-    closes: Sequence[tuple[dt.date, float]],
-    signals: Sequence[tuple[dt.date, Label]],
+    dates: Sequence[dt.date],
+    closes: Sequence[float],
+    signals: Sequence[Label],
     cfg: BacktestConfig = BacktestConfig(),
 ) -> BacktestReport:
-    """Replay aligned (date, close) and (date, signal) series through the rules.
+    """Replay one ticker's date, close and signal columns through the rules.
 
-    Per bar: realize a triggered stop first, then apply the signal at the
-    same close. After the last bar an open position is liquidated at the
-    final close when liquidate_at_end is set.
+    Per bar: realize a triggered stop, then apply the signal at the same
+    close. Flat opens in the signal's direction, Hold and a matching signal
+    change nothing, and an opposing signal reverses. A long takes profit at
+    entry*(1+tp) and stops out at entry*(1-sl), a short mirrors it; the
+    bands are inclusive and fixed at the open. An open position is
+    liquidated at the final close when liquidate_at_end is set.
     """
-    if len(closes) == 0:
+    if len(dates) == 0:
         raise EmptyDataset("no bars to backtest")
-    if len(closes) != len(signals):
-        raise MisalignedSeries(f"{len(closes)} closes vs {len(signals)} signals")
-    previous: dt.date | None = None
-    for (close_date, _), (signal_date, _) in zip(closes, signals):
-        if close_date != signal_date:
-            raise MisalignedSeries(f"close {close_date} vs signal {signal_date}")
-        if previous is not None and close_date <= previous:
-            raise MisalignedSeries(f"dates not strictly ascending at {close_date}")
-        previous = close_date
+    if not len(dates) == len(closes) == len(signals):
+        raise MisalignedSeries(
+            f"{len(dates)} dates vs {len(closes)} closes vs {len(signals)} signals"
+        )
+    for earlier, date in itertools.pairwise(dates):
+        if date <= earlier:
+            raise MisalignedSeries(f"dates not strictly ascending at {date}")
 
     fee = to_price(cfg.fee_per_transaction)
-    position: Position | None = None
+    tp = Decimal(str(cfg.take_profit_fraction))
+    sl = Decimal(str(cfg.stop_loss_fraction))
+    one = Decimal(1)
     trades: list[Trade] = []
-    for (date, close), (_, signal) in zip(closes, signals):
-        exit_hit = check_stops(position, close, cfg)
-        if exit_hit is not None:
-            price, reason = exit_hit
-            trades.append(_close_trade(position, price, date, reason, fee))
-            position = None
-        position, reversal_trades = apply_signal(position, signal, close, cfg, date)
-        trades.extend(reversal_trades)
-    if cfg.liquidate_at_end and position is not None:
-        last_date, last_close = closes[-1]
-        trades.append(
-            _close_trade(position, to_price(last_close), last_date, END_OF_DATA, fee)
-        )
-        position = None
+    side = None  # LONG, SHORT, or None while flat
+    entry = opened = profit_band = stop_band = None
+
+    def close_position(price: Decimal, date: dt.date, reason: str) -> None:
+        pnl = (price - entry if side == LONG else entry - price) - 2 * fee
+        trades.append(Trade(opened, date, side, entry, price, reason, pnl))
+
+    for date, close, signal in zip(dates, closes, signals):
+        price = to_price(close)
+        if side == LONG and (price >= profit_band or price <= stop_band):
+            close_position(price, date, TAKE_PROFIT if price >= profit_band else STOP_LOSS)
+            side = None
+        elif side == SHORT and (price <= profit_band or price >= stop_band):
+            close_position(price, date, TAKE_PROFIT if price <= profit_band else STOP_LOSS)
+            side = None
+        if signal == Label.HOLD:
+            continue
+        wanted = LONG if signal == Label.BUY else SHORT
+        if side == wanted:
+            continue
+        if side is not None:
+            close_position(price, date, SIGNAL_REVERSAL)
+        side, entry, opened = wanted, price, date
+        if side == LONG:
+            profit_band, stop_band = entry * (one + tp), entry * (one - sl)
+        else:
+            profit_band, stop_band = entry * (one - tp), entry * (one + sl)
+    if cfg.liquidate_at_end and side is not None:
+        close_position(price, date, END_OF_DATA)  # the last bar's close
     total = sum((t.pnl for t in trades), Decimal(0))
-    initial = to_price(closes[0][1])
+    initial = to_price(closes[0])
     return BacktestReport(
         trades=tuple(trades),
         total_profit=total,

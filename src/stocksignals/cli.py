@@ -9,7 +9,8 @@ LabelConfig, SplitConfig, ClassifierSpec, RankConfig and BacktestConfig:
 a section's keys, defaults and value types are its dataclass's fields,
 and a key that is absent or null takes the field's default. The top-level
 keys are the fields of _TopLevel in the same way, and _FLAGS holds every
-flag with the commands that take it and the key it sets.
+flag with the commands that take it and the key it sets. A top-level key
+applies only to the commands that take its flag.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, 
 
     A key that neither a flag nor the config file sets (null counts as
     unset) takes its default: the field's default of _TopLevel or of the
-    section's dataclass (a section leaves the key out for that).
+    section's dataclass (a section leaves the key out for that). So does a
+    top-level key under a command that does not take its flag.
     """
     # each flag's value under argparse's automatic dest; None when not given
     flags = {
@@ -257,7 +259,11 @@ def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, 
             return default
         return tuple(found) if isinstance(found, list) else found
 
-    top = {f.name: value(None, f.name, f.default) for f in fields(_TopLevel)}
+    takes = {key: commands for _, commands, section, key, _ in _FLAGS if section is None}
+    top = {
+        f.name: value(None, f.name, f.default) if args.command in takes[f.name] else f.default
+        for f in fields(_TopLevel)
+    }
     sections = {
         name: {f.name: v for f in fields(section) if (v := value(name, f.name)) is not None}
         for name, section in _SECTIONS.items()
@@ -494,9 +500,7 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
     for ticker, window in windows.items():
         bar = slice(start, start + len(window))
         start = bar.stop
-        report = run_backtest(
-            list(zip(dates[bar], closes[bar])), list(zip(dates[bar], signals[bar])), cfg.backtest
-        )
+        report = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
         name = reports.safe_name(ticker)
         reports.atomic_write_text(
             cfg.out / f"trades_{name}.csv", reports.trades_csv_text(report.trades)

@@ -110,7 +110,7 @@ class ZeroTotalVariance(NumericError):
 # --- backtest -------------------------------------------------------------
 
 class MisalignedSeries(DataError):
-    """Close and signal series disagree on dates or ordering."""
+    """Date, close and signal columns differ in length, or dates do not ascend."""
 
 
 class NonPositiveInitialPrice(DataError):

@@ -23,8 +23,6 @@ from stocksignals.transform import TrainTestSplit, standardize_apply
 
 logger = logging.getLogger(__name__)
 
-LABEL_ORDER = (Label.SELL, Label.HOLD, Label.BUY)
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:

@@ -12,12 +12,13 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from stocksignals.backtest import BacktestReport, Trade
+
 if TYPE_CHECKING:
-    from stocksignals.backtest import BacktestReport, Trade
     from stocksignals.evaluation import EvaluationReport, HorizonReport
     from stocksignals.pca import PcaRanking
 
@@ -25,16 +26,7 @@ if TYPE_CHECKING:
 # keys in metrics.json
 HEADLINE_FIELDS = ("buy_precision", "sell_recall", "hold_f1", "micro_f1", "n_test")
 METRICS_FIELDS = ("sector", "model", "horizon", *HEADLINE_FIELDS)
-# Trade's fields, in order
-TRADE_FIELDS = (
-    "open_date",
-    "close_date",
-    "side",
-    "entry_price",
-    "exit_price",
-    "exit_reason",
-    "pnl",
-)
+TRADE_FIELDS = tuple(field.name for field in fields(Trade))
 
 
 def atomic_write_text(path: Path | str, text: str | Callable[[IO[str]], object]) -> None:

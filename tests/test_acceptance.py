@@ -148,14 +148,15 @@ def test_criterion_07_backtest_matches_hand_rule_simulator():
     d0 = dt.date(2020, 1, 1)
 
     def bars(prices, signals):
-        ds = [d0 + dt.timedelta(days=i) for i in range(len(prices))]
-        return list(zip(ds, prices)), list(zip(ds, signals))
+        return [d0 + dt.timedelta(days=i) for i in range(len(prices))], prices, signals
 
-    closes, signals = bars(
-        [100.0, 101.5, 100.2, 99.1, 100.0],
-        [Label.BUY, Label.BUY, Label.SELL, Label.SELL, Label.BUY],
+    report = run_backtest(
+        *bars(
+            [100.0, 101.5, 100.2, 99.1, 100.0],
+            [Label.BUY, Label.BUY, Label.SELL, Label.SELL, Label.BUY],
+        ),
+        BacktestConfig(),
     )
-    report = run_backtest(closes, signals, BacktestConfig())
     assert [(t.side, t.exit_reason, t.pnl) for t in report.trades] == [
         ("long", "take_profit", Decimal("1.4800")),
         ("long", "stop_loss", Decimal("-1.3200")),
@@ -173,9 +174,9 @@ def test_criterion_07_backtest_matches_hand_rule_simulator():
             for p in rng.uniform(20, 400) * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
         ]
         raw_signals = [int(v) for v in rng.integers(0, 3, size=n)]
-        closes, sigs = bars(prices, [Label(s) for s in raw_signals])
-        mine = run_backtest(closes, sigs, BacktestConfig())
-        oracle = simulate_backtest(closes, list(zip([c[0] for c in closes], raw_signals)))
+        ds, _, sigs = bars(prices, [Label(s) for s in raw_signals])
+        mine = run_backtest(ds, prices, sigs, BacktestConfig())
+        oracle = simulate_backtest(list(zip(ds, prices)), list(zip(ds, raw_signals)))
         got = [
             (t.open_date, t.close_date, t.side, t.entry_price, t.exit_price, t.exit_reason, t.pnl)
             for t in mine.trades

@@ -1,4 +1,6 @@
 import datetime as dt
+import math
+import re
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
@@ -15,14 +17,12 @@ from stocksignals.backtest import (
     STOP_LOSS,
     TAKE_PROFIT,
     BacktestConfig,
-    Position,
-    apply_signal,
-    check_stops,
     return_percentage,
     run_backtest,
     to_price,
 )
 from stocksignals.errors import (
+    DataError,
     EmptyDataset,
     MisalignedSeries,
     NonPositiveInitialPrice,
@@ -39,74 +39,104 @@ def dates(n):
 
 
 def bars(prices, signals):
-    ds = dates(len(prices))
-    return list(zip(ds, prices)), list(zip(ds, signals))
+    """The date, close and signal columns of a replay from D0 on."""
+    return dates(len(prices)), prices, signals
+
+
+def exits(prices, signals, cfg=BacktestConfig(liquidate_at_end=False)):
+    """(side, exit price, exit reason) of each trade of a replay."""
+    report = run_backtest(*bars(prices, signals), cfg)
+    return [(t.side, t.exit_price, t.exit_reason) for t in report.trades]
 
 
 # --- stops ---------------------------------------------------------------------
 
 def test_long_stop_checks():
-    position = Position(side=LONG, entry_price=to_price(100.0), entry_date=D0)
-    assert check_stops(position, 101.2, CFG) == (to_price(101.2), TAKE_PROFIT)
-    assert check_stops(position, 99.0, CFG) == (to_price(99.0), STOP_LOSS)
-    assert check_stops(position, 100.5, CFG) is None
-    assert check_stops(None, 55.0, CFG) is None
+    def long_at_100_then(close):
+        return exits([100.0, close], [Label.BUY, Label.HOLD])
+
+    assert long_at_100_then(101.2) == [(LONG, to_price(101.2), TAKE_PROFIT)]
+    assert long_at_100_then(99.0) == [(LONG, to_price(99.0), STOP_LOSS)]
+    assert long_at_100_then(100.5) == []
+    assert exits([55.0], [Label.HOLD]) == []
 
 
 def test_short_stop_checks_symmetric():
-    position = Position(side=SHORT, entry_price=to_price(100.0), entry_date=D0)
-    assert check_stops(position, 99.0, CFG) == (to_price(99.0), TAKE_PROFIT)
-    assert check_stops(position, 101.0, CFG) == (to_price(101.0), STOP_LOSS)
-    assert check_stops(position, 100.5, CFG) is None
+    def short_at_100_then(close):
+        return exits([100.0, close], [Label.SELL, Label.HOLD])
+
+    assert short_at_100_then(99.0) == [(SHORT, to_price(99.0), TAKE_PROFIT)]
+    assert short_at_100_then(101.0) == [(SHORT, to_price(101.0), STOP_LOSS)]
+    assert short_at_100_then(100.5) == []
 
 
 def test_stop_boundaries_inclusive_exact():
-    position = Position(side=LONG, entry_price=to_price(100.0), entry_date=D0)
-    assert check_stops(position, 101.0, CFG) == (to_price(101.0), TAKE_PROFIT)
-    assert check_stops(position, 99.0, CFG) == (to_price(99.0), STOP_LOSS)
-    entry = Position(side=LONG, entry_price=to_price("33.3333"), entry_date=D0)
-    threshold = Decimal("33.3333") * Decimal("1.01")
-    above = check_stops(entry, float(threshold.quantize(Decimal("0.0001"))), CFG)
-    # quantized close just below the exact product must not trigger
-    assert above is None or above[1] == TAKE_PROFIT
+    assert exits([100.0, 101.0], [Label.BUY, Label.HOLD]) == [(LONG, to_price(101.0), TAKE_PROFIT)]
+    assert exits([100.0, 99.0], [Label.BUY, Label.HOLD]) == [(LONG, to_price(99.0), STOP_LOSS)]
+    threshold = Decimal("33.3333") * Decimal("1.01")  # 33.666633
+    # a quantized close just below the exact band does not trigger, one above does
+    below = float(threshold.quantize(Decimal("0.0001"), ROUND_FLOOR))
+    above = float(threshold.quantize(Decimal("0.0001"), ROUND_CEILING))
+    assert exits([33.3333, below], [Label.BUY, Label.HOLD]) == []
+    assert exits([33.3333, above], [Label.BUY, Label.HOLD]) == [
+        (LONG, to_price(above), TAKE_PROFIT)
+    ]
+
+
+def test_take_profit_wins_when_both_bands_are_hit():
+    # a close below $0.00005 prices at $0.0000, where all four bands meet
+    prices = [1.0, 0.00001, 0.00002]
+    for side, signal in ((LONG, Label.BUY), (SHORT, Label.SELL)):
+        assert exits(prices, [Label.HOLD, signal, Label.HOLD]) == [
+            (side, to_price(0), TAKE_PROFIT)
+        ]
 
 
 # --- signal transitions ------------------------------------------------------------
 
 def test_flat_buy_opens_long_without_trade():
-    position, trades = apply_signal(None, Label.BUY, 50.0, CFG, D0)
-    assert position == Position(side=LONG, entry_price=to_price(50.0), entry_date=D0)
-    assert trades == []
+    assert exits([50.0], [Label.BUY]) == []
+    (trade,) = run_backtest(*bars([50.0], [Label.BUY]), CFG).trades
+    assert (trade.side, trade.entry_price, trade.open_date) == (LONG, to_price(50.0), D0)
+    assert trade.exit_reason == END_OF_DATA
 
 
 def test_flat_hold_stays_flat():
-    assert apply_signal(None, Label.HOLD, 50.0, CFG, D0) == (None, [])
+    assert run_backtest(*bars([50.0], [Label.HOLD]), CFG).trades == ()
 
 
 def test_long_buy_unchanged():
-    position = Position(side=LONG, entry_price=to_price(100.0), entry_date=D0)
-    assert apply_signal(position, Label.BUY, 105.0, CFG, D0) == (position, [])
-    assert apply_signal(position, Label.HOLD, 105.0, CFG, D0) == (position, [])
+    # a take-profit band above 105 keeps the stops out of the way
+    cfg = BacktestConfig(take_profit_fraction=0.1)
+    for signal in (Label.BUY, Label.HOLD):
+        (trade,) = run_backtest(*bars([100.0, 105.0], [Label.BUY, signal]), cfg).trades
+        assert (trade.side, trade.open_date, trade.entry_price) == (LONG, D0, to_price(100.0))
+        assert (trade.exit_price, trade.exit_reason) == (to_price(105.0), END_OF_DATA)
+    # the bands stay where the open at 100 set them
+    assert exits([100.0, 100.5, 101.2], [Label.BUY, Label.BUY, Label.HOLD]) == [
+        (LONG, to_price(101.2), TAKE_PROFIT)
+    ]
 
 
 def test_short_buy_reverses_with_hand_computed_pnl():
-    position = Position(side=SHORT, entry_price=to_price(100.0), entry_date=D0)
-    day = D0 + dt.timedelta(days=3)
-    new_position, trades = apply_signal(position, Label.BUY, 99.5, CFG, day)
-    assert new_position == Position(side=LONG, entry_price=to_price(99.5), entry_date=day)
-    (trade,) = trades
-    assert trade.exit_reason == SIGNAL_REVERSAL
-    assert trade.pnl == Decimal("0.4800")
+    day = D0 + dt.timedelta(days=1)
+    reversal, reopened = run_backtest(*bars([100.0, 99.5], [Label.SELL, Label.BUY]), CFG).trades
+    assert (reversal.side, reversal.close_date) == (SHORT, day)
+    assert reversal.exit_reason == SIGNAL_REVERSAL
+    assert reversal.pnl == Decimal("0.4800")
+    assert (reopened.side, reopened.open_date, reopened.entry_price) == (LONG, day, to_price(99.5))
 
 
 # --- full runs -----------------------------------------------------------------------
 
 def test_five_bar_hand_simulated_scenario():
-    closes, signals = bars(
-        [100.0, 101.5, 100.2, 99.1, 100.0],
-        [Label.BUY, Label.BUY, Label.SELL, Label.SELL, Label.BUY],
+    report = run_backtest(
+        *bars(
+            [100.0, 101.5, 100.2, 99.1, 100.0],
+            [Label.BUY, Label.BUY, Label.SELL, Label.SELL, Label.BUY],
+        ),
+        CFG,
     )
-    report = run_backtest(closes, signals, CFG)
     facts = [(t.side, t.exit_reason, t.pnl) for t in report.trades]
     assert facts == [
         (LONG, TAKE_PROFIT, Decimal("1.4800")),
@@ -121,8 +151,7 @@ def test_five_bar_hand_simulated_scenario():
 
 
 def test_all_hold_no_trades():
-    closes, signals = bars([100.0, 101.0, 99.0], [Label.HOLD] * 3)
-    report = run_backtest(closes, signals, CFG)
+    report = run_backtest(*bars([100.0, 101.0, 99.0], [Label.HOLD] * 3), CFG)
     assert report.trades == ()
     assert report.total_profit == Decimal(0)
     assert report.return_percentage == 0.0
@@ -132,28 +161,34 @@ def test_run_deterministic():
     rng = np.random.default_rng(0)
     prices = [float(p) for p in 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 30)))]
     signals = [Label(int(v)) for v in rng.integers(0, 3, size=30)]
-    closes, sigs = bars(prices, signals)
-    assert run_backtest(closes, sigs, CFG) == run_backtest(closes, sigs, CFG)
+    columns = bars(prices, signals)
+    assert run_backtest(*columns, CFG) == run_backtest(*columns, CFG)
 
 
 def test_alignment_errors():
-    closes, signals = bars([100.0, 101.0], [Label.BUY, Label.BUY])
-    with pytest.raises(MisalignedSeries):
-        run_backtest(closes, signals[:1], CFG)
-    shifted = [(d + dt.timedelta(days=1), s) for d, s in signals]
-    with pytest.raises(MisalignedSeries):
-        run_backtest(closes, shifted, CFG)
+    ds, closes, signals = bars([100.0, 101.0], [Label.BUY, Label.BUY])
+    for short in ((ds[:1], closes, signals), (ds, closes[:1], signals), (ds, closes, signals[:1])):
+        with pytest.raises(MisalignedSeries):
+            run_backtest(*short, CFG)
     with pytest.raises(EmptyDataset):
-        run_backtest([], [], CFG)
-    backwards = list(reversed(closes))
-    with pytest.raises(MisalignedSeries):
-        run_backtest(backwards, list(reversed(signals)), CFG)
+        run_backtest([], [], [], CFG)
+    for unordered in (ds[::-1], [D0, D0]):
+        with pytest.raises(MisalignedSeries, match="not strictly ascending"):
+            run_backtest(unordered, closes, signals, CFG)
+
+
+@pytest.mark.parametrize("bar", [0, 1])
+@pytest.mark.parametrize("close", [1e24, 1e300, math.inf])
+def test_unpriceable_close_is_a_data_error(bar, close):
+    prices = [100.0, 100.0]
+    prices[bar] = close
+    with pytest.raises(DataError, match=re.escape(f"cannot price {close!r}")):
+        run_backtest(*bars(prices, [Label.BUY, Label.HOLD]), CFG)
 
 
 def test_zero_fee_flat_round_trip_is_zero():
     cfg = BacktestConfig(fee_per_transaction=0.0)
-    closes, signals = bars([100.0, 100.0], [Label.BUY, Label.SELL])
-    report = run_backtest(closes, signals, cfg)
+    report = run_backtest(*bars([100.0, 100.0], [Label.BUY, Label.SELL]), cfg)
     # the reversal closes at the same price; the end liquidation too
     assert report.total_profit == Decimal(0)
 
@@ -162,19 +197,19 @@ def test_fee_strictly_decreases_profit():
     rng = np.random.default_rng(1)
     prices = [float(p) for p in 50.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 25)))]
     signals = [Label(int(v)) for v in rng.integers(0, 3, size=25)]
-    closes, sigs = bars(prices, signals)
-    cheap = run_backtest(closes, sigs, BacktestConfig(fee_per_transaction=0.01))
-    dear = run_backtest(closes, sigs, BacktestConfig(fee_per_transaction=0.05))
+    columns = bars(prices, signals)
+    cheap = run_backtest(*columns, BacktestConfig(fee_per_transaction=0.01))
+    dear = run_backtest(*columns, BacktestConfig(fee_per_transaction=0.05))
     if cheap.trades:
         assert dear.total_profit < cheap.total_profit
 
 
 def test_no_liquidation_leaves_position_open():
-    closes, signals = bars([100.0, 100.1], [Label.BUY, Label.BUY])
+    columns = bars([100.0, 100.1], [Label.BUY, Label.BUY])
     cfg = BacktestConfig(liquidate_at_end=False)
-    report = run_backtest(closes, signals, cfg)
+    report = run_backtest(*columns, cfg)
     assert report.trades == ()
-    with_liquidation = run_backtest(closes, signals, CFG)
+    with_liquidation = run_backtest(*columns, CFG)
     assert with_liquidation.trades[-1].exit_reason == END_OF_DATA
 
 
@@ -184,8 +219,7 @@ def test_conservation_and_no_dangling_trades():
         n = int(rng.integers(1, 40))
         prices = [float(p) for p in 80.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))]
         signals = [Label(int(v)) for v in rng.integers(0, 3, size=n)]
-        closes, sigs = bars(prices, signals)
-        report = run_backtest(closes, sigs, CFG)
+        report = run_backtest(*bars(prices, signals), CFG)
         fee = Decimal("0.01")
         recomputed = sum(
             (
@@ -207,9 +241,8 @@ def test_matches_hand_rule_simulator():
         n = int(rng.integers(1, 40))
         prices = [round(float(p), 4) for p in 60.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))]
         signals = [int(v) for v in rng.integers(0, 3, size=n)]
-        closes, sigs = bars(prices, [Label(s) for s in signals])
-        report = run_backtest(closes, sigs, CFG)
-        oracle = simulate_backtest(closes, list(zip(dates(n), signals)))
+        report = run_backtest(*bars(prices, [Label(s) for s in signals]), CFG)
+        oracle = simulate_backtest(list(zip(dates(n), prices)), list(zip(dates(n), signals)))
         assert len(report.trades) == len(oracle)
         for trade, (od, cd, side, entry, exit_price, reason, pnl) in zip(report.trades, oracle):
             assert (trade.open_date, trade.close_date) == (od, cd)
@@ -272,10 +305,9 @@ def test_matches_hand_rule_simulator_on_drawn_rules_and_band_closes(case):
         stop_loss_fraction=float(sl),
         liquidate_at_end=liquidate,
     )
-    closes, sigs = bars(prices, signals)
-    report = run_backtest(closes, sigs, cfg)
+    report = run_backtest(*bars(prices, signals), cfg)
     oracle = simulate_backtest(
-        closes, list(zip(dates(len(prices)), map(int, signals))),
+        list(zip(dates(len(prices)), prices)), list(zip(dates(len(prices)), map(int, signals))),
         str(fee), str(tp), str(sl), liquidate,
     )
     got = [

@@ -254,7 +254,7 @@ CONFIG_MANIFEST = {
     "sector": "Energy",
     "features_file": "config_features.txt",
     "by_sector": False,
-    "model_file": "config_model.json",
+    "model_file": None,  # only backtest takes --model-file
     "label": {"horizons": (1, 3, 5), "up_threshold": 1.02, "down_threshold": 0.98},
     "split": {"train_fraction": 0.6, "seed": 3},
     "classifier": {
@@ -274,7 +274,7 @@ FLAG_MANIFEST = {
     "sector": "Tech",
     "features_file": "flag_features.txt",
     "by_sector": False,
-    "model_file": "config_model.json",
+    "model_file": None,
     "label": {"horizons": (1, 3, 5), "up_threshold": 1.03, "down_threshold": 0.97},
     "split": {"train_fraction": 0.8, "seed": 42},
     "classifier": {
@@ -333,6 +333,16 @@ def test_every_config_key_resolves_with_and_without_every_flag(tmp_path, monkeyp
     assert cfg.to_manifest("pipeline") == {**CONFIG_MANIFEST, "by_sector": True}
     _, cfg = cli.parse_cli(["backtest", "--config", config, "--model-file", "flag_model.json"])
     assert cfg.to_manifest("pipeline") == {**CONFIG_MANIFEST, "model_file": "flag_model.json"}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_top_level_keys_apply_only_to_commands_taking_their_flag(tmp_path, command):
+    config = _write_config(
+        tmp_path, {"data": "d.csv", "by_sector": True, "model_file": "m.json"}
+    )
+    _, cfg = cli.parse_cli([command, "--config", config])
+    assert cfg.by_sector == (command == "evaluate")
+    assert cfg.model_file == (Path("m.json") if command == "backtest" else None)
 
 
 def test_no_config_resolves_to_the_defaults(monkeypatch):
@@ -543,6 +553,41 @@ def test_backtest_with_saved_model_file(tmp_path, market_csv):
         assert (second / f"backtest_{ticker}.json").read_bytes() == (
             first / f"backtest_{ticker}.json"
         ).read_bytes()
+
+
+def test_transform_and_pipeline_ignore_top_level_keys_of_other_commands(tmp_path, market_csv):
+    saved = tmp_path / "nb"
+    assert run("backtest", "--data", market_csv, "--out", saved, "--model", "gaussian-nb") == 0
+    config = _write_config(
+        tmp_path, {"by_sector": True, "model_file": str(saved / "model.json")}
+    )
+    out = tmp_path / "transform"
+    assert run("transform", "--data", market_csv, "--out", out, "--config", config) == 0
+    assert json.loads((out / "run.json").read_text())["by_sector"] is False
+    out = tmp_path / "pipeline"
+    args = ["--data", market_csv, "--out", out, "--trees", "2"]
+    assert run("pipeline", *args, "--config", config) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert (manifest["by_sector"], manifest["model_file"]) == (False, None)
+    assert json.loads((out / "model.json").read_text())["kind"] == "random_forest"
+    assert json.loads((out / "metrics.json").read_text())["blocks"][0]["model"] == "random_forest"
+
+
+def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys):
+    # TK00's closes times 1e24 need more than Decimal's 28 digits at $0.0001
+    lines = market_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    ticker, close = header.index("ticker"), header.index("PX_OFFICIAL_CLOSE")
+    for i, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        if cells[ticker] == "TK00":
+            cells[close] = repr(float(cells[close]) * 1e24)
+            lines[i] = ",".join(cells)
+    market_csv.write_text("\n".join(lines) + "\n")
+    assert run("backtest", "--data", market_csv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot price ") and err.endswith(" to $0.0001\n")
+    assert err.count("\n") == 1
 
 
 def _drop_params(model):
