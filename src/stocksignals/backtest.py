@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Sequence
@@ -53,6 +54,9 @@ class BacktestConfig:
     liquidate_at_end: bool = True
 
     def __post_init__(self):
+        for name in ("fee_per_transaction", "take_profit_fraction", "stop_loss_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite")
         if self.fee_per_transaction < 0:
             raise UsageError("fee_per_transaction must be >= 0")
         if self.take_profit_fraction <= 0 or self.stop_loss_fraction <= 0:

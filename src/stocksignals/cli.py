@@ -179,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _section(config: Mapping, name: str) -> Mapping:
-    section = config.get(name) or {}
-    if not isinstance(section, Mapping):
-        raise UsageError(f"config section {name!r} must be an object")
-    return section
-
-
 def _has_type(value, hint) -> bool:
     """Whether a JSON value has a section field's type: an int passes as a
     float, a bool as nothing but a bool, a list as a tuple of its items' type."""
@@ -203,7 +196,7 @@ def _type_name(hint) -> str:
     return " or ".join("null" if t is type(None) else t.__name__ for t in types)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _read_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
@@ -216,63 +209,7 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    # (key prefix, values, their dataclass, the section names among them)
-    levels = [("", data, _TopLevel, set(_SECTIONS))] + [
-        (name + ".", _section(data, name), section, set()) for name, section in _SECTIONS.items()
-    ]
-    for prefix, values, schema, sections in levels:
-        unknown = set(values) - {field.name for field in fields(schema)} - sections
-        if unknown:
-            raise UsageError(f"unknown config key {prefix + sorted(unknown)[0]!r}")
-        for key, hint in typing.get_type_hints(schema).items():
-            value = values.get(key)
-            if value is not None and not _has_type(value, hint):
-                raise UsageError(
-                    f"config key {prefix + key!r} must be {_type_name(hint)}, "
-                    f"not {json.dumps(value)}"
-                )
     return data
-
-
-def _resolve_settings(args: argparse.Namespace, config: Mapping) -> tuple[dict, dict]:
-    """The top-level values, and each section's dataclass keyword arguments.
-
-    A key that neither a flag nor the config file sets (null counts as
-    unset) takes its default: the field's default of _TopLevel or of the
-    section's dataclass (a section leaves the key out for that). So does a
-    top-level key under a command that does not take its flag.
-    """
-    # each flag's value under argparse's automatic dest; None when not given
-    flags = {
-        (section, key): getattr(args, flag[2:].replace("-", "_"), None)
-        for flag, _, section, key, _ in _FLAGS
-        if key is not None
-    }
-    if flags["classifier", "kind"] is not None:  # only the flag is hyphenated
-        flags["classifier", "kind"] = flags["classifier", "kind"].replace("-", "_")
-
-    def value(section: str | None, key: str, default=None):
-        found = flags.get((section, key))
-        if found is None:
-            found = (config if section is None else _section(config, section)).get(key)
-        if found is None:
-            return default
-        return tuple(found) if isinstance(found, list) else found
-
-    takes = {key: commands for _, commands, section, key, _ in _FLAGS if section is None}
-    top = {
-        f.name: value(None, f.name, f.default) if args.command in takes[f.name] else f.default
-        for f in fields(_TopLevel)
-    }
-    sections = {
-        name: {f.name: v for f in fields(section) if (v := value(name, f.name)) is not None}
-        for name, section in _SECTIONS.items()
-    }
-    # --seed beats a section's seed, which beats the top-level seed
-    for name in ("split", "classifier"):
-        if flags[None, "seed"] is not None or "seed" not in sections[name]:
-            sections[name]["seed"] = top["seed"]
-    return top, sections
 
 
 def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
@@ -282,32 +219,65 @@ def parse_cli(argv: Sequence[str]) -> tuple[str, RunConfig]:
     default (the field default of _TopLevel or of the section's dataclass).
     """
     args = build_parser().parse_args(argv)
-    top, sections = _resolve_settings(args, _load_config_file(args.config))
-    if top["data"] is None:
+    config = _read_config(args.config)
+    # every section must be an object before any key of any level is checked
+    levels = [(None, config, _TopLevel)]
+    for name, schema in _SECTIONS.items():
+        values = config.get(name) or {}
+        if not isinstance(values, Mapping):
+            raise UsageError(f"config section {name!r} must be an object")
+        levels.append((name, values, schema))
+    # each flag's value under argparse's automatic dest (None when not
+    # given), and whether a config value of its key applies to this command
+    flags = {
+        (section, key): (getattr(args, flag[2:].replace("-", "_"), None),
+                         section is not None or args.command in commands)
+        for flag, commands, section, key, _ in _FLAGS
+        if key is not None
+    }
+    if flags["classifier", "kind"][0] is not None:  # only the flag is hyphenated
+        flags["classifier", "kind"] = (flags["classifier", "kind"][0].replace("-", "_"), True)
+    settings: dict[str | None, dict] = {}
+    for name, values, schema in levels:
+        prefix = "" if name is None else name + "."
+        known = {f.name for f in fields(schema)} | (set(_SECTIONS) if name is None else set())
+        unknown = sorted(set(values) - known)
+        if unknown:
+            raise UsageError(f"unknown config key {prefix + unknown[0]!r}")
+        settings[name] = {}
+        for key, hint in typing.get_type_hints(schema).items():
+            value = values.get(key)
+            if value is not None and not _has_type(value, hint):
+                raise UsageError(
+                    f"config key {prefix + key!r} must be {_type_name(hint)}, "
+                    f"not {json.dumps(value)}"
+                )
+            flag, applies = flags.get((name, key), (None, True))
+            value = flag if flag is not None else value if applies else None
+            if value is not None:
+                settings[name][key] = tuple(value) if isinstance(value, list) else value
+    top = _TopLevel(**settings[None])
+    # --seed beats a section's seed, which beats the top-level seed
+    for name in ("split", "classifier"):
+        if flags[None, "seed"][0] is not None or "seed" not in settings[name]:
+            settings[name]["seed"] = top.seed
+    if top.data is None:
         raise UsageError("missing required --data (or config key 'data')")
-    label, split, classifier, rank, backtest = (
-        section(**sections[name]) for name, section in _SECTIONS.items()
-    )
-    if backtest.signal_horizon not in label.horizons:
-        raise UsageError(
-            f"signal horizon {backtest.signal_horizon} is not a labeled horizon"
-        )
-    out = top["out"] if top["out"] is not None else os.environ.get(OUTPUT_DIR_ENV) or "."
-    run = RunConfig(
-        data=Path(top["data"]),
+    sections = {name: schema(**settings[name]) for name, schema in _SECTIONS.items()}
+    horizon = sections["backtest"].signal_horizon
+    if horizon not in sections["label"].horizons:
+        raise UsageError(f"signal horizon {horizon} is not a labeled horizon")
+    out = top.out if top.out is not None else os.environ.get(OUTPUT_DIR_ENV) or "."
+    return args.command, RunConfig(
+        data=Path(top.data),
         out=Path(out),
-        label=label,
-        split=split,
-        classifier=classifier,
-        rank=rank,
-        backtest=backtest,
-        seed=split.seed,
-        sector=top["sector"],
-        features_file=Path(top["features"]) if top["features"] else None,
-        by_sector=top["by_sector"],
-        model_file=Path(top["model_file"]) if top["model_file"] else None,
+        **sections,
+        seed=sections["split"].seed,
+        sector=top.sector,
+        features_file=Path(top.features) if top.features else None,
+        by_sector=top.by_sector,
+        model_file=Path(top.model_file) if top.model_file else None,
     )
-    return args.command, run
 
 
 # --- pipeline state -----------------------------------------------------------
@@ -477,10 +447,9 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
     else:
         split = _model_space(state, _pooled_split(cfg, state))
         bundle = fit_bundles(cfg.classifier, split, (cfg.backtest.signal_horizon,))[0]
-    reports.atomic_write_text(cfg.out / "model.json", reports.json_text(bundle.to_dict()))
 
-    # each ticker replays its last (1 - train_fraction) share of rows; all
-    # windows are predicted as one matrix
+    # each ticker replays its last (1 - train_fraction) share of rows, all predicted as one
+    # matrix; every window is replayed before any write, so a failed backtest writes nothing
     windows: dict[str, range] = {}
     for ticker in sorted(state.ticker_rows):
         rows = state.ticker_rows[ticker]
@@ -495,12 +464,15 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
     dates = bars.dates.tolist()
     closes = bars.X[:, CLOSE_INDEX].tolist()
     signals = bundle.predict(bars)
-    total_profit = 0.0
+    replays = {}
     start = 0
     for ticker, window in windows.items():
         bar = slice(start, start + len(window))
         start = bar.stop
-        report = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
+        replays[ticker] = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
+    reports.atomic_write_text(cfg.out / "model.json", reports.json_text(bundle.to_dict()))
+    total_profit = 0.0
+    for ticker, report in replays.items():
         name = reports.safe_name(ticker)
         reports.atomic_write_text(
             cfg.out / f"trades_{name}.csv", reports.trades_csv_text(report.trades)

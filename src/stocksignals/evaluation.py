@@ -12,6 +12,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from stocksignals.classifiers import ClassifierSpec, ModelBundle, horizon_labels
 from stocksignals.errors import (
     EmptyDataset,
@@ -22,28 +24,6 @@ from stocksignals.labels import Label
 from stocksignals.transform import TrainTestSplit, standardize_apply
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """3x3 counts, rows = true label, columns = predicted, order Sell/Hold/Buy."""
-
-    counts: tuple[tuple[int, int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(3))
-
-    def row(self, label: Label) -> tuple[int, int, int]:
-        return self.counts[int(label)]
-
-    def column(self, label: Label) -> tuple[int, int, int]:
-        j = int(label)
-        return tuple(self.counts[i][j] for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -64,21 +44,21 @@ class ClassMetrics:
 
 def confusion_matrix(
     y_true: Sequence[Label], y_pred: Sequence[Label]
-) -> ConfusionMatrix:
+) -> tuple[tuple[int, ...], ...]:
+    """3x3 counts, rows = true label, columns = predicted, order Sell/Hold/Buy."""
     if len(y_true) != len(y_pred):
         raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    if not y_true:
+    if len(y_true) == 0:
         raise EmptyDataset("cannot build a confusion matrix from zero pairs")
-    counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for t, p in zip(y_true, y_pred):
-        counts[int(t)][int(p)] += 1
-    return ConfusionMatrix(counts=tuple(tuple(row) for row in counts))
+    counts = np.zeros((3, 3), dtype=np.int64)
+    np.add.at(counts, (np.asarray(y_true, dtype=np.intp), np.asarray(y_pred, dtype=np.intp)), 1)
+    return tuple(map(tuple, counts.tolist()))
 
 
-def class_metrics(cm: ConfusionMatrix, label: Label) -> ClassMetrics:
-    tp = cm.counts[int(label)][int(label)]
-    predicted = sum(cm.column(label))
-    actual = sum(cm.row(label))
+def class_metrics(cm: tuple[tuple[int, ...], ...], label: Label) -> ClassMetrics:
+    tp = cm[label][label]
+    predicted = sum(row[label] for row in cm)
+    actual = sum(cm[label])
     no_predictions = predicted == 0
     no_instances = actual == 0
     precision = 0.0 if no_predictions else tp / predicted
@@ -93,12 +73,12 @@ def class_metrics(cm: ConfusionMatrix, label: Label) -> ClassMetrics:
     )
 
 
-def micro_f1(cm: ConfusionMatrix) -> float:
+def micro_f1(cm: tuple[tuple[int, ...], ...]) -> float:
     """Micro-averaged F1 = trace / total, i.e. accuracy for single-label data."""
-    total = cm.total
+    total = sum(map(sum, cm))
     if total == 0:
         raise EmptyDataset("empty confusion matrix")
-    return cm.trace / total
+    return sum(cm[i][i] for i in range(3)) / total
 
 
 @dataclass(frozen=True)
@@ -108,7 +88,7 @@ class HorizonReport:
     hold: ClassMetrics
     buy: ClassMetrics
     micro_f1: float
-    confusion: ConfusionMatrix
+    confusion: tuple[tuple[int, ...], ...]
     n_test: int
 
     @property
@@ -167,7 +147,7 @@ def evaluate_per_horizon(
     for horizon, labels in zip(evaluable, predicted.T):
         y_true = test.labels(horizon)
         labeled = y_true >= 0
-        cm = confusion_matrix(y_true[labeled].tolist(), labels[labeled].tolist())
+        cm = confusion_matrix(y_true[labeled], labels[labeled])
         reports.append(
             HorizonReport(
                 horizon=horizon,
@@ -176,7 +156,7 @@ def evaluate_per_horizon(
                 buy=class_metrics(cm, Label.BUY),
                 micro_f1=micro_f1(cm),
                 confusion=cm,
-                n_test=cm.total,
+                n_test=int(labeled.sum()),
             )
         )
     return EvaluationReport(

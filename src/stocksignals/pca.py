@@ -111,6 +111,9 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     d = work.shape[0]
     vectors = np.eye(d)
+    # each rotation turns rows p and q of work, then its columns, then the
+    # columns of vectors: rows of these views
+    planes = (work, work.T, vectors.T)
     if d > 1:
         converged = False
         for _ in range(max_sweeps):
@@ -129,20 +132,11 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
                         t = -t
                     c = 1.0 / np.sqrt(t * t + 1.0)
                     s = t * c
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = c * row_p - s * row_q
-                    work[q, :] = s * row_p + c * row_q
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = c * col_p - s * col_q
-                    work[:, q] = s * col_p + c * col_q
+                    for plane in planes:
+                        a, b = plane[p].copy(), plane[q].copy()
+                        plane[p], plane[q] = c * a - s * b, s * a + c * b
                     work[p, q] = 0.0
                     work[q, p] = 0.0
-                    vec_p = vectors[:, p].copy()
-                    vec_q = vectors[:, q].copy()
-                    vectors[:, p] = c * vec_p - s * vec_q
-                    vectors[:, q] = s * vec_p + c * vec_q
         else:
             converged = np.abs(work - np.diag(np.diag(work))).max() < tol
         if not converged:

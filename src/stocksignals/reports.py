@@ -106,7 +106,7 @@ def metrics_json_text(
                     {
                         "horizon": r.horizon,
                         **_headline(r),
-                        "confusion": r.confusion.counts,
+                        "confusion": r.confusion,
                         "sell": asdict(r.sell),
                         "hold": asdict(r.hold),
                         "buy": asdict(r.buy),

@@ -653,7 +653,7 @@ def reference_evaluate_per_horizon(spec, split, sector=None):
                 buy=class_metrics(cm, Label.BUY),
                 micro_f1=micro_f1(cm),
                 confusion=cm,
-                n_test=cm.total,
+                n_test=sum(map(sum, cm)),
             )
         )
     return EvaluationReport(

@@ -350,3 +350,7 @@ def test_config_validation():
         BacktestConfig(take_profit_fraction=0.0)
     with pytest.raises(UsageError):
         BacktestConfig(signal_horizon=0)
+    for name in ("fee_per_transaction", "take_profit_fraction", "stop_loss_fraction"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(UsageError, match=f"^{name} must be finite$"):
+                BacktestConfig(**{name: value})

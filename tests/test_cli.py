@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +412,25 @@ def test_config_value_of_a_wrong_type_is_named(tmp_path, capsys, section):
     assert cases >= 4 * len(dataclasses.fields(schema))
 
 
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        ({"bogus": 1, "label": 5}, "config section 'label' must be an object"),
+        ({"seed": "x", "bogus": 1}, "unknown config key 'bogus'"),
+        ({"label": {"up_threshold": "x", "bogus": 1}}, "unknown config key 'label.bogus'"),
+        ({"label": {"bogus": 1}, "seed": "x"}, "config key 'seed' must be int, not \"x\""),
+        ({"backtest": {"bogus": 1}, "label": {"up_threshold": "x"}},
+         "config key 'label.up_threshold' must be float, not \"x\""),
+    ],
+    ids=["section-object-first", "unknown-before-type", "unknown-before-type-in-section",
+         "top-level-first", "earlier-section-first"],
+)
+def test_config_error_precedence(tmp_path, config, error):
+    """A config with two faults reports the one checked first."""
+    with pytest.raises(UsageError, match=f"^{re.escape(error)}$"):
+        cli.parse_cli(["pipeline", "--data", "d.csv", "--config", _write_config(tmp_path, config)])
+
+
 # --- commands -------------------------------------------------------------------
 
 def test_transform_writes_dataset(tmp_path, market_csv, capsys):
@@ -573,21 +593,43 @@ def test_transform_and_pipeline_ignore_top_level_keys_of_other_commands(tmp_path
     assert json.loads((out / "metrics.json").read_text())["blocks"][0]["model"] == "random_forest"
 
 
-def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys):
-    # TK00's closes times 1e24 need more than Decimal's 28 digits at $0.0001
+@pytest.mark.parametrize("bad_ticker", ["TK00", "TK01"])
+def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys, bad_ticker):
+    # the ticker's closes times 1e24 need more than Decimal's 28 digits at
+    # $0.0001; a later ticker failing leaves no file of an earlier one
     lines = market_csv.read_text().splitlines()
     header = lines[0].split(",")
     ticker, close = header.index("ticker"), header.index("PX_OFFICIAL_CLOSE")
     for i, line in enumerate(lines[1:], 1):
         cells = line.split(",")
-        if cells[ticker] == "TK00":
+        if cells[ticker] == bad_ticker:
             cells[close] = repr(float(cells[close]) * 1e24)
             lines[i] = ",".join(cells)
     market_csv.write_text("\n".join(lines) + "\n")
-    assert run("backtest", "--data", market_csv, "--out", tmp_path / "out") == 2
+    out = tmp_path / "out"
+    assert run("backtest", "--data", market_csv, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot price ") and err.endswith(" to $0.0001\n")
     assert err.count("\n") == 1
+    for name in ("model.json", "trades_TK00.csv", "backtest_TK00.json", "run.json"):
+        assert not (out / name).exists()
+
+
+def test_non_finite_backtest_setting_exits_1_writing_nothing(tmp_path, market_csv, capsys):
+    config = tmp_path / "nan.json"
+    config.write_text('{"backtest": {"fee_per_transaction": NaN}}', encoding="utf-8")
+    cases = [
+        ("--fee", "nan", "fee_per_transaction"),
+        ("--fee", "inf", "fee_per_transaction"),
+        ("--take-profit", "nan", "take_profit_fraction"),
+        ("--stop-loss", "inf", "stop_loss_fraction"),
+        ("--config", config, "fee_per_transaction"),
+    ]
+    for i, (flag, value, name) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert run("backtest", "--data", market_csv, "--out", out, flag, value) == 1
+        assert capsys.readouterr().err == f"error: {name} must be finite\n"
+        assert not out.exists()
 
 
 def _drop_params(model):

@@ -8,7 +8,6 @@ from oracles import reference_evaluate_per_horizon
 from stocksignals.classifiers import KINDS, ClassifierSpec
 from stocksignals.errors import EmptyDataset, KTooLarge, LengthMismatch, NoEvaluableHorizon
 from stocksignals.evaluation import (
-    ConfusionMatrix,
     class_metrics,
     confusion_matrix,
     evaluate_per_horizon,
@@ -22,15 +21,15 @@ S, H, B = Label.SELL, Label.HOLD, Label.BUY
 
 def test_confusion_single_pair():
     cm = confusion_matrix([B], [B])
-    assert cm.counts[2][2] == 1
-    assert cm.total == 1
+    assert cm[2][2] == 1
+    assert sum(map(sum, cm)) == 1
 
 
 def test_confusion_counts_cells():
     cm = confusion_matrix([S, H], [H, H])
-    assert cm.counts[0][1] == 1
-    assert cm.counts[1][1] == 1
-    assert cm.total == 2
+    assert cm[0][1] == 1
+    assert cm[1][1] == 1
+    assert sum(map(sum, cm)) == 2
 
 
 def test_confusion_errors():
@@ -38,6 +37,8 @@ def test_confusion_errors():
         confusion_matrix([S], [S, H])
     with pytest.raises(EmptyDataset):
         confusion_matrix([], [])
+    with pytest.raises(IndexError):
+        confusion_matrix([3], [S])
 
 
 def test_perfect_diagonal_metrics():
@@ -75,7 +76,7 @@ def test_micro_f1_values():
     cm = confusion_matrix(y_true, y_pred)
     assert micro_f1(cm) == 0.625
     with pytest.raises(EmptyDataset):
-        micro_f1(ConfusionMatrix(counts=((0,) * 3,) * 3))
+        micro_f1(((0,) * 3,) * 3)
 
 
 def test_micro_f1_equals_accuracy_exactly():
@@ -86,7 +87,7 @@ def test_micro_f1_equals_accuracy_exactly():
         y_pred = [Label(int(v)) for v in rng.integers(0, 3, size=n)]
         cm = confusion_matrix(y_true, y_pred)
         matches = sum(1 for t, p in zip(y_true, y_pred) if t == p)
-        assert cm.trace == matches
+        assert sum(cm[i][i] for i in range(3)) == matches
         assert micro_f1(cm) == matches / n
 
 
@@ -135,7 +136,7 @@ def test_metrics_match_brute_force_counts(pairs):
     cm = confusion_matrix([t for t, _ in pairs], [p for _, p in pairs])
     for t in Label:
         for p in Label:
-            assert cm.counts[t][p] == sum(1 for pair in pairs if pair == (t, p))
+            assert cm[t][p] == sum(1 for pair in pairs if pair == (t, p))
     for label in Label:
         hits = sum(1 for t, p in pairs if t == p == label)
         predicted = sum(1 for _, p in pairs if p == label)
@@ -162,7 +163,7 @@ def test_evaluate_per_horizon_structure_and_determinism():
     assert [h.horizon for h in report.horizons] == list(range(1, 11))
     for horizon in report.horizons:
         assert horizon.n_test == len(split.test)
-        assert horizon.confusion.total == horizon.n_test
+        assert sum(map(sum, horizon.confusion)) == horizon.n_test
         assert 0.0 <= horizon.micro_f1 <= 1.0
         # metric assignment: buy -> precision, sell -> recall, hold -> f1
         assert horizon.buy_precision == horizon.buy.precision
