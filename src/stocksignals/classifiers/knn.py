@@ -6,20 +6,29 @@ set, so every horizon's model of one split shares the matrix. `knn_labels`
 votes for several such label columns at once; a single model is the
 one-column case. Probes go a block at a time: the squared distances from a
 block of probes to all n training rows (about 2^17 of them) are computed
-once, and every column selects its own training rows from that block, in
-training order, before choosing neighbours.
+once, and the block is partitioned once for all columns.
+
+Let U be the number of training rows that some column leaves unlabeled, and
+k' = k + U. Horizon label sets are nested, so U is small (0 for a single
+model). Of any probe's k' nearest rows at most U are unlabeled in a given
+column, so each column's k nearest labeled rows lie among them. One
+np.partition per block finds each probe's k'-th smallest distance; every
+row at or below it, ties included, is a candidate, kept in training order.
+Each column then chooses its k nearest from its own labeled candidates.
+A probe whose k'-th distance is NaN (a NaN probe), and every block when
+4 k' > n (where the candidates save little against the n rows), take the
+per-column path instead: each column chooses from all its labeled rows.
 
 The squared distances are ((X - p) ** 2).sum(axis=-1) over (c, n, d)
 difference blocks, the same pairwise sum over each probe's features as for a
 single probe, so they are bit-identical to a one-probe-at-a-time
 computation. Neighbours are selected without sorting: np.partition finds
-each probe's k-th smallest distance, every training row strictly nearer is
-taken, and the remaining slots go to the lowest-index rows at exactly the
-k-th distance. That is the neighbour set of a stable argsort of the
-distances: equal distances prefer the lower training index, and NaN
-distances (a NaN probe) rank after every number, inf included, lowest index
-first. Each probe's votes are counted with one product against the one-hot
-training labels; vote ties resolve to Hold.
+each probe's k-th smallest distance, every row strictly nearer is taken,
+and the remaining slots go to the lowest-index rows at exactly the k-th
+distance. That is the neighbour set of a stable argsort of the distances:
+equal distances prefer the lower training index, and NaN distances (a NaN
+probe) rank after every number, inf included, lowest index first. Either
+path therefore picks the same neighbours. Vote ties resolve to Hold.
 """
 
 from __future__ import annotations
@@ -34,6 +43,11 @@ from stocksignals.labels import majority_labels
 # block of probes; larger blocks were slower, since memory traffic grows
 # faster than per-call overhead shrinks
 _BLOCK_ELEMENTS = 1 << 17
+
+# the candidate path runs while _NARROW_SHARE * k' <= n; on a 1,959-row
+# matrix with ten label columns it broke even with the per-column path near
+# k' = n / 3, and its candidate arrays grow with k'
+_NARROW_SHARE = 4
 
 
 @dataclass
@@ -108,6 +122,45 @@ def nearest_mask(squared: np.ndarray, k: int) -> np.ndarray:
     return below | at_kth
 
 
+def _column_votes(
+    squared: np.ndarray, labeled: np.ndarray, one_hots: list[np.ndarray], k: int
+) -> np.ndarray:
+    """(c, h, 3) votes of each column's k nearest labeled rows, chosen from
+    that column's rows of the whole (c, n) distance block."""
+    votes = np.empty((len(squared), len(one_hots), 3))
+    for j, one_hot in enumerate(one_hots):
+        votes[:, j] = nearest_mask(squared[:, labeled[:, j]], k) @ one_hot
+    return votes
+
+
+def _candidate_votes(
+    squared: np.ndarray, kth: np.ndarray, train_Y: np.ndarray, k: int
+) -> np.ndarray:
+    """(c, h, 3) votes of each column's k nearest labeled rows, chosen from
+    each probe's candidates: the training rows at or below its distance kth.
+
+    A probe's candidates fill its row of a (c, w) slot matrix in training
+    order. Per column, a slot that is padding or unlabeled holds NaN, which
+    nearest_mask ranks after every number, inf included, so it is never
+    chosen while the probe has k labeled candidates.
+    """
+    probe, row = np.nonzero(squared <= kth[:, None])
+    counts = np.bincount(probe, minlength=len(squared))
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    distances = np.full((len(squared), counts.max()), np.nan)
+    distances[probe, slot] = squared[probe, row]
+    labels = np.full(distances.shape, -1)
+    votes = np.empty((len(squared), train_Y.shape[1], 3))
+    for j, column in enumerate(train_Y[row].T):
+        labels[probe, slot] = column
+        near = nearest_mask(np.where(labels >= 0, distances, np.nan), k)
+        near_probe, near_slot = np.nonzero(near)
+        votes[:, j] = np.bincount(
+            3 * near_probe + labels[near_probe, near_slot], minlength=3 * len(squared)
+        ).reshape(-1, 3)
+    return votes
+
+
 def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) -> np.ndarray:
     """(m, h) label values: column j is the vote of the k nearest training rows
     labeled in column j of the (n, h) train_Y (-1: not a training row there).
@@ -117,10 +170,24 @@ def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) 
     """
     labeled = train_Y >= 0
     one_hots = [np.eye(3)[column[rows]] for column, rows in zip(train_Y.T, labeled.T)]
+    # k': k plus the rows some column leaves out, so that every column labels
+    # at least k of any probe's k' nearest rows
+    wide = k + int(np.count_nonzero(~labeled.all(axis=1)))
+    narrow = wide * _NARROW_SHARE <= len(train_X)
     block = max(1, _BLOCK_ELEMENTS // max(1, len(train_X)))
     votes = np.empty((len(X), len(one_hots), 3))
     for start in range(0, len(X), block):
         squared = squared_distances(train_X, X[start : start + block])
-        for j, one_hot in enumerate(one_hots):
-            votes[start : start + block, j] = nearest_mask(squared[:, labeled[:, j]], k) @ one_hot
+        part = votes[start : start + block]
+        if not narrow:
+            part[:] = _column_votes(squared, labeled, one_hots, k)
+            continue
+        # a copy, so that the partitioned block is freed at once
+        kth = np.partition(squared, wide - 1, axis=1)[:, wide - 1].copy()
+        nan = np.isnan(kth)  # a NaN probe: every distance is NaN
+        if nan.any():
+            part[nan] = _column_votes(squared[nan], labeled, one_hots, k)
+            squared, kth = squared[~nan], kth[~nan]
+        if len(kth):
+            part[~nan] = _candidate_votes(squared, kth, train_Y, k)
     return majority_labels(votes.reshape(-1, 3)).reshape(len(X), len(one_hots))

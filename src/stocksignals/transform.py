@@ -9,6 +9,7 @@ its cleaned (n, 23) value matrix with the five derived columns appended.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import IO, Iterable, Mapping, Sequence, Sized
@@ -64,6 +65,9 @@ class LabelConfig:
             raise UsageError("horizons must be positive")
         if len(set(self.horizons)) != len(self.horizons):
             raise UsageError("horizons must be distinct")
+        for name in ("up_threshold", "down_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite")
         if not self.down_threshold < 1.0 < self.up_threshold:
             raise UsageError("need down_threshold < 1 < up_threshold")
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import fit_one, node_split
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_best_split,
@@ -544,6 +544,55 @@ def test_knn_label_columns_match_reference(inputs, data):
         assert [int(label) for label in predict_batch(models[j], probes)] == expected
 
 
+@st.composite
+def horizon_label_matrices(draw, n):
+    """(n, h) label columns shaped like horizon tails: rows are days of
+    tickers of `days` rows, in order or shuffled as a training split holds
+    them, and column j leaves out the last tails[j] days of each ticker,
+    tails ascending, so the label sets are nested and U (the rows some
+    column leaves out) is small against n. Sometimes one more column leaves
+    out rows at random, which breaks the nesting and lets k + U pass n."""
+    days = draw(st.integers(1, n))
+    tails = sorted(draw(st.lists(st.integers(0, min(days - 1, 3)), min_size=1, max_size=10)))
+    day = np.arange(n) % days
+    if draw(st.booleans()):
+        day = day[draw(st.permutations(range(n)))]
+    kept = [day < days - tail for tail in tails]
+    if draw(st.booleans()):
+        kept.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    return np.column_stack([np.where(rows, draw(labels), -1) for rows in kept])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs(), st.data())
+def test_knn_candidate_selection_matches_reference_on_horizon_labels(inputs, data):
+    """Each column's vote is the reference vote over that column's labeled
+    rows, whether the block goes through the k + U candidates (4 (k + U) <= n)
+    or the per-column path; k is often drawn at the switch between them, or
+    with k + U at or above n."""
+    X, _, probes = inputs
+    n = len(X)
+    if data.draw(st.booleans(), label="duplicate rows"):
+        X = X[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")]
+    Y = data.draw(horizon_label_matrices(n), label="labels")
+    fewest = int((Y >= 0).sum(axis=0).min())
+    assume(fewest >= 1)
+    unlabeled = int((Y < 0).any(axis=1).sum())
+    edges = [n // 4 - unlabeled, n // 4 - unlabeled + 1, n - unlabeled, n - unlabeled + 1, fewest]
+    k = data.draw(
+        st.sampled_from([k for k in edges if 1 <= k <= fewest]) | st.integers(1, fewest), label="k"
+    )
+    per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
+        got = knn.knn_labels(X, Y, k, probes)
+    for j, column in enumerate(Y.T):
+        rows = column >= 0
+        expected = [reference_knn_predict(X[rows], column[rows], probe, k) for probe in probes]
+        assert got[:, j].tolist() == expected
+
+
 def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     X = np.arange(6.0)[:, None]
     Y = np.array([[0, 1, -1], [1, -1, -1], [2, -1, 0], [0, 1, -1], [1, -1, -1], [2, 1, -1]])
@@ -560,18 +609,37 @@ def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
 
 def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     """Ten label columns share bounded distance blocks, never the (m, n) matrix
-    (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS)."""
+    (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS): random
+    labels, where nearly every row is unlabeled somewhere and each column
+    chooses from the whole block, and nested horizon labels (U = 199 of
+    1,959 rows), where each block's candidate arrays are built."""
     rng = np.random.default_rng(0)
     train_X = rng.normal(size=(1959, 28))
-    Y = rng.integers(-1, 3, size=(1959, 10))
+    random_Y = rng.integers(-1, 3, size=(1959, 10))
+    # 20 tickers of about 98 days; horizon h leaves out each ticker's last h days
+    day = np.arange(1959) % 98
+    nested_Y = np.where(
+        day[:, None] < 98 - np.arange(1, 11), rng.integers(0, 3, size=(1959, 10)), -1
+    )
     X = rng.normal(size=(841, 28))
-    tracemalloc.start()
-    try:
-        knn.knn_labels(train_X, Y, 5, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < len(X) * len(train_X) * 8 / 2
+    candidate_blocks = []
+    candidate_votes = knn._candidate_votes
+
+    def counted(*args):  # a mock spy would keep every block alive
+        candidate_blocks.append(len(args[0]))
+        return candidate_votes(*args)
+
+    for Y, candidates in ((random_Y, False), (nested_Y, True)):
+        candidate_blocks.clear()
+        with mock.patch.object(knn, "_candidate_votes", counted):
+            tracemalloc.start()
+            try:
+                knn.knn_labels(train_X, Y, 5, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sum(candidate_blocks) == (len(X) if candidates else 0)
+        assert peak < len(X) * len(train_X) * 8 / 2
 
 
 TREE_COLUMNS = ("feature", "threshold", "left", "right", "counts", "label")

@@ -632,6 +632,38 @@ def test_non_finite_backtest_setting_exits_1_writing_nothing(tmp_path, market_cs
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, name",
+    [
+        (("--up-threshold", "inf"), "up_threshold"),
+        (("--up-threshold", "nan"), "up_threshold"),
+        (("--down-threshold=-inf",), "down_threshold"),
+    ],
+)
+def test_non_finite_label_threshold_flag_exits_1_writing_nothing(
+    tmp_path, market_csv, capsys, option, name
+):
+    out = tmp_path / "out"
+    assert run("transform", "--data", market_csv, "--out", out, *option) == 1
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "literal, name",
+    [("Infinity", "up_threshold"), ("-Infinity", "down_threshold"), ("NaN", "down_threshold")],
+)
+def test_non_finite_label_threshold_in_config_exits_1_writing_nothing(
+    tmp_path, market_csv, capsys, literal, name
+):
+    config = tmp_path / "label.json"
+    config.write_text(f'{{"label": {{"{name}": {literal}}}}}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("transform", "--data", market_csv, "--out", out, "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+    assert not out.exists()
+
+
 def _drop_params(model):
     del model["params"]
 
