@@ -5,8 +5,10 @@ per-node feature sampling), knn (Euclidean), gaussian_nb. Every kind fits
 through `fit_classifier(spec, X, Y)` on an (n, h) label matrix Y whose
 column j labels column j's training rows and holds -1 on the rest; the
 result is one model per column, as if each were fitted on its rows alone.
-Every fit is a pure function of (data, spec.seed); every prediction tie
-resolves to Hold.
+Every kind predicts through `predict_labels(models, X)`, the one
+prediction path: the models of one fit in, an (m, h) matrix of label
+values out, column j from models[j]. Every fit is a pure function of
+(data, spec.seed); every prediction tie resolves to Hold.
 """
 
 from stocksignals.classifiers.base import (
@@ -15,11 +17,10 @@ from stocksignals.classifiers.base import (
     ModelBundle,
     fit_bundles,
     fit_classifier,
-    horizon_labels,
     load_bundle,
     model_from_params,
     model_to_params,
-    predict_batch,
+    predict_labels,
     predict_one,
 )
 from stocksignals.classifiers.forest import ForestModel
@@ -38,10 +39,9 @@ __all__ = [
     "class_log_scores",
     "fit_bundles",
     "fit_classifier",
-    "horizon_labels",
     "load_bundle",
     "model_from_params",
     "model_to_params",
-    "predict_batch",
+    "predict_labels",
     "predict_one",
 ]

@@ -3,8 +3,9 @@
 Every fit takes an (n, h) label matrix: column j holds the labels of its
 training rows and -1 on every other row, and `fit_classifier` returns one
 model per column, each the model of its column's rows alone, so
-`fit_bundles` fits all horizons of a split in one call. A model is checked
-once, where it is made: its training pair when it is fitted, its
+`fit_bundles` fits all horizons of a split in one call; `predict_labels`
+turns the models of one fit back into an (m, h) label matrix. A model is
+checked once, where it is made: its training pair when it is fitted, its
 parameters when it is loaded. Prediction checks only the probe matrix.
 """
 
@@ -47,8 +48,6 @@ CRITERIA = ("gini", "entropy")
 
 FORMAT_NAME = "stocksignals-model"
 FORMAT_VERSION = 1
-
-_LABELS = tuple(Label)
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,12 @@ def fit_classifier(spec: ClassifierSpec, X, Y) -> list[FittedModel]:
     return [fit_gaussian_nb(X[column >= 0], column[column >= 0]) for column in Y.T]
 
 
+# the batch predictor of each kind but kNN, whose models predict together
+_BATCH_LABELS = {
+    DecisionTree: tree_labels, ForestModel: forest_labels, GaussianNbModel: gaussian_nb_labels
+}
+
+
 def _probe_matrix(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
@@ -143,26 +148,24 @@ def _probe_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
-def _label_values(model: FittedModel, X) -> np.ndarray:
-    """Label value of every row of a matrix, from one batch predictor per model kind."""
-    X = _probe_matrix(X, model.n_features)
-    if isinstance(model, DecisionTree):
-        return tree_labels(model, X)
-    if isinstance(model, ForestModel):
-        return forest_labels(model, X)
-    if isinstance(model, KnnModel):
-        return knn_labels(model.train_X, model.train_y[:, None], model.k, X)[:, 0]
-    return gaussian_nb_labels(model, X)
+def predict_labels(models: Sequence[FittedModel], X) -> np.ndarray:
+    """(m, len(models)) label values of the scaled rows X, column j from models[j].
 
-
-def predict_batch(model: FittedModel, X) -> list[Label]:
-    """Predict every row of a matrix with one batch predictor per model kind."""
-    return [_LABELS[value] for value in _label_values(model, X).tolist()]
+    The models are of one kind and from one fit, or are one loaded model. kNN
+    models of one fit share its training matrix, so one knn_labels call votes
+    for all their label columns and computes each block of distances once.
+    """
+    first = models[0]
+    X = _probe_matrix(X, first.n_features)
+    if isinstance(first, KnnModel):
+        Y = np.column_stack([model.train_y for model in models])
+        return knn_labels(first.train_X, Y, first.k, X)
+    return np.column_stack([_BATCH_LABELS[type(model)](model, X) for model in models])
 
 
 def predict_one(model: FittedModel, x: Sequence[float]) -> Label:
-    """Predict one row through the batch path."""
-    return predict_batch(model, [x])[0]
+    """Predict one row through predict_labels."""
+    return Label(predict_labels([model], [x])[0, 0])
 
 
 # --- parameter (de)serialization -------------------------------------------
@@ -275,14 +278,11 @@ class ModelBundle:
     scaler: Scaler
     model: FittedModel
 
-    def predict(self, data: Dataset) -> list[Label]:
-        """Predict every row of a dataset that holds at least this bundle's columns.
-
-        The rows are projected and scaled once as a matrix and predicted
-        together.
-        """
+    def predict(self, data: Dataset) -> np.ndarray:
+        """Label values of a dataset's rows, projected onto this bundle's columns
+        and scaled as one matrix."""
         X = standardize_apply(self.scaler, data.select(self.feature_names).X)
-        return predict_batch(self.model, X)
+        return predict_labels([self.model], X)[:, 0]
 
     def to_dict(self) -> dict:
         return {
@@ -358,28 +358,3 @@ def fit_bundles(
         for horizon, model in zip(horizons, fit_classifier(spec, X, Y))
     ]
 
-
-def horizon_labels(
-    spec: ClassifierSpec,
-    split: TrainTestSplit,
-    horizons: Sequence[int],
-    X,
-    fitted: dict[int, ModelBundle] | None = None,
-) -> np.ndarray:
-    """(m, len(horizons)) label values of scaled rows X; column j is what the
-    bundle fit_bundles fits for horizons[j] predicts for them.
-
-    Every horizon is fitted in one fit_bundles call; `fitted`, when given,
-    receives the bundles by horizon. The kNN models of all horizons share
-    one training matrix, so one knn_labels call computes each block of probe
-    distances once and lets every horizon pick its neighbours from it.
-    """
-    bundles = fit_bundles(spec, split, horizons)
-    if fitted is not None:
-        fitted.update((bundle.horizon, bundle) for bundle in bundles)
-    models = [bundle.model for bundle in bundles]
-    if spec.kind == "knn":
-        train_X = models[0].train_X
-        Y = np.column_stack([model.train_y for model in models])
-        return knn_labels(train_X, Y, spec.k, _probe_matrix(X, train_X.shape[1]))
-    return np.column_stack([_label_values(model, X) for model in models])

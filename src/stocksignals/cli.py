@@ -203,6 +203,8 @@ def _read_config(path: str | None) -> dict:
         raw = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid UTF-8: {exc}") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -298,12 +300,16 @@ def _load_feature_subset(path: Path) -> tuple[str, ...]:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise DataError(f"feature subset file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"feature subset file {path} is not valid UTF-8: {exc}") from None
     names = tuple(line.strip() for line in lines if line.strip())
     if not names:
         raise DataError(f"feature subset file {path} lists no features")
-    unknown = [n for n in names if n not in FEATURE_COLUMNS]
-    if unknown:
-        raise UsageError(f"unknown feature {unknown[0]!r} in {path}")
+    for i, name in enumerate(names):
+        if name not in FEATURE_COLUMNS:
+            raise UsageError(f"unknown feature {name!r} in {path}")
+        if name in names[:i]:
+            raise UsageError(f"feature {name!r} is listed twice in {path}")
     return names
 
 
@@ -463,7 +469,7 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
     bars = state.data.take(np.concatenate([np.arange(w.start, w.stop) for w in windows.values()]))
     dates = bars.dates.tolist()
     closes = bars.X[:, CLOSE_INDEX].tolist()
-    signals = bundle.predict(bars)
+    signals = bundle.predict(bars).tolist()
     replays = {}
     start = 0
     for ticker, window in windows.items():
@@ -530,9 +536,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except PipelineError as exc:  # fallback for any unmapped module error
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

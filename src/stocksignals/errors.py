@@ -1,7 +1,8 @@
 """Exception hierarchy for the pipeline.
 
 The three branches map onto CLI exit codes: UsageError -> 1,
-DataError -> 2, NumericError -> 3.
+DataError -> 2, NumericError -> 3. Every other class derives from exactly
+one of them, so the CLI maps every error it raises to one exit code.
 """
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stocksignals.classifiers import ClassifierSpec, ModelBundle, horizon_labels
+from stocksignals.classifiers import ClassifierSpec, ModelBundle, fit_bundles, predict_labels
 from stocksignals.errors import (
     EmptyDataset,
     LengthMismatch,
@@ -121,28 +121,28 @@ def evaluate_per_horizon(
 ) -> EvaluationReport:
     """One independently fitted classifier per horizon, day-1 through day-n.
 
-    Each is fitted on the labeled training rows and scored on the labeled
-    test rows; every horizon shares the split's scaler. The test matrix is
-    scaled once and `horizon_labels` predicts all of it for every evaluable
-    horizon (kNN shares its distance blocks across them); each horizon's
-    report counts its labeled test rows only. Horizons with no labeled row on
-    either side of the split are omitted with a warning; if none is
-    evaluable the whole call fails. `fitted`, when given, receives the
-    bundles fitted on the way by horizon.
+    Every horizon with labeled rows on both sides of the split is fitted on
+    its labeled training rows by one fit_bundles call, and one predict_labels
+    call predicts the test matrix, scaled once, for all of them; each report
+    counts its horizon's labeled test rows only. Other horizons are omitted
+    with a warning; if none is evaluable the whole call fails. `fitted`, when
+    given, receives the bundles by horizon.
     """
     train, test = split.train, split.test
-    evaluable: list[int] = []
-    omitted: list[int] = []
-    for horizon in train.horizons:
-        if (train.labels(horizon) >= 0).any() and (test.labels(horizon) >= 0).any():
-            evaluable.append(horizon)
-        else:
-            logger.warning("horizon %d has no labeled train/test rows; omitted", horizon)
-            omitted.append(horizon)
+    evaluable = [
+        horizon for horizon in train.horizons
+        if (train.labels(horizon) >= 0).any() and (test.labels(horizon) >= 0).any()
+    ]
+    omitted = [horizon for horizon in train.horizons if horizon not in evaluable]
+    for horizon in omitted:
+        logger.warning("horizon %d has no labeled train/test rows; omitted", horizon)
     if not evaluable:
         raise NoEvaluableHorizon("no horizon had labeled train and test rows")
+    bundles = fit_bundles(spec, split, evaluable)
+    if fitted is not None:
+        fitted.update((bundle.horizon, bundle) for bundle in bundles)
     X_test = standardize_apply(split.scaler, test.X)
-    predicted = horizon_labels(spec, split, evaluable, X_test, fitted)
+    predicted = predict_labels([bundle.model for bundle in bundles], X_test)
     reports: list[HorizonReport] = []
     for horizon, labels in zip(evaluable, predicted.T):
         y_true = test.labels(horizon)

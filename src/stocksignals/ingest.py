@@ -173,8 +173,10 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
 
     Raises EmptyInput when there is no header, SchemaError when a required
     column is missing, and MalformedRow for the first row, in file order,
-    with a wrong column count or a date that is not ISO-8601 (YYYY-MM-DD).
-    Numbers are read _CHUNK_ROWS rows at a time.
+    that the csv module cannot read (a cell over its field limit, a bare
+    carriage return in an unquoted cell) or that has a wrong column count or
+    a date that is not ISO-8601 (YYYY-MM-DD). Numbers are read _CHUNK_ROWS
+    rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
     try:
@@ -187,7 +189,10 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
 
     reader = csv.reader(io.StringIO(text))
     del data, text  # the reader reads its own copy; free these before the rows pile up
-    header = [name.strip() for name in next(reader)]
+    try:
+        header = [name.strip() for name in next(reader)]
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
         if name in positions and name in CSV_COLUMNS:
@@ -202,24 +207,27 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     seen_dates: dict[str, np.datetime64] = {}  # date cell -> parsed date
     dates, tickers, sectors, chunk, blocks = [], [], [], [], []
     demoted = np.zeros(len(RAW_COLUMNS), dtype=np.int64)
-    for record in reader:
-        if not record:
-            continue  # blank line
-        if len(record) != len(header):
-            raise MalformedRow(
-                f"line {reader.line_num}: expected {len(header)} columns, "
-                f"got {len(record)}"
-            )
-        cell = record[date_at]
-        if cell not in seen_dates:
-            seen_dates[cell] = _parse_date(cell.strip(), reader.line_num)
-        dates.append(seen_dates[cell])
-        tickers.append(record[ticker_at].strip())
-        sectors.append(record[sector_at].strip())
-        chunk.append(pick(record))
-        if len(chunk) == _CHUNK_ROWS:
-            blocks.append(_parse_block(chunk, demoted))
-            chunk = []
+    try:
+        for record in reader:
+            if not record:
+                continue  # blank line
+            if len(record) != len(header):
+                raise MalformedRow(
+                    f"line {reader.line_num}: expected {len(header)} columns, "
+                    f"got {len(record)}"
+                )
+            cell = record[date_at]
+            if cell not in seen_dates:
+                seen_dates[cell] = _parse_date(cell.strip(), reader.line_num)
+            dates.append(seen_dates[cell])
+            tickers.append(record[ticker_at].strip())
+            sectors.append(record[sector_at].strip())
+            chunk.append(pick(record))
+            if len(chunk) == _CHUNK_ROWS:
+                blocks.append(_parse_block(chunk, demoted))
+                chunk = []
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
     blocks.append(_parse_block(chunk, demoted))
     return RawTable(
         dates=np.array(dates, dtype="datetime64[D]"),

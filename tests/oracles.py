@@ -618,7 +618,7 @@ def reference_predict_gaussian_nb(model, x):
 def reference_evaluate_per_horizon(spec, split, sector=None):
     """The package's former evaluation loop: one fitted bundle per evaluable
     horizon, predicting that horizon's labeled test rows."""
-    from stocksignals.classifiers import fit_bundles, predict_batch
+    from stocksignals.classifiers import fit_bundles, predict_labels
     from stocksignals.errors import NoEvaluableHorizon
     from stocksignals.evaluation import (
         EvaluationReport,
@@ -644,7 +644,8 @@ def reference_evaluate_per_horizon(spec, split, sector=None):
     for bundle in fit_bundles(spec, split, evaluable):
         y_true = test.labels(bundle.horizon)
         labeled = y_true >= 0
-        cm = confusion_matrix(y_true[labeled].tolist(), predict_batch(bundle.model, X_test[labeled]))
+        y_pred = predict_labels([bundle.model], X_test[labeled])[:, 0]
+        cm = confusion_matrix(y_true[labeled].tolist(), y_pred.tolist())
         reports.append(
             HorizonReport(
                 horizon=bundle.horizon,

@@ -31,7 +31,7 @@ from stocksignals.classifiers import (
     fit_classifier,
     model_from_params,
     model_to_params,
-    predict_batch,
+    predict_labels,
     predict_one,
 )
 from stocksignals.classifiers import knn
@@ -194,7 +194,7 @@ def test_tree_separable_is_depth_one_and_exact():
     assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
     assert tree.counts.tolist() == [[0, 0, 0], [2, 0, 0], [0, 0, 2]]
     assert tree.label.tolist() == [Label.HOLD, Label.SELL, Label.BUY]
-    assert predict_batch(tree, X) == y
+    assert predict_labels([tree], X)[:, 0].tolist() == y
     assert predict_one(tree, [1.0]) == Label.SELL
     assert predict_one(tree, [2.5]) == Label.SELL  # boundary routes left
 
@@ -233,7 +233,7 @@ def test_tree_perfect_fit_on_consistent_data():
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 3, size=n)
         tree = fit_one(TREE, X, y)
-        assert [int(p) for p in predict_batch(tree, X)] == list(y)
+        assert predict_labels([tree], X)[:, 0].tolist() == list(y)
 
 
 def test_tree_min_samples_split_stops_growth():
@@ -263,10 +263,10 @@ def test_forest_deterministic_given_seed():
     a = fit_one(spec, X, y)
     b = fit_one(spec, X, y)
     probes = rng.normal(size=(25, 6))
-    assert predict_batch(a, probes) == predict_batch(b, probes)
+    assert np.array_equal(predict_labels([a], probes), predict_labels([b], probes))
     c = fit_one(ClassifierSpec(kind="random_forest", seed=12), X, y)
     probes = rng.normal(size=(200, 6))
-    assert predict_batch(a, probes) != predict_batch(c, probes)
+    assert not np.array_equal(predict_labels([a], probes), predict_labels([c], probes))
 
 
 def test_forest_degenerate_equals_plain_tree():
@@ -277,7 +277,7 @@ def test_forest_degenerate_equals_plain_tree():
     forest = fit_one(spec, X, y)
     tree = fit_one(ClassifierSpec(kind="decision_tree"), X, y)
     probes = rng.normal(size=(40, 4))
-    assert predict_batch(forest, probes) == predict_batch(tree, probes)
+    assert np.array_equal(predict_labels([forest], probes), predict_labels([tree], probes))
 
 
 def _leaf_tree(label: Label) -> DecisionTree:
@@ -460,7 +460,7 @@ def test_knn_batch_matches_reference(inputs, data):
     per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
     model = knn_model(X, y, k)
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * X.size):
-        labels = predict_batch(model, probes)
+        labels = predict_labels([model], probes)[:, 0].tolist()
     assert labels == [reference_knn_predict(X, y, probe, k) for probe in probes]
     per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes])
     assert _bit_equal(knn.squared_distances(X, probes), per_row.reshape(len(probes), len(y)))
@@ -478,7 +478,7 @@ def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
     assert _bit_equal(knn.squared_distances(X, probes), per_row)
     k = int(rng.integers(1, n + 1))
     model = knn_model(X, rng.integers(0, 3, size=n), k)
-    assert predict_batch(model, probes) == [
+    assert predict_labels([model], probes)[:, 0].tolist() == [
         reference_knn_predict(X, model.train_y, probe, k) for probe in probes
     ]
 
@@ -541,7 +541,7 @@ def test_knn_label_columns_match_reference(inputs, data):
     for j, rows in enumerate(kept):
         expected = [reference_knn_predict(X[rows], Y[rows, j], probe, k) for probe in probes]
         assert got[:, j].tolist() == expected
-        assert [int(label) for label in predict_batch(models[j], probes)] == expected
+        assert predict_labels([models[j]], probes)[:, 0].tolist() == expected
 
 
 @st.composite
@@ -593,6 +593,40 @@ def test_knn_candidate_selection_matches_reference_on_horizon_labels(inputs, dat
         assert got[:, j].tolist() == expected
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(KINDS), prediction_inputs(), st.data())
+def test_predict_labels_columns_are_each_models_own_predictions(kind, inputs, data):
+    """Column j of predict_labels(models, X) is what models[j] predicts alone,
+    and predict_one agrees with every entry. The 1-4 label columns are the
+    longest horizon tails of a nested label matrix; for kNN some row is
+    unlabeled in some column (U > 0), so the stacked call goes through the
+    shared candidates or the per-column path while each model alone has its
+    own labeled rows only."""
+    X, _, probes = inputs
+    n = len(X)
+    Y = data.draw(horizon_label_matrices(n), label="labels")
+    Y = Y[:, -data.draw(st.integers(1, 4), label="columns") :]
+    fewest = int((Y >= 0).sum(axis=0).min())
+    assume(fewest >= 1 and (kind != "knn" or (Y < 0).any()))
+    spec = ClassifierSpec(
+        kind=kind,
+        k=data.draw(st.integers(1, fewest), label="k"),
+        n_trees=3,
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    models = fit_classifier(spec, X, Y)
+    per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
+        got = predict_labels(models, probes)
+        alone = [predict_labels([model], probes) for model in models]
+    assert got.shape == (len(probes), len(models))
+    for j, model in enumerate(models):
+        assert alone[j].shape == (len(probes), 1)
+        assert got[:, j].tolist() == alone[j][:, 0].tolist()
+        assert [predict_one(model, probe) for probe in probes] == got[:, j].tolist()
+
+
 def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     X = np.arange(6.0)[:, None]
     Y = np.array([[0, 1, -1], [1, -1, -1], [2, -1, 0], [0, 1, -1], [1, -1, -1], [2, 1, -1]])
@@ -604,7 +638,10 @@ def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     with pytest.raises(KTooLarge, match="^k=2 but only 1 training rows$"):
         fit_classifier(ClassifierSpec(kind="knn", k=2), X_bad, Y[:, [2, 0]])
     models = fit_classifier(ClassifierSpec(kind="knn", k=1), X_bad, Y[:, 1:])
-    assert [predict_batch(model, X) for model in models] == [[Label.HOLD] * 6, [Label.SELL] * 6]
+    assert [predict_labels([model], X)[:, 0].tolist() for model in models] == [
+        [Label.HOLD] * 6,
+        [Label.SELL] * 6,
+    ]
 
 
 def test_knn_labels_memory_stays_below_the_full_distance_matrix():
@@ -683,10 +720,12 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
         with_nan = np.repeat(base[None], X.shape[1], axis=0)
         with_nan[np.arange(X.shape[1]), :, np.arange(X.shape[1])] = np.nan
         rows = np.vstack([probes, *on_threshold, *with_nan])
-        assert predict_batch(model, rows) == [reference_predict_tree(model, row) for row in rows]
+        expected = [reference_predict_tree(model, row) for row in rows]
+        assert predict_labels([model], rows)[:, 0].tolist() == expected
         clone = model_from_params("decision_tree", json.loads(json.dumps(model_to_params(model))))
         assert _same_columns(clone, model)
-    assert predict_batch(forest, probes) == [reference_predict_forest(forest, p) for p in probes]
+    expected = [reference_predict_forest(forest, p) for p in probes]
+    assert predict_labels([forest], probes)[:, 0].tolist() == expected
     clone = model_from_params("random_forest", json.loads(json.dumps(model_to_params(forest))))
     assert all(_same_columns(a, b) for a, b in zip(clone.trees, forest.trees, strict=True))
 
@@ -699,7 +738,7 @@ def test_tree_and_forest_batches_match_reference(inputs, data):
 def test_gaussian_nb_batch_matches_reference(inputs):
     X, y, probes = inputs
     model = fit_one(NB, X, y)
-    labels = predict_batch(model, probes)
+    labels = predict_labels([model], probes)[:, 0].tolist()
     assert labels == [reference_predict_gaussian_nb(model, p) for p in probes]
     per_row = np.array([reference_class_log_scores(model, p) for p in probes])
     scores = class_log_scores(model, probes)

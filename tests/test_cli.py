@@ -18,7 +18,7 @@ from conftest import (
     synthetic_market_bytes,
 )
 
-from stocksignals import cli
+from stocksignals import cli, errors
 from stocksignals.classifiers import base, forest, load_bundle
 from stocksignals.classifiers.base import fit_classifier
 from stocksignals.classifiers.tree import grow_trees
@@ -787,6 +787,33 @@ def test_feature_subset_file(tmp_path, market_csv):
     assert run("evaluate", "--data", market_csv, "--out", out, "--features", bad) == 1
 
 
+def test_feature_listed_twice_exits_1_naming_it(tmp_path, market_csv, capsys):
+    subset = tmp_path / "subset.txt"
+    subset.write_text("PE_RATIO\nPX_VOLUME\nPE_RATIO\n")
+    out = tmp_path / "out"
+    assert run("evaluate", "--data", market_csv, "--out", out, "--features", subset) == 1
+    assert capsys.readouterr().err == f"error: feature 'PE_RATIO' is listed twice in {subset}\n"
+    assert not any(out.iterdir())
+
+
+def test_non_utf8_features_file_exits_2(tmp_path, market_csv, capsys):
+    subset = tmp_path / "subset.txt"
+    subset.write_bytes(b"\xffPE_RATIO\n")
+    assert run("transform", "--data", market_csv, "--out", tmp_path / "out", "--features", subset) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: feature subset file {subset} is not valid UTF-8: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_config_file_exits_1(tmp_path, market_csv, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff{}")
+    assert run("transform", "--data", market_csv, "--out", tmp_path / "out", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config} is not valid UTF-8: ")
+    assert err.count("\n") == 1
+
+
 def test_knn_k_between_horizon_row_counts_exits_1_naming_the_first_short_horizon(
     tmp_path, market_csv, capsys
 ):
@@ -856,6 +883,44 @@ def test_schema_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
     assert run("transform", "--data", bad, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    "line, cell, message",
+    [
+        (1, "x" * 131_073, "field larger than field limit (131072)"),
+        (6, "x" * 131_073, "field larger than field limit (131072)"),
+        (6, "ab\rcd", "new-line character seen in unquoted field"),
+    ],
+    ids=["long-header-cell", "long-cell", "carriage-return-in-cell"],
+)
+def test_unreadable_csv_row_exits_2_naming_its_line(tmp_path, market_csv, capsys, line, cell, message):
+    lines = market_csv.read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[2] = cell
+    lines[line - 1] = ",".join(cells)
+    market_csv.write_text("\n".join(lines), newline="")
+    assert run("transform", "--data", market_csv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {line}: {message}")
+    assert err.count("\n") == 1
+
+
+def test_every_error_class_maps_to_one_exit_code():
+    """main turns UsageError, DataError and NumericError into exit codes 1, 2
+    and 3; every other error class derives from exactly one of them."""
+    branches = (errors.UsageError, errors.DataError, errors.NumericError)
+    classes = [
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type)
+        and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+        and value is not errors.PipelineError
+    ]
+    assert len(classes) > len(branches)
+    for error in classes:
+        assert [issubclass(error, branch) for branch in branches].count(True) == 1, error
 
 
 def test_unwritable_output_dir_exit_2(tmp_path, market_csv):

@@ -13,7 +13,7 @@ from stocksignals.classifiers import (
     load_bundle,
     model_from_params,
     model_to_params,
-    predict_batch,
+    predict_labels,
 )
 from stocksignals.errors import EmptyTraining, UsageError
 from stocksignals.transform import FEATURE_COLUMNS, split_dataset, standardize_apply
@@ -40,7 +40,7 @@ def test_model_params_round_trip_predicts_identically(spec):
     for model in fit_classifier(spec, X, np.column_stack([y, gaps])):
         params = json.loads(json.dumps(model_to_params(model)))  # through real JSON
         clone = model_from_params(spec.kind, params)
-        assert predict_batch(clone, probes) == predict_batch(model, probes)
+        assert np.array_equal(predict_labels([clone], probes), predict_labels([model], probes))
         assert model_to_params(clone) == params
 
 
@@ -60,7 +60,7 @@ def test_bundle_save_load_bit_identical(tmp_path):
     assert loaded.feature_names == FEATURE_COLUMNS
     assert loaded.scaler.to_dict() == bundle.scaler.to_dict()
     probes = random_dataset(20, seed=5)
-    assert bundle.predict(probes) == loaded.predict(probes)
+    assert np.array_equal(bundle.predict(probes), loaded.predict(probes))
     # re-serialization of the loaded bundle is byte-identical
     assert bundle_json(loaded) == path.read_text(encoding="utf-8")
 
@@ -71,10 +71,9 @@ def test_bundle_predict_projects_by_name():
     spec = ClassifierSpec(kind="decision_tree", seed=1)
     (bundle,) = fit_bundles(spec, _train_split(data).select(subset), (1,))
     assert bundle.feature_names == subset
-    direct = predict_batch(
-        bundle.model, standardize_apply(bundle.scaler, data.X[:10][:, [2, 20]])
-    )
-    assert bundle.predict(data.take(slice(0, 10))) == direct
+    X = standardize_apply(bundle.scaler, data.X[:10][:, [2, 20]])
+    direct = predict_labels([bundle.model], X)[:, 0]
+    assert np.array_equal(bundle.predict(data.take(slice(0, 10))), direct)
 
 
 def test_fit_bundle_unknown_horizon_and_empty_training():

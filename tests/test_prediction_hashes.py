@@ -21,7 +21,7 @@ import pytest
 from conftest import fit_one
 from test_model_hashes import grid_matrix
 
-from stocksignals.classifiers import ClassifierSpec, predict_batch
+from stocksignals.classifiers import ClassifierSpec, predict_labels
 from stocksignals.classifiers.knn import knn_labels
 
 PREDICTION_HASHES = {
@@ -54,7 +54,7 @@ def probe_matrix(seed=23, m=300, d=28):
 @pytest.mark.parametrize("name", list(SPECS))
 def test_bench_sized_prediction_bytes_are_pinned(name):
     X, y = grid_matrix()
-    labels = predict_batch(fit_one(SPECS[name], X, y), probe_matrix())
+    labels = predict_labels([fit_one(SPECS[name], X, y)], probe_matrix())[:, 0]
     digest = hashlib.sha256(np.array(labels, dtype=np.int8).tobytes()).hexdigest()
     assert digest == PREDICTION_HASHES[name], f"{name}: {digest}"
 
