@@ -3,10 +3,17 @@
 Each tree's PRNG stream derives from (seed, tree index): it draws the
 tree's bootstrap sample, then the candidate features of each node the tree
 searches, in preorder. `fit_forests` fits one forest per label column, and
-all trees of all its forests grow together in `grow_trees`. Their draws are
-made for many trees at once from the closed form of SplitMix64 outputs, and
-a tree whose draw lands in `below`'s rejection zone continues from there on
-its own scalar generator, so every tree matches one grown alone bit for bit.
+all trees of all its forests grow together in `grow_trees`, each on the
+distinct rows of its bootstrap sample weighted by their draw counts. Only
+the nodes a tree searches draw features; children that are pure, too
+small or at max_depth become leaves at their parent without a draw, and
+the tree pops its nodes to search in preorder, so the draws follow the
+same sequence as in a tree grown alone. A step asks for the next draw of
+every tree with a node to search. Draws are made for many trees at once
+from the closed form of SplitMix64 outputs, and a tree whose draw lands in
+`below`'s rejection zone continues from there on its own scalar generator,
+so every tree matches one grown alone bit for bit. With mtry >= d no
+feature is drawn and the trees grow breadth first, a level per step.
 `forest_labels` walks the whole probe matrix down each tree and counts the
 trees' votes per probe; vote ties resolve to Hold.
 """

@@ -1,4 +1,4 @@
-"""CART decision trees with exhaustive midpoint threshold search, grown in lockstep.
+"""CART decision trees with exhaustive midpoint threshold search, grown as one flat frontier.
 
 An internal node routes x left when x[feature] <= threshold. Thresholds
 sit at the midpoints of consecutive distinct sorted values, and the chosen
@@ -7,29 +7,47 @@ lower feature index, then the lower threshold. Growth stops on a pure node,
 max_depth, min_samples_split, or when no split has a positive decrease.
 
 `grow_trees` grows many trees together, for instance every tree of every
-horizon's forest on one split. Each tree pops its nodes from its own stack
-in preorder, left child first, and appends each to its preorder columns as
-it pops it, so a node's left child is the next row, and a right child is
-the node that follows the last leaf of its left sibling's subtree. Each
-step pops the next node of every unfinished tree and searches all of them
-in as few `best_split` calls as _SPLIT_ELEMENTS allows. Random forests
-draw each searched node's candidate features in the tree's own preorder,
-so every tree is the one it would be if grown alone.
+horizon's forest on one split. A tree trains on the distinct rows of its
+root, each weighted by how often the root holds it (a bootstrap sample
+draws a row about 1.6 times). The entries of all trees live in three flat
+columns (row, weight, label), and a pending node is a (start, length) range
+of them; a split stable-partitions its node's range in place, left entries
+first. Node sizes and class counts are sums of weights, the same integers
+the repeated rows would give, so every float comes out the same.
+
+Leaves are decided at their parent: the winning cut gives both children's
+class counts, and a child that is pure, weighs less than
+min_samples_split or lies at max_depth is written as a leaf at once. Only
+nodes to search go on their tree's stack, and preorder restricted to those
+nodes is the stack's order, so each tree searches, and draws the candidate
+features of, its nodes in its own preorder. The stacks are one
+(tree, level) array with one pointer per tree. A step pops the top node of
+every tree, searches them all in as few `best_split` calls as
+_SPLIT_ELEMENTS allows and pushes the children to search, right child
+first. Without feature draws a step pops every pending node instead, so
+the trees grow breadth first, one level per step.
+
+Nodes go into one table in the order they are made, a node's two children
+side by side. When growth ends, one pass computes subtree sizes bottom up
+by depth and preorder positions top down (left child = parent + 1, right
+child = parent + 1 + the size of the left subtree), and each tree gathers
+its columns from the table in that order.
 
 `best_split` lays the searched nodes out ragged: each (node, candidate
 feature) pair is one contiguous segment of a flat array holding that
-node's rows, with no padding. One argsort of the key segment * n + rank,
+node's entries, with no padding. One argsort of the key segment * n + rank,
 where rank is the value's dense rank in its column of X (computed once per
-fit), sorts every segment by value at once. Per-class cumulative sums give
-the class counts left of every cut between distinct values, and the
-impurities are computed from three columns, one per class, summed in class
-order as a 3-wide row sum is; gains use the same elementwise operations as
-a one-feature-at-a-time search (kept in the tests as the reference), so
-trees are bit-identical to it. Counts at such a cut do not depend on the
-order of equal values, so the sort need not be stable. A node's segments
-are feature-major, so the first maximum of its gains is the lowest feature
-and, within it, the lowest threshold. A call holds about _SPLIT_ELEMENTS
-(segment, row) elements; a larger node is searched alone.
+fit), sorts every segment by value at once. Per-class cumulative sums of
+the weights give the class counts left of every cut between distinct
+values, and the impurities are computed from three columns, one per class,
+summed in class order as a 3-wide row sum is; gains use the same
+elementwise operations as a one-feature-at-a-time search over the repeated
+rows (kept in the tests as the reference), so trees are bit-identical to
+it. Counts at such a cut do not depend on the order of equal values, so the
+sort need not be stable. A node's segments are feature-major, so the first
+maximum of its gains is the lowest feature and, within it, the lowest
+threshold. A call holds about _SPLIT_ELEMENTS (segment, entry) elements; a
+larger node is searched alone.
 
 `tree_labels` predicts a whole probe matrix by walking all probes down the
 columns together, one level per step: each probe still inside the tree
@@ -51,7 +69,7 @@ if TYPE_CHECKING:
 
 N_CLASSES = 3
 
-# (segment, row) elements searched by one best_split call: a few thousand
+# (segment, entry) elements searched by one best_split call: a few thousand
 # amortise the per-call numpy overhead while the work arrays stay small
 _SPLIT_ELEMENTS = 1 << 13
 
@@ -76,39 +94,48 @@ def dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start .. start + length - 1 of every range, concatenated."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def best_split(
     X: np.ndarray,
-    labels: list[np.ndarray],
-    criterion: str,
-    features: list[Sequence[int]],
-    rows: list[np.ndarray],
     ranks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (feature, threshold, gain) of every node, searched in one batch.
+    criterion: str,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    lengths: np.ndarray,
+    features: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best (feature, threshold, gain, left counts) of every node, searched in one batch.
 
-    Node i has the rows rows[i] of X (at least one), their labels labels[i]
-    and the ascending candidate features features[i]; `ranks` is
-    dense_ranks(X). The three arrays hold one entry per node; a node where
-    no split gains has feature -1, threshold 0.0 and gain 0.0.
+    Node i holds the next lengths[i] (at least one) entries of rows, labels
+    and weights: a row of X, its label and how many times it counts.
+    features[i] holds its ascending candidate features, one row of the
+    (nodes, width) array per node; `ranks` is dense_ranks(X). The first
+    three results hold one entry per node and the left counts one row of
+    per-class weights left of the cut; a node where no split gains has
+    feature -1, threshold 0.0, gain 0.0 and zero left counts.
     """
-    feature, threshold, gain = np.full(len(rows), -1), np.zeros(len(rows)), np.zeros(len(rows))
-    sizes = np.array([len(r) for r in rows], dtype=np.intp)
-    widths = np.array([len(f) for f in features], dtype=np.intp)
-    node_rows = np.concatenate(rows)
-    seg_feature = np.concatenate(features).astype(np.intp)
-    seg_node = np.repeat(np.arange(len(rows)), widths)
-    seg_len = sizes[seg_node]
+    n_nodes = len(lengths)
+    feature, threshold, gain = np.full(n_nodes, -1), np.zeros(n_nodes), np.zeros(n_nodes)
+    left_counts = np.zeros((n_nodes, N_CLASSES), dtype=np.intp)
+    width = features.shape[1]
+    node_start = lengths.cumsum() - lengths
+    seg_feature = features.ravel().astype(np.intp)
+    seg_node = np.repeat(np.arange(n_nodes), width)
+    seg_len = lengths[seg_node].astype(np.intp)
     seg_end = seg_len.cumsum()
     if not seg_end.size or seg_end[-1] < 2:
-        return feature, threshold, gain
+        return feature, threshold, gain, left_counts
     seg_start = seg_end - seg_len
     elem_seg = np.repeat(np.arange(len(seg_len)), seg_len)
-    # each element's index into node_rows: its node's first row plus its
-    # position in the segment
-    src = np.arange(seg_end[-1]) + np.repeat(
-        (sizes.cumsum() - sizes)[seg_node] - seg_start, seg_len
-    )
-    key = elem_seg * len(X) + ranks[node_rows[src], seg_feature[elem_seg]]
+    # each element's entry: its node's first entry plus its position in the segment
+    src = _ranges(node_start[seg_node], seg_len)
+    key = elem_seg * len(X) + ranks[rows[src], seg_feature[elem_seg]]
     order = key.argsort()
     key = key[order]
     src = src[order]
@@ -117,25 +144,32 @@ def best_split(
     is_cut[seg_end[:-1] - 1] = False
     cuts = np.flatnonzero(is_cut)
     if not cuts.size:
-        return feature, threshold, gain
-    node_y = np.concatenate(labels)
+        return feature, threshold, gain, left_counts
     totals = np.bincount(
-        np.repeat(np.arange(len(rows)) * N_CLASSES, sizes) + node_y,
-        minlength=N_CLASSES * len(rows),
-    ).reshape(-1, N_CLASSES)
+        np.repeat(np.arange(n_nodes) * N_CLASSES, lengths) + labels,
+        weights=weights,
+        minlength=N_CLASSES * n_nodes,
+    ).astype(np.intp).reshape(-1, N_CLASSES)
+    sizes = totals.sum(axis=1)
     cut_seg = elem_seg[cuts]
     cut_node = seg_node[cut_seg]
-    n_left = cuts + 1 - seg_start[cut_seg]
+    del elem_seg, key, order, is_cut  # free the element-sized work before the per-cut work
+    w_sorted = weights[src]
+    y_sorted = labels[src]
+    end, start = cuts + 1, seg_start[cut_seg]
+    cum = np.zeros(len(src) + 1, dtype=np.intp)
+
+    def left_of_cuts(values: np.ndarray) -> np.ndarray:
+        """The sum of values from each cut's segment start to the cut."""
+        np.cumsum(values, out=cum[1:])
+        return cum[end] - cum[start]
+
+    n_left = left_of_cuts(w_sorted)
+    left = [left_of_cuts(w_sorted * (y_sorted == label)) for label in range(N_CLASSES - 1)]
+    left.append(n_left - left[0] - left[1])
     n_node = sizes[cut_node]
     n_right = n_node - n_left
-    y_sorted = node_y[src]
-    left = []
-    for label in range(N_CLASSES - 1):
-        cum = np.zeros(len(src) + 1, dtype=np.intp)
-        np.cumsum(y_sorted == label, out=cum[1:])
-        left.append(cum[cuts + 1] - cum[seg_start[cut_seg]])
-    left.append(n_left - left[0] - left[1])
-    right = [totals[cut_node, label] - left[label] for label in range(N_CLASSES)]
+    right = [count[cut_node] - left[label] for label, count in enumerate(totals.T)]
     parent = _impurity(totals.T, sizes, criterion)[cut_node]
     gains = parent - (
         n_left * _impurity(left, n_left, criterion)
@@ -151,11 +185,12 @@ def best_split(
     first = first[best > 0.0]
     node = cut_node[first]
     feature[node] = seg_feature[cut_seg[first]]
-    below = node_rows[src[cuts[first]]]
-    above = node_rows[src[cuts[first] + 1]]
+    below = rows[src[cuts[first]]]
+    above = rows[src[cuts[first] + 1]]
     threshold[node] = (X[below, feature[node]] + X[above, feature[node]]) / 2.0
     gain[node] = gains[first]
-    return feature, threshold, gain
+    left_counts[node] = np.column_stack([count[first] for count in left])
+    return feature, threshold, gain, left_counts
 
 
 @dataclass(eq=False)
@@ -193,48 +228,92 @@ def _chunks(elements: list[int]) -> Iterator[slice]:
         yield slice(start, len(elements))
 
 
-class _Growth:
-    """One tree being grown: its stack of pending nodes and its columns so far.
+class _NodeTable:
+    """Every node of every tree in the order it was made.
 
-    Only the node kinds, split thresholds and leaf counts are kept; the
-    rest of the layout follows from the node kinds in preorder.
+    An internal node's children are made together, so its right child is
+    the node after its left child; `left` is -1 at leaves, as is `feature`.
+    Nodes 0 .. n_trees - 1 are the roots. The columns grow by doubling, in
+    place (`ndarray.resize` reallocates, so a large column is remapped
+    rather than copied).
     """
 
-    __slots__ = ("stack", "feature", "threshold", "counts")
+    def __init__(self, capacity: int):
+        self.size = 0
+        self.left = np.empty(capacity, dtype=np.int32)
+        self.feature = np.empty(capacity, dtype=np.int32)
+        self.threshold = np.empty(capacity)
+        self.counts = np.empty((capacity, N_CLASSES), dtype=np.int32)
 
-    def __init__(self, rows: np.ndarray):
-        self.stack: list[tuple[np.ndarray, int]] = [(rows, 0)]  # (node rows, depth)
-        self.feature: list[int] = []  # -1 at leaves
-        self.threshold: list[float] = []  # one per internal node
-        self.counts: list[int] = []  # three per leaf
+    def add(self, counts: np.ndarray) -> np.ndarray:
+        """Ids of new leaves with these class counts."""
+        start, end = self.size, self.size + len(counts)
+        if end > len(self.left):
+            capacity = max(end, 2 * len(self.left))
+            for column in (self.left, self.feature, self.threshold, self.counts):
+                column.resize((capacity, *column.shape[1:]), refcheck=False)
+        self.left[start:end] = -1
+        self.feature[start:end] = -1
+        self.threshold[start:end] = 0.0
+        self.counts[start:end] = counts
+        self.size = end
+        return np.arange(start, end)
 
-    def tree(self, n_features: int, criterion: str) -> DecisionTree:
-        n = len(self.feature)
-        # a node that follows a leaf is the right child of the nearest
-        # internal node before it whose right child has not come yet
-        right = [-1] * n
-        waiting: list[int] = []
-        for pos, feature in enumerate(self.feature):
-            if pos and self.feature[pos - 1] < 0:
-                right[waiting.pop()] = pos
-            if feature >= 0:
-                waiting.append(pos)
-        feature = np.array(self.feature, dtype=np.int32)
-        internal = feature >= 0
-        threshold = np.zeros(n)
-        threshold[internal] = self.threshold
-        counts = np.zeros((n, N_CLASSES), dtype=np.int32)
-        counts[~internal] = np.reshape(self.counts, (-1, N_CLASSES))
-        return DecisionTree(
-            feature,
-            threshold,
-            np.where(internal, np.arange(1, n + 1, dtype=np.int32), np.int32(-1)),
-            np.array(right, dtype=np.int32),
-            counts,
-            majority_labels(counts).astype(np.int8),
-            n_features=n_features,
-            criterion=criterion,
-        )
+    def trees(self, n_trees: int, n_features: int, criterion: str) -> list[DecisionTree]:
+        """Each tree's preorder columns, gathered from the table a column at a
+        time; each table column is dropped once gathered."""
+        left = self.left[: self.size]
+        levels = []  # the internal nodes at each depth
+        level = np.arange(n_trees)
+        while level.size:
+            level = level[left[level] >= 0]
+            levels.append(level)
+            level = np.concatenate([left[level], left[level] + 1])
+        size = np.ones(self.size, dtype=np.int32)
+        for parents in reversed(levels):
+            size[parents] += size[left[parents]] + size[left[parents] + 1]
+        offsets = np.concatenate(([0], size[:n_trees].cumsum())).tolist()
+        pos = np.empty(self.size, dtype=np.int32)
+        pos[:n_trees] = offsets[:-1]
+        for parents in levels:
+            pos[left[parents]] = pos[parents] + 1
+            pos[left[parents] + 1] = pos[parents] + 1 + size[left[parents]]
+        del size, levels
+        in_preorder = np.empty(self.size, dtype=np.int32)
+        in_preorder[pos] = np.arange(self.size, dtype=np.int32)
+        spans = list(zip(offsets[:-1], offsets[1:]))
+        ids = [in_preorder[start:end] for start, end in spans]
+        lefts, rights = [], []
+        for (start, end), nodes in zip(spans, ids):
+            kids = left[nodes]
+            internal = kids >= 0
+            lefts.append(np.where(internal, np.arange(1, end - start + 1, dtype=np.int32), -1))
+            rights.append(np.where(internal, pos[kids + 1] - start, -1))
+        del left, pos
+        self.left = None
+        features = [self.feature[nodes] for nodes in ids]
+        self.feature = None
+        thresholds = [self.threshold[nodes] for nodes in ids]
+        self.threshold = None
+        counts = [self.counts[nodes] for nodes in ids]
+        self.counts = None
+        for feature, leaf_counts in zip(features, counts):
+            leaf_counts[feature >= 0] = 0
+        return [
+            DecisionTree(
+                *columns, majority_labels(columns[4]).astype(np.int8),
+                n_features=n_features, criterion=criterion,
+            )
+            for columns in zip(features, thresholds, lefts, rights, counts)
+        ]
+
+
+def _to_search(counts: np.ndarray, depth: np.ndarray, spec: "ClassifierSpec") -> np.ndarray:
+    """Which nodes with these class counts and depths are searched, not leaves."""
+    search = (np.count_nonzero(counts, axis=1) > 1) & (counts.sum(axis=1) >= spec.min_samples_split)
+    if spec.max_depth is not None:
+        search &= depth < spec.max_depth
+    return search
 
 
 def grow_trees(
@@ -245,72 +324,110 @@ def grow_trees(
     spec: "ClassifierSpec",
     pick: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[DecisionTree]:
-    """Grow tree t on X[roots[t]] with labels Y[roots[t], columns[t]], all in lockstep.
+    """Grow tree t on X[roots[t]] with labels Y[roots[t], columns[t]], all together.
 
     `pick(trees)` gives, for each listed tree, the sorted candidate features
     of the node it searches next, as one (len(trees), pick.mtry) array; a
     tree's nodes are searched in its preorder, so a per-tree stream yields
     the draws it would for that tree grown alone. Every node searches every
     feature when `pick` is None. `roots` is only iterated, so a generator
-    lets each root go once its node is split.
+    lets each root go once its distinct rows are counted.
     """
     ranks = dense_ranks(X)
     width = X.shape[1] if pick is None else pick.mtry
-    growths: list[_Growth | None] = [_Growth(rows) for rows in roots]
-    trees: list[DecisionTree | None] = [None] * len(growths)
-    live = list(range(len(growths)))
-    while live:
-        popped = [growths[t].stack.pop() for t in live]
-        for chunk in _chunks([len(rows) * width for rows, _ in popped]):
-            _grow_nodes(
-                X, Y, ranks, columns, spec, pick,
-                live[chunk], [growths[t] for t in live[chunk]], popped[chunk],
+    distinct = [
+        [column.astype(np.int32) for column in np.unique(root, return_counts=True)]
+        for root in roots
+    ]
+    n_trees = len(distinct)
+    lengths = np.array([len(rows) for rows, _ in distinct])
+    rows = np.concatenate([rows for rows, _ in distinct])
+    weights = np.concatenate([counts for _, counts in distinct])
+    del distinct
+    entry_tree = np.repeat(np.arange(n_trees), lengths)
+    labels = Y[rows, np.asarray(columns)[entry_tree]].astype(np.int8)
+    counts = np.bincount(
+        entry_tree * N_CLASSES + labels, weights=weights, minlength=N_CLASSES * n_trees
+    ).astype(np.int32).reshape(-1, N_CLASSES)
+    del entry_tree
+    # a tree makes at most two nodes per distinct entry; forests on the bench
+    # markets make about 0.74, so one per entry rarely has to grow
+    table = _NodeTable(len(rows))
+    # the nodes tree t has yet to search are stack[t, :top[t]], top last,
+    # each as (node id, start, length, depth)
+    stack = np.empty((n_trees, 8, 4), dtype=np.int32)
+    top = np.zeros(n_trees, dtype=np.intp)
+
+    def push(tree: np.ndarray, entries: np.ndarray) -> None:
+        """Push entries[i] on tree[i]'s stack, in order; `tree` is sorted."""
+        nonlocal stack
+        if not len(tree):
+            return
+        slot = top[tree] + np.arange(len(tree)) - np.searchsorted(tree, tree)
+        if slot.max() >= stack.shape[1]:
+            wider = np.empty((n_trees, 2 * (int(slot.max()) + 1), 4), dtype=np.int32)
+            wider[:, : stack.shape[1]] = stack
+            stack = wider
+        stack[tree, slot] = entries
+        top[:] += np.bincount(tree, minlength=n_trees)
+
+    depth = np.zeros(n_trees, dtype=np.int32)
+    search = _to_search(counts, depth, spec)
+    push(
+        np.flatnonzero(search),
+        np.column_stack([table.add(counts), lengths.cumsum() - lengths, lengths, depth])[search],
+    )
+    every = np.arange(X.shape[1])
+    while top.any():
+        if pick is None:  # breadth first: every pending node of every tree
+            tree, level = np.nonzero(np.arange(stack.shape[1]) < top[:, None])
+            popped = stack[tree, level]
+            top[:] = 0
+            features = np.broadcast_to(every, (len(tree), width))
+        else:  # the top node of every tree, for the tree's next draw
+            tree = np.flatnonzero(top)
+            top[tree] -= 1
+            popped = stack[tree, top[tree]]
+            features = pick(tree)
+        for chunk in _chunks((popped[:, 2] * width).tolist()):
+            node, start, length, depth = popped[chunk].T
+            at = _ranges(start, length)
+            node_rows, node_weights, node_labels = rows[at], weights[at], labels[at]
+            feature, threshold, _, left_counts = best_split(
+                X, ranks, spec.criterion, node_rows, node_labels, node_weights, length,
+                features[chunk],
             )
-        for t in live:
-            if not growths[t].stack:
-                trees[t] = growths[t].tree(X.shape[1], spec.criterion)
-                growths[t] = None
-        live = [t for t in live if growths[t] is not None]
-    return trees
+            # stable-partition each node's entries, left ones first (a leaf's
+            # entries are only reordered within its own range)
+            elem_node = np.repeat(np.arange(len(node)), length)
+            goes_right = X[node_rows, np.maximum(feature, 0)[elem_node]] > threshold[elem_node]
+            order = np.argsort(2 * elem_node + goes_right, kind="stable")
+            rows[at], weights[at], labels[at] = (
+                node_rows[order], node_weights[order], node_labels[order]
+            )
+            n_left = np.bincount(elem_node[~goes_right], minlength=len(node))
 
-
-def _grow_nodes(X, Y, ranks, columns, spec, pick, trees, growths, popped) -> None:
-    """Append one popped node to each tree's columns: a leaf, or a split
-    whose children go on the tree's stack, right child first."""
-    rows = [node_rows for node_rows, _ in popped]
-    sizes = np.array([len(r) for r in rows])
-    flat = np.concatenate(rows)
-    node_of = np.repeat(np.arange(len(rows)), sizes)
-    y = Y[flat, columns[trees][node_of]]
-    counts = np.bincount(node_of * N_CLASSES + y, minlength=N_CLASSES * len(rows))
-    counts = counts.reshape(-1, N_CLASSES)
-    stop = (np.count_nonzero(counts, axis=1) <= 1) | (sizes < spec.min_samples_split)
-    if spec.max_depth is not None:
-        stop |= np.array([depth for _, depth in popped]) >= spec.max_depth
-    searched = np.flatnonzero(~stop).tolist()
-    feature = np.full(len(rows), -1)
-    threshold = np.zeros(len(rows))
-    offsets = [0, *sizes.cumsum().tolist()]
-    if searched:
-        if pick is None:
-            features = [np.arange(X.shape[1])] * len(searched)
-        else:
-            features = list(pick(np.asarray(trees)[searched]))
-        feature[searched], threshold[searched], _ = best_split(
-            X, [y[offsets[i] : offsets[i + 1]] for i in searched], spec.criterion, features,
-            [rows[i] for i in searched], ranks,
-        )
-    go_left = X[flat, np.maximum(feature, 0)[node_of]] <= threshold[node_of]
-    feature, threshold, leaf_counts = feature.tolist(), threshold.tolist(), counts.tolist()
-    for i, (growth, (node_rows, depth)) in enumerate(zip(growths, popped)):
-        growth.feature.append(feature[i])
-        if feature[i] < 0:
-            growth.counts.extend(leaf_counts[i])
-            continue
-        growth.threshold.append(threshold[i])
-        mask = go_left[offsets[i] : offsets[i + 1]]
-        growth.stack.append((node_rows[~mask], depth + 1))
-        growth.stack.append((node_rows[mask], depth + 1))
+            split = np.flatnonzero(feature >= 0)
+            parent = node[split]
+            table.feature[parent] = feature[split]
+            table.threshold[parent] = threshold[split]
+            kids = np.empty((len(split), 2, N_CLASSES), dtype=np.int32)  # left, right
+            kids[:, 0] = left_counts[split]
+            kids[:, 1] = table.counts[parent] - left_counts[split]
+            ids = table.add(kids.reshape(-1, N_CLASSES)).reshape(-1, 2)
+            table.left[parent] = ids[:, 0]
+            # each parent's children to search, right child first so that
+            # the left child is popped first
+            k = n_left[split]
+            entries = np.empty((len(split), 2, 4), dtype=np.int32)
+            entries[:, 0, :3] = np.column_stack([ids[:, 1], start[split] + k, length[split] - k])
+            entries[:, 1, :3] = np.column_stack([ids[:, 0], start[split], k])
+            entries[:, :, 3] = depth[split, None] + 1
+            entries = entries.reshape(-1, 4)
+            search = _to_search(kids[:, ::-1].reshape(-1, N_CLASSES), entries[:, 3], spec)
+            push(np.repeat(tree[chunk][split], 2)[search], entries[search])
+    del rows, weights, labels, ranks
+    return table.trees(n_trees, X.shape[1], spec.criterion)
 
 
 def check_layout(tree: DecisionTree) -> None:
@@ -368,4 +485,3 @@ def tree_labels(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
         at[rows] = child
         rows = rows[internal[child]]
     return tree.label[at]
-

@@ -314,6 +314,9 @@ def _load_feature_subset(path: Path) -> tuple[str, ...]:
 
 
 def _load_state(cfg: RunConfig) -> _State:
+    """The run's inputs, read and checked: the --features file first, then
+    the market."""
+    subset = _load_feature_subset(cfg.features_file) if cfg.features_file else None
     try:
         with open(cfg.data, "rb") as stream:
             table = ingest.parse_market_csv(stream)
@@ -350,7 +353,6 @@ def _load_state(cfg: RunConfig) -> _State:
             "no feature rows assembled"
             + (f" for sector {cfg.sector!r}" if cfg.sector else "")
         )
-    subset = _load_feature_subset(cfg.features_file) if cfg.features_file else None
     return _State(
         data=Dataset.concat(parts), sectors=sectors, ticker_rows=ticker_rows, subset=subset
     )
@@ -495,12 +497,16 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
 
 
 def run_command(command: str, cfg: RunConfig) -> int:
-    """Execute one command (or the whole pipeline) and write its artifacts."""
+    """Execute one command (or the whole pipeline) and write its artifacts.
+
+    The output directory is made only once the inputs have been read, so a
+    run that fails on its inputs leaves none behind.
+    """
+    state = _load_state(cfg)
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {cfg.out}: {exc}") from None
-    state = _load_state(cfg)
     if command in ("transform", "pipeline"):
         _stage_transform(cfg, state)
     if command in ("evaluate", "pipeline"):

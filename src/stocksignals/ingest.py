@@ -168,6 +168,16 @@ def _parse_block(rows: list[tuple[str, ...]], demoted: np.ndarray) -> np.ndarray
     return np.column_stack([values for values, _ in parsed])
 
 
+def _unreadable(line: int, exc: csv.Error) -> MalformedRow:
+    """The error for a line the csv module cannot read. The reader splits
+    lines at \\n only, so its complaint about a new-line character in an
+    unquoted field is about a bare carriage return, and says so."""
+    message = str(exc)
+    if message.startswith("new-line character seen in unquoted field"):
+        message = "carriage return inside an unquoted cell"
+    return MalformedRow(f"line {line}: {message}")
+
+
 def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     """Parse a UTF-8 market CSV byte stream into columns.
 
@@ -192,7 +202,7 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     try:
         header = [name.strip() for name in next(reader)]
     except csv.Error as exc:
-        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+        raise _unreadable(reader.line_num, exc) from None
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
         if name in positions and name in CSV_COLUMNS:
@@ -227,7 +237,7 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
                 blocks.append(_parse_block(chunk, demoted))
                 chunk = []
     except csv.Error as exc:
-        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+        raise _unreadable(reader.line_num, exc) from None
     blocks.append(_parse_block(chunk, demoted))
     return RawTable(
         dates=np.array(dates, dtype="datetime64[D]"),

@@ -10,6 +10,7 @@ occurrence and drives top-k selection.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,10 +111,11 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
     if np.abs(work - work.T).max(initial=0.0) > 1e-12:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     d = work.shape[0]
-    vectors = np.eye(d)
-    # each rotation turns rows p and q of work, then its columns, then the
-    # columns of vectors: rows of these views
-    planes = (work, work.T, vectors.T)
+    # row p of the buffer is row p of work beside column p of the
+    # eigenvectors, so one row rotation turns both; a second turns the
+    # columns of work
+    buffer = np.hstack([work, np.eye(d)])
+    work = buffer[:, :d]
     if d > 1:
         converged = False
         for _ in range(max_sweeps):
@@ -123,18 +125,18 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
                 break
             for p in range(d - 1):
                 for q in range(p + 1, d):
-                    apq = work[p, q]
+                    apq = buffer.item(p, q)
                     if abs(apq) < tol / (d * d):
                         continue
-                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    theta = (buffer.item(q, q) - buffer.item(p, p)) / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                     if theta < 0.0:
                         t = -t
-                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    c = 1.0 / math.sqrt(t * t + 1.0)
                     s = t * c
-                    for plane in planes:
-                        a, b = plane[p].copy(), plane[q].copy()
-                        plane[p], plane[q] = c * a - s * b, s * a + c * b
+                    for lines in (buffer, work.T):
+                        a, b = lines[p].copy(), lines[q].copy()
+                        lines[p], lines[q] = c * a - s * b, s * a + c * b
                     work[p, q] = 0.0
                     work[q, p] = 0.0
         else:
@@ -146,7 +148,7 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
     eigenvalues = np.diag(work).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
+    vectors = np.ascontiguousarray(buffer[:, d:].T[:, order])
     for j in range(d):
         column = vectors[:, j]
         nonzero = np.nonzero(np.abs(column) > 1e-12)[0]

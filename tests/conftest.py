@@ -243,14 +243,20 @@ class Split:
 def node_split(X, y, criterion, candidate_features, rows=None):
     """best_split of one node: its Split, or None when no split gains.
 
-    `rows` indexes the node's rows in X (every row when None); y holds
-    their labels.
+    `rows` indexes the node's rows in X (every row when None), repeats
+    allowed; y holds their labels. The node goes to best_split as the
+    grower passes it: each distinct (row, label) entry once, weighted by
+    how often it occurs.
     """
     if len(y) == 0:
         return None
     rows = np.arange(len(y)) if rows is None else np.asarray(rows)
-    feature, threshold, gain = best_split(
-        X, [np.asarray(y)], criterion, [sorted(candidate_features)], [rows], dense_ranks(X)
+    entries, weights = np.unique(
+        np.column_stack([rows, np.asarray(y)]), axis=0, return_counts=True
+    )
+    feature, threshold, gain, _ = best_split(
+        X, dense_ranks(X), criterion, entries[:, 0], entries[:, 1], weights,
+        np.array([len(entries)]), np.array([sorted(candidate_features)]),
     )
     if feature[0] < 0:
         return None

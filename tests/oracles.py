@@ -518,6 +518,58 @@ def reference_standardize(means, stds, rows):
     ]
 
 
+# --- Jacobi eigendecomposition ------------------------------------------------------
+
+def reference_jacobi_eigen(A, tol=1e-12, max_sweeps=100):
+    """The package's former cyclic Jacobi loop: each rotation turns rows p
+    and q of work, then its columns, then the columns of the eigenvectors,
+    as three planes, with numpy-scalar arithmetic."""
+    from stocksignals.errors import NoConvergence
+    from stocksignals.pca import EigenDecomposition
+
+    work = np.array(A, dtype=float)
+    d = work.shape[0]
+    vectors = np.eye(d)
+    planes = (work, work.T, vectors.T)
+    if d > 1:
+        converged = False
+        for _ in range(max_sweeps):
+            off = np.abs(work - np.diag(np.diag(work))).max()
+            if off < tol:
+                converged = True
+                break
+            for p in range(d - 1):
+                for q in range(p + 1, d):
+                    apq = work[p, q]
+                    if abs(apq) < tol / (d * d):
+                        continue
+                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    for plane in planes:
+                        a, b = plane[p].copy(), plane[q].copy()
+                        plane[p], plane[q] = c * a - s * b, s * a + c * b
+                    work[p, q] = 0.0
+                    work[q, p] = 0.0
+        else:
+            converged = np.abs(work - np.diag(np.diag(work))).max() < tol
+        if not converged:
+            raise NoConvergence(f"off-diagonal mass above {tol} after {max_sweeps} sweeps")
+    eigenvalues = np.diag(work).copy()
+    order = np.argsort(-eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    vectors = vectors[:, order]
+    for j in range(d):
+        column = vectors[:, j]
+        nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
+        if nonzero.size and column[nonzero[0]] < 0:
+            vectors[:, j] = -column
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+
+
 # --- PCA contribution scoring -------------------------------------------------------
 
 def reference_contribution_scores(eigenvectors, used_names, names, cfg):

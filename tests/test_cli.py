@@ -793,7 +793,32 @@ def test_feature_listed_twice_exits_1_naming_it(tmp_path, market_csv, capsys):
     out = tmp_path / "out"
     assert run("evaluate", "--data", market_csv, "--out", out, "--features", subset) == 1
     assert capsys.readouterr().err == f"error: feature 'PE_RATIO' is listed twice in {subset}\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subset_text, message",
+    [
+        ("PE_RATIO\nPE_RATIO\n", "error: feature 'PE_RATIO' is listed twice in {subset}\n"),
+        ("PE_RATIO\nNOT_A_FEATURE\n", "error: unknown feature 'NOT_A_FEATURE' in {subset}\n"),
+    ],
+    ids=["repeated", "unknown"],
+)
+def test_bad_features_file_is_reported_before_a_missing_market(
+    tmp_path, capsys, subset_text, message
+):
+    """The --features file is checked before the market is read, and a run
+    that fails on its inputs makes no output directory."""
+    subset = tmp_path / "subset.txt"
+    subset.write_text(subset_text)
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.csv"
+    assert run("evaluate", "--data", missing, "--out", out, "--features", subset) == 1
+    assert capsys.readouterr().err == message.format(subset=subset)
+    assert not out.exists()
+    assert run("transform", "--data", missing, "--out", out) == 2
+    assert capsys.readouterr().err == f"data error: input file not found: {missing}\n"
+    assert not out.exists()
 
 
 def test_non_utf8_features_file_exits_2(tmp_path, market_csv, capsys):
@@ -890,9 +915,10 @@ def test_schema_error_exit_2(tmp_path, capsys):
     [
         (1, "x" * 131_073, "field larger than field limit (131072)"),
         (6, "x" * 131_073, "field larger than field limit (131072)"),
-        (6, "ab\rcd", "new-line character seen in unquoted field"),
+        (6, "ab\rcd", "carriage return inside an unquoted cell\n"),
+        (6, "ab\r", "carriage return inside an unquoted cell\n"),
     ],
-    ids=["long-header-cell", "long-cell", "carriage-return-in-cell"],
+    ids=["long-header-cell", "long-cell", "carriage-return-in-cell", "carriage-return-ending-cell"],
 )
 def test_unreadable_csv_row_exits_2_naming_its_line(tmp_path, market_csv, capsys, line, cell, message):
     lines = market_csv.read_text().split("\n")

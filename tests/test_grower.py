@@ -1,24 +1,35 @@
-"""The lockstep grower against the per-tree reference grower, bit for bit.
+"""The flat-frontier grower against the per-tree reference grower, bit for bit.
 
-`grow_trees` grows every tree of every label column together and searches
-all of a step's nodes in batched `best_split` calls; `reference_grow_tree`
-grows one tree at a time with one-feature-at-a-time split searches. Every
+`grow_trees` grows every tree of every label column together, each on its
+distinct rows weighted by their draws, and searches all of a step's nodes
+in batched `best_split` calls; `reference_grow_tree` grows one tree at a
+time on the repeated rows with one-feature-at-a-time split searches. Every
 column of every tree must match, thresholds to the bit.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_tree, fit_one, node_split, random_dataset
-from hypothesis import given, settings
+from conftest import assert_same_tree, fit_one, random_dataset, synthetic_market_bytes
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_fit_decision_tree, reference_fit_random_forest
+from oracles import reference_best_split, reference_fit_decision_tree, reference_fit_random_forest
 
 from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
+from stocksignals import ingest
 from stocksignals.classifiers import tree
+from stocksignals.classifiers.forest import fit_forests
 from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
-from stocksignals.transform import split_dataset
+from stocksignals.transform import (
+    Dataset,
+    LabelConfig,
+    SplitConfig,
+    assemble_features,
+    shuffle_split,
+    split_dataset,
+)
 
 GRID = (-2.0, -0.5, 0.0, 0.5, 3.0)
 
@@ -62,13 +73,40 @@ def specs(draw, d):
     )
 
 
+@st.composite
+def grower_cases(draw):
+    """label_matrices with a spec and a _SPLIT_ELEMENTS cap: tiny caps split a
+    step into several calls and search big nodes alone."""
+    X, Y = draw(label_matrices())
+    spec = draw(specs(X.shape[1]))
+    cap = draw(st.sampled_from([1, 7, 40, 1 << 13]))
+    return X, Y, spec, cap
+
+
+# A bootstrap child with fewer distinct rows than min_samples_split but as
+# many draws is split: a stop rule that counted distinct rows would make it
+# a leaf.
+FEWER_DISTINCT_ROWS_THAN_MIN_SPLIT = (
+    np.array([[3.0, 2.0], [3.0, 3.0], [3.0, 0.0], [1.0, 2.0], [1.0, 1.0], [2.0, 3.0], [2.0, 0.0]]),
+    np.array([[2], [2], [0], [1], [1], [2], [0]]),
+    ClassifierSpec(kind="random_forest", n_trees=1, min_samples_split=4, seed=4),
+    1 << 13,
+)
+# the root's children lie at max_depth, impure, and are leaves at once
+CHILDREN_AT_MAX_DEPTH = (
+    np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]]),
+    np.array([[0], [1], [0], [1], [2], [2]]),
+    ClassifierSpec(kind="decision_tree", max_depth=1),
+    1 << 13,
+)
+
+
+@example(case=FEWER_DISTINCT_ROWS_THAN_MIN_SPLIT)
+@example(case=CHILDREN_AT_MAX_DEPTH)
 @settings(max_examples=300, deadline=None)
-@given(label_matrices(), st.data())
-def test_lockstep_trees_match_per_tree_reference(inputs, data):
-    X, Y = inputs
-    spec = data.draw(specs(X.shape[1]), label="spec")
-    # tiny caps split a step into several calls and search big nodes alone
-    cap = data.draw(st.sampled_from([1, 7, 40, 1 << 13]), label="cap")
+@given(case=grower_cases())
+def test_lockstep_trees_match_per_tree_reference(case):
+    X, Y, spec, cap = case
     with mock.patch.object(tree, "_SPLIT_ELEMENTS", cap):
         models = fit_classifier(spec, X, Y)
     assert len(models) == Y.shape[1]
@@ -97,33 +135,76 @@ def test_one_column_fits_match_the_matrix_fit():
     assert_same_tree(fit_one(plain, X, y), reference_fit_decision_tree(X, y, plain))
 
 
+def search(X, criterion, nodes):
+    """best_split of nodes given as (rows, labels, weights, features) in one
+    call, as one (feature, threshold bits, gain bits, left counts) per node."""
+    rows, labels, weights, features = zip(*nodes)
+    found = tree.best_split(
+        X, tree.dense_ranks(X), criterion, np.concatenate(rows), np.concatenate(labels),
+        np.concatenate(weights), np.array([len(r) for r in rows]), np.array(features),
+    )
+    feature, threshold, gain, left = (column.tolist() for column in found)
+    return [
+        (f, t.hex(), g.hex(), tuple(counts)) for f, t, g, counts in zip(feature, threshold, gain, left)
+    ]
+
+
+@st.composite
+def weighted_nodes(draw, X, Y, distinct):
+    """1-5 nodes of rows of X (distinct ones if `distinct`), each with weights
+    1-4 and labels from Y's first column, and one candidate width for all."""
+    n, d = X.shape
+    width = draw(st.integers(min_value=1, max_value=d))
+    nodes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        rows = st.integers(0, n - 1)
+        rows = draw(st.lists(rows, min_size=1, max_size=2 * n, unique=distinct))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+        features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=width, max_size=width)))
+        nodes.append((np.array(rows), np.abs(Y[rows, 0]), np.array(weights), features))
+    return nodes
+
+
 @settings(max_examples=200, deadline=None)
 @given(label_matrices(), st.data())
-def test_list_form_of_best_split_is_one_call_per_node(inputs, data):
+def test_batched_best_split_is_one_call_per_node(inputs, data):
+    """Weighted nodes searched in one call get what each gets alone, and what
+    the one-feature-at-a-time reference gets on the rows repeated."""
     X, Y = inputs
-    n, d = X.shape
     criterion = data.draw(st.sampled_from(["gini", "entropy"]), label="criterion")
-    labels, features, rows = [], [], []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=5), label="nodes")):
-        node = np.array(
-            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="rows")
+    nodes = data.draw(weighted_nodes(X, Y, distinct=False), label="nodes")
+    found = search(X, criterion, nodes)
+    assert found == [search(X, criterion, [node])[0] for node in nodes]
+    zero = (0.0).hex()
+    for (rows, labels, weights, features), (feature, threshold, gain, left) in zip(nodes, found):
+        expected = reference_best_split(
+            X[np.repeat(rows, weights)], np.repeat(labels, weights), criterion, features
         )
-        rows.append(node)
-        labels.append(np.abs(Y[node, 0]))
-        features.append(
-            sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1), label="features"))
-        )
-    feature, threshold, gain = tree.best_split(
-        X, labels, criterion, features, rows, tree.dense_ranks(X)
-    )
-    found = [
-        None if f < 0 else (f, t.hex(), g.hex())
-        for f, t, g in zip(feature.tolist(), threshold.tolist(), gain.tolist())
+        if expected is None:
+            assert (feature, threshold, gain, left) == (-1, zero, zero, (0, 0, 0))
+        else:
+            assert (feature, threshold, gain) == (expected[0], expected[1].hex(), expected[2].hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_matrices(), st.data())
+def test_weighted_entries_split_as_their_repeated_rows(inputs, data):
+    """Distinct rows with weights split bit for bit as the rows repeated, and
+    the left counts are the weighted class counts of the rows sent left."""
+    X, Y = inputs
+    criterion = data.draw(st.sampled_from(["gini", "entropy"]), label="criterion")
+    nodes = data.draw(weighted_nodes(X, Y, distinct=True), label="nodes")
+    repeated = [
+        (np.repeat(rows, weights), np.repeat(labels, weights), np.ones(weights.sum(), int), features)
+        for rows, labels, weights, features in nodes
     ]
-    expected = [node_split(X, y, criterion, f, rows=r) for y, f, r in zip(labels, features, rows)]
-    as_bits = lambda s: None if s is None else (s.feature, s.threshold.hex(), s.gain.hex())  # noqa: E731
-    assert found == [as_bits(s) for s in expected]
-    assert (threshold[feature < 0] == 0.0).all() and (gain[feature < 0] == 0.0).all()
+    found = search(X, criterion, nodes)
+    assert found == search(X, criterion, repeated)
+    for (rows, labels, weights, features), (feature, threshold, _, left) in zip(nodes, found):
+        if feature < 0:
+            continue
+        goes_left = X[rows, feature] <= float.fromhex(threshold)
+        assert left == tuple(np.bincount(labels[goes_left], weights[goes_left], minlength=3))
 
 
 @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "knn", "gaussian_nb"])
@@ -154,3 +235,32 @@ def test_fit_bundles_raises_the_first_failing_horizon_in_order(kind):
         fit_bundles(spec, split, (7, 9, 1))
     with pytest.raises(DataError, match="^features must be finite$"):
         fit_bundles(spec, split, (7, 1, 9))
+
+
+# fit_forests' tracemalloc peak on the split below with the per-node grower
+# that the flat frontier replaced (one Python node record per pushed node),
+# measured as this test measures it
+PER_NODE_GROWER_PEAK = 2.18e6
+
+
+def test_forest_fit_peak_memory_stays_near_the_per_node_grower():
+    table = ingest.validate_and_clean(
+        ingest.parse_market_csv(synthetic_market_bytes(10, 100, seed=1))
+    )
+    series = ingest.partition_by_ticker(table).values()
+    data = Dataset.concat([assemble_features(s, LabelConfig()) for s in series])
+    split = split_dataset(data, *shuffle_split(data, SplitConfig(seed=42)))
+    X, Y = split.train.X, split.train.Y.astype(np.int64)
+    assert (X.shape, Y.shape) == ((630, 28), (630, 10))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit_forests(X, Y, ClassifierSpec(seed=42))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5 * PER_NODE_GROWER_PEAK

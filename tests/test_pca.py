@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_contribution_scores
+from oracles import reference_contribution_scores, reference_jacobi_eigen
 
 from stocksignals import pca
 from stocksignals.errors import (
@@ -127,6 +127,32 @@ def test_jacobi_no_convergence_with_tiny_budget():
     A = (M + M.T) / 2.0
     with pytest.raises(NoConvergence):
         jacobi_eigen(A, tol=1e-300, max_sweeps=1)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric d x d matrices, d 1-8, whose entries repeat and come near zero."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    entry = st.sampled_from([0.0, 1e-300, -1e-15, 4e-13, 1.0, -1.0, 2.5]) | st.floats(
+        min_value=-1e3, max_value=1e3, allow_nan=False
+    )
+    A = np.zeros((d, d))
+    A[np.triu_indices(d)] = draw(st.lists(entry, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2))
+    return A + np.triu(A, 1).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.sampled_from([1, 2, 100]))
+def test_jacobi_matches_the_three_plane_reference_bit_for_bit(A, max_sweeps):
+    try:
+        expected = reference_jacobi_eigen(A, max_sweeps=max_sweeps)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            jacobi_eigen(A, max_sweeps=max_sweeps)
+        return
+    found = jacobi_eigen(A, max_sweeps=max_sweeps)
+    assert found.eigenvalues.view(np.uint64).tolist() == expected.eigenvalues.view(np.uint64).tolist()
+    assert found.eigenvectors.view(np.uint64).tolist() == expected.eigenvectors.view(np.uint64).tolist()
 
 
 # --- explained variance ------------------------------------------------------------
