@@ -389,43 +389,46 @@ def grow_trees(
             top[tree] -= 1
             popped = stack[tree, top[tree]]
             features = pick(tree)
-        for chunk in _chunks((popped[:, 2] * width).tolist()):
-            node, start, length, depth = popped[chunk].T
-            at = _ranges(start, length)
+        node, start, length, depth = popped.T
+        found = []
+        for chunk in _chunks((length * width).tolist()):
+            at = _ranges(start[chunk], length[chunk])
             node_rows, node_weights, node_labels = rows[at], weights[at], labels[at]
             feature, threshold, _, left_counts = best_split(
-                X, ranks, spec.criterion, node_rows, node_labels, node_weights, length,
+                X, ranks, spec.criterion, node_rows, node_labels, node_weights, length[chunk],
                 features[chunk],
             )
             # stable-partition each node's entries, left ones first (a leaf's
             # entries are only reordered within its own range)
-            elem_node = np.repeat(np.arange(len(node)), length)
+            elem_node = np.repeat(np.arange(len(feature)), length[chunk])
             goes_right = X[node_rows, np.maximum(feature, 0)[elem_node]] > threshold[elem_node]
             order = np.argsort(2 * elem_node + goes_right, kind="stable")
             rows[at], weights[at], labels[at] = (
                 node_rows[order], node_weights[order], node_labels[order]
             )
-            n_left = np.bincount(elem_node[~goes_right], minlength=len(node))
+            n_left = np.bincount(elem_node[~goes_right], minlength=len(feature))
+            found.append((feature, threshold, left_counts, n_left))
+        feature, threshold, left_counts, n_left = (np.concatenate(column) for column in zip(*found))
 
-            split = np.flatnonzero(feature >= 0)
-            parent = node[split]
-            table.feature[parent] = feature[split]
-            table.threshold[parent] = threshold[split]
-            kids = np.empty((len(split), 2, N_CLASSES), dtype=np.int32)  # left, right
-            kids[:, 0] = left_counts[split]
-            kids[:, 1] = table.counts[parent] - left_counts[split]
-            ids = table.add(kids.reshape(-1, N_CLASSES)).reshape(-1, 2)
-            table.left[parent] = ids[:, 0]
-            # each parent's children to search, right child first so that
-            # the left child is popped first
-            k = n_left[split]
-            entries = np.empty((len(split), 2, 4), dtype=np.int32)
-            entries[:, 0, :3] = np.column_stack([ids[:, 1], start[split] + k, length[split] - k])
-            entries[:, 1, :3] = np.column_stack([ids[:, 0], start[split], k])
-            entries[:, :, 3] = depth[split, None] + 1
-            entries = entries.reshape(-1, 4)
-            search = _to_search(kids[:, ::-1].reshape(-1, N_CLASSES), entries[:, 3], spec)
-            push(np.repeat(tree[chunk][split], 2)[search], entries[search])
+        split = np.flatnonzero(feature >= 0)
+        parent = node[split]
+        table.feature[parent] = feature[split]
+        table.threshold[parent] = threshold[split]
+        kids = np.empty((len(split), 2, N_CLASSES), dtype=np.int32)  # left, right
+        kids[:, 0] = left_counts[split]
+        kids[:, 1] = table.counts[parent] - left_counts[split]
+        ids = table.add(kids.reshape(-1, N_CLASSES)).reshape(-1, 2)
+        table.left[parent] = ids[:, 0]
+        # each parent's children to search, right child first so that the
+        # left child is popped first
+        k = n_left[split]
+        entries = np.empty((len(split), 2, 4), dtype=np.int32)
+        entries[:, 0, :3] = np.column_stack([ids[:, 1], start[split] + k, length[split] - k])
+        entries[:, 1, :3] = np.column_stack([ids[:, 0], start[split], k])
+        entries[:, :, 3] = depth[split, None] + 1
+        entries = entries.reshape(-1, 4)
+        search = _to_search(kids[:, ::-1].reshape(-1, N_CLASSES), entries[:, 3], spec)
+        push(np.repeat(tree[split], 2)[search], entries[search])
     del rows, weights, labels, ranks
     return table.trees(n_trees, X.shape[1], spec.criterion)
 
