@@ -233,9 +233,8 @@ class _NodeTable:
 
     An internal node's children are made together, so its right child is
     the node after its left child; `left` is -1 at leaves, as is `feature`.
-    Nodes 0 .. n_trees - 1 are the roots. The columns grow by doubling, in
-    place (`ndarray.resize` reallocates, so a large column is remapped
-    rather than copied).
+    Nodes 0 .. n_trees - 1 are the roots. The columns grow by doubling
+    with `ndarray.resize`, which reallocates each in place where it can.
     """
 
     def __init__(self, capacity: int):

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_best_split, reference_fit_decision_tree, reference_fit_random_forest
 
-from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals import ingest
+from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals.classifiers import tree
 from stocksignals.classifiers.forest import fit_forests
 from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
@@ -100,9 +100,18 @@ CHILDREN_AT_MAX_DEPTH = (
     1 << 13,
 )
 
+# 15 nodes from 8 distinct rows: more than the node table starts with
+MORE_NODES_THAN_ROWS = (
+    np.arange(8.0)[:, None],
+    np.array([[0], [1], [0], [1], [0], [1], [0], [1]]),
+    ClassifierSpec(kind="decision_tree"),
+    1 << 13,
+)
+
 
 @example(case=FEWER_DISTINCT_ROWS_THAN_MIN_SPLIT)
 @example(case=CHILDREN_AT_MAX_DEPTH)
+@example(case=MORE_NODES_THAN_ROWS)
 @settings(max_examples=300, deadline=None)
 @given(case=grower_cases())
 def test_lockstep_trees_match_per_tree_reference(case):
