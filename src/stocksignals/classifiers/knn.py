@@ -15,9 +15,9 @@ column, so each column's k nearest labeled rows lie among them. One
 np.partition per block finds each probe's k'-th smallest distance; every
 row at or below it, ties included, is a candidate, kept in training order.
 Each column then chooses its k nearest from its own labeled candidates.
-A probe whose k'-th distance is NaN (a NaN probe), and every block when
-4 k' > n (where the candidates save little against the n rows), take the
-per-column path instead: each column chooses from all its labeled rows.
+When 4 k' > n the candidates save little against the n rows, and the block
+takes the per-column path instead: each column chooses from all its labeled
+rows.
 
 The squared distances are ((X - p) ** 2).sum(axis=-1) over (c, n, d)
 difference blocks, the same pairwise sum over each probe's features as for a
@@ -26,9 +26,10 @@ computation. Neighbours are selected without sorting: np.partition finds
 each probe's k-th smallest distance, every row strictly nearer is taken,
 and the remaining slots go to the lowest-index rows at exactly the k-th
 distance. That is the neighbour set of a stable argsort of the distances:
-equal distances prefer the lower training index, and NaN distances (a NaN
-probe) rank after every number, inf included, lowest index first. Either
-path therefore picks the same neighbours. Vote ties resolve to Hold.
+equal distances prefer the lower training index. A NaN probe, whose
+distances are all NaN, takes the distances 0, 1, ..., n - 1 instead, which
+keep the training order a stable argsort leaves it in. Either path
+therefore picks the same neighbours. Vote ties resolve to Hold.
 """
 
 from __future__ import annotations
@@ -103,17 +104,14 @@ def squared_distances(train_X: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def nearest_mask(squared: np.ndarray, k: int) -> np.ndarray:
-    """(c, n) mask of each row's k smallest entries, ties to the lower column, NaN last."""
+    """(c, n) mask of each row's k smallest entries, ties to the lower column.
+
+    Every row holds at least k numbers, so its k-th smallest entry is a
+    number and a NaN entry is never chosen.
+    """
     kth = np.partition(squared, k - 1, axis=1)[:, k - 1 : k]
     below = squared < kth
     at_kth = squared == kth
-    # a row with a NaN k-th distance (a NaN probe): every number lies below it
-    # and the NaNs lie at it
-    nan_kth = np.flatnonzero(np.isnan(kth[:, 0]))
-    if nan_kth.size:
-        nan = np.isnan(squared[nan_kth])
-        below[nan_kth] = ~nan
-        at_kth[nan_kth] = nan
     free = k - below.sum(axis=1, keepdims=True)
     # only rows with more entries at the k-th distance than free slots need the
     # lowest-index fill; every other row takes all of them
@@ -141,8 +139,7 @@ def _candidate_votes(
 
     A probe's candidates fill its row of a (c, w) slot matrix in training
     order. Per column, a slot that is padding or unlabeled holds NaN, which
-    nearest_mask ranks after every number, inf included, so it is never
-    chosen while the probe has k labeled candidates.
+    nearest_mask never chooses, since each probe has k labeled candidates.
     """
     probe, row = np.nonzero(squared <= kth[:, None])
     counts = np.bincount(probe, minlength=len(squared))
@@ -174,20 +171,18 @@ def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) 
     # at least k of any probe's k' nearest rows
     wide = k + int(np.count_nonzero(~labeled.all(axis=1)))
     narrow = wide * _NARROW_SHARE <= len(train_X)
+    nan_probes = np.isnan(X).any(axis=1)
     block = max(1, _BLOCK_ELEMENTS // max(1, len(train_X)))
     votes = np.empty((len(X), len(one_hots), 3))
     for start in range(0, len(X), block):
         squared = squared_distances(train_X, X[start : start + block])
-        part = votes[start : start + block]
-        if not narrow:
-            part[:] = _column_votes(squared, labeled, one_hots, k)
-            continue
-        # a copy, so that the partitioned block is freed at once
-        kth = np.partition(squared, wide - 1, axis=1)[:, wide - 1].copy()
-        nan = np.isnan(kth)  # a NaN probe: every distance is NaN
-        if nan.any():
-            part[nan] = _column_votes(squared[nan], labeled, one_hots, k)
-            squared, kth = squared[~nan], kth[~nan]
-        if len(kth):
-            part[~nan] = _candidate_votes(squared, kth, train_Y, k)
+        # a NaN probe's distances, all NaN, become the training order that a
+        # stable argsort leaves them in
+        squared[nan_probes[start : start + block]] = np.arange(len(train_X))
+        if narrow:
+            # a copy, so that the partitioned block is freed at once
+            kth = np.partition(squared, wide - 1, axis=1)[:, wide - 1].copy()
+            votes[start : start + block] = _candidate_votes(squared, kth, train_Y, k)
+        else:
+            votes[start : start + block] = _column_votes(squared, labeled, one_hots, k)
     return majority_labels(votes.reshape(-1, 3)).reshape(len(X), len(one_hots))

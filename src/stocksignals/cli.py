@@ -10,7 +10,9 @@ a section's keys, defaults and value types are its dataclass's fields,
 and a key that is absent or null takes the field's default. The top-level
 keys are the fields of _TopLevel in the same way, and _FLAGS holds every
 flag with the commands that take it and the key it sets. A top-level key
-applies only to the commands that take its flag.
+applies only to the commands that take its flag. _STAGES is the table of
+stages: a command runs its own stage, and pipeline runs all four in table
+order.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from stocksignals.errors import (
     UsageError,
 )
 from stocksignals.evaluation import EvaluationReport, evaluate_per_horizon
-from stocksignals.pca import PcaRanking, RankConfig, rank_features
+from stocksignals.pca import RankConfig, rank_features
 from stocksignals.transform import (
     CLOSE_INDEX,
     FEATURE_COLUMNS,
@@ -377,16 +379,17 @@ def _model_space(state: _State, split: TrainTestSplit) -> TrainTestSplit:
 
 # --- stages --------------------------------------------------------------------
 
-def _stage_transform(cfg: RunConfig, state: _State) -> None:
+def _stage_transform(cfg: RunConfig, state: _State) -> dict:
     path = cfg.out / "dataset.csv"
     reports.atomic_write_text(path, functools.partial(write_dataset_csv, state.data))
     print(
         f"transform: {len(state.data)} rows across "
         f"{len(state.ticker_rows)} tickers -> {path}"
     )
+    return {}
 
 
-def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
+def _stage_evaluate(cfg: RunConfig, state: _State) -> dict:
     blocks: list[EvaluationReport] = []
     skipped: dict[str, PipelineError] = {}
     if cfg.by_sector:
@@ -420,9 +423,10 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> None:
         f"{sum(len(b.horizons) for b in blocks)} horizon reports -> "
         f"{cfg.out / 'metrics.csv'}"
     )
+    return {}
 
 
-def _stage_rank(cfg: RunConfig, state: _State) -> PcaRanking:
+def _stage_rank(cfg: RunConfig, state: _State) -> dict:
     split = _pooled_split(cfg, state)
     ranking = rank_features(
         split.train.X, split.scaler, split.train.feature_names, cfg.rank
@@ -437,10 +441,10 @@ def _stage_rank(cfg: RunConfig, state: _State) -> PcaRanking:
         f"rank: top-{cfg.rank.top_k} features {list(ranking.selected)} -> "
         f"{cfg.out / 'ranking.csv'}"
     )
-    return ranking
+    return {"selected_features": list(ranking.selected), "selection_padded": ranking.padded}
 
 
-def _stage_backtest(cfg: RunConfig, state: _State) -> None:
+def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
     if cfg.model_file is not None:
         bundle = load_bundle(cfg.model_file)
         if bundle.horizon != cfg.backtest.signal_horizon:
@@ -457,17 +461,12 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
         bundle = fit_bundles(cfg.classifier, split, (cfg.backtest.signal_horizon,))[0]
 
     # each ticker replays its last (1 - train_fraction) share of rows, all predicted as one
-    # matrix; every window is replayed before any write, so a failed backtest writes nothing
-    windows: dict[str, range] = {}
-    for ticker in sorted(state.ticker_rows):
-        rows = state.ticker_rows[ticker]
-        window = rows[int(len(rows) * cfg.split.train_fraction):]
-        if window:
-            windows[ticker] = window
-        else:
-            logger.warning("ticker %s has no test window; skipped", ticker)
-    if not windows:
-        raise DataError("no ticker had a test window to backtest")
+    # matrix; every window is replayed before any write, so a failed backtest writes nothing.
+    # A ticker has at least one row and int(n * f) < n for 0 < f < 1, so no window is empty.
+    windows = {
+        ticker: rows[int(len(rows) * cfg.split.train_fraction):]
+        for ticker, rows in sorted(state.ticker_rows.items())
+    }
     bars = state.data.take(np.concatenate([np.arange(w.start, w.stop) for w in windows.values()]))
     dates = bars.dates.tolist()
     closes = bars.X[:, CLOSE_INDEX].tolist()
@@ -494,6 +493,16 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> None:
         f"backtest: {len(windows)} tickers, day-{bundle.horizon} signals, "
         f"total pnl ${total_profit:.4f} -> {cfg.out / 'backtest_*.json'}"
     )
+    return {}
+
+
+# each command's stage, in pipeline order; a stage returns its run.json fields
+_STAGES = {
+    "transform": _stage_transform,
+    "evaluate": _stage_evaluate,
+    "rank": _stage_rank,
+    "backtest": _stage_backtest,
+}
 
 
 def run_command(command: str, cfg: RunConfig) -> int:
@@ -507,19 +516,9 @@ def run_command(command: str, cfg: RunConfig) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {cfg.out}: {exc}") from None
-    if command in ("transform", "pipeline"):
-        _stage_transform(cfg, state)
-    if command in ("evaluate", "pipeline"):
-        _stage_evaluate(cfg, state)
-    ranking = None
-    if command in ("rank", "pipeline"):
-        ranking = _stage_rank(cfg, state)
-    if command in ("backtest", "pipeline"):
-        _stage_backtest(cfg, state)
     manifest = cfg.to_manifest(command)
-    if ranking is not None:
-        manifest["selected_features"] = list(ranking.selected)
-        manifest["selection_padded"] = ranking.padded
+    for stage in _STAGES.values() if command == "pipeline" else (_STAGES[command],):
+        manifest.update(stage(cfg, state))
     reports.atomic_write_text(cfg.out / "run.json", reports.json_text(manifest))
     return 0
 

@@ -483,21 +483,38 @@ def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
     ]
 
 
+NUMBERS = [0.0, 1.0, 2.0, math.inf]
+
+
+@st.composite
+def rows_with_k_numbers(draw):
+    """(rows, k): 1-5 rows of 8 entries from NUMBERS or NaN, each holding at
+    least k numbers, as nearest_mask requires."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(NUMBERS + [math.nan]), min_size=8, max_size=8),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    for row in rows:
+        nans = [i for i, value in enumerate(row) if math.isnan(value)]
+        for i in nans[: max(0, k - (len(row) - len(nans)))]:
+            row[i] = draw(st.sampled_from(NUMBERS))
+    return rows, k
+
+
 @settings(max_examples=400, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]), min_size=8, max_size=8),
-        min_size=1,
-        max_size=5,
-    ),
-    st.integers(min_value=1, max_value=8),
-)
+@given(rows_with_k_numbers())
 # one block mixing rows that need the lowest-index fill at the k-th distance
 # (more ties there than free slots) with rows that take every tie
-@example([[0.0, 1, 1, 1, 2, 2, 2, 2], [0.0, 1, 2, 2, 2, 2, 2, 2], [1.0] * 8, [2.0, 0, 1, 2, 1, 0, 2, 1]], 2)
-@example([[math.nan] * 8, [0.0, 0, 1, 1, 1, 2, 2, 2], [0.0, 1, 2, 3, 4, 5, 6, 7]], 3)
-@example([[0.0, math.nan, 1, math.nan, math.inf, 1, math.nan, 2], [0.0, 1, 1, 2, 2, 2, 2, 2]], 6)
-def test_nearest_mask_is_stable_argsort_prefix(rows, k):
+@example(([[0.0, 1, 1, 1, 2, 2, 2, 2], [0.0, 1, 2, 2, 2, 2, 2, 2], [1.0] * 8, [2.0, 0, 1, 2, 1, 0, 2, 1]], 2))
+# rows whose k numbers, a tie among them, sit between NaNs
+@example(([[math.nan, 1, math.nan, 0, math.nan, math.nan, 1, math.nan], [0.0, 0, 1, 1, 1, 2, 2, 2]], 3))
+@example(([[0.0, math.nan, 1, math.nan, math.inf, 1, math.nan, 2], [0.0, 1, 1, 2, 2, 2, 2, 2]], 5))
+def test_nearest_mask_is_stable_argsort_prefix(case):
+    rows, k = case
     squared = np.array(rows)
     expected = np.zeros(squared.shape, dtype=bool)
     for i, row in enumerate(squared):
@@ -644,12 +661,43 @@ def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     ]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nan_probe_in_a_narrow_block_goes_through_the_candidates():
+    """A NaN probe shares its narrow block's one candidate call (4 (k + U) <= n)
+    and votes like the reference: its k lowest-index labeled rows. Row 1 is NaN
+    and unlabeled in both columns; row 3 is unlabeled in the second."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    X[1] = math.nan
+    Y = np.column_stack([rng.integers(0, 3, size=40), rng.integers(0, 3, size=40)])
+    Y[1] = -1
+    Y[3, 1] = -1
+    k = 3
+    assert knn._NARROW_SHARE * (k + 2) <= len(X)
+    probes = np.array([[0.1, -0.2, 0.3], [0.5, math.nan, 0.0], [1e200, 0.0, -1.0]])
+    blocks = []
+    candidate_votes = knn._candidate_votes
+
+    def counted(*args):
+        blocks.append(len(args[0]))
+        return candidate_votes(*args)
+
+    with mock.patch.object(knn, "_candidate_votes", counted):
+        got = knn.knn_labels(X, Y, k, probes)
+    assert blocks == [len(probes)]
+    for j, column in enumerate(Y.T):
+        rows = column >= 0
+        expected = [reference_knn_predict(X[rows], column[rows], probe, k) for probe in probes]
+        assert got[:, j].tolist() == expected
+
+
 def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     """Ten label columns share bounded distance blocks, never the (m, n) matrix
     (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS): random
     labels, where nearly every row is unlabeled somewhere and each column
     chooses from the whole block, and nested horizon labels (U = 199 of
-    1,959 rows), where each block's candidate arrays are built."""
+    1,959 rows), where each block's candidate arrays are built, also with one
+    NaN probe in each block."""
     rng = np.random.default_rng(0)
     train_X = rng.normal(size=(1959, 28))
     random_Y = rng.integers(-1, 3, size=(1959, 10))
@@ -659,6 +707,8 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
         day[:, None] < 98 - np.arange(1, 11), rng.integers(0, 3, size=(1959, 10)), -1
     )
     X = rng.normal(size=(841, 28))
+    nan_X = X.copy()
+    nan_X[:: knn._BLOCK_ELEMENTS // len(train_X), 3] = math.nan
     candidate_blocks = []
     candidate_votes = knn._candidate_votes
 
@@ -666,12 +716,13 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
         candidate_blocks.append(len(args[0]))
         return candidate_votes(*args)
 
-    for Y, candidates in ((random_Y, False), (nested_Y, True)):
+    cases = ((random_Y, X, False), (nested_Y, X, True), (nested_Y, nan_X, True))
+    for Y, probes, candidates in cases:
         candidate_blocks.clear()
         with mock.patch.object(knn, "_candidate_votes", counted):
             tracemalloc.start()
             try:
-                knn.knn_labels(train_X, Y, 5, X)
+                knn.knn_labels(train_X, Y, 5, probes)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

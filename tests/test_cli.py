@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,8 @@ from conftest import (
     read_variance_csv,
     synthetic_market_bytes,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stocksignals import cli, errors
 from stocksignals.classifiers import base, forest, load_bundle
@@ -613,6 +616,39 @@ def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys, bad_ti
     assert err.count("\n") == 1
     for name in ("model.json", "trades_TK00.csv", "backtest_TK00.json", "run.json"):
         assert not (out / name).exists()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2**31),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(1, 0.7)
+@example(2**31, math.nextafter(1.0, 0.0))
+def test_a_ticker_test_window_is_never_empty(n, fraction):
+    """_stage_backtest replays rows[int(n * train_fraction):] of each ticker's
+    n >= 1 rows, and train_fraction lies strictly between 0 and 1."""
+    assert int(n * fraction) < n
+
+
+def test_backtest_at_the_largest_train_fraction_replays_each_last_bar(tmp_path, monkeypatch):
+    market = tmp_path / "market.csv"
+    market.write_bytes(synthetic_market_bytes(2, 40, seed=3))
+    bars = []
+    run_backtest = cli.run_backtest
+
+    def counted(dates, *args):
+        bars.append(len(dates))
+        return run_backtest(dates, *args)
+
+    monkeypatch.setattr(cli, "run_backtest", counted)
+    out = tmp_path / "out"
+    args = ["--data", market, "--out", out, "--train-fraction", "0.9999999999999999"]
+    assert run("backtest", *args) == 0
+    assert bars == [1, 1]
+    for ticker in ("TK00", "TK01"):
+        trades = read_trades_csv(io.StringIO((out / f"trades_{ticker}.csv").read_text()))
+        assert [trade.exit_reason for trade in trades] == ["end_of_data"]
 
 
 def test_non_finite_backtest_setting_exits_1_writing_nothing(tmp_path, market_csv, capsys):
