@@ -445,6 +445,14 @@ def _stage_rank(cfg: RunConfig, state: _State) -> dict:
 
 
 def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
+    names: dict[str, str] = {}  # artifact name fragment -> its ticker
+    for ticker in sorted(state.ticker_rows):
+        other = names.setdefault(reports.safe_name(ticker), ticker)
+        if other != ticker:
+            raise DataError(
+                f"tickers {other!r} and {ticker!r} would both write "
+                f"backtest_{reports.safe_name(ticker)}.json"
+            )
     if cfg.model_file is not None:
         bundle = load_bundle(cfg.model_file)
         if bundle.horizon != cfg.backtest.signal_horizon:
@@ -479,8 +487,8 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
         replays[ticker] = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
     reports.atomic_write_text(cfg.out / "model.json", reports.json_text(bundle.to_dict()))
     total_profit = 0.0
-    for ticker, report in replays.items():
-        name = reports.safe_name(ticker)
+    for name, ticker in names.items():
+        report = replays[ticker]
         reports.atomic_write_text(
             cfg.out / f"trades_{name}.csv", reports.trades_csv_text(report.trades)
         )

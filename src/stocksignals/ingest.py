@@ -24,6 +24,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Sequence, Union
@@ -74,6 +75,7 @@ CSV_COLUMNS: tuple[str, ...] = META_COLUMNS + RAW_COLUMNS
 
 # data rows whose raw cells are held as text at a time
 _CHUNK_ROWS = 4096
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _COUNT_INDEX = [
     RAW_COLUMNS.index(c) for c in ("TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_SELL_REC", "TOT_HOLD_REC")
 ]
@@ -150,8 +152,14 @@ def _parse_column(cells: Sequence[str], column: str) -> tuple[np.ndarray, int]:
 
 
 def _parse_date(text: str, line: int) -> np.datetime64:
-    """A stripped ISO date cell as datetime64[D]; NaT when empty."""
+    """A stripped YYYY-MM-DD date cell as datetime64[D]; NaT when empty.
+
+    The pattern comes first because from Python 3.11 on `date.fromisoformat`
+    also reads other ISO 8601 forms, such as 20180102 and 2018-W01-2.
+    """
     try:
+        if text and not _ISO_DATE.fullmatch(text):
+            raise ValueError(text)
         return np.datetime64(dt.date.fromisoformat(text) if text else "NaT", "D")
     except ValueError:
         raise MalformedRow(

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -33,27 +32,28 @@ def atomic_write_text(path: Path | str, text: str | Callable[[IO[str]], object])
     """Write via a sibling temp file and rename, so readers never see a partial file.
 
     `text` may be a function that writes the text to the stream it is given
-    instead, so that a large file is written as it is formatted.
+    instead, so that a large file is written as it is formatted. The temp
+    file is opened in exclusive-create mode, which, unlike `tempfile`'s
+    files, leaves its permissions to the umask.
     """
     target = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w",
-        encoding="utf-8",
-        newline="",
-        dir=target.parent,
-        prefix=f".{target.name}.",
-        delete=False,
-    )
+    while True:
+        temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}")
+        try:
+            handle = open(temp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:
+            continue
     try:
         with handle as stream:
             if isinstance(text, str):
                 stream.write(text)
             else:
                 text(stream)
-        os.replace(handle.name, target)
+        os.replace(temp, target)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise

@@ -28,7 +28,7 @@ from stocksignals.errors import (
 )
 from stocksignals.ingest import TickerSeries
 from stocksignals.labels import Label
-from stocksignals.rng import SplitMix64
+from stocksignals.rng import draws_below
 
 DERIVED_COLUMNS: tuple[str, ...] = (
     "buy_percent",
@@ -274,6 +274,8 @@ def assemble_features(series: TickerSeries, cfg: LabelConfig = LabelConfig()) ->
 def shuffle_split(rows: Sized, cfg: SplitConfig) -> tuple[list[int], list[int]]:
     """Seeded Fisher-Yates permutation split into train/test index lists.
 
+    The shuffle walks i from n - 1 down to 1 and swaps order[i] with order[j],
+    j uniform in [0, i] from the SplitMix64 stream of the seed modulo 2^64.
     The first floor(n * train_fraction) permuted indices form the training
     set; the remainder is the test set. Identical seed, identical split.
     """
@@ -281,7 +283,9 @@ def shuffle_split(rows: Sized, cfg: SplitConfig) -> tuple[list[int], list[int]]:
     if n == 0:
         raise EmptyDataset("cannot split zero rows")
     order = list(range(n))
-    SplitMix64(cfg.seed).shuffle(order)
+    targets, _ = draws_below([cfg.seed % 2**64], 0, np.arange(n, 1, -1))
+    for i, j in zip(range(n - 1, 0, -1), targets[0].tolist()):
+        order[i], order[j] = order[j], order[i]
     cut = int(n * cfg.train_fraction)
     return order[:cut], order[cut:]
 

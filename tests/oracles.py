@@ -10,8 +10,9 @@ package code. The per-row ingest references read the input schema
 `Dataset`, because what they check is the column layout that replaced them.
 `reference_evaluate_per_horizon` uses the package's fit and metric code to
 check the sharing across horizons, and the reference tree growers fill the
-package's DecisionTree columns and draw from its scalar SplitMix64 to check
-growing all trees of a split together.
+package's DecisionTree columns to check growing all trees of a split
+together. `SplitMix64` is the scalar generator the package's vectorised
+draws replaced.
 """
 
 import csv
@@ -79,6 +80,15 @@ def _reference_numeric(cell, column, warnings):
     return value
 
 
+def _reference_iso_date(text):
+    """The date of a YYYY-MM-DD text, its form checked one character at a time."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(text)
+    if not all(text[i] in "0123456789" for i in (0, 1, 2, 3, 5, 6, 8, 9)):
+        raise ValueError(text)
+    return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+
+
 def reference_parse_market_csv(data):
     """(rows, parse_warnings) of a market CSV's bytes, one ReferenceRow per data row."""
     from stocksignals.errors import EmptyInput, MalformedRow, SchemaError
@@ -116,7 +126,7 @@ def reference_parse_market_csv(data):
         date_text = record[positions["date"]].strip()
         if date_text:
             try:
-                date = dt.date.fromisoformat(date_text)
+                date = _reference_iso_date(date_text)
             except ValueError:
                 raise MalformedRow(
                     f"line {reader.line_num}: bad date {date_text!r}, "
@@ -403,6 +413,59 @@ def reference_best_split(X, y, criterion, candidate_features):
     return best
 
 
+# --- random draws, one output at a time ---------------------------------------------
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """SplitMix64's output function of the state z."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """SplitMix64 generator (Steele, Lea and Flood, 2014)."""
+
+    def __init__(self, seed):
+        self._state = seed & MASK64
+
+    def next_u64(self):
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
+
+    def below(self, n):
+        """Uniform integer in [0, n), bias-free via rejection sampling."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        span = 1 << 64
+        threshold = span - span % n
+        while True:
+            u = self.next_u64()
+            if u < threshold:
+                return u % n
+
+    def shuffle(self, items):
+        """In-place Fisher-Yates shuffle."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample_indices(self, n, k):
+        """k distinct indices from range(n) via partial Fisher-Yates."""
+        pool = list(range(n))
+        for i in range(k):
+            j = i + self.below(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+    def bootstrap_indices(self, n):
+        """n indices drawn with replacement from range(n)."""
+        return [self.below(n) for _ in range(n)]
+
+
 # --- tree growth, one tree at a time ------------------------------------------------
 
 def reference_grow_tree(X, y, rows, spec, pick_candidates):
@@ -459,16 +522,16 @@ def reference_fit_decision_tree(X, y, spec):
 
 def reference_fit_random_forest(X, y, spec):
     """(trees, tree_seeds) of the package's former forest loop: tree t draws
-    from SplitMix64(spawn_seed(seed, t)) its bootstrap sample, then each
-    searched node's sorted mtry features."""
+    from SplitMix64 seeded with output t of SplitMix64(seed) its bootstrap
+    sample, then each searched node's sorted mtry features."""
     from stocksignals.classifiers.forest import default_mtry
-    from stocksignals.rng import SplitMix64, spawn_seed
 
     n, d = X.shape
     mtry = min(spec.mtry if spec.mtry is not None else default_mtry(d), d)
+    parent = SplitMix64(spec.seed)
     trees, seeds = [], []
-    for t in range(spec.n_trees):
-        seeds.append(spawn_seed(spec.seed, t))
+    for _ in range(spec.n_trees):
+        seeds.append(parent.next_u64())
         rng = SplitMix64(seeds[-1])
         rows = np.asarray(rng.bootstrap_indices(n), dtype=np.int64) if spec.bootstrap else np.arange(n)
         if mtry < d:

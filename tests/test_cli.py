@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -558,6 +559,30 @@ def test_backtest_writes_trades_and_model(tmp_path, market_csv):
     bundle = load_bundle(out / "model.json")
     assert bundle.horizon == 10
     assert bundle.feature_names == FEATURE_COLUMNS
+
+
+def test_backtest_tickers_sharing_an_artifact_name_exit_2_writing_nothing(
+    tmp_path, market_csv, capsys
+):
+    # safe_name maps both "A/B" and "A_B" to "A_B"
+    market_csv.write_text(market_csv.read_text().replace("TK01", "A/B").replace("TK02", "A_B"))
+    out = tmp_path / "out"
+    assert run("backtest", "--data", market_csv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: tickers 'A/B' and 'A_B' would both write backtest_A_B.json\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, market_csv, umask, mode):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert run("transform", "--data", market_csv, "--out", out) == 0
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert modes == {"dataset.csv": mode, "run.json": mode}
 
 
 def test_backtest_with_saved_model_file(tmp_path, market_csv):

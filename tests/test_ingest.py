@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_non_iso_date_is_malformed():
     cells = row_csv_cells(make_row())
     cells[CSV_COLUMNS.index("date")] = "26/11/2011"
     with pytest.raises(MalformedRow, match="26/11/2011"):
+        ingest.parse_market_csv(csv_bytes([cells]))
+
+
+@pytest.mark.parametrize(
+    "text", ["20180102", "2018-W01-1", "2018W011", "2018-002", "2018-01-02T00:00", "\uff12018-01-02"]
+)
+def test_only_yyyy_mm_dd_dates_parse(text):
+    # Python 3.11's date.fromisoformat reads the first three; Python 3.10's does not
+    cells = row_csv_cells(make_row())
+    cells[CSV_COLUMNS.index("date")] = text
+    message = re.escape(f"line 2: bad date {text!r}, expected YYYY-MM-DD")
+    with pytest.raises(MalformedRow, match=message):
         ingest.parse_market_csv(csv_bytes([cells]))
 
 

@@ -1,19 +1,19 @@
-"""The vectorised SplitMix64 against the scalar generator, and the forced
-fallback to the scalar generator when a draw lands in `below`'s rejection zone."""
+"""The vectorised SplitMix64 draws against the scalar generator in the oracles,
+including draws that land in `below`'s rejection zone and are drawn again."""
 
 import numpy as np
 from conftest import assert_same_tree, fit_one
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_fit_random_forest
+from oracles import GOLDEN, MASK64, SplitMix64, mix64, reference_fit_random_forest
 
 from stocksignals.classifiers import ClassifierSpec
 from stocksignals.classifiers.forest import _TreeStreams
-from stocksignals.rng import _GOLDEN, SplitMix64, _mix, draws_below, outputs, spawn_seed
+from stocksignals.rng import draws_below, outputs
+from stocksignals.transform import SplitConfig, shuffle_split
 
-MASK = 2**64 - 1
-REJECTED = MASK  # 2^64 - 1 lies in below(n)'s rejection zone unless n is a power of two
-seeds = st.integers(min_value=0, max_value=MASK)
+REJECTED = MASK64  # 2^64 - 1 lies in below(n)'s rejection zone unless n is a power of two
+seeds = st.integers(min_value=0, max_value=MASK64)
 
 
 def _unshift(z, shift):
@@ -25,29 +25,29 @@ def _unshift(z, shift):
 
 
 def unmix(z):
-    """The input of _mix that gives z."""
+    """The input of mix64 that gives z."""
     z = _unshift(z, 31)
-    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & MASK
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & MASK64
     z = _unshift(z, 27)
-    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK64
     return _unshift(z, 30)
 
 
 def seed_with_output(i, value):
     """A seed whose output i (0-based) is `value`."""
-    return (unmix(value) - (i + 1) * _GOLDEN) & MASK
+    return (unmix(value) - (i + 1) * GOLDEN) & MASK64
 
 
-def spec_seed_for_first_tree(tree_seed):
-    """A ClassifierSpec seed whose first tree draws from SplitMix64(tree_seed)."""
-    return (unmix(tree_seed) - _GOLDEN) & MASK
+class Counting(SplitMix64):
+    """The scalar generator, counting the outputs drawn from it."""
 
+    def __init__(self, seed, start=0):
+        super().__init__(seed + start * GOLDEN)  # the state after `start` outputs
+        self.drawn = 0
 
-def advanced(seed, count):
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        rng.next_u64()
-    return rng
+    def next_u64(self):
+        self.drawn += 1
+        return super().next_u64()
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,26 +56,27 @@ def test_outputs_are_the_scalar_stream(seed_list, start, count):
     block = outputs(seed_list, start, count)
     assert block.shape == (len(seed_list), count) and block.dtype == np.uint64
     for seed, row in zip(seed_list, block.tolist()):
-        rng = advanced(seed, start)
+        rng = Counting(seed, start)
         assert row == [rng.next_u64() for _ in range(count)]
-        assert SplitMix64.after(seed, start).next_u64() == _mix((seed + (start + 1) * _GOLDEN) & MASK)
 
 
-# bounds a little above 2^62 reject about a third of all outputs, so both outcomes occur
+# bounds a little above 2^62 reject about a third of all outputs, so many rows redraw
 bounds = st.integers(1, 50) | st.integers(2**62 + 1, 2**63 - 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(seeds, min_size=1, max_size=4), st.integers(0, 20), st.lists(bounds, max_size=6))
-def test_draws_below_is_below_or_flags_a_rejection(seed_list, start, bound_list):
-    values, ok = draws_below(seed_list, [start] * len(seed_list), bound_list)
-    for seed, row, accepted in zip(seed_list, values.tolist(), ok.tolist()):
-        raw = outputs([seed], start, len(bound_list))[0].tolist()
-        in_zone = [u >= 2**64 - 2**64 % b for u, b in zip(raw, bound_list)]
-        assert accepted == (not any(in_zone))
-        if accepted:
-            rng = advanced(seed, start)
-            assert row == [rng.below(b) for b in bound_list]
+@given(
+    st.lists(st.tuples(seeds, st.integers(0, 20)), min_size=1, max_size=4),
+    st.lists(bounds, max_size=6),
+)
+def test_draws_below_is_successive_below_calls(streams, bound_list):
+    seed_list, starts = zip(*streams)
+    values, used = draws_below(list(seed_list), list(starts), bound_list)
+    assert values.shape == (len(seed_list), len(bound_list)) and values.dtype == np.int64
+    for seed, start, row, took in zip(seed_list, starts, values.tolist(), used.tolist()):
+        rng = Counting(seed, start)
+        assert row == [rng.below(b) for b in bound_list]
+        assert took == rng.drawn
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,18 +94,35 @@ def test_tree_streams_draw_like_bootstrap_and_sample_indices(seed_list, n, data)
         assert picked.tolist() == [sorted(scalar[t].sample_indices(d, mtry)) for t in trees.tolist()]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(-(2**70), 2**70), st.none() | st.integers(1, 29))
+@example(n=40, seed=-3, rejecting=None)
+@example(n=40, seed=2**64 + 42, rejecting=None)
+@example(n=40, seed=0, rejecting=7)
+def test_shuffle_split_is_the_scalar_shuffle(n, seed, rejecting):
+    if rejecting is not None and 2 * rejecting + 1 <= n:
+        # draw n - b is below(b), and the odd bound b rejects 2^64 - 1
+        bound = 2 * rejecting + 1
+        seed = seed_with_output(n - bound, REJECTED)
+        assert draws_below([seed], 0, np.arange(n, 1, -1))[1].tolist() == [n]
+    train, test = shuffle_split(range(n), SplitConfig(train_fraction=0.7, seed=seed))
+    order = list(range(n))
+    SplitMix64(seed).shuffle(order)
+    assert (train, test) == (order[: int(n * 0.7)], order[int(n * 0.7) :])
+
+
 def test_unmix_inverts_mix():
-    for z in (0, 1, MASK, 0x0123456789ABCDEF, spawn_seed(7, 3)):
-        assert _mix(unmix(z)) == z
-        assert SplitMix64.after(seed_with_output(4, z), 4).next_u64() == z
+    for z in (0, 1, MASK64, 0x0123456789ABCDEF, mix64(7 + 4 * GOLDEN)):
+        assert mix64(unmix(z)) == z
+        rng = Counting(seed_with_output(4, z), 4)
+        assert rng.next_u64() == z
 
 
-def test_rejected_bootstrap_draw_falls_back_to_the_scalar_generator():
+def test_rejected_bootstrap_draw_is_drawn_again():
     n = 12
     tree_seed = seed_with_output(5, REJECTED)  # the sixth bootstrap draw is rejected
-    values, ok = draws_below([tree_seed], 0, [n] * n)
-    assert not ok[0]
-    spec = ClassifierSpec(kind="random_forest", n_trees=2, seed=spec_seed_for_first_tree(tree_seed))
+    assert draws_below([tree_seed], 0, [n] * n)[1].tolist() == [n + 1]
+    spec = ClassifierSpec(kind="random_forest", n_trees=2, seed=seed_with_output(0, tree_seed))
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
     forest = fit_one(spec, X, y)
@@ -114,13 +132,13 @@ def test_rejected_bootstrap_draw_falls_back_to_the_scalar_generator():
         assert_same_tree(mine, reference)
 
 
-def test_rejected_feature_draw_falls_back_to_the_scalar_generator():
+def test_rejected_feature_draw_is_drawn_again():
     # no bootstrap: output 0 is the root's first feature draw, below(3)
     tree_seed = seed_with_output(0, REJECTED)
-    assert not draws_below([tree_seed], 0, [3])[1][0]
+    assert draws_below([tree_seed], 0, [3])[1].tolist() == [2]
     spec = ClassifierSpec(
         kind="random_forest", n_trees=3, mtry=2, bootstrap=False,
-        seed=spec_seed_for_first_tree(tree_seed),
+        seed=seed_with_output(0, tree_seed),
     )
     rng = np.random.default_rng(1)
     X, y = rng.normal(size=(30, 3)), np.arange(30) % 3
