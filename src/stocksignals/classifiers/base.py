@@ -48,6 +48,8 @@ CRITERIA = ("gini", "entropy")
 
 FORMAT_NAME = "stocksignals-model"
 FORMAT_VERSION = 1
+# a forest holds all of its trees, for every horizon, in memory at once
+MAX_TREES = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,8 @@ class ClassifierSpec:
             raise UsageError(f"unknown criterion {self.criterion!r}")
         if self.n_trees < 1:
             raise UsageError("n_trees must be >= 1")
+        if self.n_trees > MAX_TREES:
+            raise UsageError(f"n_trees must be <= {MAX_TREES}")
         if self.k < 1:
             raise UsageError("k must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
@@ -285,6 +289,11 @@ class ModelBundle:
         return predict_labels([self.model], X)[:, 0]
 
     def to_dict(self) -> dict:
+        # a mean or std that overflowed float64 has no JSON form, and from_dict rejects it
+        finite = np.isfinite(self.scaler.means) & np.isfinite(self.scaler.stds)
+        if not finite.all():
+            name = self.feature_names[int(np.argmin(finite))]
+            raise DataError(f"feature {name} overflows the scaler, so no model file can hold it")
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,

@@ -379,17 +379,17 @@ def _model_space(state: _State, split: TrainTestSplit) -> TrainTestSplit:
 
 # --- stages --------------------------------------------------------------------
 
-def _stage_transform(cfg: RunConfig, state: _State) -> dict:
-    path = cfg.out / "dataset.csv"
-    reports.atomic_write_text(path, functools.partial(write_dataset_csv, state.data))
+def _stage_transform(cfg: RunConfig, state: _State, staging: Path) -> dict:
+    write = functools.partial(write_dataset_csv, state.data)
+    reports.atomic_write_text(staging / "dataset.csv", write)
     print(
         f"transform: {len(state.data)} rows across "
-        f"{len(state.ticker_rows)} tickers -> {path}"
+        f"{len(state.ticker_rows)} tickers -> {cfg.out / 'dataset.csv'}"
     )
     return {}
 
 
-def _stage_evaluate(cfg: RunConfig, state: _State) -> dict:
+def _stage_evaluate(cfg: RunConfig, state: _State, staging: Path) -> dict:
     blocks: list[EvaluationReport] = []
     skipped: dict[str, PipelineError] = {}
     if cfg.by_sector:
@@ -410,11 +410,9 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> dict:
         fitted: dict[int, ModelBundle] = {}
         blocks.append(evaluate_per_horizon(cfg.classifier, split, fitted=fitted))
         state.signal_bundle = fitted.get(cfg.backtest.signal_horizon)
+    reports.atomic_write_text(staging / "metrics.csv", reports.metrics_csv_text(blocks))
     reports.atomic_write_text(
-        cfg.out / "metrics.csv", reports.metrics_csv_text(blocks)
-    )
-    reports.atomic_write_text(
-        cfg.out / "metrics.json",
+        staging / "metrics.json",
         reports.metrics_json_text(blocks, cfg.seed, {s: str(e) for s, e in skipped.items()}),
     )
     scope = f"{len(blocks)} sectors" if cfg.by_sector else "pooled"
@@ -426,17 +424,13 @@ def _stage_evaluate(cfg: RunConfig, state: _State) -> dict:
     return {}
 
 
-def _stage_rank(cfg: RunConfig, state: _State) -> dict:
+def _stage_rank(cfg: RunConfig, state: _State, staging: Path) -> dict:
     split = _pooled_split(cfg, state)
     ranking = rank_features(
         split.train.X, split.scaler, split.train.feature_names, cfg.rank
     )
-    reports.atomic_write_text(
-        cfg.out / "ranking.csv", reports.ranking_csv_text(ranking)
-    )
-    reports.atomic_write_text(
-        cfg.out / "variance.csv", reports.variance_csv_text(ranking)
-    )
+    reports.atomic_write_text(staging / "ranking.csv", reports.ranking_csv_text(ranking))
+    reports.atomic_write_text(staging / "variance.csv", reports.variance_csv_text(ranking))
     print(
         f"rank: top-{cfg.rank.top_k} features {list(ranking.selected)} -> "
         f"{cfg.out / 'ranking.csv'}"
@@ -444,15 +438,7 @@ def _stage_rank(cfg: RunConfig, state: _State) -> dict:
     return {"selected_features": list(ranking.selected), "selection_padded": ranking.padded}
 
 
-def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
-    names: dict[str, str] = {}  # artifact name fragment -> its ticker
-    for ticker in sorted(state.ticker_rows):
-        other = names.setdefault(reports.safe_name(ticker), ticker)
-        if other != ticker:
-            raise DataError(
-                f"tickers {other!r} and {ticker!r} would both write "
-                f"backtest_{reports.safe_name(ticker)}.json"
-            )
+def _stage_backtest(cfg: RunConfig, state: _State, staging: Path) -> dict:
     if cfg.model_file is not None:
         bundle = load_bundle(cfg.model_file)
         if bundle.horizon != cfg.backtest.signal_horizon:
@@ -468,9 +454,8 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
         split = _model_space(state, _pooled_split(cfg, state))
         bundle = fit_bundles(cfg.classifier, split, (cfg.backtest.signal_horizon,))[0]
 
-    # each ticker replays its last (1 - train_fraction) share of rows, all predicted as one
-    # matrix; every window is replayed before any write, so a failed backtest writes nothing.
-    # A ticker has at least one row and int(n * f) < n for 0 < f < 1, so no window is empty.
+    # each ticker replays its last (1 - train_fraction) share of rows, all predicted as one matrix;
+    # a ticker has at least one row and int(n * f) < n for 0 < f < 1, so no window is empty
     windows = {
         ticker: rows[int(len(rows) * cfg.split.train_fraction):]
         for ticker, rows in sorted(state.ticker_rows.items())
@@ -479,21 +464,19 @@ def _stage_backtest(cfg: RunConfig, state: _State) -> dict:
     dates = bars.dates.tolist()
     closes = bars.X[:, CLOSE_INDEX].tolist()
     signals = bundle.predict(bars).tolist()
-    replays = {}
+    reports.atomic_write_text(staging / "model.json", reports.json_text(bundle.to_dict()))
+    total_profit = 0.0
     start = 0
     for ticker, window in windows.items():
         bar = slice(start, start + len(window))
         start = bar.stop
-        replays[ticker] = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
-    reports.atomic_write_text(cfg.out / "model.json", reports.json_text(bundle.to_dict()))
-    total_profit = 0.0
-    for name, ticker in names.items():
-        report = replays[ticker]
+        report = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
+        name = reports.safe_name(ticker)
         reports.atomic_write_text(
-            cfg.out / f"trades_{name}.csv", reports.trades_csv_text(report.trades)
+            staging / f"trades_{name}.csv", reports.trades_csv_text(report.trades)
         )
         reports.atomic_write_text(
-            cfg.out / f"backtest_{name}.json",
+            staging / f"backtest_{name}.json",
             reports.backtest_json_text(ticker, report, cfg.seed, bundle.horizon),
         )
         total_profit += float(report.total_profit)
@@ -514,20 +497,44 @@ _STAGES = {
 
 
 def run_command(command: str, cfg: RunConfig) -> int:
-    """Execute one command (or the whole pipeline) and write its artifacts.
+    """Execute one command (or the whole pipeline) and commit its artifacts at once.
 
-    The output directory is made only once the inputs have been read, so a
-    run that fails on its inputs leaves none behind.
+    The inputs are read and checked first, ticker file names included. Every
+    stage writes into out/.stocksignals-<pid>/, and after the last one each
+    file is renamed into out, run.json last. A failure or interrupt removes
+    that directory, and out if this run made it, so out is left as it was. A
+    killed run can leave the directory behind; later runs ignore it.
     """
     state = _load_state(cfg)
+    if command in _TRADE:  # the commands that write one file set per ticker
+        names: dict[str, str] = {}  # artifact name fragment -> its ticker
+        for ticker in sorted(state.ticker_rows):
+            other = names.setdefault(reports.safe_name(ticker), ticker)
+            if other != ticker:
+                raise DataError(
+                    f"tickers {other!r} and {ticker!r} would both write "
+                    f"backtest_{reports.safe_name(ticker)}.json"
+                )
+    made = [path for path in (cfg.out, *cfg.out.parents) if not path.exists()]
+    staging = cfg.out / f".stocksignals-{os.getpid()}"
     try:
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        staging.mkdir(parents=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {cfg.out}: {exc}") from None
-    manifest = cfg.to_manifest(command)
-    for stage in _STAGES.values() if command == "pipeline" else (_STAGES[command],):
-        manifest.update(stage(cfg, state))
-    reports.atomic_write_text(cfg.out / "run.json", reports.json_text(manifest))
+    try:
+        manifest = cfg.to_manifest(command)
+        for stage in _STAGES.values() if command == "pipeline" else (_STAGES[command],):
+            manifest.update(stage(cfg, state, staging))
+        reports.atomic_write_text(staging / "run.json", reports.json_text(manifest))
+        for name in sorted(os.listdir(staging), key=lambda name: name == "run.json"):
+            os.replace(staging / name, cfg.out / name)
+        made = []  # committed: the directories stay
+    finally:
+        for path in staging.iterdir():
+            path.unlink()
+        staging.rmdir()
+        for path in made:
+            path.rmdir()
     return 0
 
 

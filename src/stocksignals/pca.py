@@ -55,6 +55,8 @@ class RankConfig:
             raise UsageError("need one weight per component")
         if any(w <= 0 for w in self.weights):
             raise UsageError("weights must be positive")
+        if sum(self.weights) >= 2**63:  # weighted occurrences are int64 sums
+            raise UsageError("weights must sum to less than 2**63")
         for earlier, later in zip(self.weights, self.weights[1:]):
             if later >= earlier:
                 raise UsageError("weights must be strictly decreasing")

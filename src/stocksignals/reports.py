@@ -1,8 +1,9 @@
 """Report serialization: metrics, ranking, variance, trade logs.
 
 All writers are deterministic (repr floats, sorted JSON keys, "\n" line
-endings) so identical inputs produce byte-identical files, and all files
-are written atomically via a temp file plus rename.
+endings) so identical inputs produce byte-identical files. Every file of a
+run is written into the run's staging directory; cli.run_command renames
+them into the output directory only after the last stage succeeds.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -29,34 +29,14 @@ TRADE_FIELDS = tuple(field.name for field in fields(Trade))
 
 
 def atomic_write_text(path: Path | str, text: str | Callable[[IO[str]], object]) -> None:
-    """Write via a sibling temp file and rename, so readers never see a partial file.
-
-    `text` may be a function that writes the text to the stream it is given
-    instead, so that a large file is written as it is formatted. The temp
-    file is opened in exclusive-create mode, which, unlike `tempfile`'s
-    files, leaves its permissions to the umask.
-    """
-    target = Path(path)
-    while True:
-        temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}")
-        try:
-            handle = open(temp, "x", encoding="utf-8", newline="")
-            break
-        except FileExistsError:
-            continue
-    try:
-        with handle as stream:
-            if isinstance(text, str):
-                stream.write(text)
-            else:
-                text(stream)
-        os.replace(temp, target)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
+    """Write one artifact's text to `path` in the run's staging directory. `text`
+    may instead be a function that writes the text to the stream it is given,
+    so that a large file is written as it is formatted."""
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        if isinstance(text, str):
+            stream.write(text)
+        else:
+            text(stream)
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -6,6 +6,11 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+# --hypothesis-profile=ci: the same examples on every run, and a failure
+# prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:

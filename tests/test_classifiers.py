@@ -35,6 +35,7 @@ from stocksignals.classifiers import (
     predict_one,
 )
 from stocksignals.classifiers import knn
+from stocksignals.classifiers.base import MAX_TREES
 from stocksignals.classifiers.tree import DecisionTree, check_layout
 from stocksignals.errors import (
     DataError,
@@ -823,6 +824,10 @@ def test_spec_validation():
         ClassifierSpec(kind="decision_tree", criterion="twoing")
     with pytest.raises(UsageError):
         ClassifierSpec(kind="random_forest", n_trees=0)
+    assert ClassifierSpec(n_trees=MAX_TREES).n_trees == MAX_TREES
+    for n_trees in (MAX_TREES + 1, 10**30):
+        with pytest.raises(UsageError, match=f"n_trees must be <= {MAX_TREES}"):
+            ClassifierSpec(n_trees=n_trees)
     with pytest.raises(UsageError):
         ClassifierSpec(kind="knn", k=0)
 

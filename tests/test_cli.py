@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -8,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stocksignals import cli, errors
-from stocksignals.classifiers import base, forest, load_bundle
+from stocksignals.classifiers import KINDS, base, forest, load_bundle
 from stocksignals.classifiers.base import fit_classifier
 from stocksignals.classifiers.tree import grow_trees
 from stocksignals.errors import UsageError
@@ -41,6 +44,20 @@ def market_csv(tmp_path):
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def contents(directory: Path) -> dict[str, bytes]:
+    """Each entry of a directory of files, by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def previous_run(tmp_path, market_csv) -> tuple[Path, dict[str, bytes]]:
+    """An output directory holding a successful pipeline's artifacts and a
+    sentinel file, and its contents."""
+    out = tmp_path / "out"
+    assert run("pipeline", "--data", market_csv, "--out", out, "--trees", "2") == 0
+    (out / "sentinel.txt").write_bytes(b"not an artifact\n")
+    return out, contents(out)
 
 
 # --- parse_cli -----------------------------------------------------------------
@@ -561,16 +578,26 @@ def test_backtest_writes_trades_and_model(tmp_path, market_csv):
     assert bundle.feature_names == FEATURE_COLUMNS
 
 
+@pytest.mark.parametrize("command", ["backtest", "pipeline"])
 def test_backtest_tickers_sharing_an_artifact_name_exit_2_writing_nothing(
-    tmp_path, market_csv, capsys
+    tmp_path, market_csv, capsys, monkeypatch, command
 ):
+    """The names are checked once the market is read, before any stage runs."""
     # safe_name maps both "A/B" and "A_B" to "A_B"
     market_csv.write_text(market_csv.read_text().replace("TK01", "A/B").replace("TK02", "A_B"))
+    monkeypatch.setattr(cli, "_STAGES", {})  # a stage that ran would raise KeyError
     out = tmp_path / "out"
-    assert run("backtest", "--data", market_csv, "--out", out) == 2
+    assert run(command, "--data", market_csv, "--out", out) == 2
     err = capsys.readouterr().err
     assert err == "data error: tickers 'A/B' and 'A_B' would both write backtest_A_B.json\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_transform_of_tickers_sharing_an_artifact_name_exits_0(tmp_path, market_csv):
+    market_csv.write_text(market_csv.read_text().replace("TK01", "A/B").replace("TK02", "A_B"))
+    out = tmp_path / "out"
+    assert run("transform", "--data", market_csv, "--out", out) == 0
+    assert sorted(contents(out)) == ["dataset.csv", "run.json"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -621,10 +648,14 @@ def test_transform_and_pipeline_ignore_top_level_keys_of_other_commands(tmp_path
     assert json.loads((out / "metrics.json").read_text())["blocks"][0]["model"] == "random_forest"
 
 
+@pytest.mark.parametrize("command", ["backtest", "pipeline"])
 @pytest.mark.parametrize("bad_ticker", ["TK00", "TK01"])
-def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys, bad_ticker):
+def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys, bad_ticker, command):
     # the ticker's closes times 1e24 need more than Decimal's 28 digits at
-    # $0.0001; a later ticker failing leaves no file of an earlier one
+    # $0.0001; a later ticker failing leaves no file of an earlier one, and
+    # a previous run's files keep their bytes
+    out, before = previous_run(tmp_path, market_csv)
+    capsys.readouterr()
     lines = market_csv.read_text().splitlines()
     header = lines[0].split(",")
     ticker, close = header.index("ticker"), header.index("PX_OFFICIAL_CLOSE")
@@ -634,13 +665,11 @@ def test_backtest_unpriceable_close_exits_2(tmp_path, market_csv, capsys, bad_ti
             cells[close] = repr(float(cells[close]) * 1e24)
             lines[i] = ",".join(cells)
     market_csv.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert run("backtest", "--data", market_csv, "--out", out) == 2
+    assert run(command, "--data", market_csv, "--out", out, "--trees", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot price ") and err.endswith(" to $0.0001\n")
     assert err.count("\n") == 1
-    for name in ("model.json", "trades_TK00.csv", "backtest_TK00.json", "run.json"):
-        assert not (out / name).exists()
+    assert contents(out) == before
 
 
 @settings(max_examples=400, deadline=None)
@@ -792,7 +821,7 @@ def test_backtest_rejects_malformed_model_file(tmp_path, market_csv, case):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: not a model file: {path}: ")
     assert result.stderr.count("\n") == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_backtests_with_the_forest_evaluate_grew(tmp_path, market_csv, monkeypatch):
@@ -907,7 +936,20 @@ def test_knn_k_between_horizon_row_counts_exits_1_naming_the_first_short_horizon
     out = tmp_path / "out"
     assert run("evaluate", "--data", market_csv, "--out", out, "--model", "knn", "--k", "117") == 1
     assert capsys.readouterr().err == "error: k=117 but only 115 training rows\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_pipeline_failing_after_transform_leaves_a_previous_run_as_it_was(
+    tmp_path, market_csv, capsys
+):
+    """transform has staged a dataset.csv of other labels when evaluate
+    fails, and none of it reaches the output directory."""
+    out, before = previous_run(tmp_path, market_csv)
+    capsys.readouterr()
+    args = ["--data", market_csv, "--out", out, "--up-threshold", "1.02"]
+    assert run("pipeline", *args, "--model", "knn", "--k", "100000") == 1
+    assert capsys.readouterr().err == "error: k=100000 but only 125 training rows\n"
+    assert contents(out) == before
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -924,6 +966,29 @@ def test_knn_non_finite_scaled_training_rows_exit_2(tmp_path, market_csv, capsys
     market_csv.write_text("\n".join(lines) + "\n")
     assert run("evaluate", "--data", market_csv, "--out", tmp_path / "out", "--model", "knn") == 2
     assert capsys.readouterr().err == "data error: features must be finite\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_backtest_of_a_feature_whose_spread_overflows_the_scaler_exits_2(
+    tmp_path, market_csv, capsys
+):
+    """A volume of 1e308 on a training row leaves the scaler's mean finite
+    but its std infinite. evaluate still runs; no model.json can hold the
+    scaler, so backtest fails before it commits a file."""
+    lines = market_csv.read_text().splitlines()
+    column = lines[0].split(",").index("PX_VOLUME")
+    cells = lines[40].split(",")
+    cells[column] = "1e308"
+    lines[40] = ",".join(cells)
+    market_csv.write_text("\n".join(lines) + "\n")
+    args = ["--data", market_csv, "--model", "gaussian-nb"]
+    assert run("evaluate", "--out", tmp_path / "evaluate", *args) == 0
+    out = tmp_path / "out"
+    assert run("backtest", "--out", out, *args) == 2
+    assert capsys.readouterr().err == (
+        "data error: feature PX_VOLUME overflows the scaler, so no model file can hold it\n"
+    )
+    assert not out.exists()
 
 
 def test_pipeline_produces_full_artifact_set(tmp_path, market_csv, capsys):
@@ -1032,3 +1097,140 @@ def test_invalid_fraction_exit_1(tmp_path, market_csv):
         run("evaluate", "--data", market_csv, "--out", tmp_path, "--train-fraction", "1.5")
         == 1
     )
+
+
+# --- the failure contract -------------------------------------------------------
+
+_FAILURE_LINE = re.compile(r"(error|data error|numeric error|io error): .*")
+_CELLS = ("", "nan", "inf", "-1", "1e308", "x", "2018-W01-2")
+# values of each JSON type, then non-finite and huge numbers
+_VALUES = ("x", [1], {}, True, math.nan, math.inf, -math.inf, 10**30)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_market(seed: int) -> bytes:
+    return synthetic_market_bytes(2, 40, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _previous_artifacts() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as scratch:
+        market = Path(scratch) / "market.csv"
+        market.write_bytes(_small_market(0))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return previous_run(Path(scratch), market)[1]
+
+
+# one mutation of a market's bytes: (kind, position, byte value)
+_BYTE_MUTATIONS = st.tuples(
+    st.sampled_from(["flip", "insert", "delete", "carriage return", "truncate"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 255),
+)
+# one mutation of a market's cells: a cell's new text, or two tickers renamed to collide
+_CELL_MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 80), st.integers(0, 25), st.sampled_from(_CELLS)),
+    st.just(("collide",)),
+)
+
+
+def _mutate(data: bytes, mutation: tuple) -> bytes:
+    kind, *args = mutation
+    if kind == "cell":
+        row, column, text = args
+        lines = data.split(b"\n")
+        cells = lines[row].split(b",")
+        cells[column] = text.encode()
+        lines[row] = b",".join(cells)
+        return b"\n".join(lines)
+    if kind == "collide":  # safe_name maps both tickers to T_K
+        return data.replace(b",TK00,", b",T/K,").replace(b",TK01,", b",T_K,")
+    where, value = args
+    at = int(where * len(data))
+    return {
+        "flip": data[:at] + bytes([data[at] ^ value]) + data[at + 1:],
+        "insert": data[:at] + bytes([value]) + data[at:],
+        "delete": data[:at] + data[at + 1:],
+        "carriage return": data[:at] + b"\r" + data[at:],
+        "truncate": data[:at],
+    }[kind]
+
+
+@st.composite
+def _config_mutations(draw) -> tuple:
+    """(section, key, value, list index or None): one section value replaced,
+    or one item of a list value."""
+    name = draw(st.sampled_from(sorted(cli._SECTIONS)))
+    field = draw(st.sampled_from(dataclasses.fields(cli._SECTIONS[name])))
+    value = draw(st.sampled_from(_VALUES))
+    at = None
+    if isinstance(field.default, tuple) and draw(st.booleans()):
+        at = draw(st.integers(0, len(field.default) - 1))
+    return name, field.name, value, at
+
+
+def _config(kind: str, mutation: tuple | None) -> dict:
+    """The config of a classifier kind and 3 trees, with one mutation."""
+    config = {"classifier": {"kind": kind, "n_trees": 3}}
+    if mutation is not None:
+        name, key, value, at = mutation
+        if at is not None:
+            items = list(getattr(cli._SECTIONS[name](), key))
+            items[at] = value
+            value = items
+        config.setdefault(name, {})[key] = value
+    return config
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=1000, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    seed=st.integers(0, 3),
+    market_mutation=st.none() | _BYTE_MUTATIONS | _CELL_MUTATIONS,
+    kind=st.sampled_from(sorted(KINDS)),
+    config_mutation=st.none() | _config_mutations(),
+)
+def test_a_failed_command_leaves_the_output_directory_as_it_was(
+    command, seed, market_mutation, kind, config_mutation
+):
+    """Every command exits 0-3 without a traceback on a mutated market and
+    config. A failure prints one error line and leaves a previous run's
+    files, and a file of its own, with their bytes and nothing added. A
+    success leaves no staging directory and writes strict JSON."""
+    market = _small_market(seed)
+    if market_mutation is not None:
+        market = _mutate(market, market_mutation)
+    before = _previous_artifacts()
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "market.csv").write_bytes(market)
+        config = json.dumps(_config(kind, config_mutation))
+        (root / "config.json").write_text(config, encoding="utf-8")
+        out = root / "out"
+        out.mkdir()
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        err = io.StringIO()
+        argv = ["--data", root / "market.csv", "--out", out, "--config", root / "config.json"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, *argv)
+        after = contents(out)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert [bool(_FAILURE_LINE.fullmatch(line)) for line in err.getvalue().splitlines()] == [True]
+        assert after == before
+    else:
+        assert not [name for name in after if name.startswith(".stocksignals-")]
+        for name in after:
+            if name.endswith(".json"):
+                _strict_json(after[name].decode("utf-8"))

@@ -272,6 +272,14 @@ def test_rank_config_validation():
         RankConfig(contribution_threshold=0.0)
 
 
+@pytest.mark.parametrize(
+    "weights", [(10**30, 5, 4, 3, 2, 1), (2**62, 2**62 - 1, 4, 3, 2, 1)], ids=["huge", "sum"]
+)
+def test_weights_that_an_int64_sum_cannot_hold_are_a_usage_error(weights):
+    with pytest.raises(UsageError, match=r"weights must sum to less than 2\*\*63"):
+        RankConfig(weights=weights)
+
+
 # --- end-to-end ranking ---------------------------------------------------------------
 
 def _block_dataset(n=400, seed=5):
