@@ -88,11 +88,15 @@ def check_gaussian_nb(model: GaussianNbModel) -> None:
 
 
 def class_log_scores(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    """(m, c) log prior + sum of log Gaussian densities, one row per probe."""
-    log_density = -0.5 * (
-        np.log(2.0 * math.pi * model.variances)
-        + (X[:, None, :] - model.means) ** 2 / model.variances
-    )
+    """(m, c) log prior + sum of log Gaussian densities, one row per probe.
+
+    A probe too large to square scores -inf, without a numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        log_density = -0.5 * (
+            np.log(2.0 * math.pi * model.variances)
+            + (X[:, None, :] - model.means) ** 2 / model.variances
+        )
     return np.log(model.priors) + log_density.sum(axis=-1)
 
 

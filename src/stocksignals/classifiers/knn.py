@@ -4,32 +4,34 @@ A fitted `KnnModel` holds the whole scaled training matrix of its fit and
 one column of the (n, h) label matrix, -1 on the rows outside its training
 set, so every horizon's model of one split shares the matrix. `knn_labels`
 votes for several such label columns at once; a single model is the
-one-column case. Probes go a block at a time: the squared distances from a
-block of probes to all n training rows (about 2^17 of them) are computed
-once, and the block is partitioned once for all columns.
+one-column case. Probes go a block at a time, about 2^17 probe-row pairs.
 
-Let U be the number of training rows that some column leaves unlabeled, and
-k' = k + U. Horizon label sets are nested, so U is small (0 for a single
-model). Of any probe's k' nearest rows at most U are unlabeled in a given
-column, so each column's k nearest labeled rows lie among them. One
-np.partition per block finds each probe's k'-th smallest distance; every
-row at or below it, ties included, is a candidate, kept in training order.
-Each column then chooses its k nearest from its own labeled candidates.
-When 4 k' > n the candidates save little against the n rows, and the block
-takes the per-column path instead: each column chooses from all its labeled
-rows.
+Each block takes one exact path in four steps.
 
-The squared distances are ((X - p) ** 2).sum(axis=-1) over (c, n, d)
-difference blocks, the same pairwise sum over each probe's features as for a
-single probe, so they are bit-identical to a one-probe-at-a-time
-computation. Neighbours are selected without sorting: np.partition finds
-each probe's k-th smallest distance, every row strictly nearer is taken,
-and the remaining slots go to the lowest-index rows at exactly the k-th
-distance. That is the neighbour set of a stable argsort of the distances:
-equal distances prefer the lower training index. A NaN probe, whose
-distances are all NaN, takes the distances 0, 1, ..., n - 1 instead, which
-keep the training order a stable argsort leaves it in. Either path
-therefore picks the same neighbours. Vote ties resolve to Hold.
+1. Screen. One matmul gives s = |p|^2 + |x|^2 - 2 p.x for every probe p and
+   training row x, whose exact distance is e = ((x - p) ** 2).sum().
+2. Candidates. Let K be a probe's k-th smallest s among the rows that every
+   column labels, and D = 8 (d + 4) (eps |p|^2 + eps max|x|^2 + tiny) for d
+   features (eps and tiny of float64). Each dot product of d terms is off
+   by at most gamma_d = d u / (1 - d u) of its absolute sum, u = eps / 2,
+   in any summation order (Higham, Accuracy and Stability of Numerical
+   Algorithms, 2002, ch. 3), and an underflow adds at most tiny per
+   operation; so |s - e| < D when 4 (|p|^2 + max|x|^2), which bounds every
+   e, is finite. The candidates are the rows with s <= K + 2 D. At least k
+   rows labeled in every column have e <= K + D, so each column's k
+   nearest labeled rows, ties at its k-th distance included, have
+   e <= K + D and hence s <= K + 2 D: they are all candidates.
+3. Recheck. The candidates' exact distances are computed pair by pair, the
+   same pairwise sum over each probe's features as for a single probe, so
+   they are bit-identical to a one-probe-at-a-time computation.
+4. Vote. Each probe's candidates are ordered by (distance, row), and each
+   column takes its first k labeled ones: the neighbour set of a stable
+   argsort of the distances, which puts NaN after every number.
+
+A probe takes every row as a candidate when its bound is not finite (a NaN,
+an infinite or an overflowing probe) or when fewer than k rows are labeled
+in every column. Rows that no column labels are dropped first; they are
+never chosen and may hold any value. Vote ties resolve to Hold.
 """
 
 from __future__ import annotations
@@ -40,15 +42,10 @@ import numpy as np
 
 from stocksignals.labels import majority_labels
 
-# float64 elements of one (c, n, d) difference block, and distances in one
-# block of probes; larger blocks were slower, since memory traffic grows
-# faster than per-call overhead shrinks
+# screened distances in one block of probes, and differences in one recheck
+# block; larger blocks were slower, since memory traffic grows faster than
+# per-call overhead shrinks
 _BLOCK_ELEMENTS = 1 << 17
-
-# the candidate path runs while _NARROW_SHARE * k' <= n; on a 1,959-row
-# matrix with ten label columns it broke even with the per-column path near
-# k' = n / 3, and its candidate arrays grow with k'
-_NARROW_SHARE = 4
 
 
 @dataclass
@@ -88,74 +85,58 @@ def check_knn(model: KnnModel) -> None:
         )
 
 
-def squared_distances(train_X: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """(m, n) squared Euclidean distances from each of m probes to the n training rows.
+def exact_distances(
+    train_X: np.ndarray, probes: np.ndarray, probe: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """Squared distance of each pair (probes[probe[i]], train_X[row[i]]).
 
-    Computed a (c, n, d) difference block of about _BLOCK_ELEMENTS at a time;
-    the differences are squared in place (np.square is what `** 2` computes),
-    so a block needs one (c, n, d) array rather than two.
+    Each is np.square(x - p).sum() over one contiguous row of d differences,
+    the bits of ((train_X - p) ** 2).sum(axis=1); a block of about
+    _BLOCK_ELEMENTS differences at a time, squared in place.
     """
-    squared = np.empty((len(probes), len(train_X)))
-    chunk = max(1, _BLOCK_ELEMENTS // max(1, train_X.size))
-    for start in range(0, len(probes), chunk):
-        diff = train_X - probes[start : start + chunk, None, :]
-        np.square(diff, out=diff).sum(axis=-1, out=squared[start : start + chunk])
+    squared = np.empty(len(row))
+    step = max(1, _BLOCK_ELEMENTS // max(1, train_X.shape[1]))
+    for start in range(0, len(row), step):
+        pairs = slice(start, start + step)
+        diff = train_X[row[pairs]] - probes[probe[pairs]]
+        np.square(diff, out=diff).sum(axis=-1, out=squared[pairs])
     return squared
 
 
-def nearest_mask(squared: np.ndarray, k: int) -> np.ndarray:
-    """(c, n) mask of each row's k smallest entries, ties to the lower column.
-
-    Every row holds at least k numbers, so its k-th smallest entry is a
-    number and a NaN entry is never chosen.
-    """
-    kth = np.partition(squared, k - 1, axis=1)[:, k - 1 : k]
-    below = squared < kth
-    at_kth = squared == kth
-    free = k - below.sum(axis=1, keepdims=True)
-    # only rows with more entries at the k-th distance than free slots need the
-    # lowest-index fill; every other row takes all of them
-    crowded = np.flatnonzero(at_kth.sum(axis=1) > free[:, 0])
-    at_kth[crowded] &= at_kth[crowded].cumsum(axis=1) <= free[crowded]
-    return below | at_kth
-
-
-def _column_votes(
-    squared: np.ndarray, labeled: np.ndarray, one_hots: list[np.ndarray], k: int
+def block_votes(
+    train_X: np.ndarray, train_Y: np.ndarray, k: int, probes: np.ndarray, x_sq: np.ndarray
 ) -> np.ndarray:
-    """(c, h, 3) votes of each column's k nearest labeled rows, chosen from
-    that column's rows of the whole (c, n) distance block."""
-    votes = np.empty((len(squared), len(one_hots), 3))
-    for j, one_hot in enumerate(one_hots):
-        votes[:, j] = nearest_mask(squared[:, labeled[:, j]], k) @ one_hot
-    return votes
-
-
-def _candidate_votes(
-    squared: np.ndarray, kth: np.ndarray, train_Y: np.ndarray, k: int
-) -> np.ndarray:
-    """(c, h, 3) votes of each column's k nearest labeled rows, chosen from
-    each probe's candidates: the training rows at or below its distance kth.
-
-    A probe's candidates fill its row of a (c, w) slot matrix in training
-    order. Per column, a slot that is padding or unlabeled holds NaN, which
-    nearest_mask never chooses, since each probe has k labeled candidates.
-    """
-    probe, row = np.nonzero(squared <= kth[:, None])
-    counts = np.bincount(probe, minlength=len(squared))
-    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-    distances = np.full((len(squared), counts.max()), np.nan)
-    distances[probe, slot] = squared[probe, row]
-    labels = np.full(distances.shape, -1)
-    votes = np.empty((len(squared), train_Y.shape[1], 3))
-    for j, column in enumerate(train_Y[row].T):
-        labels[probe, slot] = column
-        near = nearest_mask(np.where(labels >= 0, distances, np.nan), k)
-        near_probe, near_slot = np.nonzero(near)
-        votes[:, j] = np.bincount(
-            3 * near_probe + labels[near_probe, near_slot], minlength=3 * len(squared)
-        ).reshape(-1, 3)
-    return votes
+    """(c, h, 3) votes of each column's k nearest labeled rows for a block of
+    c probes; x_sq holds each training row's squared norm."""
+    c, h = len(probes), train_Y.shape[1]
+    full = (train_Y >= 0).all(axis=1)
+    p_sq = np.square(probes).sum(axis=1)
+    screened = probes @ train_X.T
+    screened *= -2.0
+    screened += x_sq
+    screened += p_sq[:, None]
+    kth = np.inf  # every row is a candidate unless k rows are labeled in every column
+    if np.count_nonzero(full) >= k:
+        kept = screened[:, full]
+        kept.partition(k - 1, axis=1)
+        kth = kept[:, k - 1]
+    scale = p_sq + x_sq.max()
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    delta = 8 * (train_X.shape[1] + 4) * (eps * scale + tiny)
+    near = screened <= (kth + 2 * delta)[:, None]
+    near[~np.isfinite(4 * scale + kth)] = True
+    probe, row = np.nonzero(near)
+    order = np.lexsort((exact_distances(train_X, probes, probe, row), probe))
+    probe, row = probe[order], row[order]
+    labels = train_Y[row]
+    labeled = labels >= 0
+    # labeled candidates up to each one, counted from its probe's first
+    taken = np.cumsum(labeled, axis=0, dtype=np.int32)
+    first = np.searchsorted(probe, np.arange(c))
+    taken -= (taken[first] - labeled[first])[probe]
+    pick, column = np.nonzero(labeled & (taken <= k))
+    slot = (probe[pick] * h + column) * 3 + labels[pick, column]
+    return np.bincount(slot, minlength=c * h * 3).reshape(c, h, 3)
 
 
 def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) -> np.ndarray:
@@ -165,24 +146,15 @@ def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) 
     Every column labels at least k rows, all finite, as fit_classifier and
     check_knn make sure.
     """
-    labeled = train_Y >= 0
-    one_hots = [np.eye(3)[column[rows]] for column, rows in zip(train_Y.T, labeled.T)]
-    # k': k plus the rows some column leaves out, so that every column labels
-    # at least k of any probe's k' nearest rows
-    wide = k + int(np.count_nonzero(~labeled.all(axis=1)))
-    narrow = wide * _NARROW_SHARE <= len(train_X)
-    nan_probes = np.isnan(X).any(axis=1)
-    block = max(1, _BLOCK_ELEMENTS // max(1, len(train_X)))
-    votes = np.empty((len(X), len(one_hots), 3))
-    for start in range(0, len(X), block):
-        squared = squared_distances(train_X, X[start : start + block])
-        # a NaN probe's distances, all NaN, become the training order that a
-        # stable argsort leaves them in
-        squared[nan_probes[start : start + block]] = np.arange(len(train_X))
-        if narrow:
-            # a copy, so that the partitioned block is freed at once
-            kth = np.partition(squared, wide - 1, axis=1)[:, wide - 1].copy()
-            votes[start : start + block] = _candidate_votes(squared, kth, train_Y, k)
-        else:
-            votes[start : start + block] = _column_votes(squared, labeled, one_hots, k)
-    return majority_labels(votes.reshape(-1, 3)).reshape(len(X), len(one_hots))
+    used = (train_Y >= 0).any(axis=1)
+    train_X, train_Y = train_X[used], train_Y[used]
+    x_sq = np.square(train_X).sum(axis=1)
+    block = max(1, _BLOCK_ELEMENTS // len(train_X))
+    votes = np.empty((len(X), train_Y.shape[1], 3), dtype=np.int64)
+    # a NaN, infinite or huge probe takes every row, and its sums may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(X), block):
+            votes[start : start + block] = block_votes(
+                train_X, train_Y, k, X[start : start + block], x_sq
+            )
+    return majority_labels(votes.reshape(-1, 3)).reshape(len(X), train_Y.shape[1])

@@ -18,6 +18,7 @@ order.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import logging
@@ -501,9 +502,11 @@ def run_command(command: str, cfg: RunConfig) -> int:
 
     The inputs are read and checked first, ticker file names included. Every
     stage writes into out/.stocksignals-<pid>/, and after the last one each
-    file is renamed into out, run.json last. A failure or interrupt removes
-    that directory, and out if this run made it, so out is left as it was. A
-    killed run can leave the directory behind; later runs ignore it.
+    file is renamed into out, run.json last, once no destination is a
+    directory, which would fail its rename midway. A failure or interrupt
+    removes that directory, and out if this run made it, so out is left as
+    it was. A killed run can leave the directory behind; later runs ignore
+    it.
     """
     state = _load_state(cfg)
     if command in _TRADE:  # the commands that write one file set per ticker
@@ -526,7 +529,11 @@ def run_command(command: str, cfg: RunConfig) -> int:
         for stage in _STAGES.values() if command == "pipeline" else (_STAGES[command],):
             manifest.update(stage(cfg, state, staging))
         reports.atomic_write_text(staging / "run.json", reports.json_text(manifest))
-        for name in sorted(os.listdir(staging), key=lambda name: name == "run.json"):
+        names = sorted(os.listdir(staging), key=lambda name: name == "run.json")
+        for target in (cfg.out / name for name in names):
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for name in names:
             os.replace(staging / name, cfg.out / name)
         made = []  # committed: the directories stay
     finally:

@@ -311,9 +311,12 @@ def standardize_fit(X) -> Scaler:
         raise TooFewRows(f"need at least 2 rows to fit a scaler, got {n}")
     if X.ndim != 2:
         raise DimensionMismatch("scaler input must be a 2-D matrix")
-    means = np.cumsum(X, axis=0)[-1] / n
-    deviations = X - means
-    stds = np.sqrt(np.cumsum(deviations * deviations, axis=0)[-1] / (n - 1))
+    # a column beyond float64's range gets a non-finite mean or std, which
+    # the callers report; numpy's warning would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.cumsum(X, axis=0)[-1] / n
+        deviations = X - means
+        stds = np.sqrt(np.cumsum(deviations * deviations, axis=0)[-1] / (n - 1))
     constant = (X == X[0]).all(axis=0)
     return Scaler(means=np.where(constant, X[0], means), stds=np.where(constant, 0.0, stds))
 
@@ -326,7 +329,10 @@ def standardize_apply(scaler: Scaler, X) -> np.ndarray:
             f"rows have shape {X.shape}, scaler expects {scaler.dimension} features"
         )
     out = np.zeros_like(X)
-    np.divide(X - scaler.means, scaler.stds, out=out, where=scaler.stds != 0.0)
+    # a non-finite mean or std scales to non-finite values: such a training
+    # row fails the fit, and a probe is predicted like any other
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(X - scaler.means, scaler.stds, out=out, where=scaler.stds != 0.0)
     return out
 
 

@@ -452,6 +452,13 @@ def _bit_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _all_pair_distances(X, probes):
+    """(m, n) exact distances of every (probe, training row) pair, through
+    the recheck that knn_labels runs on its candidates."""
+    probe, row = np.divmod(np.arange(len(probes) * len(X)), len(X))
+    return knn.exact_distances(X, probes, probe, row).reshape(len(probes), len(X))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(prediction_inputs(), st.data())
@@ -462,9 +469,10 @@ def test_knn_batch_matches_reference(inputs, data):
     model = knn_model(X, y, k)
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * X.size):
         labels = predict_labels([model], probes)[:, 0].tolist()
+        distances = _all_pair_distances(X, probes)
     assert labels == [reference_knn_predict(X, y, probe, k) for probe in probes]
     per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes])
-    assert _bit_equal(knn.squared_distances(X, probes), per_row.reshape(len(probes), len(y)))
+    assert _bit_equal(distances, per_row.reshape(len(probes), len(y)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -476,51 +484,12 @@ def test_distance_block_rounds_like_per_row_sums(n, d, m, seed):
     X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
     probes = rng.normal(size=(m, d))
     per_row = np.array([((X - probe) ** 2).sum(axis=1) for probe in probes]).reshape(m, n)
-    assert _bit_equal(knn.squared_distances(X, probes), per_row)
+    assert _bit_equal(_all_pair_distances(X, probes), per_row)
     k = int(rng.integers(1, n + 1))
     model = knn_model(X, rng.integers(0, 3, size=n), k)
     assert predict_labels([model], probes)[:, 0].tolist() == [
         reference_knn_predict(X, model.train_y, probe, k) for probe in probes
     ]
-
-
-NUMBERS = [0.0, 1.0, 2.0, math.inf]
-
-
-@st.composite
-def rows_with_k_numbers(draw):
-    """(rows, k): 1-5 rows of 8 entries from NUMBERS or NaN, each holding at
-    least k numbers, as nearest_mask requires."""
-    k = draw(st.integers(min_value=1, max_value=8))
-    rows = draw(
-        st.lists(
-            st.lists(st.sampled_from(NUMBERS + [math.nan]), min_size=8, max_size=8),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    for row in rows:
-        nans = [i for i, value in enumerate(row) if math.isnan(value)]
-        for i in nans[: max(0, k - (len(row) - len(nans)))]:
-            row[i] = draw(st.sampled_from(NUMBERS))
-    return rows, k
-
-
-@settings(max_examples=400, deadline=None)
-@given(rows_with_k_numbers())
-# one block mixing rows that need the lowest-index fill at the k-th distance
-# (more ties there than free slots) with rows that take every tie
-@example(([[0.0, 1, 1, 1, 2, 2, 2, 2], [0.0, 1, 2, 2, 2, 2, 2, 2], [1.0] * 8, [2.0, 0, 1, 2, 1, 0, 2, 1]], 2))
-# rows whose k numbers, a tie among them, sit between NaNs
-@example(([[math.nan, 1, math.nan, 0, math.nan, math.nan, 1, math.nan], [0.0, 0, 1, 1, 1, 2, 2, 2]], 3))
-@example(([[0.0, math.nan, 1, math.nan, math.inf, 1, math.nan, 2], [0.0, 1, 1, 2, 2, 2, 2, 2]], 5))
-def test_nearest_mask_is_stable_argsort_prefix(case):
-    rows, k = case
-    squared = np.array(rows)
-    expected = np.zeros(squared.shape, dtype=bool)
-    for i, row in enumerate(squared):
-        expected[i, np.argsort(row, kind="stable")[:k]] = True
-    assert np.array_equal(knn.nearest_mask(squared, k), expected)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -582,33 +551,104 @@ def horizon_label_matrices(draw, n):
     return np.column_stack([np.where(rows, draw(labels), -1) for rows in kept])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# probe values whose screen bound is not finite
+UNBOUNDED = [math.nan, math.inf, -math.inf, 1e200, -1e200]
+
+
+@st.composite
+def screen_inputs(draw):
+    """(X, probes): 1-30 training rows of 1-6 features, each feature on its own
+    scale 10^-150..10^150, with values on a small integer grid (exact distance
+    ties, ties at the k-th distance) or off it, and sometimes duplicate rows;
+    0-8 probes on the same scales, some a copy of a training row and some
+    with one NaN, infinite or 1e200 entry."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-150, 150), min_size=d, max_size=d)))
+    values = st.lists(st.integers(-3, 3).map(float) | st.floats(-4, 4), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(values, min_size=n, max_size=n))) * scales
+    if draw(st.booleans()):
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    probes = np.array(draw(st.lists(values, max_size=8)), dtype=float).reshape(-1, d) * scales
+    for probe in probes:
+        change = draw(st.integers(0, 3))
+        if change == 0:
+            probe[:] = X[draw(st.integers(0, n - 1))]
+        elif change == 1:
+            probe[draw(st.integers(0, d - 1))] = draw(st.sampled_from(UNBOUNDED))
+    return X, probes
+
+
+@st.composite
+def screen_label_matrices(draw, n):
+    """(n, h) label columns: nested horizon tails, random labels, or 2-4
+    columns of which each row is left out by one, but for 0-2 rows that all
+    of them label, so that fewer than k rows are often labeled in every
+    column."""
+    shape = draw(st.sampled_from(["nested", "random", "staggered"]))
+    if shape == "nested":
+        return draw(horizon_label_matrices(n))
+    h = draw(st.integers(1, 4) if shape == "random" else st.integers(2, 4))
+    Y = np.array(draw(st.lists(st.integers(0, 2), min_size=n * h, max_size=n * h))).reshape(n, h)
+    if shape == "random":
+        kept = draw(st.lists(st.booleans(), min_size=n * h, max_size=n * h))
+        return np.where(np.array(kept).reshape(n, h), Y, -1)
+    position = np.array(draw(st.permutations(range(n))))
+    left_out = position % h
+    left_out[position < draw(st.integers(0, 2))] = h  # labeled in every column
+    return np.where(left_out[:, None] == np.arange(h), -1, Y)
+
+
 @settings(max_examples=400, deadline=None)
-@given(prediction_inputs(), st.data())
-def test_knn_candidate_selection_matches_reference_on_horizon_labels(inputs, data):
-    """Each column's vote is the reference vote over that column's labeled
-    rows, whether the block goes through the k + U candidates (4 (k + U) <= n)
-    or the per-column path; k is often drawn at the switch between them, or
-    with k + U at or above n."""
-    X, _, probes = inputs
+@given(screen_inputs(), st.data())
+def test_knn_screen_keeps_every_column_equal_to_the_reference(inputs, data):
+    """Whatever the scales, ties and probes, each column's vote is the
+    reference vote over its labeled rows, and the recheck's distances are
+    the bits of the per-row sums. k is often drawn where the rows labeled in
+    every column run out."""
+    X, probes = inputs
     n = len(X)
-    if data.draw(st.booleans(), label="duplicate rows"):
-        X = X[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")]
-    Y = data.draw(horizon_label_matrices(n), label="labels")
+    Y = data.draw(screen_label_matrices(n), label="labels")
     fewest = int((Y >= 0).sum(axis=0).min())
     assume(fewest >= 1)
-    unlabeled = int((Y < 0).any(axis=1).sum())
-    edges = [n // 4 - unlabeled, n // 4 - unlabeled + 1, n - unlabeled, n - unlabeled + 1, fewest]
-    k = data.draw(
-        st.sampled_from([k for k in edges if 1 <= k <= fewest]) | st.integers(1, fewest), label="k"
-    )
+    full = int((Y >= 0).all(axis=1).sum())
+    edges = [k for k in (full, full + 1) if 1 <= k <= fewest]
+    k = data.draw(st.sampled_from(edges or [1]) | st.integers(1, fewest), label="k")
     per_block = data.draw(st.integers(min_value=1, max_value=3), label="probes per block")
+    rechecked = []
+    exact_distances = knn.exact_distances
+
+    def spy(train_X, block, probe, row):
+        squared = exact_distances(train_X, block, probe, row)
+        rechecked.append((train_X, block, probe, row, squared))
+        return squared
+
     with mock.patch.object(knn, "_BLOCK_ELEMENTS", per_block * n):
-        got = knn.knn_labels(X, Y, k, probes)
-    for j, column in enumerate(Y.T):
-        rows = column >= 0
-        expected = [reference_knn_predict(X[rows], column[rows], probe, k) for probe in probes]
-        assert got[:, j].tolist() == expected
+        with mock.patch.object(knn, "exact_distances", spy):
+            got = knn.knn_labels(X, Y, k, probes)
+    assert sum(len(block) for _, block, *_ in rechecked) == len(probes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, column in enumerate(Y.T):
+            rows = column >= 0
+            expected = [reference_knn_predict(X[rows], column[rows], p, k) for p in probes]
+            assert got[:, j].tolist() == expected
+        for train_X, block, probe, row, squared in rechecked:
+            per_row = np.array([((train_X - p) ** 2).sum(axis=1) for p in block])
+            assert _bit_equal(squared, per_row.reshape(len(block), -1)[probe, row])
+
+
+def test_knn_screen_keeps_a_tie_whose_screened_distance_rounds_above_the_kth():
+    """Rows -1.2 and -1.8 are the same exact distance from the probe -1.5,
+    but the screen rounds row 0's above row 1's. Row 1, the only row both
+    columns label, sets the k-th screened distance (k = 1), and column 0
+    must still choose row 0, the lower index of the tie."""
+    X = np.array([[-1.2], [-1.8]])
+    probe = np.array([[-1.5]])
+    exact = ((X - probe[0]) ** 2).sum(axis=1)
+    screened = (probe**2).sum() + (X**2).sum(axis=1) - 2 * (probe @ X.T)[0]
+    assert exact[0] == exact[1] and screened[0] > screened[1]
+    Y = np.array([[0, -1], [2, 1]])
+    assert knn.knn_labels(X, Y, 1, probe).tolist() == [[Label.SELL, Label.HOLD]]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -618,9 +658,8 @@ def test_predict_labels_columns_are_each_models_own_predictions(kind, inputs, da
     """Column j of predict_labels(models, X) is what models[j] predicts alone,
     and predict_one agrees with every entry. The 1-4 label columns are the
     longest horizon tails of a nested label matrix; for kNN some row is
-    unlabeled in some column (U > 0), so the stacked call goes through the
-    shared candidates or the per-column path while each model alone has its
-    own labeled rows only."""
+    unlabeled in some column, so the stacked call screens against the rows
+    every column labels while each model alone has its own labeled rows only."""
     X, _, probes = inputs
     n = len(X)
     Y = data.draw(horizon_label_matrices(n), label="labels")
@@ -662,11 +701,11 @@ def test_knn_fit_rejects_a_non_finite_row_only_where_it_is_labeled():
     ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_nan_probe_in_a_narrow_block_goes_through_the_candidates():
-    """A NaN probe shares its narrow block's one candidate call (4 (k + U) <= n)
-    and votes like the reference: its k lowest-index labeled rows. Row 1 is NaN
-    and unlabeled in both columns; row 3 is unlabeled in the second."""
+def test_nan_and_infinite_probes_share_their_block_with_screened_probes():
+    """A NaN probe and one that overflows share their block's one block_votes
+    call with a screened probe and vote like the reference: the NaN probe its
+    k lowest-index labeled rows. Row 1 is NaN and unlabeled in both columns;
+    row 3 is unlabeled in the second."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 3))
     X[1] = math.nan
@@ -674,31 +713,32 @@ def test_nan_probe_in_a_narrow_block_goes_through_the_candidates():
     Y[1] = -1
     Y[3, 1] = -1
     k = 3
-    assert knn._NARROW_SHARE * (k + 2) <= len(X)
     probes = np.array([[0.1, -0.2, 0.3], [0.5, math.nan, 0.0], [1e200, 0.0, -1.0]])
     blocks = []
-    candidate_votes = knn._candidate_votes
+    block_votes = knn.block_votes
 
     def counted(*args):
-        blocks.append(len(args[0]))
-        return candidate_votes(*args)
+        blocks.append(len(args[3]))
+        return block_votes(*args)
 
-    with mock.patch.object(knn, "_candidate_votes", counted):
+    with mock.patch.object(knn, "block_votes", counted):
         got = knn.knn_labels(X, Y, k, probes)
     assert blocks == [len(probes)]
     for j, column in enumerate(Y.T):
         rows = column >= 0
-        expected = [reference_knn_predict(X[rows], column[rows], probe, k) for probe in probes]
+        with np.errstate(over="ignore"):
+            expected = [reference_knn_predict(X[rows], column[rows], p, k) for p in probes]
         assert got[:, j].tolist() == expected
 
 
 def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     """Ten label columns share bounded distance blocks, never the (m, n) matrix
     (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS): random
-    labels, where nearly every row is unlabeled somewhere and each column
-    chooses from the whole block, and nested horizon labels (U = 199 of
-    1,959 rows), where each block's candidate arrays are built, also with one
-    NaN probe in each block."""
+    labels, where nearly every row is unlabeled somewhere and a probe's
+    candidates reach its 5th nearest of the ~110 rows labeled in every
+    column, and nested horizon labels (199 of 1,959 rows unlabeled
+    somewhere), also with one NaN probe, which takes every row, in each
+    block."""
     rng = np.random.default_rng(0)
     train_X = rng.normal(size=(1959, 28))
     random_Y = rng.integers(-1, 3, size=(1959, 10))
@@ -710,24 +750,23 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     X = rng.normal(size=(841, 28))
     nan_X = X.copy()
     nan_X[:: knn._BLOCK_ELEMENTS // len(train_X), 3] = math.nan
-    candidate_blocks = []
-    candidate_votes = knn._candidate_votes
+    blocks = []
+    block_votes = knn.block_votes
 
     def counted(*args):  # a mock spy would keep every block alive
-        candidate_blocks.append(len(args[0]))
-        return candidate_votes(*args)
+        blocks.append(len(args[3]))
+        return block_votes(*args)
 
-    cases = ((random_Y, X, False), (nested_Y, X, True), (nested_Y, nan_X, True))
-    for Y, probes, candidates in cases:
-        candidate_blocks.clear()
-        with mock.patch.object(knn, "_candidate_votes", counted):
+    for Y, probes in ((random_Y, X), (nested_Y, X), (nested_Y, nan_X)):
+        blocks.clear()
+        with mock.patch.object(knn, "block_votes", counted):
             tracemalloc.start()
             try:
                 knn.knn_labels(train_X, Y, 5, probes)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert sum(candidate_blocks) == (len(X) if candidates else 0)
+        assert sum(blocks) == len(X)
         assert peak < len(X) * len(train_X) * 8 / 2
 
 

@@ -952,8 +952,25 @@ def test_pipeline_failing_after_transform_leaves_a_previous_run_as_it_was(
     assert contents(out) == before
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", ["metrics.json", "run.json"])
+def test_a_directory_in_the_way_of_an_artifact_fails_before_any_rename(
+    tmp_path, market_csv, capsys, name
+):
+    """A directory in out under an artifact's name would fail that file's
+    rename. Every destination is checked before the first rename, so the
+    files renamed before it (all others, for run.json) keep the previous
+    run's bytes."""
+    out, _ = previous_run(tmp_path, market_csv)
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {path.name: path.is_dir() or path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert run("evaluate", "--data", market_csv, "--out", out, "--model", "gaussian-nb") == 2
+    assert capsys.readouterr().err == f"io error: [Errno 21] Is a directory: '{out / name}'\n"
+    assert {path.name: path.is_dir() or path.read_bytes() for path in out.iterdir()} == before
+    assert not any((out / name).iterdir())
+
+
 def test_knn_non_finite_scaled_training_rows_exit_2(tmp_path, market_csv, capsys):
     # three BEST_CAPEX values near the float64 maximum overflow the scaler's
     # mean, so the scaled training matrix holds non-finite values
@@ -968,7 +985,6 @@ def test_knn_non_finite_scaled_training_rows_exit_2(tmp_path, market_csv, capsys
     assert capsys.readouterr().err == "data error: features must be finite\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_backtest_of_a_feature_whose_spread_overflows_the_scaler_exits_2(
     tmp_path, market_csv, capsys
 ):
@@ -989,6 +1005,33 @@ def test_backtest_of_a_feature_whose_spread_overflows_the_scaler_exits_2(
         "data error: feature PX_VOLUME overflows the scaler, so no model file can hold it\n"
     )
     assert not out.exists()
+
+
+def test_an_overflowing_volume_prints_only_the_error_line(tmp_path):
+    """Run as a fresh process, away from pytest's warning filter: a volume of
+    1e308 on a test row leaves kNN probes that overflow, and on a training
+    row a scaler whose std overflows. Neither prints a numpy warning."""
+    src = Path(cli.__file__).parents[1]
+    cases = (
+        (20, ["evaluate", "--model", "knn"], 0, ""),
+        (30, ["backtest", "--model", "gaussian-nb"], 2,
+         "data error: feature PX_VOLUME overflows the scaler, so no model file can hold it\n"),
+    )
+    for line, (command, *args), code, err in cases:
+        lines = synthetic_market_bytes(3, 70, seed=1).decode().splitlines()
+        column = lines[0].split(",").index("PX_VOLUME")
+        cells = lines[line].split(",")
+        cells[column] = "1e308"
+        lines[line] = ",".join(cells)
+        market = tmp_path / f"market_{line}.csv"
+        market.write_text("\n".join(lines) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "stocksignals", command,
+             "--data", str(market), "--out", str(tmp_path / f"out_{line}"), *args],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (result.returncode, result.stderr) == (code, err)
 
 
 def test_pipeline_produces_full_artifact_set(tmp_path, market_csv, capsys):
@@ -1189,8 +1232,6 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=1000, deadline=None)
 @given(
     command=st.sampled_from(sorted(cli._COMMANDS)),
