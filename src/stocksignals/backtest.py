@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Sequence
 
-from stocksignals.errors import (
-    DataError,
-    EmptyDataset,
-    MisalignedSeries,
-    NonPositiveInitialPrice,
-    UsageError,
-)
+from stocksignals.errors import DataError, EmptyDataset, UsageError
 from stocksignals.labels import Label
 
 PRICE_QUANTUM = Decimal("0.0001")
@@ -102,12 +96,12 @@ def run_backtest(
     if len(dates) == 0:
         raise EmptyDataset("no bars to backtest")
     if not len(dates) == len(closes) == len(signals):
-        raise MisalignedSeries(
+        raise DataError(
             f"{len(dates)} dates vs {len(closes)} closes vs {len(signals)} signals"
         )
     for earlier, date in itertools.pairwise(dates):
         if date <= earlier:
-            raise MisalignedSeries(f"dates not strictly ascending at {date}")
+            raise DataError(f"dates not strictly ascending at {date}")
 
     fee = to_price(cfg.fee_per_transaction)
     tp = Decimal(str(cfg.take_profit_fraction))
@@ -157,5 +151,5 @@ def return_percentage(total_profit, initial_price) -> float:
     """100 * profit / initial price, the report's headline figure."""
     initial = float(initial_price)
     if initial <= 0:
-        raise NonPositiveInitialPrice(str(initial_price))
+        raise DataError(str(initial_price))
     return 100.0 * float(total_profit) / initial

@@ -33,13 +33,7 @@ from stocksignals.classifiers.tree import (
     fit_decision_trees,
     tree_labels,
 )
-from stocksignals.errors import (
-    DataError,
-    DimensionMismatch,
-    EmptyTraining,
-    KTooLarge,
-    UsageError,
-)
+from stocksignals.errors import DataError, EmptyTraining, KTooLarge, UsageError
 from stocksignals.labels import Label
 from stocksignals.transform import Dataset, Scaler, TrainTestSplit, standardize_apply
 
@@ -102,12 +96,12 @@ def _training_arrays(spec: ClassifierSpec, X, Y) -> tuple[np.ndarray, np.ndarray
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatch("feature matrix must be 2-D")
+        raise DataError("feature matrix must be 2-D")
     Y = np.asarray(Y, dtype=np.int64)
     if Y.ndim != 2:
-        raise DimensionMismatch("labels must be an (n, h) matrix, one column per model")
+        raise DataError("labels must be an (n, h) matrix, one column per model")
     if len(X) != len(Y):
-        raise DimensionMismatch(f"{len(X)} feature rows vs {len(Y)} labels")
+        raise DataError(f"{len(X)} feature rows vs {len(Y)} labels")
     k = spec.k if spec.kind == "knn" else 1
     finite = np.isfinite(X).all(axis=1)
     for rows in (Y >= 0).T:
@@ -148,7 +142,7 @@ _BATCH_LABELS = {
 def _probe_matrix(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise DimensionMismatch(f"input of shape {X.shape}, model expects (m, {n_features})")
+        raise DataError(f"input of shape {X.shape}, model expects (m, {n_features})")
     return X
 
 

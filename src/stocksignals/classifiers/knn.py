@@ -10,17 +10,21 @@ Each block takes one exact path in four steps.
 
 1. Screen. One matmul gives s = |p|^2 + |x|^2 - 2 p.x for every probe p and
    training row x, whose exact distance is e = ((x - p) ** 2).sum().
-2. Candidates. Let K be a probe's k-th smallest s among the rows that every
-   column labels, and D = 8 (d + 4) (eps |p|^2 + eps max|x|^2 + tiny) for d
-   features (eps and tiny of float64). Each dot product of d terms is off
-   by at most gamma_d = d u / (1 - d u) of its absolute sum, u = eps / 2,
-   in any summation order (Higham, Accuracy and Stability of Numerical
+2. Candidates. A bounding set is a column's set of labeled rows that
+   contains no other column's set, so every column's set contains one.
+   Let K be the largest of a probe's k-th smallest s in each bounding set,
+   and D = 8 (d + 4) (eps |p|^2 + eps max|x|^2 + tiny) for d features
+   (eps and tiny of float64). Each dot product of d terms is off by at
+   most gamma_d = d u / (1 - d u) of its absolute sum, u = eps / 2, in any
+   summation order (Higham, Accuracy and Stability of Numerical
    Algorithms, 2002, ch. 3), and an underflow adds at most tiny per
    operation; so |s - e| < D when 4 (|p|^2 + max|x|^2), which bounds every
-   e, is finite. The candidates are the rows with s <= K + 2 D. At least k
-   rows labeled in every column have e <= K + D, so each column's k
-   nearest labeled rows, ties at its k-th distance included, have
-   e <= K + D and hence s <= K + 2 D: they are all candidates.
+   e, is finite. The candidates are the rows with s <= K + 2 D. Every
+   column labels a bounding set, at least k of whose rows have s <= K and
+   so e <= K + D; its k nearest labeled rows, ties at its k-th distance
+   included, then have e <= K + D and hence s <= K + 2 D: they are all
+   candidates. Horizon labels are nested, so their one bounding
+   set is the rows that every horizon labels.
 3. Recheck. The candidates' exact distances are computed pair by pair, the
    same pairwise sum over each probe's features as for a single probe, so
    they are bit-identical to a one-probe-at-a-time computation.
@@ -29,9 +33,9 @@ Each block takes one exact path in four steps.
    argsort of the distances, which puts NaN after every number.
 
 A probe takes every row as a candidate when its bound is not finite (a NaN,
-an infinite or an overflowing probe) or when fewer than k rows are labeled
-in every column. Rows that no column labels are dropped first; they are
-never chosen and may hold any value. Vote ties resolve to Hold.
+an infinite or an overflowing probe). Rows that no column labels are
+dropped first; they are never chosen and may hold any value. Vote ties
+resolve to Hold.
 """
 
 from __future__ import annotations
@@ -104,22 +108,23 @@ def exact_distances(
 
 
 def block_votes(
-    train_X: np.ndarray, train_Y: np.ndarray, k: int, probes: np.ndarray, x_sq: np.ndarray
+    train_X: np.ndarray, train_Y: np.ndarray, k: int, probes: np.ndarray, x_sq: np.ndarray,
+    bounding: np.ndarray,
 ) -> np.ndarray:
     """(c, h, 3) votes of each column's k nearest labeled rows for a block of
-    c probes; x_sq holds each training row's squared norm."""
+    c probes; x_sq holds each training row's squared norm and bounding the
+    (b, n) row masks of the bounding sets."""
     c, h = len(probes), train_Y.shape[1]
-    full = (train_Y >= 0).all(axis=1)
     p_sq = np.square(probes).sum(axis=1)
     screened = probes @ train_X.T
     screened *= -2.0
     screened += x_sq
     screened += p_sq[:, None]
-    kth = np.inf  # every row is a candidate unless k rows are labeled in every column
-    if np.count_nonzero(full) >= k:
-        kept = screened[:, full]
+    kth = -np.inf
+    for rows in bounding:
+        kept = screened[:, rows]
         kept.partition(k - 1, axis=1)
-        kth = kept[:, k - 1]
+        kth = np.maximum(kth, kept[:, k - 1])  # a NaN stays NaN
     scale = p_sq + x_sq.max()
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     delta = 8 * (train_X.shape[1] + 4) * (eps * scale + tiny)
@@ -149,12 +154,16 @@ def knn_labels(train_X: np.ndarray, train_Y: np.ndarray, k: int, X: np.ndarray) 
     used = (train_Y >= 0).any(axis=1)
     train_X, train_Y = train_X[used], train_Y[used]
     x_sq = np.square(train_X).sum(axis=1)
+    # each distinct set of labeled rows once, keyed by its bytes: np.unique(axis=1) is far slower
+    sets = np.array(list({rows.tobytes(): rows for rows in (train_Y >= 0).T}.values()))
+    inside = (sets[:, None, :] <= sets[None, :, :]).all(axis=2)  # [i, j]: set i within set j
+    bounding = sets[inside.sum(axis=0) == 1]
     block = max(1, _BLOCK_ELEMENTS // len(train_X))
     votes = np.empty((len(X), train_Y.shape[1], 3), dtype=np.int64)
     # a NaN, infinite or huge probe takes every row, and its sums may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(X), block):
             votes[start : start + block] = block_votes(
-                train_X, train_Y, k, X[start : start + block], x_sq
+                train_X, train_Y, k, X[start : start + block], x_sq, bounding
             )
     return majority_labels(votes.reshape(-1, 3)).reshape(len(X), train_Y.shape[1])

@@ -15,11 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from stocksignals.classifiers import ClassifierSpec, ModelBundle, fit_bundles, predict_labels
-from stocksignals.errors import (
-    EmptyDataset,
-    LengthMismatch,
-    NoEvaluableHorizon,
-)
+from stocksignals.errors import DataError, EmptyDataset, NoEvaluableHorizon
 from stocksignals.labels import Label
 from stocksignals.transform import TrainTestSplit, standardize_apply
 
@@ -47,7 +43,7 @@ def confusion_matrix(
 ) -> tuple[tuple[int, ...], ...]:
     """3x3 counts, rows = true label, columns = predicted, order Sell/Hold/Buy."""
     if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
+        raise DataError(f"{len(y_true)} true vs {len(y_pred)} predicted")
     if len(y_true) == 0:
         raise EmptyDataset("cannot build a confusion matrix from zero pairs")
     counts = np.zeros((3, 3), dtype=np.int64)

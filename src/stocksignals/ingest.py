@@ -31,14 +31,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from stocksignals.errors import (
-    AllRowsDropped,
-    DuplicateKey,
-    EmptyInput,
-    MalformedRow,
-    SchemaError,
-    SectorConflict,
-)
+from stocksignals.errors import DataError
 
 RAW_COLUMNS: tuple[str, ...] = (
     "PX_OFFICIAL_CLOSE",
@@ -162,7 +155,7 @@ def _parse_date(text: str, line: int) -> np.datetime64:
             raise ValueError(text)
         return np.datetime64(dt.date.fromisoformat(text) if text else "NaT", "D")
     except ValueError:
-        raise MalformedRow(
+        raise DataError(
             f"line {line}: bad date {text!r}, expected YYYY-MM-DD"
         ) from None
 
@@ -176,34 +169,33 @@ def _parse_block(rows: list[tuple[str, ...]], demoted: np.ndarray) -> np.ndarray
     return np.column_stack([values for values, _ in parsed])
 
 
-def _unreadable(line: int, exc: csv.Error) -> MalformedRow:
+def _unreadable(line: int, exc: csv.Error) -> DataError:
     """The error for a line the csv module cannot read. The reader splits
     lines at \\n only, so its complaint about a new-line character in an
     unquoted field is about a bare carriage return, and says so."""
     message = str(exc)
     if message.startswith("new-line character seen in unquoted field"):
         message = "carriage return inside an unquoted cell"
-    return MalformedRow(f"line {line}: {message}")
+    return DataError(f"line {line}: {message}")
 
 
 def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     """Parse a UTF-8 market CSV byte stream into columns.
 
-    Raises EmptyInput when there is no header, SchemaError when a required
-    column is missing, and MalformedRow for the first row, in file order,
-    that the csv module cannot read (a cell over its field limit, a bare
-    carriage return in an unquoted cell) or that has a wrong column count or
-    a date that is not ISO-8601 (YYYY-MM-DD). Numbers are read _CHUNK_ROWS
-    rows at a time.
+    Raises DataError when there is no header or a required column is
+    missing, and for the first row, in file order, that the csv module
+    cannot read (a cell over its field limit, a bare carriage return in an
+    unquoted cell) or that has a wrong column count or a date that is not
+    ISO-8601 (YYYY-MM-DD). Numbers are read _CHUNK_ROWS rows at a time.
     """
     data = source if isinstance(source, bytes) else source.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
     text = text.lstrip("\ufeff")
     if not text or text.isspace():  # text.strip() would copy the text
-        raise EmptyInput("no header row")
+        raise DataError("no header row")
 
     reader = csv.reader(io.StringIO(text))
     del data, text  # the reader reads its own copy; free these before the rows pile up
@@ -214,11 +206,11 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
         if name in positions and name in CSV_COLUMNS:
-            raise SchemaError(f"duplicate column {name}")
+            raise DataError(f"duplicate column {name}")
         positions.setdefault(name, i)
     missing = [c for c in CSV_COLUMNS if c not in positions]
     if missing:
-        raise SchemaError(", ".join(missing))
+        raise DataError(", ".join(missing))
 
     date_at, ticker_at, sector_at = (positions[c] for c in META_COLUMNS)
     pick = itemgetter(*(positions[c] for c in RAW_COLUMNS))
@@ -230,7 +222,7 @@ def parse_market_csv(source: Union[bytes, IO[bytes]]) -> RawTable:
             if not record:
                 continue  # blank line
             if len(record) != len(header):
-                raise MalformedRow(
+                raise DataError(
                     f"line {reader.line_num}: expected {len(header)} columns, "
                     f"got {len(record)}"
                 )
@@ -260,7 +252,8 @@ def _rec_count_violations(values: np.ndarray) -> int:
     """Rows whose buy + sell + hold exceeds the analyst total, counted exactly:
     float sums of whole numbers are exact below 2**53, larger ones are redone in ints."""
     total, buy, sell, hold = values[:, _COUNT_INDEX].T
-    parts = buy + sell + hold
+    with np.errstate(over="ignore"):  # an inf sum takes the exact-int path below
+        parts = buy + sell + hold
     exact = parts < 2.0**53
     return int(np.count_nonzero(exact & (parts > total))) + sum(
         int(b) + int(s) + int(h) > int(t) for t, b, s, h in values[~exact][:, _COUNT_INDEX].tolist()
@@ -279,7 +272,7 @@ def validate_and_clean(table: MarketColumns) -> CleanTable:
     )
     keep = ~missing.any(axis=1)
     if not keep.any():
-        raise AllRowsDropped("no rows survive null-policy cleaning")
+        raise DataError("no rows survive null-policy cleaning")
     values = table.values[keep]
     return CleanTable(
         dates=table.dates[keep],
@@ -299,9 +292,9 @@ def validate_and_clean(table: MarketColumns) -> CleanTable:
 def partition_by_ticker(table: CleanTable) -> dict[str, TickerSeries]:
     """Group cleaned rows per ticker (in sorted order), ascending by date.
 
-    Raises DuplicateKey when a (ticker, date) pair repeats and SectorConflict
-    when one ticker carries two different sectors, for whichever row comes
-    first in table order.
+    Raises DataError when a (ticker, date) pair repeats or one ticker
+    carries two different sectors, for whichever row comes first in table
+    order.
     """
     names, first, codes = np.unique(table.tickers, return_index=True, return_inverse=True)
     owners = table.sectors[first[codes]]  # each row's ticker's first sector
@@ -315,10 +308,10 @@ def partition_by_ticker(table: CleanTable) -> dict[str, TickerSeries]:
     if bad.size:
         row = bad[0]
         if repeated[row]:
-            raise DuplicateKey(
+            raise DataError(
                 f"{table.tickers[row]} already has a row for {table.dates[row].item()}"
             )
-        raise SectorConflict(
+        raise DataError(
             f"{table.tickers[row]} maps to both {owners[row]!r} and {table.sectors[row]!r}"
         )
     groups = np.split(order, np.flatnonzero(np.diff(codes_in_order)) + 1)

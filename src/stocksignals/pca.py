@@ -16,15 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stocksignals.errors import (
-    KTooLarge,
-    NoConvergence,
-    NotSymmetric,
-    NumericError,
-    TooFewRows,
-    UsageError,
-    ZeroTotalVariance,
-)
+from stocksignals.errors import KTooLarge, NumericError, TooFewRows, UsageError
 # standardize_fit is not called here; bench/tracing.py patches it under this
 # module's name to count scaler fits
 from stocksignals.transform import (  # noqa: F401
@@ -109,9 +101,9 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
     """
     work = np.array(A, dtype=float)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise NotSymmetric("matrix must be square")
+        raise NumericError("matrix must be square")
     if np.abs(work - work.T).max(initial=0.0) > 1e-12:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+        raise NumericError("matrix is not symmetric within 1e-12")
     d = work.shape[0]
     # row p of the buffer is row p of work beside column p of the
     # eigenvectors, so one row rotation turns both; a second turns the
@@ -144,7 +136,7 @@ def jacobi_eigen(A, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposi
         else:
             converged = np.abs(work - np.diag(np.diag(work))).max() < tol
         if not converged:
-            raise NoConvergence(
+            raise NumericError(
                 f"off-diagonal mass above {tol} after {max_sweeps} sweeps"
             )
     eigenvalues = np.diag(work).copy()
@@ -165,13 +157,13 @@ def explained_variance(
     """Per-component variance ratios and their running sum."""
     values = np.asarray(eigenvalues, dtype=float)
     if values.size == 0:
-        raise ZeroTotalVariance("no eigenvalues")
+        raise NumericError("no eigenvalues")
     if values.min() < -1e-9:
         raise NumericError(f"eigenvalue {values.min()} is too negative to clamp")
     values = np.clip(values, 0.0, None)
     total = float(values.sum())
     if total == 0.0:
-        raise ZeroTotalVariance("eigenvalues sum to zero")
+        raise NumericError("eigenvalues sum to zero")
     ratios = values / total
     return tuple(ratios.tolist()), tuple(np.cumsum(ratios).tolist())
 
@@ -235,7 +227,7 @@ def rank_features(
         )
     usable = np.flatnonzero(scaler.stds > 0.0).tolist()
     if not usable:
-        raise ZeroTotalVariance("every feature is constant")
+        raise NumericError("every feature is constant")
     if len(usable) < len(names):
         constant = [names[i] for i in range(len(names)) if i not in usable]
         logger.warning("excluding constant features from PCA: %s", constant)

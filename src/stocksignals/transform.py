@@ -17,15 +17,7 @@ from typing import IO, Iterable, Mapping, Sequence, Sized
 import numpy as np
 
 from stocksignals import ingest
-from stocksignals.errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptySeries,
-    InvalidFraction,
-    TooFewRows,
-    UsageError,
-    WindowTooSmall,
-)
+from stocksignals.errors import DataError, EmptyDataset, TooFewRows, UsageError
 from stocksignals.ingest import TickerSeries
 from stocksignals.labels import Label
 from stocksignals.rng import draws_below
@@ -81,7 +73,7 @@ class SplitConfig:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidFraction(
+            raise UsageError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
 
@@ -204,7 +196,7 @@ def rolling_std(closes, window: int) -> np.ndarray:
     diagonals come out at exactly 1. A window whose sums overflow gives NaN.
     """
     if window < 2:
-        raise WindowTooSmall(f"window must be >= 2, got {window}")
+        raise UsageError(f"window must be >= 2, got {window}")
     closes = np.asarray(closes, dtype=float)
     out = np.full(len(closes), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +241,7 @@ def assemble_features(series: TickerSeries, cfg: LabelConfig = LabelConfig()) ->
     """
     values = series.values
     if not len(values):
-        raise EmptySeries(series.ticker)
+        raise DataError(series.ticker)
     closes = values[:, CLOSE_INDEX]
     total = values[:, _TOTAL_INDEX]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,7 +302,7 @@ def standardize_fit(X) -> Scaler:
     if n < 2:
         raise TooFewRows(f"need at least 2 rows to fit a scaler, got {n}")
     if X.ndim != 2:
-        raise DimensionMismatch("scaler input must be a 2-D matrix")
+        raise DataError("scaler input must be a 2-D matrix")
     # a column beyond float64's range gets a non-finite mean or std, which
     # the callers report; numpy's warning would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,7 +317,7 @@ def standardize_apply(scaler: Scaler, X) -> np.ndarray:
     """Map each value to (x - mean) / std; zero-std features map to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != scaler.dimension:
-        raise DimensionMismatch(
+        raise DataError(
             f"rows have shape {X.shape}, scaler expects {scaler.dimension} features"
         )
     out = np.zeros_like(X)

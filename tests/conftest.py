@@ -21,7 +21,7 @@ from stocksignals.backtest import Trade  # noqa: E402
 from stocksignals.classifiers import fit_classifier  # noqa: E402
 from stocksignals.classifiers.tree import best_split, dense_ranks  # noqa: E402
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, MarketColumns, TickerSeries  # noqa: E402
-from stocksignals.errors import DimensionMismatch  # noqa: E402
+from stocksignals.errors import DataError  # noqa: E402
 from stocksignals.pca import FeatureScore  # noqa: E402
 from stocksignals.transform import (  # noqa: E402
     CLOSE_INDEX,
@@ -300,7 +300,7 @@ def read_dataset_csv(stream) -> Dataset:
     header = next(reader)
     prefix = ["ticker", "date"] + list(FEATURE_COLUMNS)
     if header[: len(prefix)] != prefix:
-        raise DimensionMismatch("dataset header does not match canonical columns")
+        raise DataError("dataset header does not match canonical columns")
     horizons = tuple(int(name.removeprefix("label_day")) for name in header[len(prefix):])
     records = [record for record in reader if record]
     width = len(FEATURE_COLUMNS)

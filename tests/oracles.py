@@ -91,27 +91,27 @@ def _reference_iso_date(text):
 
 def reference_parse_market_csv(data):
     """(rows, parse_warnings) of a market CSV's bytes, one ReferenceRow per data row."""
-    from stocksignals.errors import EmptyInput, MalformedRow, SchemaError
+    from stocksignals.errors import DataError
     from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
 
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
     text = text.lstrip("\ufeff")
     if not text.strip():
-        raise EmptyInput("no header row")
+        raise DataError("no header row")
 
     reader = csv.reader(io.StringIO(text))
     header = [name.strip() for name in next(reader)]
     positions = {}
     for i, name in enumerate(header):
         if name in positions and name in CSV_COLUMNS:
-            raise SchemaError(f"duplicate column {name}")
+            raise DataError(f"duplicate column {name}")
         positions.setdefault(name, i)
     missing = [c for c in CSV_COLUMNS if c not in positions]
     if missing:
-        raise SchemaError(", ".join(missing))
+        raise DataError(", ".join(missing))
 
     warnings = {}
     rows = []
@@ -119,7 +119,7 @@ def reference_parse_market_csv(data):
         if not record:
             continue  # blank line
         if len(record) != len(header):
-            raise MalformedRow(
+            raise DataError(
                 f"line {reader.line_num}: expected {len(header)} columns, "
                 f"got {len(record)}"
             )
@@ -128,7 +128,7 @@ def reference_parse_market_csv(data):
             try:
                 date = _reference_iso_date(date_text)
             except ValueError:
-                raise MalformedRow(
+                raise DataError(
                     f"line {reader.line_num}: bad date {date_text!r}, "
                     "expected YYYY-MM-DD"
                 ) from None
@@ -155,7 +155,7 @@ def reference_validate_and_clean(rows):
     whose buy + sell + hold (Python ints) exceeds the analyst total counts
     as a violation.
     """
-    from stocksignals.errors import AllRowsDropped
+    from stocksignals.errors import DataError
     from stocksignals.ingest import RAW_COLUMNS
 
     total, buy, sell, hold = (
@@ -181,13 +181,13 @@ def reference_validate_and_clean(rows):
             violations += 1
         kept.append(row)
     if not kept:
-        raise AllRowsDropped("no rows survive null-policy cleaning")
+        raise DataError("no rows survive null-policy cleaning")
     return kept, dropped_by_column, dropped, violations
 
 
 def reference_partition_by_ticker(rows):
     """[(ticker, sector, rows ascending by date)] in sorted ticker order."""
-    from stocksignals.errors import DuplicateKey, SectorConflict
+    from stocksignals.errors import DataError
 
     grouped = {}
     sectors = {}
@@ -195,11 +195,11 @@ def reference_partition_by_ticker(rows):
     for row in rows:
         key = (row.ticker, row.date)
         if key in seen:
-            raise DuplicateKey(f"{row.ticker} already has a row for {row.date}")
+            raise DataError(f"{row.ticker} already has a row for {row.date}")
         seen.add(key)
         if row.ticker in sectors:
             if sectors[row.ticker] != row.sector:
-                raise SectorConflict(
+                raise DataError(
                     f"{row.ticker} maps to both "
                     f"{sectors[row.ticker]!r} and {row.sector!r}"
                 )
@@ -587,7 +587,7 @@ def reference_jacobi_eigen(A, tol=1e-12, max_sweeps=100):
     """The package's former cyclic Jacobi loop: each rotation turns rows p
     and q of work, then its columns, then the columns of the eigenvectors,
     as three planes, with numpy-scalar arithmetic."""
-    from stocksignals.errors import NoConvergence
+    from stocksignals.errors import NumericError
     from stocksignals.pca import EigenDecomposition
 
     work = np.array(A, dtype=float)
@@ -620,7 +620,7 @@ def reference_jacobi_eigen(A, tol=1e-12, max_sweeps=100):
         else:
             converged = np.abs(work - np.diag(np.diag(work))).max() < tol
         if not converged:
-            raise NoConvergence(f"off-diagonal mass above {tol} after {max_sweeps} sweeps")
+            raise NumericError(f"off-diagonal mass above {tol} after {max_sweeps} sweeps")
     eigenvalues = np.diag(work).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]

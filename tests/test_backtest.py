@@ -21,13 +21,7 @@ from stocksignals.backtest import (
     run_backtest,
     to_price,
 )
-from stocksignals.errors import (
-    DataError,
-    EmptyDataset,
-    MisalignedSeries,
-    NonPositiveInitialPrice,
-    UsageError,
-)
+from stocksignals.errors import DataError, EmptyDataset, UsageError
 from stocksignals.labels import Label
 
 CFG = BacktestConfig()
@@ -168,12 +162,12 @@ def test_run_deterministic():
 def test_alignment_errors():
     ds, closes, signals = bars([100.0, 101.0], [Label.BUY, Label.BUY])
     for short in ((ds[:1], closes, signals), (ds, closes[:1], signals), (ds, closes, signals[:1])):
-        with pytest.raises(MisalignedSeries):
+        with pytest.raises(DataError, match=r"^\d dates vs \d closes vs \d signals$"):
             run_backtest(*short, CFG)
     with pytest.raises(EmptyDataset):
         run_backtest([], [], [], CFG)
     for unordered in (ds[::-1], [D0, D0]):
-        with pytest.raises(MisalignedSeries, match="not strictly ascending"):
+        with pytest.raises(DataError, match="^dates not strictly ascending at "):
             run_backtest(unordered, closes, signals, CFG)
 
 
@@ -337,9 +331,9 @@ def test_return_percentage_reference_rows(profit, initial, expected):
 def test_return_percentage_edges():
     assert return_percentage(0.0, 123.0) == 0.0
     assert return_percentage(-5.0, 100.0) == -5.0
-    with pytest.raises(NonPositiveInitialPrice):
+    with pytest.raises(DataError, match="^0.0$"):
         return_percentage(1.0, 0.0)
-    with pytest.raises(NonPositiveInitialPrice):
+    with pytest.raises(DataError, match="^-3.0$"):
         return_percentage(1.0, -3.0)
 
 

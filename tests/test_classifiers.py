@@ -37,13 +37,7 @@ from stocksignals.classifiers import (
 from stocksignals.classifiers import knn
 from stocksignals.classifiers.base import MAX_TREES
 from stocksignals.classifiers.tree import DecisionTree, check_layout
-from stocksignals.errors import (
-    DataError,
-    DimensionMismatch,
-    EmptyTraining,
-    KTooLarge,
-    UsageError,
-)
+from stocksignals.errors import DataError, EmptyTraining, KTooLarge, UsageError
 from stocksignals.labels import Label, majority_labels
 
 TREE = ClassifierSpec(kind="decision_tree")
@@ -219,10 +213,10 @@ def test_tree_max_depth_zero_is_majority_leaf():
 def test_tree_training_errors():
     with pytest.raises(EmptyTraining):
         fit_one(TREE, np.empty((0, 2)), [])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^2 feature rows vs 1 labels$"):
         fit_one(TREE, [[1.0], [2.0]], [0])
     tree = fit_one(TREE, [[1.0, 2.0]] * 2, [0, 0])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"^input of shape \(1, 1\), model expects \(m, 2\)$"):
         predict_one(tree, [1.0])
 
 
@@ -736,9 +730,10 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     (841 x 1,959 float64 = 13.2 MB against ~47 MB of process RSS): random
     labels, where nearly every row is unlabeled somewhere and a probe's
     candidates reach its 5th nearest of the ~110 rows labeled in every
-    column, and nested horizon labels (199 of 1,959 rows unlabeled
-    somewhere), also with one NaN probe, which takes every row, in each
-    block."""
+    column; nested horizon labels (199 of 1,959 rows unlabeled somewhere),
+    also with one NaN probe, which takes every row, in each block; and
+    columns that each leave out a different tenth of the rows, so that no
+    row is labeled in all ten and each column's rows are a bounding set."""
     rng = np.random.default_rng(0)
     train_X = rng.normal(size=(1959, 28))
     random_Y = rng.integers(-1, 3, size=(1959, 10))
@@ -750,6 +745,9 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
     X = rng.normal(size=(841, 28))
     nan_X = X.copy()
     nan_X[:: knn._BLOCK_ELEMENTS // len(train_X), 3] = math.nan
+    staggered_Y = np.where(
+        np.arange(1959)[:, None] % 10 == np.arange(10), -1, rng.integers(0, 3, size=(1959, 10))
+    )
     blocks = []
     block_votes = knn.block_votes
 
@@ -757,7 +755,7 @@ def test_knn_labels_memory_stays_below_the_full_distance_matrix():
         blocks.append(len(args[3]))
         return block_votes(*args)
 
-    for Y, probes in ((random_Y, X), (nested_Y, X), (nested_Y, nan_X)):
+    for Y, probes in ((random_Y, X), (nested_Y, X), (nested_Y, nan_X), (staggered_Y, X)):
         blocks.clear()
         with mock.patch.object(knn, "block_votes", counted):
             tracemalloc.start()
@@ -845,9 +843,9 @@ def test_majority_labels_is_the_scalar_tie_rule_per_row():
 def test_fit_rejects_1d_or_non_finite_training_input(kind):
     """Every kind validates its training pair alike; DataError exits 2."""
     spec = ClassifierSpec(kind=kind, k=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^feature matrix must be 2-D$"):
         fit_classifier(spec, [0.0, 1.0], [[0], [2]])
-    with pytest.raises(DimensionMismatch, match="^labels must be an"):
+    with pytest.raises(DataError, match="^labels must be an"):
         fit_classifier(spec, [[0.0], [1.0]], [0, 2])  # a label vector, not a matrix
     for bad in (math.nan, math.inf):
         with pytest.raises(DataError):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import functools
@@ -929,6 +930,73 @@ def test_non_utf8_config_file_exits_1(tmp_path, market_csv, capsys):
     assert err.count("\n") == 1
 
 
+def _config_guard(config, message):
+    return ["--config", "{tmp}/run.json"], {"run.json": json.dumps(config)}, 1, f"error: {message}"
+
+
+def _short_means(model):
+    model["scaler"]["means"].pop()
+
+
+# case -> (backtest arguments after --data and --out, files to write in tmp
+# by name: text, or an edit of a saved decision-tree model.json; exit code;
+# the one stderr line). "{tmp}" stands for the test's directory.
+USER_GUARDS = {
+    "config-missing": (["--config", "{tmp}/absent.json"], {}, 1,
+                       "error: config file not found: {tmp}/absent.json"),
+    "config-not-json": (["--config", "{tmp}/run.json"], {"run.json": "not json"}, 1,
+                        "error: config file {tmp}/run.json is not valid JSON: "
+                        "Expecting value: line 1 column 1 (char 0)"),
+    "config-list": (["--config", "{tmp}/run.json"], {"run.json": "[]"}, 1,
+                    "error: config file {tmp}/run.json must hold a JSON object"),
+    "features-missing": (["--features", "{tmp}/absent.txt"], {}, 2,
+                         "data error: feature subset file not found: {tmp}/absent.txt"),
+    "features-blank": (["--features", "{tmp}/subset.txt"], {"subset.txt": "\n  \n"}, 2,
+                       "data error: feature subset file {tmp}/subset.txt lists no features"),
+    "horizons-empty": _config_guard({"label": {"horizons": []}}, "at least one horizon is required"),
+    "horizons-zero": _config_guard({"label": {"horizons": [0]}}, "horizons must be positive"),
+    "horizons-repeated": _config_guard({"label": {"horizons": [1, 1]}}, "horizons must be distinct"),
+    "max-depth": _config_guard({"classifier": {"max_depth": -1}}, "max_depth must be >= 0"),
+    "min-samples-split": _config_guard(
+        {"classifier": {"min_samples_split": 0}}, "min_samples_split must be >= 1"
+    ),
+    "mtry": _config_guard({"classifier": {"mtry": 0}}, "mtry must be >= 1"),
+    "n-components": _config_guard({"rank": {"n_components": 0}}, "n_components must be >= 1"),
+    "zero-weight": _config_guard({"rank": {"weights": [6, 5, 4, 3, 2, 0]}}, "weights must be positive"),
+    "top-k": _config_guard({"rank": {"top_k": 0}}, "top_k must be >= 1"),
+    "short-scaler-means": (["--model-file", "{tmp}/model.json"], {"model.json": _short_means}, 1,
+                           "error: not a model file: {tmp}/model.json: the scaler's means and "
+                           "stds and the model need one entry per feature (28)"),
+    "model-horizon-overrides": (
+        ["--model-file", "{tmp}/model.json", "--signal-horizon", "5"],
+        {"model.json": lambda model: None}, 0,
+        "WARNING stocksignals.cli: model horizon 10 overrides configured signal horizon 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", USER_GUARDS)
+def test_each_user_facing_guard_prints_its_exact_line(tmp_path, market_csv, case):
+    """Run as a fresh process, so stderr holds what a user sees, log lines included."""
+    args, files, code, line = USER_GUARDS[case]
+    for name, content in files.items():
+        if callable(content):
+            saved = tmp_path / "saved"
+            assert run("backtest", "--data", market_csv, "--out", saved, "--model", "decision-tree") == 0
+            model = json.loads((saved / "model.json").read_text(encoding="utf-8"))
+            content(model)
+            content = json.dumps(model)
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "stocksignals", "backtest", "--data", str(market_csv),
+         "--out", str(tmp_path / "out"), *(arg.format(tmp=tmp_path) for arg in args)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (result.returncode, result.stderr) == (code, line.format(tmp=tmp_path) + "\n")
+
+
 def test_knn_k_between_horizon_row_counts_exits_1_naming_the_first_short_horizon(
     tmp_path, market_csv, capsys
 ):
@@ -1010,24 +1078,29 @@ def test_backtest_of_a_feature_whose_spread_overflows_the_scaler_exits_2(
 def test_an_overflowing_volume_prints_only_the_error_line(tmp_path):
     """Run as a fresh process, away from pytest's warning filter: a volume of
     1e308 on a test row leaves kNN probes that overflow, and on a training
-    row a scaler whose std overflows. Neither prints a numpy warning."""
+    row a scaler whose std overflows; analyst counts of 1e308 overflow their
+    float sum. None prints a numpy warning."""
     src = Path(cli.__file__).parents[1]
+    counts = ["TOT_ANALYST_REC", "TOT_BUY_REC", "TOT_SELL_REC", "TOT_HOLD_REC"]
     cases = (
-        (20, ["evaluate", "--model", "knn"], 0, ""),
-        (30, ["backtest", "--model", "gaussian-nb"], 2,
+        (20, ["PX_VOLUME"], ["evaluate", "--model", "knn"], 0, ""),
+        (30, ["PX_VOLUME"], ["backtest", "--model", "gaussian-nb"], 2,
          "data error: feature PX_VOLUME overflows the scaler, so no model file can hold it\n"),
+        (20, counts, ["transform"], 0,
+         "WARNING stocksignals.cli: 1 rows where buy+sell+hold exceeds the analyst total\n"),
     )
-    for line, (command, *args), code, err in cases:
+    for case, (line, columns, (command, *args), code, err) in enumerate(cases):
         lines = synthetic_market_bytes(3, 70, seed=1).decode().splitlines()
-        column = lines[0].split(",").index("PX_VOLUME")
+        header = lines[0].split(",")
         cells = lines[line].split(",")
-        cells[column] = "1e308"
+        for column in columns:
+            cells[header.index(column)] = "1e308"
         lines[line] = ",".join(cells)
-        market = tmp_path / f"market_{line}.csv"
+        market = tmp_path / f"market_{case}.csv"
         market.write_text("\n".join(lines) + "\n")
         result = subprocess.run(
             [sys.executable, "-W", "default", "-m", "stocksignals", command,
-             "--data", str(market), "--out", str(tmp_path / f"out_{line}"), *args],
+             "--data", str(market), "--out", str(tmp_path / f"out_{case}"), *args],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
@@ -1103,7 +1176,8 @@ def test_unreadable_csv_row_exits_2_naming_its_line(tmp_path, market_csv, capsys
 
 def test_every_error_class_maps_to_one_exit_code():
     """main turns UsageError, DataError and NumericError into exit codes 1, 2
-    and 3; every other error class derives from exactly one of them."""
+    and 3; every other error class derives from exactly one of them, and
+    exists because some code under src/stocksignals catches it by name."""
     branches = (errors.UsageError, errors.DataError, errors.NumericError)
     classes = [
         value
@@ -1116,6 +1190,13 @@ def test_every_error_class_maps_to_one_exit_code():
     assert len(classes) > len(branches)
     for error in classes:
         assert [issubclass(error, branch) for branch in branches].count(True) == 1, error
+    caught = set()
+    for path in Path(errors.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+    assert sorted({error.__name__ for error in classes if error not in branches} - caught) == []
 
 
 def test_unwritable_output_dir_exit_2(tmp_path, market_csv):

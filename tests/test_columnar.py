@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from stocksignals import ingest
-from stocksignals.errors import DuplicateKey, MalformedRow, SectorConflict
+from stocksignals.errors import DataError
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
 from stocksignals.transform import LabelConfig, assemble_features
 
@@ -242,7 +242,7 @@ def test_first_bad_row_in_file_order_raises():
         (multi_line, short): "line 3: bad date '2018\\n01', expected YYYY-MM-DD",
     }
     for rows, message in cases.items():
-        assert assert_same_path(_csv((header, *rows))) == ("error", MalformedRow, message)
+        assert assert_same_path(_csv((header, *rows))) == ("error", DataError, message)
 
 
 def test_first_partition_error_in_file_order_raises():
@@ -250,13 +250,13 @@ def test_first_partition_error_in_file_order_raises():
     conflict = rows[3].replace("Tech", "Energy")  # a new date under another sector
     both = rows[1].replace("Tech", "Energy")  # a repeated date under another sector
     cases = {
-        (rows[0], conflict): (DuplicateKey, "A already has a row for 2018-01-02"),
-        (conflict, rows[0]): (SectorConflict, "A maps to both 'Tech' and 'Energy'"),
-        (both, conflict): (DuplicateKey, "A already has a row for 2018-01-03"),
+        (rows[0], conflict): "A already has a row for 2018-01-02",
+        (conflict, rows[0]): "A maps to both 'Tech' and 'Energy'",
+        (both, conflict): "A already has a row for 2018-01-03",
     }
-    for extra, (error, message) in cases.items():
+    for extra, message in cases.items():
         got = assert_same_path(_csv((header, *rows[:3], *extra)))
-        assert got == ("error", error, message)
+        assert got == ("error", DataError, message)
 
 
 # (column -> {row: text}) over 10 rows parsed 4 rows to a chunk (rows 0-3,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import reference_evaluate_per_horizon
 
 from stocksignals.classifiers import KINDS, ClassifierSpec
-from stocksignals.errors import EmptyDataset, KTooLarge, LengthMismatch, NoEvaluableHorizon
+from stocksignals.errors import DataError, EmptyDataset, KTooLarge, NoEvaluableHorizon
 from stocksignals.evaluation import (
     class_metrics,
     confusion_matrix,
@@ -33,7 +33,7 @@ def test_confusion_counts_cells():
 
 
 def test_confusion_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^1 true vs 2 predicted$"):
         confusion_matrix([S], [S, H])
     with pytest.raises(EmptyDataset):
         confusion_matrix([], [])

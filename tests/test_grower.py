@@ -21,7 +21,7 @@ from stocksignals import ingest
 from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals.classifiers import tree
 from stocksignals.classifiers.forest import fit_forests
-from stocksignals.errors import DataError, DimensionMismatch, EmptyTraining
+from stocksignals.errors import DataError, EmptyTraining
 from stocksignals.transform import (
     Dataset,
     LabelConfig,
@@ -225,9 +225,9 @@ def test_first_failing_column_raises_what_its_own_fit_would(kind):
         fit_classifier(spec, X, np.array([ok, bad, unlabeled]).T)
     with pytest.raises(EmptyTraining, match="^no training rows$"):
         fit_classifier(spec, X, np.array([ok, unlabeled, bad]).T)
-    with pytest.raises(DimensionMismatch, match="^4 feature rows vs 3 labels$"):
+    with pytest.raises(DataError, match="^4 feature rows vs 3 labels$"):
         fit_classifier(spec, X, np.array([ok, bad, unlabeled]).T[:3])
-    with pytest.raises(DimensionMismatch, match="^feature matrix must be 2-D$"):
+    with pytest.raises(DataError, match="^feature matrix must be 2-D$"):
         fit_classifier(spec, X[:, 0], np.array([ok, bad]).T)
     assert len(fit_classifier(spec, X, np.array([ok, ok]).T)) == 2
 

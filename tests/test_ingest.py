@@ -14,14 +14,7 @@ from conftest import (
 )
 
 from stocksignals import ingest
-from stocksignals.errors import (
-    AllRowsDropped,
-    DuplicateKey,
-    EmptyInput,
-    MalformedRow,
-    SchemaError,
-    SectorConflict,
-)
+from stocksignals.errors import DataError
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS
 
 
@@ -53,14 +46,14 @@ def test_parse_minimal_two_rows():
 def test_missing_required_column_names_it():
     header = [c for c in CSV_COLUMNS if c != "PX_OFFICIAL_CLOSE"]
     data = (",".join(header) + "\n").encode()
-    with pytest.raises(SchemaError, match="PX_OFFICIAL_CLOSE"):
+    with pytest.raises(DataError, match="^PX_OFFICIAL_CLOSE$"):
         ingest.parse_market_csv(data)
 
 
 def test_zero_byte_stream_is_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^no header row$"):
         ingest.parse_market_csv(b"")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^no header row$"):
         ingest.parse_market_csv(io.BytesIO(b"   \n"))
 
 
@@ -104,14 +97,14 @@ def test_empty_cell_is_missing_without_warning():
 
 def test_wrong_column_count_names_line():
     data = csv_bytes([make_row()]) + b"only,three,cells\n"
-    with pytest.raises(MalformedRow, match="line 3"):
+    with pytest.raises(DataError, match="^line 3: expected 26 columns, got 3$"):
         ingest.parse_market_csv(data)
 
 
 def test_non_iso_date_is_malformed():
     cells = row_csv_cells(make_row())
     cells[CSV_COLUMNS.index("date")] = "26/11/2011"
-    with pytest.raises(MalformedRow, match="26/11/2011"):
+    with pytest.raises(DataError, match="^line 2: bad date '26/11/2011', expected YYYY-MM-DD$"):
         ingest.parse_market_csv(csv_bytes([cells]))
 
 
@@ -123,7 +116,7 @@ def test_only_yyyy_mm_dd_dates_parse(text):
     cells = row_csv_cells(make_row())
     cells[CSV_COLUMNS.index("date")] = text
     message = re.escape(f"line 2: bad date {text!r}, expected YYYY-MM-DD")
-    with pytest.raises(MalformedRow, match=message):
+    with pytest.raises(DataError, match=f"^{message}$"):
         ingest.parse_market_csv(csv_bytes([cells]))
 
 
@@ -160,7 +153,7 @@ def test_clean_identity_on_complete_table():
 
 
 def test_all_rows_dropped():
-    with pytest.raises(AllRowsDropped):
+    with pytest.raises(DataError, match="^no rows survive null-policy cleaning$"):
         clean_rows([make_row(date=trading_date(i), PX_VOLUME=None) for i in range(3)])
 
 
@@ -223,7 +216,7 @@ def test_partition_preserves_row_multiset():
 
 def test_partition_duplicate_key():
     clean = clean_rows([make_row(date=trading_date(0)), make_row(date=trading_date(0))])
-    with pytest.raises(DuplicateKey, match="AAA already has a row for 2018-01-02"):
+    with pytest.raises(DataError, match="^AAA already has a row for 2018-01-02$"):
         ingest.partition_by_ticker(clean)
 
 
@@ -234,7 +227,7 @@ def test_partition_sector_conflict():
             make_row(date=trading_date(1), sector="Energy"),
         ]
     )
-    with pytest.raises(SectorConflict, match="AAA maps to both 'Tech' and 'Energy'"):
+    with pytest.raises(DataError, match="^AAA maps to both 'Tech' and 'Energy'$"):
         ingest.partition_by_ticker(clean)
 
 

@@ -24,15 +24,7 @@ from oracles import (
 )
 
 from stocksignals import transform
-from stocksignals.errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptySeries,
-    InvalidFraction,
-    TooFewRows,
-    UsageError,
-    WindowTooSmall,
-)
+from stocksignals.errors import DataError, EmptyDataset, TooFewRows, UsageError
 from stocksignals.ingest import RAW_COLUMNS
 from stocksignals.labels import Label
 from stocksignals.transform import (
@@ -104,7 +96,7 @@ def test_rolling_std_short_series_all_missing():
 
 
 def test_rolling_std_window_too_small():
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(UsageError, match="^window must be >= 2, got 1$"):
         rolling_std([1.0, 2.0], 1)
 
 
@@ -263,7 +255,7 @@ def test_assemble_empty_series():
     empty = transform.TickerSeries(
         "X", "Tech", np.array([], dtype="datetime64[D]"), np.empty((0, len(RAW_COLUMNS)))
     )
-    with pytest.raises(EmptySeries):
+    with pytest.raises(DataError, match="^X$"):
         assemble_features(empty)
 
 
@@ -303,7 +295,7 @@ def test_shuffle_split_partitions_indices():
 
 def test_shuffle_split_invalid_fraction():
     rows = random_dataset(4)
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(UsageError, match=r"^train_fraction must be in \(0, 1\), got 1.0$"):
         shuffle_split(rows, SplitConfig(train_fraction=1.0, seed=0))
 
 
@@ -400,7 +392,7 @@ def test_standardize_apply_constant_maps_to_zero():
 
 def test_standardize_apply_dimension_mismatch():
     scaler = standardize_fit([[1.0] * 28, [2.0] * 28])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"^rows have shape \(1, 27\), scaler expects 28 features$"):
         standardize_apply(scaler, [[1.0] * 27])
 
 
