@@ -18,20 +18,23 @@ the repeated rows would give, so every float comes out the same.
 Leaves are decided at their parent: the winning cut gives both children's
 class counts, and a child that is pure, weighs less than
 min_samples_split or lies at max_depth is written as a leaf at once. Only
-nodes to search go on their tree's stack, and preorder restricted to those
-nodes is the stack's order, so each tree searches, and draws the candidate
-features of, its nodes in its own preorder. The stacks are one
-(tree, level) array with one pointer per tree. A step pops the top node of
-every tree, searches them all in as few `best_split` calls as
-_SPLIT_ELEMENTS allows and pushes the children to search, right child
-first. Without feature draws a step pops every pending node instead, so
-the trees grow breadth first, one level per step.
+nodes to search are pending. They are the rows of one array, each
+(tree, node id, start, length, depth, class counts), kept stably sorted by
+tree, so each tree's run of rows is its stack, next node last. A step pops
+the last row of every run, searches them all in as few `best_split` calls
+as _SPLIT_ELEMENTS allows, appends the children to search, right child
+first, and re-sorts the rows by tree; so each tree searches, and draws the
+candidate features of, its nodes in its own preorder. Without feature
+draws a step pops every pending node instead, so the trees grow breadth
+first, one level per step.
 
-Nodes go into one table in the order they are made, a node's two children
-side by side. When growth ends, one pass computes subtree sizes bottom up
-by depth and preorder positions top down (left child = parent + 1, right
-child = parent + 1 + the size of the left subtree), and each tree gathers
-its columns from the table in that order.
+Nodes are numbered in the order they are made, a split's two children
+side by side, and growth only records each new node's class counts and
+each split's (parent, feature, threshold). When growth ends, the node
+columns are filled from those records, one pass computes subtree sizes
+bottom up by depth and preorder positions top down (left child = parent +
+1, right child = parent + 1 + the size of the left subtree), and each tree
+gathers its columns in that order.
 
 `best_split` lays the searched nodes out ragged: each (node, candidate
 feature) pair is one contiguous segment of a flat array holding that
@@ -228,83 +231,69 @@ def _chunks(elements: list[int]) -> Iterator[slice]:
         yield slice(start, len(elements))
 
 
-class _NodeTable:
-    """Every node of every tree in the order it was made.
+def _trees(
+    made: list[np.ndarray], splits: list[tuple], n_trees: int, n_features: int, criterion: str
+) -> list[DecisionTree]:
+    """Each tree's preorder columns, from every node of every tree in the order made.
 
-    An internal node's children are made together, so its right child is
-    the node after its left child; `left` is -1 at leaves, as is `feature`.
-    Nodes 0 .. n_trees - 1 are the roots. The columns grow by doubling
-    with `ndarray.resize`, which reallocates each in place where it can.
+    Nodes 0 .. n_trees - 1 are the roots, and a split's two children are
+    made together, left then right. made[k] holds the class counts of the
+    k-th batch of nodes made and splits[k] the (parent, feature, threshold)
+    of each split that made them, in order, so the i-th split of all makes
+    nodes n_trees + 2i and n_trees + 2i + 1. Both lists are emptied, and
+    each whole column is dropped once its per-tree copies are gathered.
     """
-
-    def __init__(self, capacity: int):
-        self.size = 0
-        self.left = np.empty(capacity, dtype=np.int32)
-        self.feature = np.empty(capacity, dtype=np.int32)
-        self.threshold = np.empty(capacity)
-        self.counts = np.empty((capacity, N_CLASSES), dtype=np.int32)
-
-    def add(self, counts: np.ndarray) -> np.ndarray:
-        """Ids of new leaves with these class counts."""
-        start, end = self.size, self.size + len(counts)
-        if end > len(self.left):
-            capacity = max(end, 2 * len(self.left))
-            for column in (self.left, self.feature, self.threshold, self.counts):
-                column.resize((capacity, *column.shape[1:]), refcheck=False)
-        self.left[start:end] = -1
-        self.feature[start:end] = -1
-        self.threshold[start:end] = 0.0
-        self.counts[start:end] = counts
-        self.size = end
-        return np.arange(start, end)
-
-    def trees(self, n_trees: int, n_features: int, criterion: str) -> list[DecisionTree]:
-        """Each tree's preorder columns, gathered from the table a column at a
-        time; each table column is dropped once gathered."""
-        left = self.left[: self.size]
-        levels = []  # the internal nodes at each depth
-        level = np.arange(n_trees)
-        while level.size:
-            level = level[left[level] >= 0]
-            levels.append(level)
-            level = np.concatenate([left[level], left[level] + 1])
-        size = np.ones(self.size, dtype=np.int32)
-        for parents in reversed(levels):
-            size[parents] += size[left[parents]] + size[left[parents] + 1]
-        offsets = np.concatenate(([0], size[:n_trees].cumsum())).tolist()
-        pos = np.empty(self.size, dtype=np.int32)
-        pos[:n_trees] = offsets[:-1]
-        for parents in levels:
-            pos[left[parents]] = pos[parents] + 1
-            pos[left[parents] + 1] = pos[parents] + 1 + size[left[parents]]
-        del size, levels
-        in_preorder = np.empty(self.size, dtype=np.int32)
-        in_preorder[pos] = np.arange(self.size, dtype=np.int32)
-        spans = list(zip(offsets[:-1], offsets[1:]))
-        ids = [in_preorder[start:end] for start, end in spans]
-        lefts, rights = [], []
-        for (start, end), nodes in zip(spans, ids):
-            kids = left[nodes]
-            internal = kids >= 0
-            lefts.append(np.where(internal, np.arange(1, end - start + 1, dtype=np.int32), -1))
-            rights.append(np.where(internal, pos[kids + 1] - start, -1))
-        del left, pos
-        self.left = None
-        features = [self.feature[nodes] for nodes in ids]
-        self.feature = None
-        thresholds = [self.threshold[nodes] for nodes in ids]
-        self.threshold = None
-        counts = [self.counts[nodes] for nodes in ids]
-        self.counts = None
-        for feature, leaf_counts in zip(features, counts):
-            leaf_counts[feature >= 0] = 0
-        return [
-            DecisionTree(
-                *columns, majority_labels(columns[4]).astype(np.int8),
-                n_features=n_features, criterion=criterion,
-            )
-            for columns in zip(features, thresholds, lefts, rights, counts)
-        ]
+    counts = np.concatenate(made)
+    made.clear()
+    parent, split_feature, split_threshold = (np.concatenate(column) for column in zip(*splits))
+    splits.clear()
+    n_made = len(counts)
+    left, feature = np.full(n_made, -1, dtype=np.int32), np.full(n_made, -1, dtype=np.int32)
+    threshold = np.zeros(n_made)
+    left[parent] = n_trees + 2 * np.arange(len(parent))
+    feature[parent], threshold[parent] = split_feature, split_threshold
+    del parent, split_feature, split_threshold
+    levels = []  # the internal nodes at each depth
+    level = np.arange(n_trees)
+    while level.size:
+        level = level[left[level] >= 0]
+        levels.append(level)
+        level = np.concatenate([left[level], left[level] + 1])
+    size = np.ones(n_made, dtype=np.int32)
+    for parents in reversed(levels):
+        size[parents] += size[left[parents]] + size[left[parents] + 1]
+    offsets = np.concatenate(([0], size[:n_trees].cumsum())).tolist()
+    pos = np.empty(n_made, dtype=np.int32)
+    pos[:n_trees] = offsets[:-1]
+    for parents in levels:
+        pos[left[parents]] = pos[parents] + 1
+        pos[left[parents] + 1] = pos[parents] + 1 + size[left[parents]]
+    del size, levels
+    in_preorder = np.empty(n_made, dtype=np.int32)
+    in_preorder[pos] = np.arange(n_made, dtype=np.int32)
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    ids = [in_preorder[start:end] for start, end in spans]
+    lefts, rights = [], []
+    for (start, end), nodes in zip(spans, ids):
+        kids = left[nodes]
+        internal = kids >= 0
+        lefts.append(np.where(internal, np.arange(1, end - start + 1, dtype=np.int32), -1))
+        rights.append(np.where(internal, pos[kids + 1] - start, -1))
+    del left, pos
+    features = [feature[nodes] for nodes in ids]
+    del feature
+    thresholds = [threshold[nodes] for nodes in ids]
+    del threshold
+    counts = [counts[nodes] for nodes in ids]
+    for feature, leaf_counts in zip(features, counts):
+        leaf_counts[feature >= 0] = 0
+    return [
+        DecisionTree(
+            *columns, majority_labels(columns[4]).astype(np.int8),
+            n_features=n_features, criterion=criterion,
+        )
+        for columns in zip(features, thresholds, lefts, rights, counts)
+    ]
 
 
 def _to_search(counts: np.ndarray, depth: np.ndarray, spec: "ClassifierSpec") -> np.ndarray:
@@ -329,8 +318,11 @@ def grow_trees(
     of the node it searches next, as one (len(trees), pick.mtry) array; a
     tree's nodes are searched in its preorder, so a per-tree stream yields
     the draws it would for that tree grown alone. Every node searches every
-    feature when `pick` is None. `roots` is only iterated, so a generator
-    lets each root go once its distinct rows are counted.
+    feature when `pick` is None, and each step then searches every pending
+    node. `roots` is only iterated, so a generator lets each root go once its
+    distinct rows are counted. Growth keeps one array of pending nodes and
+    the records of the nodes made; the trees' columns are laid out from
+    those records once growth ends.
     """
     ranks = dense_ranks(X)
     width = X.shape[1] if pick is None else pick.mtry
@@ -349,46 +341,27 @@ def grow_trees(
         entry_tree * N_CLASSES + labels, weights=weights, minlength=N_CLASSES * n_trees
     ).astype(np.int32).reshape(-1, N_CLASSES)
     del entry_tree
-    # a tree makes at most two nodes per distinct entry; forests on the bench
-    # markets make about 0.74, so one per entry rarely has to grow
-    table = _NodeTable(len(rows))
-    # the nodes tree t has yet to search are stack[t, :top[t]], top last,
-    # each as (node id, start, length, depth)
-    stack = np.empty((n_trees, 8, 4), dtype=np.int32)
-    top = np.zeros(n_trees, dtype=np.intp)
-
-    def push(tree: np.ndarray, entries: np.ndarray) -> None:
-        """Push entries[i] on tree[i]'s stack, in order; `tree` is sorted."""
-        nonlocal stack
-        if not len(tree):
-            return
-        slot = top[tree] + np.arange(len(tree)) - np.searchsorted(tree, tree)
-        if slot.max() >= stack.shape[1]:
-            wider = np.empty((n_trees, 2 * (int(slot.max()) + 1), 4), dtype=np.int32)
-            wider[:, : stack.shape[1]] = stack
-            stack = wider
-        stack[tree, slot] = entries
-        top[:] += np.bincount(tree, minlength=n_trees)
-
-    depth = np.zeros(n_trees, dtype=np.int32)
-    search = _to_search(counts, depth, spec)
-    push(
-        np.flatnonzero(search),
-        np.column_stack([table.add(counts), lengths.cumsum() - lengths, lengths, depth])[search],
-    )
+    # tree t's nodes to search are its run of rows, next one last, each as
+    # (tree, node id, start, length, depth, class counts)
+    ids, depth = np.arange(n_trees), np.zeros(n_trees, dtype=np.int32)
+    pending = np.column_stack([ids, ids, lengths.cumsum() - lengths, lengths, depth, counts])
+    pending = pending.astype(np.int32)[_to_search(counts, depth, spec)]
+    # the class counts of the nodes made, and each split's (parent, feature,
+    # threshold); the empty record lets a fit in which no node splits concatenate
+    made = [counts]
+    no_split = np.empty(0, dtype=np.int32)
+    splits = [(no_split, no_split, np.empty(0))]
+    n_made = n_trees
     every = np.arange(X.shape[1])
-    while top.any():
+    while len(pending):
         if pick is None:  # breadth first: every pending node of every tree
-            tree, level = np.nonzero(np.arange(stack.shape[1]) < top[:, None])
-            popped = stack[tree, level]
-            top[:] = 0
-            features = np.broadcast_to(every, (len(tree), width))
-        else:  # the top node of every tree, for the tree's next draw
-            tree = np.flatnonzero(top)
-            top[tree] -= 1
-            popped = stack[tree, top[tree]]
-            features = pick(tree)
-        node, start, length, depth = popped.T
+            popped, pending = pending, pending[:0]
+            features = np.broadcast_to(every, (len(popped), width))
+        else:  # the last node of every tree's run, for the tree's next draw
+            last = np.diff(pending[:, 0], append=n_trees) > 0
+            popped, pending = pending[last], pending[~last]
+            features = pick(popped[:, 0])
+        tree, node, start, length, depth = popped[:, :5].T
         found = []
         for chunk in _chunks((length * width).tolist()):
             at = _ranges(start[chunk], length[chunk])
@@ -410,26 +383,28 @@ def grow_trees(
         feature, threshold, left_counts, n_left = (np.concatenate(column) for column in zip(*found))
 
         split = np.flatnonzero(feature >= 0)
-        parent = node[split]
-        table.feature[parent] = feature[split]
-        table.threshold[parent] = threshold[split]
+        splits.append((node[split], feature[split], threshold[split]))
         kids = np.empty((len(split), 2, N_CLASSES), dtype=np.int32)  # left, right
         kids[:, 0] = left_counts[split]
-        kids[:, 1] = table.counts[parent] - left_counts[split]
-        ids = table.add(kids.reshape(-1, N_CLASSES)).reshape(-1, 2)
-        table.left[parent] = ids[:, 0]
-        # each parent's children to search, right child first so that the
-        # left child is popped first
+        kids[:, 1] = popped[split, 5:] - left_counts[split]
+        made.append(kids.reshape(-1, N_CLASSES))
+        # each parent's children, right child first so that the left child is
+        # popped first
         k = n_left[split]
-        entries = np.empty((len(split), 2, 4), dtype=np.int32)
-        entries[:, 0, :3] = np.column_stack([ids[:, 1], start[split] + k, length[split] - k])
-        entries[:, 1, :3] = np.column_stack([ids[:, 0], start[split], k])
-        entries[:, :, 3] = depth[split, None] + 1
-        entries = entries.reshape(-1, 4)
-        search = _to_search(kids[:, ::-1].reshape(-1, N_CLASSES), entries[:, 3], spec)
-        push(np.repeat(tree[split], 2)[search], entries[search])
+        children = np.empty((len(split), 2, 8), dtype=np.int32)
+        children[:, :, 0] = tree[split, None]
+        children[:, :, 1] = n_made + 2 * np.arange(len(split))[:, None] + [1, 0]
+        children[:, 0, 2:4] = np.column_stack([start[split] + k, length[split] - k])
+        children[:, 1, 2:4] = np.column_stack([start[split], k])
+        children[:, :, 4] = depth[split, None] + 1
+        children[:, :, 5:] = kids[:, ::-1]
+        n_made += 2 * len(split)
+        children = children.reshape(-1, 8)
+        search = _to_search(children[:, 5:], children[:, 4], spec)
+        pending = np.concatenate([pending, children[search]])
+        pending = pending[pending[:, 0].argsort(kind="stable")]
     del rows, weights, labels, ranks
-    return table.trees(n_trees, X.shape[1], spec.criterion)
+    return _trees(made, splits, n_trees, X.shape[1], spec.criterion)
 
 
 def check_layout(tree: DecisionTree) -> None:

@@ -100,7 +100,8 @@ CHILDREN_AT_MAX_DEPTH = (
     1 << 13,
 )
 
-# 15 nodes from 8 distinct rows: more than the node table starts with
+# 15 nodes from 8 distinct rows, seven levels deep: a tree makes more nodes
+# than it has entries
 MORE_NODES_THAN_ROWS = (
     np.arange(8.0)[:, None],
     np.array([[0], [1], [0], [1], [0], [1], [0], [1]]),
@@ -109,6 +110,26 @@ MORE_NODES_THAN_ROWS = (
 )
 
 
+def assembled(raw):
+    """The feature rows the CLI assembles from a market CSV, tickers in order."""
+    table = ingest.validate_and_clean(ingest.parse_market_csv(raw))
+    series = ingest.partition_by_ticker(table).values()
+    return Dataset.concat([assemble_features(s, LabelConfig()) for s in series])
+
+
+# the label matrix the CLI fits: 100 rows and ten nested horizon columns, so
+# a 3-tree forest grows 30 trees in lockstep, up to six pending nodes each,
+# and a step's nodes take several best_split calls
+MARKET = assembled(synthetic_market_bytes(2, 60, seed=1))
+CLI_SHAPED = (
+    MARKET.X,
+    MARKET.Y.astype(np.int64),
+    ClassifierSpec(kind="random_forest", n_trees=3, seed=42),
+    40,
+)
+
+
+@example(case=CLI_SHAPED)
 @example(case=FEWER_DISTINCT_ROWS_THAN_MIN_SPLIT)
 @example(case=CHILDREN_AT_MAX_DEPTH)
 @example(case=MORE_NODES_THAN_ROWS)
@@ -250,14 +271,15 @@ def test_fit_bundles_raises_the_first_failing_horizon_in_order(kind):
 # that the flat frontier replaced (one Python node record per pushed node),
 # measured as this test measures it
 PER_NODE_GROWER_PEAK = 2.18e6
+# fit_decision_trees' peak there with the grower that kept its nodes in a
+# table grown by doubling, measured as this test measures it (2,730,508 to
+# 2,731,864 bytes); decision trees grow breadth first, a whole level a step
+NODE_TABLE_GROWER_TREE_PEAK = 2.73e6
 
 
-def test_forest_fit_peak_memory_stays_near_the_per_node_grower():
-    table = ingest.validate_and_clean(
-        ingest.parse_market_csv(synthetic_market_bytes(10, 100, seed=1))
-    )
-    series = ingest.partition_by_ticker(table).values()
-    data = Dataset.concat([assemble_features(s, LabelConfig()) for s in series])
+def fit_peak(fit):
+    """fit(X, Y)'s tracemalloc peak on the training side of a 10-ticker market."""
+    data = assembled(synthetic_market_bytes(10, 100, seed=1))
     split = split_dataset(data, *shuffle_split(data, SplitConfig(seed=42)))
     X, Y = split.train.X, split.train.Y.astype(np.int64)
     assert (X.shape, Y.shape) == ((630, 28), (630, 10))
@@ -267,9 +289,19 @@ def test_forest_fit_peak_memory_stays_near_the_per_node_grower():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fit_forests(X, Y, ClassifierSpec(seed=42))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        fit(X, Y)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_forest_fit_peak_memory_stays_near_the_per_node_grower():
+    peak = fit_peak(lambda X, Y: fit_forests(X, Y, ClassifierSpec(seed=42)))
     assert peak <= 1.5 * PER_NODE_GROWER_PEAK
+
+
+def test_decision_tree_fit_peak_memory_stays_under_the_node_table_grower():
+    spec = ClassifierSpec(kind="decision_tree")
+    peak = fit_peak(lambda X, Y: tree.fit_decision_trees(X, Y, spec))
+    assert peak <= NODE_TABLE_GROWER_TREE_PEAK

@@ -8,9 +8,11 @@ search is exercised. A change that alters a model on purpose updates
 MODEL_HASHES and says why in CHANGES.md; the assertion message prints the
 hash the current code produces.
 
-kNN and naive Bayes are also pinned through a two-column label matrix
-whose second column leaves every third row unlabeled (-1), so each model
-saves only its own column's training rows.
+Every kind but the entropy tree is also pinned through a two-column label
+matrix whose second column leaves every third row unlabeled (-1), so each
+model saves only its own column's training rows. The trees of both columns
+grow together: the first column's hash is the single-column one, and the
+second pins trees grown in lockstep with another column's.
 """
 
 import hashlib
@@ -30,6 +32,14 @@ MODEL_HASHES = {
 
 # one hash per label column
 MATRIX_HASHES = {
+    "random_forest": (
+        "11b8a1ada014b34490e6cd98562bd80b73e92f042dca1420c8b5507682e32cf1",
+        "31f6f3bf14c6edb3197ecdd7b1d9c27957811c9e2465e4d1e71fc3f5335e6f04",
+    ),
+    "decision_tree_gini": (
+        "b5ca388a4212dcc5a800077632976d366b45eb03fb6c919ed94fd31679fa6bba",
+        "bfb7faa9f66b95656dd8757eb69aee630783aa5f134a6852da27f49a75fa710b",
+    ),
     "knn_k5": (
         "b2fb8038cff136afa41eb216325bd9c1adb82f271f2d07c5e699b31c1267e096",
         "5e717ec548c71fe47bbbc04dc46c0e3ebde702fd055dd384588572146423593f",
