@@ -1,7 +1,3 @@
 """Daily equity signal pipeline: ingest, labeling, classifiers, PCA ranking, backtest."""
 
 __version__ = "0.1.0"
-
-from stocksignals.labels import Label
-
-__all__ = ["Label", "__version__"]

@@ -1,12 +1,17 @@
-"""Shared classifier spec, fit/predict dispatch, and JSON persistence.
+"""Shared classifier spec, fit/predict contract, and JSON persistence.
 
-Every fit takes an (n, h) label matrix: column j holds the labels of its
-training rows and -1 on every other row, and `fit_classifier` returns one
-model per column, each the model of its column's rows alone, so
-`fit_bundles` fits all horizons of a split in one call; `predict_labels`
-turns the models of one fit back into an (m, h) label matrix. A model is
-checked once, where it is made: its training pair when it is fitted, its
-parameters when it is loaded. Prediction checks only the probe matrix.
+Kinds: decision_tree (CART, gini or entropy), random_forest (bootstrap +
+per-node feature sampling), knn (Euclidean), gaussian_nb. Every kind fits
+through `fit_classifier(spec, X, Y)` on an (n, h) label matrix Y: column j
+holds the labels of its training rows and -1 on every other row, and the
+result is one model per column, each the model of its column's rows alone,
+so `fit_bundles` fits all horizons of a split in one call. Every kind
+predicts through `predict_labels(models, X)`, the one prediction path: the
+models of one fit in, an (m, h) matrix of label values out, column j from
+models[j]. Every fit is a pure function of (data, spec.seed); every
+prediction tie resolves to Hold. A model is checked once, where it is made:
+its training pair when it is fitted, its parameters when it is loaded.
+Prediction checks only the probe matrix.
 """
 
 from __future__ import annotations
@@ -306,6 +311,8 @@ class ModelBundle:
         spec = ClassifierSpec(**data["spec"])
         if type(data["version"]) is not int or data["version"] != FORMAT_VERSION:
             raise UsageError(f"version {data['version']!r} is not {FORMAT_VERSION}")
+        if data["kind"] != spec.kind:
+            raise UsageError(f"kind {data['kind']!r} is not the spec's kind {spec.kind!r}")
         bundle = cls(
             spec=spec,
             horizon=operator.index(data["horizon"]),

@@ -33,14 +33,14 @@ import numpy as np
 
 from stocksignals import ingest, reports
 from stocksignals.backtest import BacktestConfig, run_backtest
-from stocksignals.classifiers import (
+from stocksignals.classifiers.base import (
+    CRITERIA,
     KINDS,
     ClassifierSpec,
     ModelBundle,
     fit_bundles,
     load_bundle,
 )
-from stocksignals.classifiers.base import CRITERIA
 from stocksignals.errors import (
     DataError,
     EmptyDataset,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stocksignals.classifiers import ClassifierSpec, ModelBundle, fit_bundles, predict_labels
+from stocksignals.classifiers.base import ClassifierSpec, ModelBundle, fit_bundles, predict_labels
 from stocksignals.errors import DataError, EmptyDataset, NoEvaluableHorizon
 from stocksignals.labels import Label
 from stocksignals.transform import TrainTestSplit, standardize_apply
@@ -103,7 +103,6 @@ class HorizonReport:
 @dataclass(frozen=True)
 class EvaluationReport:
     spec: ClassifierSpec
-    seed: int
     horizons: tuple[HorizonReport, ...]
     sector: str | None = None
     omitted_horizons: tuple[int, ...] = field(default_factory=tuple)
@@ -157,7 +156,6 @@ def evaluate_per_horizon(
         )
     return EvaluationReport(
         spec=spec,
-        seed=spec.seed,
         horizons=tuple(reports),
         sector=sector,
         omitted_horizons=tuple(omitted),

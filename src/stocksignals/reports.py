@@ -80,7 +80,7 @@ def metrics_json_text(
             {
                 "sector": block.sector,
                 "model": block.spec.kind,
-                "seed": block.seed,
+                "seed": block.spec.seed,
                 "omitted_horizons": list(block.omitted_horizons),
                 "horizons": [
                     {

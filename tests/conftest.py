@@ -18,7 +18,7 @@ if str(SRC) not in sys.path:
 
 from stocksignals import ingest, reports  # noqa: E402
 from stocksignals.backtest import Trade  # noqa: E402
-from stocksignals.classifiers import fit_classifier  # noqa: E402
+from stocksignals.classifiers.base import fit_classifier  # noqa: E402
 from stocksignals.classifiers.tree import best_split, dense_ranks  # noqa: E402
 from stocksignals.ingest import CSV_COLUMNS, RAW_COLUMNS, MarketColumns, TickerSeries  # noqa: E402
 from stocksignals.errors import DataError  # noqa: E402
@@ -134,7 +134,26 @@ def synthetic_market_bytes(
     seed: int = 0,
     sectors=("Tech", "Energy", "Health"),
 ) -> bytes:
-    """A complete, parseable market CSV with price walks per ticker."""
+    """A complete, parseable market CSV with price walks per ticker; the
+    analyst counts are redrawn every day and say nothing about returns."""
+    return planted_market_bytes(n_tickers, n_days, seed, strength=0.0, block=1, sectors=sectors)
+
+
+def planted_market_bytes(
+    n_tickers: int,
+    n_days: int,
+    seed: int,
+    strength: float,
+    block: int,
+    sectors=("Tech", "Energy", "Health"),
+) -> bytes:
+    """A market CSV whose analyst counts persist and may carry a planted signal.
+
+    Each ticker's buy/sell/hold counts are redrawn every `block` days, and
+    the log-return after day t is strength * (buy - sell) / total at day t
+    plus N(0, 0.015) noise. With strength 0 and block 1 the draws, and so
+    the bytes, are those of synthetic_market_bytes.
+    """
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(n_tickers):
@@ -144,12 +163,15 @@ def synthetic_market_bytes(
         shares = float(rng.integers(50_000_000, 500_000_000))
         eps = float(rng.uniform(1.0, 8.0))
         capex = float(rng.uniform(5e7, 5e8))
+        drift = 0.0  # the planted return of the day before
         for day in range(n_days):
-            price = max(1.0, price * float(np.exp(rng.normal(0.0, 0.015))))
-            total = int(rng.integers(5, 30))
-            buy = int(rng.integers(0, total + 1))
-            sell = int(rng.integers(0, total - buy + 1))
-            hold = total - buy - sell
+            price = max(1.0, price * float(np.exp(drift + rng.normal(0.0, 0.015))))
+            if day % block == 0:
+                total = int(rng.integers(5, 30))
+                buy = int(rng.integers(0, total + 1))
+                sell = int(rng.integers(0, total - buy + 1))
+                hold = total - buy - sell
+            drift = strength * (buy - sell) / total
             eps_lo = eps * float(rng.uniform(0.8, 0.95))
             eps_hi = eps * float(rng.uniform(1.05, 1.2))
             rows.append(
@@ -183,6 +205,24 @@ def synthetic_market_bytes(
                 )
             )
     return csv_bytes(rows)
+
+
+def purged_rows(data: Dataset, ticker_rows, fraction: float, gap: int):
+    """(train rows, test rows) of a per-ticker chronological cut of data.
+
+    `ticker_rows` holds one sequence of row positions per ticker. Each is
+    put in date order and cut at floor(n * fraction): the rows from the cut
+    on are test rows, and the rows before it are training rows except the
+    last `gap` of them, so no training label looks `gap` days or less into
+    the test period.
+    """
+    train, test = [], []
+    for rows in ticker_rows:
+        rows = np.asarray(rows)[np.argsort(data.dates[rows], kind="stable")]
+        cut = int(len(rows) * fraction)
+        train += rows[: max(cut - gap, 0)].tolist()
+        test += rows[cut:].tolist()
+    return train, test
 
 
 def parse_synthetic(n_tickers=3, n_days=80, seed=0):

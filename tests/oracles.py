@@ -733,7 +733,7 @@ def reference_predict_gaussian_nb(model, x):
 def reference_evaluate_per_horizon(spec, split, sector=None):
     """The package's former evaluation loop: one fitted bundle per evaluable
     horizon, predicting that horizon's labeled test rows."""
-    from stocksignals.classifiers import fit_bundles, predict_labels
+    from stocksignals.classifiers.base import fit_bundles, predict_labels
     from stocksignals.errors import NoEvaluableHorizon
     from stocksignals.evaluation import (
         EvaluationReport,
@@ -774,7 +774,6 @@ def reference_evaluate_per_horizon(spec, split, sector=None):
         )
     return EvaluationReport(
         spec=spec,
-        seed=spec.seed,
         horizons=tuple(reports),
         sector=sector,
         omitted_horizons=tuple(omitted),

@@ -16,7 +16,7 @@ from oracles import brute_force_best_split, brute_force_labels, simulate_backtes
 
 from stocksignals import cli
 from stocksignals.backtest import BacktestConfig, return_percentage, run_backtest
-from stocksignals.classifiers import ClassifierSpec
+from stocksignals.classifiers.base import ClassifierSpec
 from stocksignals.evaluation import (
     class_metrics,
     confusion_matrix,
@@ -28,6 +28,7 @@ from stocksignals.pca import (
     RankConfig,
     contribution_scores,
     jacobi_eigen,
+    rank_features,
 )
 from stocksignals.transform import (
     FEATURE_COLUMNS,
@@ -37,7 +38,6 @@ from stocksignals.transform import (
     shuffle_split,
     split_dataset,
 )
-from stocksignals.pca import rank_features
 
 
 def _report(number: int, name: str) -> None:

@@ -23,19 +23,19 @@ from oracles import (
     reference_predict_tree,
 )
 
-from stocksignals.classifiers import (
+from stocksignals.classifiers import knn
+from stocksignals.classifiers.base import (
     KINDS,
+    MAX_TREES,
     ClassifierSpec,
-    ForestModel,
-    class_log_scores,
     fit_classifier,
     model_from_params,
     model_to_params,
     predict_labels,
     predict_one,
 )
-from stocksignals.classifiers import knn
-from stocksignals.classifiers.base import MAX_TREES
+from stocksignals.classifiers.forest import ForestModel
+from stocksignals.classifiers.gaussian_nb import class_log_scores
 from stocksignals.classifiers.tree import DecisionTree, check_layout
 from stocksignals.errors import DataError, EmptyTraining, KTooLarge, UsageError
 from stocksignals.labels import Label, majority_labels

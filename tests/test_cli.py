@@ -27,8 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stocksignals import cli, errors
-from stocksignals.classifiers import KINDS, base, forest, load_bundle
-from stocksignals.classifiers.base import fit_classifier
+from stocksignals.classifiers import base, forest
+from stocksignals.classifiers.base import KINDS, fit_classifier, load_bundle
 from stocksignals.classifiers.tree import grow_trees
 from stocksignals.errors import UsageError
 from stocksignals.transform import FEATURE_COLUMNS
@@ -791,6 +791,7 @@ MALFORMED_MODELS = {
     "nb-variance-0": ("gaussian-nb", lambda model: _first_variance(model, 0.0)),
     "nb-variance-negative": ("gaussian-nb", lambda model: _first_variance(model, -1.0)),
     "version-99": ("random-forest", lambda model: model.update(version=99)),
+    "kind-not-spec": ("random-forest", lambda model: model.update(kind="knn")),
     "scaler-std-negative": ("decision-tree", lambda model: _first_scaler(model, "stds", -1.0)),
     "scaler-std-nan": ("decision-tree", lambda model: _first_scaler(model, "stds", float("nan"))),
     "scaler-mean-string": ("decision-tree", lambda model: _first_scaler(model, "means", "0.5")),
@@ -1197,6 +1198,44 @@ def test_every_error_class_maps_to_one_exit_code():
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
                 caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
     assert sorted({error.__name__ for error in classes if error not in branches} - caught) == []
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """The names a module binds itself at top level with def, class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_import_names_the_module_that_defines_it():
+    """Each `from stocksignals.<m> import x` under src/ and tests/ names a
+    submodule of <m> or a name <m> binds itself: no name has a second home."""
+    package = Path(errors.__file__).parent
+    sources = [*package.rglob("*.py"), *Path(__file__).parent.glob("*.py")]
+    bound: dict[str, set[str]] = {}
+    indirect = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module and node.level == 0):
+                continue
+            parts = node.module.split(".")
+            if parts[0] != package.name:
+                continue
+            base = package.parent.joinpath(*parts)
+            if node.module not in bound:
+                source = base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+                bound[node.module] = _bound_names(ast.parse(source.read_text(encoding="utf-8")))
+            for alias in node.names:
+                submodule = (base / f"{alias.name}.py").is_file() or (base / alias.name).is_dir()
+                if not submodule and alias.name not in bound[node.module]:
+                    indirect.append(f"{path.name}: {node.module}.{alias.name}")
+    assert indirect == []
 
 
 def test_unwritable_output_dir_exit_2(tmp_path, market_csv):

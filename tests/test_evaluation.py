@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_evaluate_per_horizon
 
-from stocksignals.classifiers import KINDS, ClassifierSpec
+from stocksignals.classifiers.base import KINDS, ClassifierSpec
 from stocksignals.errors import DataError, EmptyDataset, KTooLarge, NoEvaluableHorizon
 from stocksignals.evaluation import (
     class_metrics,

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from oracles import reference_best_split, reference_fit_decision_tree, reference_fit_random_forest
 
 from stocksignals import ingest
-from stocksignals.classifiers import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals.classifiers import tree
+from stocksignals.classifiers.base import ClassifierSpec, fit_bundles, fit_classifier
 from stocksignals.classifiers.forest import fit_forests
 from stocksignals.errors import DataError, EmptyTraining
 from stocksignals.transform import (

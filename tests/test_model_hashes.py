@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from conftest import bundle_json, fit_one
 
-from stocksignals.classifiers import ClassifierSpec, ModelBundle, fit_classifier
+from stocksignals.classifiers.base import ClassifierSpec, ModelBundle, fit_classifier
 from stocksignals.transform import FEATURE_COLUMNS, standardize_apply, standardize_fit
 
 MODEL_HASHES = {

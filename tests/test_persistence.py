@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import bundle_json, fit_one, random_dataset
 
-from stocksignals.classifiers import (
+from stocksignals.classifiers.base import (
     ClassifierSpec,
     ModelBundle,
     fit_bundles,
@@ -234,6 +234,8 @@ BAD_SCALER = "a scaler needs finite numbers as means and finite numbers >= 0 as 
         (_bundle_text(version=99), "version 99 is not 1"),
         (_bundle_text(version="1"), "version '1' is not 1"),
         (_bundle_text(version=True), "version True is not 1"),
+        (_bundle_text(kind="knn"), "kind 'knn' is not the spec's kind 'gaussian_nb'"),
+        (_bundle_text(kind=None), "kind None is not the spec's kind 'gaussian_nb'"),
         (_scaler_text("means", "0.5"), BAD_SCALER),
         (_scaler_text("means", True), BAD_SCALER),
         (_scaler_text("means", None), BAD_SCALER),

@@ -21,7 +21,7 @@ import pytest
 from conftest import fit_one
 from test_model_hashes import grid_matrix
 
-from stocksignals.classifiers import ClassifierSpec, predict_labels
+from stocksignals.classifiers.base import ClassifierSpec, predict_labels
 from stocksignals.classifiers.knn import knn_labels
 
 PREDICTION_HASHES = {

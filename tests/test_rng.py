@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import GOLDEN, MASK64, SplitMix64, mix64, reference_fit_random_forest
 
-from stocksignals.classifiers import ClassifierSpec
+from stocksignals.classifiers.base import ClassifierSpec
 from stocksignals.classifiers.forest import _TreeStreams
 from stocksignals.rng import draws_below, outputs
 from stocksignals.transform import SplitConfig, shuffle_split
