@@ -315,7 +315,8 @@ def grow_trees(
     """Grow tree t on X[roots[t]] with labels Y[roots[t], columns[t]], all together.
 
     `pick(trees)` gives, for each listed tree, the sorted candidate features
-    of the node it searches next, as one (len(trees), pick.mtry) array; a
+    of the node it searches next, as one array with a row per listed tree
+    and a column per candidate; any such callable works as `pick`. A
     tree's nodes are searched in its preorder, so a per-tree stream yields
     the draws it would for that tree grown alone. Every node searches every
     feature when `pick` is None, and each step then searches every pending
@@ -325,7 +326,6 @@ def grow_trees(
     those records once growth ends.
     """
     ranks = dense_ranks(X)
-    width = X.shape[1] if pick is None else pick.mtry
     distinct = [
         [column.astype(np.int32) for column in np.unique(root, return_counts=True)]
         for root in roots
@@ -356,14 +356,14 @@ def grow_trees(
     while len(pending):
         if pick is None:  # breadth first: every pending node of every tree
             popped, pending = pending, pending[:0]
-            features = np.broadcast_to(every, (len(popped), width))
+            features = np.broadcast_to(every, (len(popped), len(every)))
         else:  # the last node of every tree's run, for the tree's next draw
             last = np.diff(pending[:, 0], append=n_trees) > 0
             popped, pending = pending[last], pending[~last]
             features = pick(popped[:, 0])
         tree, node, start, length, depth = popped[:, :5].T
         found = []
-        for chunk in _chunks((length * width).tolist()):
+        for chunk in _chunks((length * features.shape[1]).tolist()):
             at = _ranges(start[chunk], length[chunk])
             node_rows, node_weights, node_labels = rows[at], weights[at], labels[at]
             feature, threshold, _, left_counts = best_split(

@@ -380,17 +380,15 @@ def _model_space(state: _State, split: TrainTestSplit) -> TrainTestSplit:
 
 # --- stages --------------------------------------------------------------------
 
-def _stage_transform(cfg: RunConfig, state: _State, staging: Path) -> dict:
-    write = functools.partial(write_dataset_csv, state.data)
-    reports.atomic_write_text(staging / "dataset.csv", write)
+def _stage_transform(cfg: RunConfig, state: _State) -> tuple[dict, dict]:
     print(
         f"transform: {len(state.data)} rows across "
         f"{len(state.ticker_rows)} tickers -> {cfg.out / 'dataset.csv'}"
     )
-    return {}
+    return {"dataset.csv": functools.partial(write_dataset_csv, state.data)}, {}
 
 
-def _stage_evaluate(cfg: RunConfig, state: _State, staging: Path) -> dict:
+def _stage_evaluate(cfg: RunConfig, state: _State) -> tuple[dict, dict]:
     blocks: list[EvaluationReport] = []
     skipped: dict[str, PipelineError] = {}
     if cfg.by_sector:
@@ -411,35 +409,35 @@ def _stage_evaluate(cfg: RunConfig, state: _State, staging: Path) -> dict:
         fitted: dict[int, ModelBundle] = {}
         blocks.append(evaluate_per_horizon(cfg.classifier, split, fitted=fitted))
         state.signal_bundle = fitted.get(cfg.backtest.signal_horizon)
-    reports.atomic_write_text(staging / "metrics.csv", reports.metrics_csv_text(blocks))
-    reports.atomic_write_text(
-        staging / "metrics.json",
-        reports.metrics_json_text(blocks, cfg.seed, {s: str(e) for s, e in skipped.items()}),
-    )
     scope = f"{len(blocks)} sectors" if cfg.by_sector else "pooled"
     print(
         f"evaluate: {cfg.classifier.kind} ({scope}), "
         f"{sum(len(b.horizons) for b in blocks)} horizon reports -> "
         f"{cfg.out / 'metrics.csv'}"
     )
-    return {}
+    reasons = {sector: str(exc) for sector, exc in skipped.items()}
+    return {
+        "metrics.csv": reports.metrics_csv(blocks),
+        "metrics.json": reports.metrics_json(blocks, cfg.seed, reasons),
+    }, {}
 
 
-def _stage_rank(cfg: RunConfig, state: _State, staging: Path) -> dict:
+def _stage_rank(cfg: RunConfig, state: _State) -> tuple[dict, dict]:
     split = _pooled_split(cfg, state)
     ranking = rank_features(
         split.train.X, split.scaler, split.train.feature_names, cfg.rank
     )
-    reports.atomic_write_text(staging / "ranking.csv", reports.ranking_csv_text(ranking))
-    reports.atomic_write_text(staging / "variance.csv", reports.variance_csv_text(ranking))
     print(
         f"rank: top-{cfg.rank.top_k} features {list(ranking.selected)} -> "
         f"{cfg.out / 'ranking.csv'}"
     )
-    return {"selected_features": list(ranking.selected), "selection_padded": ranking.padded}
+    files = {
+        "ranking.csv": reports.ranking_csv(ranking), "variance.csv": reports.variance_csv(ranking)
+    }
+    return files, {"selected_features": list(ranking.selected), "selection_padded": ranking.padded}
 
 
-def _stage_backtest(cfg: RunConfig, state: _State, staging: Path) -> dict:
+def _stage_backtest(cfg: RunConfig, state: _State) -> tuple[dict, dict]:
     if cfg.model_file is not None:
         bundle = load_bundle(cfg.model_file)
         if bundle.horizon != cfg.backtest.signal_horizon:
@@ -465,7 +463,8 @@ def _stage_backtest(cfg: RunConfig, state: _State, staging: Path) -> dict:
     dates = bars.dates.tolist()
     closes = bars.X[:, CLOSE_INDEX].tolist()
     signals = bundle.predict(bars).tolist()
-    reports.atomic_write_text(staging / "model.json", reports.json_text(bundle.to_dict()))
+    # the model's payload first: a scaler that overflowed fails before any replay
+    files = {"model.json": reports.json_writer(bundle.to_dict())}
     total_profit = 0.0
     start = 0
     for ticker, window in windows.items():
@@ -473,22 +472,23 @@ def _stage_backtest(cfg: RunConfig, state: _State, staging: Path) -> dict:
         start = bar.stop
         report = run_backtest(dates[bar], closes[bar], signals[bar], cfg.backtest)
         name = reports.safe_name(ticker)
-        reports.atomic_write_text(
-            staging / f"trades_{name}.csv", reports.trades_csv_text(report.trades)
-        )
-        reports.atomic_write_text(
-            staging / f"backtest_{name}.json",
-            reports.backtest_json_text(ticker, report, cfg.seed, bundle.horizon),
+        files[f"trades_{name}.csv"] = reports.trades_csv(report.trades)
+        files[f"backtest_{name}.json"] = reports.backtest_json(
+            ticker, report, cfg.seed, bundle.horizon
         )
         total_profit += float(report.total_profit)
     print(
         f"backtest: {len(windows)} tickers, day-{bundle.horizon} signals, "
         f"total pnl ${total_profit:.4f} -> {cfg.out / 'backtest_*.json'}"
     )
-    return {}
+    return files, {}
 
 
-# each command's stage, in pipeline order; a stage returns its run.json fields
+# each command's stage, in pipeline order. A stage returns its files, each
+# artifact name mapped to its writer (see reports) in write order, and its
+# run.json fields; only run_command knows the staging directory, and it
+# streams each file into it through reports.atomic_write_text, which keeps
+# that name because bench/tracing.py hooks it
 _STAGES = {
     "transform": _stage_transform,
     "evaluate": _stage_evaluate,
@@ -500,13 +500,13 @@ _STAGES = {
 def run_command(command: str, cfg: RunConfig) -> int:
     """Execute one command (or the whole pipeline) and commit its artifacts at once.
 
-    The inputs are read and checked first, ticker file names included. Every
-    stage writes into out/.stocksignals-<pid>/, and after the last one each
-    file is renamed into out, run.json last, once no destination is a
-    directory, which would fail its rename midway. A failure or interrupt
-    removes that directory, and out if this run made it, so out is left as
-    it was. A killed run can leave the directory behind; later runs ignore
-    it.
+    The inputs are read and checked first, ticker file names included. Each
+    stage's files are streamed into out/.stocksignals-<pid>/ as soon as it
+    returns, and after the last one each file is renamed into out, run.json
+    last, once no destination is a directory, which would fail its rename
+    midway. A failure or interrupt removes that directory, and out if this
+    run made it, so out is left as it was. A killed run can leave the
+    directory behind; later runs ignore it.
     """
     state = _load_state(cfg)
     if command in _TRADE:  # the commands that write one file set per ticker
@@ -527,8 +527,11 @@ def run_command(command: str, cfg: RunConfig) -> int:
     try:
         manifest = cfg.to_manifest(command)
         for stage in _STAGES.values() if command == "pipeline" else (_STAGES[command],):
-            manifest.update(stage(cfg, state, staging))
-        reports.atomic_write_text(staging / "run.json", reports.json_text(manifest))
+            files, run_fields = stage(cfg, state)
+            for name, write in files.items():
+                reports.atomic_write_text(staging / name, write)
+            manifest.update(run_fields)
+        reports.atomic_write_text(staging / "run.json", reports.json_writer(manifest))
         names = sorted(os.listdir(staging), key=lambda name: name == "run.json")
         for target in (cfg.out / name for name in names):
             if target.is_dir() and not target.is_symlink():

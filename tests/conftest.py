@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
+import io
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -28,7 +30,12 @@ from stocksignals.transform import (  # noqa: E402
     FEATURE_COLUMNS,
     Dataset,
     LabelConfig,
+    SplitConfig,
+    TrainTestSplit,
+    assemble_features,
     label_closes,
+    shuffle_split,
+    split_dataset,
 )
 
 BASE_DATE = dt.date(2018, 1, 2)
@@ -225,6 +232,35 @@ def purged_rows(data: Dataset, ticker_rows, fraction: float, gap: int):
     return train, test
 
 
+def assembled(raw: bytes) -> Dataset:
+    """The feature rows the CLI assembles from a market CSV, tickers in order."""
+    table = ingest.validate_and_clean(ingest.parse_market_csv(raw))
+    series = ingest.partition_by_ticker(table).values()
+    return Dataset.concat([assemble_features(s, LabelConfig()) for s in series])
+
+
+def ten_ticker_split() -> TrainTestSplit:
+    """The seed-42 split of the rows assembled from a 10-ticker, 100-day
+    market (630 training rows), on which the memory peaks are measured."""
+    data = assembled(synthetic_market_bytes(10, 100, seed=1))
+    return split_dataset(data, *shuffle_split(data, SplitConfig(seed=42)))
+
+
+def traced_peak(call) -> int:
+    """call()'s tracemalloc peak above the memory traced when it starts."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def parse_synthetic(n_tickers=3, n_days=80, seed=0):
     table = ingest.parse_market_csv(synthetic_market_bytes(n_tickers, n_days, seed))
     return ingest.validate_and_clean(table)
@@ -269,8 +305,10 @@ def assert_same_tree(mine, reference):
 
 
 def bundle_json(bundle) -> str:
-    """A bundle's model.json text, as the CLI writes it."""
-    return reports.json_text(bundle.to_dict())
+    """A bundle's model.json text, as the CLI's writer streams it."""
+    stream = io.StringIO()
+    reports.json_writer(bundle.to_dict())(stream)
+    return stream.getvalue()
 
 
 def fit_one(spec, X, y):

@@ -835,3 +835,178 @@ def simulate_backtest(closes, signals, fee="0.01", tp="0.01", sl="0.01", liquida
         date, raw_price = closes[-1]
         close_position(Decimal(str(raw_price)).quantize(Decimal("0.0001")), date, "end_of_data")
     return trades
+
+
+# --- a whole run, one stage oracle after another -------------------------------------
+
+def reference_split(n, seed, fraction):
+    """(train, test) positions of n rows: a SplitMix64 Fisher-Yates shuffle of
+    range(n) cut at floor(n * fraction), both sides in shuffled order."""
+    order = list(range(n))
+    SplitMix64(seed).shuffle(order)
+    cut = int(n * fraction)
+    return order[:cut], order[cut:]
+
+
+def reference_predictor(spec, X, y):
+    """The function from one scaled row to its label under the reference
+    model of spec fitted on the scaled rows X and their labels y. Gaussian
+    NB has no reference fit, so it is the package's fit with the per-row
+    reference prediction."""
+    if spec.kind == "decision_tree":
+        tree = reference_fit_decision_tree(X, y, spec)
+        return lambda x: reference_predict_tree(tree, x)
+    if spec.kind == "random_forest":
+        forest = namedtuple("Forest", "trees")(reference_fit_random_forest(X, y, spec)[0])
+        return lambda x: reference_predict_forest(forest, x)
+    if spec.kind == "knn":
+        return lambda x: reference_knn_predict(X, y, x, spec.k)
+    from stocksignals.classifiers.gaussian_nb import fit_gaussian_nb
+
+    model = fit_gaussian_nb(X, y)
+    return lambda x: reference_predict_gaussian_nb(model, x)
+
+
+def _reference_fit(spec, X, y, labeled):
+    """reference_predictor on the rows where `labeled`, raising what the
+    package's fit raises for those rows."""
+    from stocksignals.errors import EmptyTraining, KTooLarge
+
+    count = int(labeled.sum())
+    if count == 0:
+        raise EmptyTraining("no training rows")
+    if spec.kind == "knn" and spec.k > count:
+        raise KTooLarge(f"k={spec.k} but only {count} training rows")
+    return reference_predictor(spec, X[labeled], y[labeled])
+
+
+def _reference_model_space(X, Y, rows, columns, seed, fraction):
+    """The split of `rows` (positions in X and Y): the training rows scaled
+    by the reference scaler of their `columns`, the test rows likewise, and
+    the scaler."""
+    from stocksignals.errors import TooFewRows
+
+    train, test = reference_split(len(rows), seed, fraction)
+    train, test = [rows[i] for i in train], [rows[i] for i in test]
+    if len(train) < 2:
+        raise TooFewRows(f"need at least 2 rows to fit a scaler, got {len(train)}")
+    means, stds = reference_scaler(X[train][:, columns].tolist())
+
+    def scaled(positions):
+        return np.array(
+            reference_standardize(means, stds, X[positions][:, columns].tolist())
+        ).reshape(len(positions), len(columns))
+
+    return (scaled(train), Y[train]), (scaled(test), Y[test]), (means, stds)
+
+
+def _reference_evaluate(spec, train, test, horizons):
+    """{horizon: (confusion rows as tuples, n_test)} of every horizon with
+    labeled rows on both sides, each model fitted on its labeled training
+    rows, and the horizons omitted."""
+    from stocksignals.errors import NoEvaluableHorizon
+
+    (X_train, Y_train), (X_test, Y_test) = train, test
+    evaluable = [
+        j for j in range(len(horizons)) if (Y_train[:, j] >= 0).any() and (Y_test[:, j] >= 0).any()
+    ]
+    if not evaluable:
+        raise NoEvaluableHorizon("no horizon had labeled train and test rows")
+    scores = {}
+    for j in evaluable:
+        predict = _reference_fit(spec, X_train, Y_train[:, j], Y_train[:, j] >= 0)
+        confusion = [[0, 0, 0] for _ in range(3)]
+        for x, label in zip(X_test, Y_test[:, j]):
+            if label >= 0:
+                confusion[label][predict(x)] += 1
+        scores[horizons[j]] = (tuple(map(tuple, confusion)), int((Y_test[:, j] >= 0).sum()))
+    omitted = [h for j, h in enumerate(horizons) if j not in evaluable]
+    return scores, omitted
+
+
+def reference_run(command, market_bytes, settings):
+    """Each artifact of `stocksignals <command>` on a market CSV, as parsed
+    values, from the stage oracles alone: reference parse, clean, partition
+    and assembly, the SplitMix64 split, the reference scaler, the reference
+    fits and predictions, and simulate_backtest over each ticker's window.
+
+    `settings` holds model, seed, trees, features (names or None), by_sector,
+    signal_horizon, up_threshold and down_threshold; the train fraction, the
+    horizons and the backtest rules are the defaults. The result maps
+    `dataset.csv` to (ticker, ISO date, labels with None where unlabeled)
+    rows, `metrics.json` to ({sector: ({horizon: (confusion, n_test)},
+    omitted horizons)}, skipped sectors), `model.json` to (horizon, scaler
+    means, scaler stds), each `trades_<ticker>.csv` to its trade tuples and
+    each `backtest_<ticker>.json` to (signal horizon, trade count, total
+    profit, initial price).
+    A run the package must fail raises the package's error.
+    """
+    from stocksignals.classifiers.base import ClassifierSpec
+    from stocksignals.errors import (
+        DataError, EmptyTraining, KTooLarge, NoEvaluableHorizon, TooFewRows,
+    )
+    from stocksignals.transform import CLOSE_INDEX, DEFAULT_HORIZONS, FEATURE_COLUMNS
+
+    horizons, fraction, seed = DEFAULT_HORIZONS, 0.7, settings["seed"]
+    spec = ClassifierSpec(kind=settings["model"], n_trees=settings["trees"], seed=seed)
+    rows, _ = reference_parse_market_csv(market_bytes)
+    kept, *_ = reference_validate_and_clean(rows)
+    parts, sectors = [], {}
+    for ticker, sector, group in reference_partition_by_ticker(kept):
+        part = reference_assemble_features(
+            ticker, group, horizons, settings["up_threshold"], settings["down_threshold"]
+        )
+        if len(part):
+            parts.append(part)
+            sectors[ticker] = sector
+    if not parts:
+        raise DataError("no feature rows assembled")
+    tickers = np.concatenate([part.tickers for part in parts])
+    dates = np.concatenate([part.dates for part in parts])
+    X = np.concatenate([part.X for part in parts])
+    Y = np.concatenate([part.Y for part in parts]).astype(np.int64)
+    names = settings["features"] or FEATURE_COLUMNS
+    columns = [FEATURE_COLUMNS.index(name) for name in names]
+    artifacts = {}
+    if command in ("transform", "pipeline"):
+        artifacts["dataset.csv"] = [
+            (str(ticker), str(date), tuple(None if label < 0 else int(label) for label in labels))
+            for ticker, date, labels in zip(tickers, dates, Y)
+        ]
+    pooled = None
+    if command in ("evaluate", "pipeline") and settings["by_sector"]:
+        blocks, skipped = {}, {}
+        for sector in sorted(set(sectors.values())):
+            members = [i for i, t in enumerate(tickers) if sectors[str(t)] == sector]
+            try:
+                train, test, _ = _reference_model_space(X, Y, members, columns, seed, fraction)
+                blocks[sector] = _reference_evaluate(spec, train, test, horizons)
+            except (TooFewRows, EmptyTraining, NoEvaluableHorizon, KTooLarge) as exc:
+                skipped[sector] = exc
+        if not blocks:
+            raise next(iter(skipped.values()))
+        artifacts["metrics.json"] = (blocks, list(skipped))
+    elif command in ("evaluate", "pipeline"):
+        pooled = _reference_model_space(X, Y, list(range(len(X))), columns, seed, fraction)
+        artifacts["metrics.json"] = ({None: _reference_evaluate(spec, *pooled[:2], horizons)}, [])
+    if command in ("backtest", "pipeline"):
+        horizon = settings["signal_horizon"]
+        train, _, (means, stds) = pooled or _reference_model_space(
+            X, Y, list(range(len(X))), columns, seed, fraction
+        )
+        j = horizons.index(horizon)
+        predict = _reference_fit(spec, train[0], train[1][:, j], train[1][:, j] >= 0)
+        artifacts["model.json"] = (horizon, means, stds)
+        for ticker in sectors:
+            at = np.flatnonzero(tickers == ticker)
+            window = at[int(len(at) * fraction):]
+            bars = reference_standardize(means, stds, X[window][:, columns].tolist())
+            closes = [(dates[i].item(), float(X[i, CLOSE_INDEX])) for i in window]
+            signals = [(date, predict(np.array(x))) for (date, _), x in zip(closes, bars)]
+            trades = simulate_backtest(closes, signals)
+            artifacts[f"trades_{ticker}.csv"] = trades
+            artifacts[f"backtest_{ticker}.json"] = (
+                horizon, len(trades), sum((trade[-1] for trade in trades), Decimal(0)),
+                Decimal(str(closes[0][1])).quantize(Decimal("0.0001")),
+            )
+    return artifacts

@@ -7,29 +7,29 @@ time on the repeated rows with one-feature-at-a-time split searches. Every
 column of every tree must match, thresholds to the bit.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_tree, fit_one, random_dataset, synthetic_market_bytes
+from conftest import (
+    assembled,
+    assert_same_tree,
+    fit_one,
+    random_dataset,
+    synthetic_market_bytes,
+    ten_ticker_split,
+    traced_peak,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_best_split, reference_fit_decision_tree, reference_fit_random_forest
 
-from stocksignals import ingest
 from stocksignals.classifiers import tree
 from stocksignals.classifiers.base import ClassifierSpec, fit_bundles, fit_classifier
-from stocksignals.classifiers.forest import fit_forests
+from stocksignals.classifiers.forest import _TreeStreams, default_mtry, fit_forests
 from stocksignals.errors import DataError, EmptyTraining
-from stocksignals.transform import (
-    Dataset,
-    LabelConfig,
-    SplitConfig,
-    assemble_features,
-    shuffle_split,
-    split_dataset,
-)
+from stocksignals.rng import outputs
+from stocksignals.transform import split_dataset
 
 GRID = (-2.0, -0.5, 0.0, 0.5, 3.0)
 
@@ -110,13 +110,6 @@ MORE_NODES_THAN_ROWS = (
 )
 
 
-def assembled(raw):
-    """The feature rows the CLI assembles from a market CSV, tickers in order."""
-    table = ingest.validate_and_clean(ingest.parse_market_csv(raw))
-    series = ingest.partition_by_ticker(table).values()
-    return Dataset.concat([assemble_features(s, LabelConfig()) for s in series])
-
-
 # the label matrix the CLI fits: 100 rows and ten nested horizon columns, so
 # a 3-tree forest grows 30 trees in lockstep, up to six pending nodes each,
 # and a step's nodes take several best_split calls
@@ -150,6 +143,21 @@ def test_lockstep_trees_match_per_tree_reference(case):
         assert len(model.trees) == len(trees)
         for mine, reference in zip(model.trees, trees):
             assert_same_tree(mine, reference)
+
+
+def test_any_callable_draws_the_candidates():
+    """grow_trees reads the candidate width off the array `pick` returns, so a
+    plain function drawing from the forest's streams grows the forest's trees."""
+    X, Y = MARKET.X, MARKET.Y.astype(np.int64)
+    spec = ClassifierSpec(kind="random_forest", n_trees=3, seed=42)
+    seeds = outputs([spec.seed], 0, spec.n_trees)[0].tolist()
+    streams = _TreeStreams(seeds, Y, X.shape[1], default_mtry(X.shape[1]), bootstrap=True)
+    columns = np.repeat(np.arange(Y.shape[1]), spec.n_trees)
+    trees = tree.grow_trees(X, Y, columns, streams.roots(), spec, lambda trees: streams(trees))
+    forests = fit_forests(X, Y, spec)
+    assert len(trees) == sum(len(forest.trees) for forest in forests)
+    for mine, reference in zip(trees, (t for forest in forests for t in forest.trees)):
+        assert_same_tree(mine, reference)
 
 
 def test_one_column_fits_match_the_matrix_fit():
@@ -279,21 +287,10 @@ NODE_TABLE_GROWER_TREE_PEAK = 2.73e6
 
 def fit_peak(fit):
     """fit(X, Y)'s tracemalloc peak on the training side of a 10-ticker market."""
-    data = assembled(synthetic_market_bytes(10, 100, seed=1))
-    split = split_dataset(data, *shuffle_split(data, SplitConfig(seed=42)))
+    split = ten_ticker_split()
     X, Y = split.train.X, split.train.Y.astype(np.int64)
     assert (X.shape, Y.shape) == ((630, 28), (630, 10))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fit(X, Y)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    return traced_peak(lambda: fit(X, Y))
 
 
 def test_forest_fit_peak_memory_stays_near_the_per_node_grower():

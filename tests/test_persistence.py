@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from conftest import bundle_json, fit_one, random_dataset
+from conftest import bundle_json, fit_one, random_dataset, ten_ticker_split, traced_peak
 
+from stocksignals import reports
 from stocksignals.classifiers.base import (
+    KINDS,
     ClassifierSpec,
     ModelBundle,
     fit_bundles,
@@ -63,6 +65,29 @@ def test_bundle_save_load_bit_identical(tmp_path):
     assert np.array_equal(bundle.predict(probes), loaded.predict(probes))
     # re-serialization of the loaded bundle is byte-identical
     assert bundle_json(loaded) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_streamed_model_json_is_the_whole_text_encoding(kind):
+    """The writer's bytes are those of encoding the payload as one string."""
+    spec = ClassifierSpec(kind=kind, n_trees=3, k=3, seed=5)
+    (bundle,) = fit_bundles(spec, _train_split(random_dataset(40, seed=2)), (10,))
+    assert bundle_json(bundle) == json.dumps(bundle.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "knn"])
+def test_model_json_is_streamed_not_held_as_one_string(tmp_path, kind):
+    """Writing a fitted bundle's payload allocates far less than the file's
+    size: it is encoded into the stream piece by piece. The forest's file is
+    331 KB and the kNN model's 468 KB; encoded as one string first, the
+    write peaked at 2.14 MB and 1.93 MB."""
+    (bundle,) = fit_bundles(ClassifierSpec(kind=kind, seed=42), ten_ticker_split(), (10,))
+    write = reports.json_writer(bundle.to_dict())
+    path = tmp_path / "model.json"
+    peak = traced_peak(lambda: reports.atomic_write_text(path, write))
+    size = path.stat().st_size
+    assert size > 300_000
+    assert peak < size / 2
 
 
 def test_bundle_predict_projects_by_name():
